@@ -25,8 +25,15 @@ and multiplication by a trigonometric polynomial of phi = xi / lam uses a
 Gauss-Hermite matrix that is exact to machine precision at the padded
 working dimension.
 
-Sphere kets carry the circle representation per polar row; the theta
-factors enter only through their Gauss-Legendre overlap matrix.
+Circle and sphere kets share one type with a leading row axis: one row on
+the circle, one per polar function theta_lm (m = -l..l) on the sphere at
+fixed l.  The theta factors enter only through their Gauss-Legendre overlap
+matrix O, which is positive semidefinite of rank l + 1.  Lifting a sphere
+state multiplies its rows once by the symmetric square root R of O
+(R R = O).  L_z, phi and trigonometric multiplication act on every row
+alike, so they commute with R, and every inner product is the plain sum
+over rows and depth pairs (d, e) of (u_d, phi^{d+e} v_e) with no overlap
+operand.
 """
 
 from dataclasses import dataclass
@@ -144,79 +151,116 @@ def _theta_overlap(l):
 # -- kets ---------------------------------------------------------------------
 
 
-class CircleKet:
-    """Exact representation sum_d phi^d * (Fourier band) on [0, 2 pi)."""
+@lru_cache(maxsize=None)
+def _theta_overlap_root(l):
+    """Symmetric square root of _theta_overlap(l).
 
-    __slots__ = ("coeffs", "kmax", "hbar")
+    The overlap is PSD of rank l + 1 (theta_lm = theta_l,-m up to sign), so
+    Cholesky fails on it.  eigh gives its null eigenvalues at rounding level
+    with either sign; they are clipped to zero, so the root has no entries
+    of order sqrt(eps) and its square is the overlap to rounding.
+    """
+    vals, vecs = np.linalg.eigh(_theta_overlap(l))
+    vals[vals < vals.size * np.finfo(float).eps * vals[-1]] = 0.0
+    out = (vecs * np.sqrt(vals)) @ vecs.T
+    out.setflags(write=False)
+    return out
 
-    def __init__(self, coeffs, kmax, hbar):
-        self.coeffs = coeffs  # shape (D+1, 2*kmax+1), complex
+
+class FourierKet:
+    """Exact representation sum_d phi^d * (Fourier band) on [0, 2 pi), per row.
+
+    A circle ket has one row; a sphere ket at fixed ``l`` has 2l+1 rows,
+    already multiplied by the root of the theta overlap, so the inner
+    product is a plain sum over rows.  No operator mixes rows.
+    """
+
+    __slots__ = ("coeffs", "kmax", "hbar", "l")
+
+    def __init__(self, coeffs, kmax, hbar, l=None):
+        self.coeffs = coeffs  # shape (rows, D+1, 2*kmax+1), complex
         self.kmax = kmax
         self.hbar = hbar
+        self.l = l
 
     @property
     def family(self):
-        return "periodic"
+        return "periodic" if self.l is None else "sphere"
+
+    def _like(self, coeffs, kmax):
+        return FourierKet(coeffs, kmax, self.hbar, self.l)
 
     def scaled(self, z):
-        return CircleKet(z * self.coeffs, self.kmax, self.hbar)
+        return self._like(z * self.coeffs, self.kmax)
 
     def plus(self, other):
-        a, b, kmax = _align_circle(self, other)
-        return CircleKet(a + b, kmax, self.hbar)
+        a, b, kmax = _align(self, other)
+        return self._like(a + b, kmax)
 
     def lz(self):
         c = self.coeffs
         k = np.arange(-self.kmax, self.kmax + 1)
         out = (self.hbar * k) * c.astype(complex)
-        depth = c.shape[0]
+        depth = c.shape[1]
         if depth > 1:
             d = np.arange(1, depth)[:, None]
-            out[:-1] += -1j * self.hbar * d * c[1:]
-        return CircleKet(out, self.kmax, self.hbar)
+            out[:, :-1] += -1j * self.hbar * d * c[:, 1:]
+        return self._like(out, self.kmax)
 
     def mul_phi(self):
-        depth, width = self.coeffs.shape
-        out = np.zeros((depth + 1, width), dtype=complex)
-        out[1:] = self.coeffs
-        return CircleKet(out, self.kmax, self.hbar)
+        rows, depth, width = self.coeffs.shape
+        out = np.zeros((rows, depth + 1, width), dtype=complex)
+        out[:, 1:] = self.coeffs
+        return self._like(out, self.kmax)
 
     def mul_trig(self, fourier):
         grow = max(abs(k) for k, _ in fourier)
         kmax = self.kmax + grow
-        depth, width = self.coeffs.shape
-        out = np.zeros((depth, 2 * kmax + 1), dtype=complex)
+        rows, depth, width = self.coeffs.shape
+        out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
         for k, coef in fourier:
             lo = grow + k
-            out[:, lo : lo + width] += coef * self.coeffs
-        return CircleKet(out, kmax, self.hbar)
+            out[:, :, lo : lo + width] += coef * self.coeffs
+        return self._like(out, kmax)
 
     def inner(self, other):
-        a, b, kmax = _align_circle(self, other)
+        a, b, kmax = _align(self, other)
         total = 0.0 + 0.0j
-        for d in range(a.shape[0]):
-            for e in range(b.shape[0]):
+        for d in range(a.shape[1]):
+            for e in range(b.shape[1]):
                 if d + e == 0:
-                    total += np.vdot(a[d], b[e])
+                    total += np.vdot(a[:, d], b[:, e])
                 else:
-                    total += a[d].conj() @ _phi_power_block(d + e, kmax) @ b[e]
+                    total += np.vdot(a[:, d], b[:, e] @ _phi_power_block(d + e, kmax).T)
         return complex(total)
 
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
 
-def _align_circle(x, y):
+def _space_error(x, y):
+    return ValueError(
+        f"kets from different spaces: {x.family} (l={getattr(x, 'l', None)}) "
+        f"and {y.family} (l={getattr(y, 'l', None)})"
+    )
+
+
+def _align(x, y):
+    """Both coefficient arrays on the common depth and band, and that band."""
+    if type(y) is not FourierKet or x.l != y.l:
+        raise _space_error(x, y)
     kmax = max(x.kmax, y.kmax)
-    depth = max(x.coeffs.shape[0], y.coeffs.shape[0])
-    return _embed_circle(x, depth, kmax), _embed_circle(y, depth, kmax), kmax
+    depth = max(x.coeffs.shape[1], y.coeffs.shape[1])
+    return _embed(x, depth, kmax), _embed(y, depth, kmax), kmax
 
 
-def _embed_circle(ket, depth, kmax):
-    d0, w0 = ket.coeffs.shape
-    out = np.zeros((depth, 2 * kmax + 1), dtype=complex)
+def _embed(ket, depth, kmax):
+    rows, d0, w0 = ket.coeffs.shape
+    if d0 == depth and ket.kmax == kmax:
+        return ket.coeffs
+    out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
     off = kmax - ket.kmax
-    out[:d0, off : off + w0] = ket.coeffs
+    out[:, :d0, off : off + w0] = ket.coeffs
     return out
 
 
@@ -243,7 +287,7 @@ class LineKet:
         return self._like(z * self.coeffs)
 
     def plus(self, other):
-        a, b = _align_line(self.coeffs, other.coeffs)
+        a, b = _align_line(self, other)
         return self._like(a + b)
 
     def _ladder(self, sign):
@@ -272,14 +316,17 @@ class LineKet:
         return kin.plus(pot)
 
     def inner(self, other):
-        a, b = _align_line(self.coeffs, other.coeffs)
+        a, b = _align_line(self, other)
         return complex(np.vdot(a, b))
 
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
 
-def _align_line(a, b):
+def _align_line(x, y):
+    if type(y) is not LineKet:
+        raise _space_error(x, y)
+    a, b = x.coeffs, y.coeffs
     size = max(a.size, b.size)
     if a.size < size:
         a = np.concatenate([a, np.zeros(size - a.size, dtype=complex)])
@@ -307,98 +354,19 @@ def _line_mult_matrix(dim, lam, fourier):
     return mat
 
 
-class SphereKet:
-    """Per-polar-row circle representation at fixed l."""
-
-    __slots__ = ("coeffs", "l", "kmax", "hbar")
-
-    def __init__(self, coeffs, l, kmax, hbar):
-        self.coeffs = coeffs  # shape (2l+1, D+1, 2*kmax+1)
-        self.l = l
-        self.kmax = kmax
-        self.hbar = hbar
-
-    @property
-    def family(self):
-        return "sphere"
-
-    def scaled(self, z):
-        return SphereKet(z * self.coeffs, self.l, self.kmax, self.hbar)
-
-    def plus(self, other):
-        a, b, kmax = _align_sphere(self, other)
-        return SphereKet(a + b, self.l, kmax, self.hbar)
-
-    def lz(self):
-        c = self.coeffs
-        k = np.arange(-self.kmax, self.kmax + 1)
-        out = (self.hbar * k) * c.astype(complex)
-        depth = c.shape[1]
-        if depth > 1:
-            d = np.arange(1, depth)[None, :, None]
-            out[:, :-1, :] += -1j * self.hbar * d * c[:, 1:, :]
-        return SphereKet(out, self.l, self.kmax, self.hbar)
-
-    def mul_phi(self):
-        rows, depth, width = self.coeffs.shape
-        out = np.zeros((rows, depth + 1, width), dtype=complex)
-        out[:, 1:, :] = self.coeffs
-        return SphereKet(out, self.l, self.kmax, self.hbar)
-
-    def mul_trig(self, fourier):
-        grow = max(abs(k) for k, _ in fourier)
-        kmax = self.kmax + grow
-        rows, depth, width = self.coeffs.shape
-        out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
-        for k, coef in fourier:
-            lo = grow + k
-            out[:, :, lo : lo + width] += coef * self.coeffs
-        return SphereKet(out, self.l, kmax, self.hbar)
-
-    def inner(self, other):
-        a, b, kmax = _align_sphere(self, other)
-        overlap = _theta_overlap(self.l)
-        total = 0.0 + 0.0j
-        for d in range(a.shape[1]):
-            for e in range(b.shape[1]):
-                block = _phi_power_block(d + e, kmax)
-                total += np.einsum(
-                    "mk,mn,kl,nl->", a[:, d, :].conj(), overlap, block, b[:, e, :]
-                )
-        return complex(total)
-
-    def norm(self):
-        return float(np.sqrt(max(self.inner(self).real, 0.0)))
-
-
-def _align_sphere(x, y):
-    kmax = max(x.kmax, y.kmax)
-    depth = max(x.coeffs.shape[1], y.coeffs.shape[1])
-    return _embed_sphere(x, depth, kmax), _embed_sphere(y, depth, kmax), kmax
-
-
-def _embed_sphere(ket, depth, kmax):
-    rows, d0, w0 = ket.coeffs.shape
-    out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
-    off = kmax - ket.kmax
-    out[:, :d0, off : off + w0] = ket.coeffs
-    return out
-
-
 # -- lifting and operator dispatch -------------------------------------------
 
 
 def lift(state):
     """Coefficient-space ket for a state; kets pass through unchanged."""
-    if isinstance(state, (CircleKet, LineKet, SphereKet)):
+    if isinstance(state, (FourierKet, LineKet)):
         return state
     if isinstance(state, PeriodicState):
-        band = max(abs(m) for m in state.coefficients)
-        kmax = max(state.truncation, band) + _KPAD
-        coeffs = np.zeros((1, 2 * kmax + 1), dtype=complex)
+        kmax = max(abs(m) for m in state.coefficients) + _KPAD
+        coeffs = np.zeros((1, 1, 2 * kmax + 1), dtype=complex)
         for m, a in state.coefficients.items():
-            coeffs[0, m + kmax] = a
-        return CircleKet(coeffs, kmax, state.hbar)
+            coeffs[0, 0, m + kmax] = a
+        return FourierKet(coeffs, kmax, state.hbar)
     if isinstance(state, OscillatorState):
         dim = max(state.coefficients) + 1 + _NPAD
         coeffs = np.zeros(dim, dtype=complex)
@@ -406,11 +374,15 @@ def lift(state):
             coeffs[n] = b
         return LineKet(coeffs, state.scale, state.hbar, state.inertia, state.frequency)
     if isinstance(state, SphereState):
-        kmax = state.l + _KPAD
-        coeffs = np.zeros((2 * state.l + 1, 1, 2 * kmax + 1), dtype=complex)
-        for m, c in state.coefficients.items():
-            coeffs[m + state.l, 0, m + kmax] = c
-        return SphereKet(coeffs, state.l, kmax, state.hbar)
+        l = state.l
+        kmax = l + _KPAD
+        c = np.zeros(2 * l + 1, dtype=complex)
+        for m, v in state.coefficients.items():
+            c[m + l] = v
+        # row r holds sum_m root[r, m] c_m e^{i m phi}
+        coeffs = np.zeros((2 * l + 1, 1, 2 * kmax + 1), dtype=complex)
+        coeffs[:, 0, kmax - l : kmax + l + 1] = _theta_overlap_root(l) * c
+        return FourierKet(coeffs, kmax, state.hbar, l)
     raise TypeError(f"lift: unsupported state type {type(state)!r}")
 
 
@@ -448,20 +420,24 @@ def inner_product(x, y):
     return lift(x).inner(lift(y))
 
 
-def mean(obs, state):
-    """Expected value (psi, A psi); rejects non-Hermitian observables."""
-    obs = resolve_observable(obs)
+def _expectation(obs, ket):
+    """(<A>, A psi) for a Hermitian observable on a lifted ket."""
     if not obs.hermitian:
         raise UnsupportedObservable(
             f"mean: observable {obs.label!r} is not Hermitian; expectation undefined"
         )
-    ket = lift(state)
-    val = ket.inner(apply(obs, ket))
+    acted = apply(obs, ket)
+    val = ket.inner(acted)
     if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
         raise ArithmeticError(
             f"mean of {obs.label}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
         )
-    return float(val.real)
+    return float(val.real), acted
+
+
+def mean(obs, state):
+    """Expected value (psi, A psi); rejects non-Hermitian observables."""
+    return _expectation(resolve_observable(obs), lift(state))[0]
 
 
 @dataclass(frozen=True)
@@ -484,8 +460,8 @@ class DeviationVector:
 def deviation_vector(obs, state):
     obs = resolve_observable(obs)
     ket = lift(state)
-    mu = mean(obs, ket)
-    vec = apply(obs, ket).plus(ket.scaled(-mu))
+    mu, acted = _expectation(obs, ket)
+    vec = acted.plus(ket.scaled(-mu))
     return DeviationVector(vector=vec, observable=obs, base=ket, mean=mu)
 
 

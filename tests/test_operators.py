@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,11 @@ from angulab.operators import (
     PHI,
     PHI2,
     SIN_PHI,
+    FourierKet,
     UnsupportedObservable,
+    _phi_power_block,
+    _theta_overlap,
+    _theta_overlap_root,
     apply,
     apply_lz,
     apply_phi,
@@ -141,6 +147,112 @@ class TestInnerProductAndMean:
         assert inner_product(a, b) == pytest.approx(0.0, abs=1e-15)
         assert inner_product(a, a) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize(
+        "x, y, names",
+        [
+            (sphere_state(1, {0: 1}), sphere_state(2, {0: 1}), "sphere (l=1) and sphere (l=2)"),
+            (scr_eigenstate(0), sphere_state(1, {0: 1}), "periodic (l=None) and sphere (l=1)"),
+            (qtp_eigenstate(0), scr_eigenstate(0), "oscillator (l=None) and periodic (l=None)"),
+            (scr_eigenstate(0), qtp_eigenstate(0), "periodic (l=None) and oscillator (l=None)"),
+        ],
+    )
+    def test_kets_from_different_spaces_rejected(self, x, y, names):
+        with pytest.raises(ValueError, match=re.escape(names)):
+            inner_product(x, y)
+        with pytest.raises(ValueError, match=re.escape(names)):
+            lift(x).plus(lift(y))
+
+
+def _reference_inner(x, y):
+    """The unfolded inner product: per depth pair, the circle block loop on
+    one row, the theta-overlap einsum on sphere rows (coefficients not
+    multiplied by the overlap root)."""
+    kmax = max(x.kmax, y.kmax)
+    depth = max(x.coeffs.shape[1], y.coeffs.shape[1])
+    a, b = (_reference_embed(k, depth, kmax) for k in (x, y))
+    total = 0.0 + 0.0j
+    for d in range(depth):
+        for e in range(depth):
+            block = _phi_power_block(d + e, kmax)
+            if x.l is None:
+                total += a[0, d].conj() @ block @ b[0, e]
+            else:
+                total += np.einsum(
+                    "mk,mn,kl,nl->", a[:, d, :].conj(), _theta_overlap(x.l), block, b[:, e, :]
+                )
+    return complex(total)
+
+
+def _reference_embed(ket, depth, kmax):
+    rows, d0, w0 = ket.coeffs.shape
+    out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
+    off = kmax - ket.kmax
+    out[:, :d0, off : off + w0] = ket.coeffs
+    return out
+
+
+def _unfolded_sphere_ket(state):
+    """Sphere ket with row m holding c_m e^{i m phi}, before the overlap root."""
+    l, kmax = state.l, state.l + 4
+    coeffs = np.zeros((2 * l + 1, 1, 2 * kmax + 1), dtype=complex)
+    for m, c in state.coefficients.items():
+        coeffs[m + l, 0, m + kmax] = c
+    return FourierKet(coeffs, kmax, state.hbar, l)
+
+
+class TestFourierInnerKernel:
+    WIDE = trig_observable("wide", {2: 0.3 - 0.1j, -1: 0.5j, 0: 0.2})
+    CHAINS = (
+        (),
+        (LZ,),
+        (PHI, SIN_PHI),
+        (PHI, LZ, PHI, COS_PHI),
+        (SIN_PHI, PHI, WIDE, PHI, PHI, LZ),
+        (WIDE, COS_PHI, PHI2, LZ, PHI),
+    )
+
+    @staticmethod
+    def _chain(ket, chain):
+        for obs in chain:
+            ket = apply(obs, ket)
+        return ket
+
+    def _pairs(self, folded, unfolded):
+        for ca in self.CHAINS:
+            for cb in self.CHAINS:
+                yield (
+                    self._chain(folded, ca).inner(self._chain(folded, cb)),
+                    _reference_inner(self._chain(unfolded, ca), self._chain(unfolded, cb)),
+                )
+
+    def test_circle_matches_block_loop(self):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            ket = lift(random_periodic(rng, band=int(rng.integers(1, 9))))
+            for got, want in self._pairs(ket, ket):
+                assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("l", range(5))
+    def test_sphere_matches_overlap_einsum(self, l):
+        rng = np.random.default_rng(50 + l)
+        for _ in range(2):
+            state = random_sphere(rng, l)
+            for got, want in self._pairs(lift(state), _unfolded_sphere_ket(state)):
+                assert got == pytest.approx(want, rel=1e-12)
+
+    def test_chains_reach_depth_three_and_grow_band(self):
+        ket = self._chain(lift(sphere_state(2, {1: 1.0})), self.CHAINS[4])
+        assert ket.coeffs.shape[1] == 4
+        assert ket.kmax == 2 + 4 + 1 + 2
+
+    @pytest.mark.parametrize("l", range(7))
+    def test_overlap_root_squares_to_overlap(self, l):
+        root = _theta_overlap_root(l)
+        assert np.allclose(root, root.T, rtol=0, atol=1e-15)
+        assert np.allclose(root.T @ root, _theta_overlap(l), rtol=0, atol=1e-14)
+        # rank l + 1: one null direction per pair of +-m rows
+        assert np.linalg.matrix_rank(root) == l + 1
+
 
 class TestStdDev:
     def test_scr_moments(self):
@@ -156,6 +268,13 @@ class TestStdDev:
         want_phi = np.sqrt(1.0 * (n + 0.5) / (2.0 * 0.5))
         assert std_dev(LZ, q) == pytest.approx(want_lz, abs=1e-10)
         assert std_dev(PHI, q) == pytest.approx(want_phi, abs=1e-10)
+
+    def test_truncation_does_not_change_moments(self):
+        wide = scr_eigenstate(3, truncation=64)
+        narrow = scr_eigenstate(3, truncation=8)
+        for obs in ALL_OBS:
+            assert mean(obs, wide) == pytest.approx(mean(obs, narrow), rel=1e-14, abs=1e-14)
+            assert std_dev(obs, wide) == pytest.approx(std_dev(obs, narrow), rel=1e-14, abs=1e-14)
 
     def test_hbar_scaling(self):
         s = scr_eigenstate(2, hbar=3.7)
