@@ -26,24 +26,9 @@ from .relations import TOL_COMMUTATOR, TOL_IDENTITY, identity_report
 
 SCHEMA_VERSION = 1
 
-RELATION_REGISTRY = (
-    "csf",
-    "rsur",
-    "condition19",
-    "decomposition",
-    "boundary",
-    "gram",
-    "eq8-sin",
-    "eq8-cos",
-    "eq9-trig",
-    "eq22",
-    "eq23",
-    "eq24",
-    "moments",
-    "commutator",
-)
-
 FAMILIES = ("scr", "qtp", "sphere", "custom")
+
+DEFAULT_RELATIONS = ("csf", "rsur", "condition19", "moments")
 
 GRAM_SET = (LZ, PHI, SIN_PHI, COS_PHI)
 
@@ -55,12 +40,11 @@ class ConfigError(Exception):
 # -- state construction --------------------------------------------------------
 
 
-def _build_state(family, params):
+def _make_state(family, params):
+    hbar = float(params.get("hbar", 1.0))
     if family == "scr":
         return states.scr_eigenstate(
-            int(params.get("m", 0)),
-            truncation=int(params.get("truncation", 64)),
-            hbar=float(params.get("hbar", 1.0)),
+            int(params.get("m", 0)), truncation=int(params.get("truncation", 64)), hbar=hbar
         )
     if family == "qtp":
         return states.qtp_eigenstate(
@@ -68,7 +52,7 @@ def _build_state(family, params):
             inertia=float(params.get("J", 1.0)),
             frequency=float(params.get("omega", 1.0)),
             truncation=int(params.get("truncation", 64)),
-            hbar=float(params.get("hbar", 1.0)),
+            hbar=hbar,
         )
     if family == "sphere":
         if "l" not in params:
@@ -77,10 +61,7 @@ def _build_state(family, params):
             coeffs = {int(k): complex(v[0], v[1]) for k, v in params["coefficients"].items()}
         else:
             coeffs = {int(params.get("m", 0)): 1.0}
-        try:
-            return states.sphere_state(int(params["l"]), coeffs, hbar=float(params.get("hbar", 1.0)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        return states.sphere_state(int(params["l"]), coeffs, hbar=hbar)
     if family == "custom":
         path = params.get("coeffs")
         if not path:
@@ -92,11 +73,151 @@ def _build_state(family, params):
     raise ConfigError(f"unknown family {family!r}")
 
 
-# -- relation evaluation -------------------------------------------------------
+def _checked(make, *args):
+    """The state ``make(*args)`` builds, held to the input contract.
+
+    A ValueError from the constructor becomes a ConfigError, and so do
+    physical constants (hbar, and J and omega on the line) that are not
+    finite and positive.
+    """
+    try:
+        state = make(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    constants = {"hbar": state.hbar}
+    if state.family == "oscillator":
+        constants.update(J=state.inertia, omega=state.frequency)
+    for key, val in constants.items():
+        if not (np.isfinite(val) and val > 0):
+            raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
+    return state
+
+
+def _build_state(family, params):
+    return _checked(_make_state, family, params)
+
+
+# -- relation registry -----------------------------------------------------------
+#
+# Each relation is one entry: its spectral evaluator, (state, resolution) ->
+# (report entry, mismatch JSON or None), and the report keys --oracle
+# compares with the oracle's values (top-level lhs/rhs, else details keys;
+# a key the oracle does not return is skipped).  A relation that does not
+# apply to a state raises UnsupportedObservable (or TypeError), whose
+# message becomes the not-applicable reason.
 
 
 def _not_applicable(name, reason):
     return {"relation": name, "status": "not-applicable", "reason": reason}
+
+
+def _only(state, families, reason):
+    if state.family not in families:
+        raise UnsupportedObservable(reason)
+
+
+def _plain(report):
+    return report.to_json(), None
+
+
+def _record(name, details):
+    """A report that only carries numbers: no sides, always satisfied."""
+    entry = dict(relation=name, lhs=0.0, rhs=0.0, slack=0.0, satisfied=True, tolerance=0.0)
+    return {**entry, "details": details}, None
+
+
+def _condition19(state, resolution):
+    mm = relations.adjointness_mismatch(LZ, PHI, state)
+    details = {"mismatch_ab": complex(mm.entries[0, 1])}
+    entry = identity_report("condition19", mm.max_modulus, TOL_IDENTITY, details).to_json()
+    return entry, mm.to_json()
+
+
+def _decomposition(state, resolution):
+    res = relations.covariance_decomposition(LZ, PHI, state)
+    details = {
+        "symmetric": res.symmetric,
+        "antisymmetric": res.antisymmetric,
+        "mismatch_max": res.mismatch_max,
+    }
+    if not res.applicable:
+        entry = _not_applicable("decomposition", "adjointness mismatch above threshold")
+        return {**entry, "details": details}, None
+    return _plain(identity_report("decomposition", res.residual, TOL_IDENTITY, details))
+
+
+def _eq22(state, resolution):
+    _only(state, ("periodic",), "sharp-rotation identity, circle family only")
+    ab = relations.adjointness_mismatch(LZ, PHI, state).entries[0, 1]
+    details = {"mismatch_ab": complex(ab), "target": 1j * state.hbar}
+    return _plain(identity_report("eq22", ab - 1j * state.hbar, TOL_IDENTITY, details))
+
+
+def _eq23(state, resolution):
+    _only(state, ("oscillator",), "pendulum identity, line family only")
+    ab = relations.adjointness_mismatch(LZ, PHI, state).entries[0, 1]
+    return _plain(identity_report("eq23", ab, TOL_IDENTITY, {"mismatch_ab": complex(ab)}))
+
+
+def _eq24(state, resolution):
+    _only(state, ("sphere",), "sphere family only")
+    info = relations.sphere_anomaly(state)
+    return _record(
+        "eq24",
+        {
+            "direct_mismatch": relations._cnum(info["direct_mismatch"]),
+            "bracket_formula": relations._cnum(info["bracket_formula"]),
+            "discrepancy": info["discrepancy"],
+        },
+    )
+
+
+def _moments(state, resolution):
+    details = {
+        "mean_Lz": operators.mean(LZ, state),
+        "std_Lz": operators.std_dev(LZ, state),
+        "mean_Phi": operators.mean(PHI, state),
+        "std_Phi": operators.std_dev(PHI, state),
+    }
+    if state.family == "oscillator":
+        details["mean_energy"] = operators.qtp_energy_mean(state)
+    return _record("moments", details)
+
+
+def _commutator(state, resolution):
+    _only(state, ("periodic", "oscillator"), "1D families only")
+    residual = operators.commutator_residual(state, resolution or 1024)
+    return _plain(identity_report("commutator", residual, TOL_COMMUTATOR, {"residual": residual}))
+
+
+SIDES = ("lhs", "rhs")
+
+RELATIONS = {
+    "csf": (lambda state, res: _plain(relations.csf(LZ, PHI, state)), SIDES),
+    "rsur": (lambda state, res: _plain(relations.rsur(LZ, PHI, state)), SIDES),
+    "condition19": (_condition19, ("mismatch_ab",)),
+    "decomposition": (_decomposition, ("symmetric", "antisymmetric")),
+    "boundary": (lambda state, res: _plain(relations.boundary_bound(state)), SIDES),
+    "gram": (lambda state, res: _plain(relations.gram_det(GRAM_SET, state)), SIDES),
+    "eq8-sin": (lambda state, res: _plain(relations.adjusted_relation("eq8-sin", state)), SIDES),
+    "eq8-cos": (lambda state, res: _plain(relations.adjusted_relation("eq8-cos", state)), SIDES),
+    "eq9-trig": (lambda state, res: _plain(relations.adjusted_relation("eq9-trig", state)), SIDES),
+    "eq22": (_eq22, ("mismatch_ab",)),
+    "eq23": (_eq23, ("mismatch_ab",)),
+    "eq24": (_eq24, ("direct_mismatch",)),
+    "moments": (_moments, ("mean_Lz", "std_Lz", "mean_Phi", "std_Phi", "mean_energy")),
+    "commutator": (_commutator, ()),  # the grid oracle has no independent value for it
+}
+
+RELATION_REGISTRY = tuple(RELATIONS)
+
+
+def _check_relations(names):
+    """Return ``names``; raise ConfigError on the first one not in the registry."""
+    for name in names:
+        if name not in RELATIONS:
+            raise ConfigError(f"unknown relation {name!r}")
+    return names
 
 
 def evaluate_relation(name, state, resolution=None):
@@ -106,98 +227,9 @@ def evaluate_relation(name, state, resolution=None):
     condition19.
     """
     try:
-        if name == "csf":
-            return relations.csf(LZ, PHI, state).to_json(), None
-        if name == "rsur":
-            return relations.rsur(LZ, PHI, state).to_json(), None
-        if name == "condition19":
-            mm = relations.adjointness_mismatch(LZ, PHI, state)
-            entry = identity_report(
-                "condition19",
-                mm.max_modulus,
-                TOL_IDENTITY,
-                {"mismatch_ab": complex(mm.entries[0, 1])},
-            ).to_json()
-            return entry, mm.to_json()
-        if name == "decomposition":
-            res = relations.covariance_decomposition(LZ, PHI, state)
-            details = {
-                "symmetric": res.symmetric,
-                "antisymmetric": res.antisymmetric,
-                "mismatch_max": res.mismatch_max,
-            }
-            if not res.applicable:
-                entry = _not_applicable(name, "adjointness mismatch above threshold")
-                entry["details"] = details
-                return entry, None
-            return identity_report(name, res.residual, TOL_IDENTITY, details).to_json(), None
-        if name == "boundary":
-            return relations.boundary_bound(state).to_json(), None
-        if name == "gram":
-            return relations.gram_det(GRAM_SET, state).to_json(), None
-        if name in relations.ADJUSTED_PRESETS:
-            return relations.adjusted_relation(name, state).to_json(), None
-        if name == "eq22":
-            if state.family != "periodic":
-                return _not_applicable(name, "sharp-rotation identity, circle family only"), None
-            mm = relations.adjointness_mismatch(LZ, PHI, state)
-            dev = abs(mm.entries[0, 1] - 1j * state.hbar)
-            details = {"mismatch_ab": complex(mm.entries[0, 1]), "target": 1j * state.hbar}
-            return identity_report(name, dev, TOL_IDENTITY, details).to_json(), None
-        if name == "eq23":
-            if state.family != "oscillator":
-                return _not_applicable(name, "pendulum identity, line family only"), None
-            mm = relations.adjointness_mismatch(LZ, PHI, state)
-            details = {"mismatch_ab": complex(mm.entries[0, 1])}
-            return identity_report(name, abs(mm.entries[0, 1]), TOL_IDENTITY, details).to_json(), None
-        if name == "eq24":
-            if state.family != "sphere":
-                return _not_applicable(name, "sphere family only"), None
-            info = relations.sphere_anomaly(state)
-            entry = {
-                "relation": name,
-                "lhs": 0.0,
-                "rhs": 0.0,
-                "slack": 0.0,
-                "satisfied": True,
-                "tolerance": 0.0,
-                "details": {
-                    "direct_mismatch": relations._cnum(info["direct_mismatch"]),
-                    "bracket_formula": relations._cnum(info["bracket_formula"]),
-                    "discrepancy": info["discrepancy"],
-                },
-            }
-            return entry, None
-        if name == "moments":
-            details = {
-                "mean_Lz": operators.mean(LZ, state),
-                "std_Lz": operators.std_dev(LZ, state),
-                "mean_Phi": operators.mean(PHI, state),
-                "std_Phi": operators.std_dev(PHI, state),
-            }
-            if state.family == "oscillator":
-                details["mean_energy"] = operators.qtp_energy_mean(state)
-            entry = {
-                "relation": name,
-                "lhs": 0.0,
-                "rhs": 0.0,
-                "slack": 0.0,
-                "satisfied": True,
-                "tolerance": 0.0,
-                "details": details,
-            }
-            return entry, None
-        if name == "commutator":
-            if state.family not in ("periodic", "oscillator"):
-                return _not_applicable(name, "1D families only"), None
-            residual = operators.commutator_residual(state, resolution or 1024)
-            return (
-                identity_report(name, residual, TOL_COMMUTATOR, {"residual": residual}).to_json(),
-                None,
-            )
+        return RELATIONS[name][0](state, resolution)
     except (UnsupportedObservable, TypeError) as exc:
         return _not_applicable(name, str(exc)), None
-    raise ConfigError(f"unknown relation {name!r}")
 
 
 def _jsonable(value):
@@ -220,50 +252,40 @@ def _oracle_annotate(entry, state, name, resolution=None):
         entry["oracle"] = {"unavailable": str(exc)}
         return entry
     delta = 0.0
-    if name in ("csf", "rsur", "boundary", "gram", "eq8-sin", "eq8-cos", "eq9-trig"):
-        delta = max(abs(entry["lhs"] - ovals["lhs"]), abs(entry["rhs"] - ovals["rhs"]))
-    elif name == "condition19":
-        spectral = entry["details"]["mismatch_ab"]
-        delta = abs(complex(spectral["re"], spectral["im"]) - ovals["mismatch_ab"])
-    elif name in ("eq22", "eq23"):
-        spectral = entry["details"]["mismatch_ab"]
-        delta = abs(complex(spectral["re"], spectral["im"]) - ovals["mismatch_ab"])
-    elif name == "eq24":
-        spectral = entry["details"]["direct_mismatch"]
-        delta = abs(complex(spectral["re"], spectral["im"]) - ovals["direct_mismatch"])
-    elif name == "moments":
-        for key, val in ovals.items():
-            if key in entry["details"]:
-                delta = max(delta, abs(entry["details"][key] - val))
-    elif name == "decomposition":
-        for key in ("symmetric", "antisymmetric"):
-            delta = max(delta, abs(entry["details"][key] - ovals[key]))
-    elif name == "commutator":
-        delta = abs(entry["details"]["residual"] - ovals["residual"])
+    for key in RELATIONS[name][1]:
+        if key in ovals:
+            spectral = entry[key] if key in entry else entry["details"][key]
+            if isinstance(spectral, dict):
+                spectral = complex(spectral["re"], spectral["im"])
+            delta = max(delta, abs(spectral - ovals[key]))
     entry["oracle"] = {k: _jsonable(v) for k, v in ovals.items()}
     entry["oracle_delta"] = float(delta)
     return entry
+
+
+def _evaluate_state(state, names, with_oracle, resolution):
+    """The named relations' reports on one state, and condition19's mismatch."""
+    reports, mismatch = [], None
+    for name in names:
+        entry, mm = evaluate_relation(name, state, resolution=resolution)
+        if with_oracle:
+            entry = _oracle_annotate(entry, state, name, resolution=resolution)
+        reports.append(entry)
+        if mm is not None:
+            mismatch = mm
+    return reports, mismatch
 
 
 def run_scenario(config):
     """Evaluate one configured scenario into a report document."""
     family = config["family"]
     params = config.get("parameters", {})
-    names = config.get("relations") or ["csf", "rsur", "condition19", "moments"]
-    for name in names:
-        if name not in RELATION_REGISTRY:
-            raise ConfigError(f"unknown relation {name!r}")
+    names = _check_relations(config.get("relations") or DEFAULT_RELATIONS)
     state = _build_state(family, params)
-    reports = []
-    mismatch = None
-    for name in names:
-        entry, mm = evaluate_relation(name, state, resolution=config.get("resolution"))
-        if config.get("oracle"):
-            entry = _oracle_annotate(entry, state, name, resolution=config.get("resolution"))
-        reports.append(entry)
-        if mm is not None:
-            mismatch = mm
-    doc = {
+    reports, mismatch = _evaluate_state(
+        state, names, config.get("oracle"), config.get("resolution")
+    )
+    return {
         "schema_version": SCHEMA_VERSION,
         "command": "scenario",
         "family": family,
@@ -272,17 +294,31 @@ def run_scenario(config):
         "reports": reports,
         "mismatch": mismatch,
     }
-    return doc
 
 
 # -- CLI plumbing ---------------------------------------------------------------
 
 
 def _parse_range(text):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    lo, _, hi = text.partition("..")
+    try:
+        values = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        raise ConfigError(f"bad range {text!r}, expected a or a..b") from None
+    if not values:
+        raise ConfigError(f"empty range {text!r}")
+    return values
+
+
+def _index(text, flag):
+    try:
+        return int(text) if text is not None else 0
+    except ValueError:
+        raise ConfigError(f"{flag} needs an integer, got {text!r}") from None
+
+
+def _split_names(text):
+    return [r.strip() for r in text.split(",") if r.strip()]
 
 
 def _add_common(sub):
@@ -290,7 +326,7 @@ def _add_common(sub):
     sub.add_argument("--J", dest="J", type=float, default=1.0, help="moment of inertia")
     sub.add_argument("--omega", type=float, default=1.0, help="oscillation frequency")
     sub.add_argument("--coeffs", help="state coefficient file (JSON)")
-    sub.add_argument("--relations", default="csf,rsur,condition19,moments")
+    sub.add_argument("--relations", default=",".join(DEFAULT_RELATIONS))
     sub.add_argument("--oracle", action="store_true", help="attach grid-oracle cross checks")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0, help="PCG64 seed for random states")
@@ -343,9 +379,9 @@ def _config_from_args(args):
         raise ConfigError("scenario needs a family or --config")
     params = {"hbar": args.hbar}
     if args.family == "scr":
-        params["m"] = int(args.m) if args.m is not None else 0
+        params["m"] = _index(args.m, "--m")
     elif args.family == "qtp":
-        params["n"] = int(args.n) if args.n is not None else 0
+        params["n"] = _index(args.n, "--n")
         params["J"] = args.J
         params["omega"] = args.omega
     elif args.family == "sphere":
@@ -353,18 +389,15 @@ def _config_from_args(args):
             raise ConfigError("sphere scenarios need --l")
         params["l"] = args.l
         if args.coeffs:
-            doc = _read_coeff_file(args.coeffs)
-            params["coefficients"] = doc
-        elif args.m is not None:
-            params["m"] = int(args.m)
+            params["coefficients"] = _read_coeff_file(args.coeffs)
         else:
-            params["m"] = 0
+            params["m"] = _index(args.m, "--m")
     elif args.family == "custom":
         params["coeffs"] = args.coeffs
     return {
         "family": args.family,
         "parameters": params,
-        "relations": [r.strip() for r in args.relations.split(",") if r.strip()],
+        "relations": _split_names(args.relations),
         "oracle": bool(args.oracle),
         "resolution": args.resolution,
         "format": args.format,
@@ -422,9 +455,7 @@ def validate_config_doc(config):
         bad = [k for k in params["coefficients"] if abs(int(k)) > l]
         if bad:
             diags.append(f"coefficient indices exceed l={l}: {sorted(bad)}")
-    for name in config.get("relations", []):
-        if name not in RELATION_REGISTRY:
-            diags.append(f"unknown relation {name!r}")
+    diags += [f"unknown relation {n!r}" for n in config.get("relations", []) if n not in RELATIONS]
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         diags.append(f"unknown format {fmt!r}")
@@ -476,71 +507,54 @@ def emit_schema():
     }
 
 
+_RANGE_NEEDED = {
+    "scr": "scr sweeps need --m a..b or --random",
+    "qtp": "qtp sweeps need --n a..b or --random",
+    "sphere": "sphere sweeps need --l and --m a..b, or --random",
+}
+
+
 def _sweep_items(args):
     """(params, state) pairs in deterministic order."""
-    items = []
     if args.random is not None:
+        if args.random < 1:
+            raise ConfigError(f"--random needs at least one state, got {args.random}")
+        if args.family == "sphere" and args.l is None:
+            raise ConfigError("random sphere sweeps need --l")
+        draw = {
+            "scr": lambda rng: states.random_periodic(rng, hbar=args.hbar),
+            "qtp": lambda rng: states.random_oscillator(
+                rng, inertia=args.J, frequency=args.omega, hbar=args.hbar
+            ),
+            "sphere": lambda rng: states.random_sphere(rng, args.l, hbar=args.hbar),
+        }.get(args.family)
+        if draw is None:
+            raise ConfigError("random sweeps support scr, qtp, and sphere")
         rng = np.random.default_rng(args.seed)
-        for i in range(args.random):
-            if args.family == "scr":
-                state = states.random_periodic(rng, hbar=args.hbar)
-            elif args.family == "qtp":
-                state = states.random_oscillator(
-                    rng, inertia=args.J, frequency=args.omega, hbar=args.hbar
-                )
-            elif args.family == "sphere":
-                if args.l is None:
-                    raise ConfigError("random sphere sweeps need --l")
-                state = states.random_sphere(rng, args.l, hbar=args.hbar)
-            else:
-                raise ConfigError("random sweeps support scr, qtp, and sphere")
-            items.append(({"random": i, "seed": args.seed}, state))
-        return items
-    if args.family == "scr":
-        if args.m is None:
-            raise ConfigError("scr sweeps need --m a..b or --random")
-        for m in _parse_range(args.m):
-            items.append(({"m": m}, states.scr_eigenstate(m, hbar=args.hbar)))
-    elif args.family == "qtp":
-        if args.n is None:
-            raise ConfigError("qtp sweeps need --n a..b or --random")
-        for n in _parse_range(args.n):
-            items.append(
-                (
-                    {"n": n},
-                    states.qtp_eigenstate(
-                        n, inertia=args.J, frequency=args.omega, hbar=args.hbar
-                    ),
-                )
-            )
-    elif args.family == "sphere":
-        if args.l is None or args.m is None:
-            raise ConfigError("sphere sweeps need --l and --m a..b, or --random")
-        for m in _parse_range(args.m):
-            items.append(({"l": args.l, "m": m}, states.sphere_state(args.l, {m: 1.0}, hbar=args.hbar)))
-    else:
+        return [
+            ({"random": i, "seed": args.seed}, _checked(draw, rng)) for i in range(args.random)
+        ]
+    if args.family == "custom":
         raise ConfigError("custom states are for scenario runs")
-    return items
+    key = "n" if args.family == "qtp" else "m"
+    text = getattr(args, key)
+    if text is None or (args.family == "sphere" and args.l is None):
+        raise ConfigError(_RANGE_NEEDED[args.family])
+    shown = {"l": args.l} if args.family == "sphere" else {}
+    fixed = {"hbar": args.hbar, "J": args.J, "omega": args.omega, "l": args.l}
+    return [
+        ({**shown, key: v}, _build_state(args.family, {**fixed, key: v}))
+        for v in _parse_range(text)
+    ]
 
 
 def _evaluate_item(index, params, state, names, args):
-    reports = []
-    mismatch = None
-    for name in names:
-        entry, mm = evaluate_relation(name, state, resolution=args.resolution)
-        if args.oracle:
-            entry = _oracle_annotate(entry, state, name, resolution=args.resolution)
-        reports.append(entry)
-        if mm is not None:
-            mismatch = mm
+    reports, mismatch = _evaluate_state(state, names, args.oracle, args.resolution)
     return {"index": index, "params": params, "reports": reports, "mismatch": mismatch}
 
 
 def run_sweep(args):
-    names = [r.strip() for r in args.relations.split(",") if r.strip()]
-    for name in names:
-        if name not in RELATION_REGISTRY:
-            raise ConfigError(f"unknown relation {name!r}")
+    names = _check_relations(_split_names(args.relations))
     items = _sweep_items(args)
     jobs = max(1, args.jobs)
     if jobs == 1:
@@ -590,7 +604,7 @@ def _sweep_csv(doc, oracle_enabled):
                     entry["satisfied"],
                 ]
             if oracle_enabled:
-                row.append(repr(entry.get("oracle_delta", "")) if entry.get("oracle_delta") is not None else "")
+                row.append(repr(entry["oracle_delta"]) if "oracle_delta" in entry else "")
             writer.writerow(row)
     return buf.getvalue()
 

@@ -9,13 +9,21 @@ one-sided-derivative reading of the commutation relation there.
 Quadrature is the uniform midpoint rule on the circle (and in the sphere's
 azimuthal direction), the plain uniform rule on a truncated line where
 the integrands have Gaussian tails, and Gauss-Legendre in cos(theta).
+
+``relation_values`` looks a registry relation up by name in
+``RELATION_VALUES``.  The commutator has no entry: its spectral residual
+is itself computed on an oracle grid, so a comparison would read 0 by
+construction.  Observable tags resolve through
+``operators.resolve_observable``, which also gives the Fourier
+coefficients of the trigonometric multipliers; nothing comes from
+``relations``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun, states
+from . import operators, specfun, states
 from .specfun import TWO_PI
 
 DEFAULT_CIRCLE_N = 32768
@@ -153,21 +161,21 @@ def _phi_values(grid):
     return grid.phi_grid.points[None, :]
 
 
-def act(tag_or_obs, psi, state, grid):
-    """Apply an observable to samples: derivatives by differencing,
-    multiplications pointwise."""
-    tag, fourier = _tag_fourier(tag_or_obs)
+def act(obs, psi, state, grid):
+    """Apply an observable (or its tag) to samples: derivatives by
+    differencing, multiplications pointwise."""
+    obs = operators.resolve_observable(obs)
     hbar = state.hbar
-    if tag == "Lz":
+    if obs.tag == "Lz":
         if isinstance(grid, Grid1D):
             return -1j * hbar * numeric_derivative(psi, grid)
         return -1j * hbar * numeric_derivative(psi, grid.phi_grid.spacing, axis=-1)
     phi = _phi_values(grid)
-    if tag == "Phi":
+    if obs.tag == "Phi":
         return phi * psi
-    if tag == "Phi2":
+    if obs.tag == "Phi2":
         return phi * phi * psi
-    if tag == "Hamiltonian":
+    if obs.tag == "Hamiltonian":
         if getattr(state, "family", None) != "oscillator":
             raise ValueError("oracle act: Hamiltonian is line-family only")
         lz1 = -1j * hbar * numeric_derivative(psi, grid)
@@ -175,22 +183,12 @@ def act(tag_or_obs, psi, state, grid):
         return lz2 / (2.0 * state.inertia) + 0.5 * state.inertia * state.frequency**2 * (
             phi * phi * psi
         )
-    if fourier is not None:
+    if obs.fourier is not None:
         fvals = np.zeros(np.shape(phi), dtype=complex)
-        for k, coef in fourier:
+        for k, coef in obs.fourier:
             fvals = fvals + coef * np.exp(1j * k * phi)
         return fvals * psi
-    raise ValueError(f"oracle act: unsupported observable {tag!r}")
-
-
-def _tag_fourier(obs):
-    if isinstance(obs, str):
-        if obs == "SinPhi":
-            return obs, ((1, -0.5j), (-1, 0.5j))
-        if obs == "CosPhi":
-            return obs, ((1, 0.5 + 0.0j), (-1, 0.5 + 0.0j))
-        return obs, None
-    return obs.tag, obs.fourier
+    raise ValueError(f"oracle act: unsupported observable {obs.tag!r}")
 
 
 def default_grid(state, resolution=None):
@@ -202,18 +200,6 @@ def default_grid(state, resolution=None):
     if fam == "sphere":
         return sphere_grid(n_phi=resolution or DEFAULT_SPHERE_PHI)
     raise ValueError(f"default_grid: unknown family {fam!r}")
-
-
-def mean_std(state, obs, grid=None):
-    """Grid mean and standard deviation of an observable on a state."""
-    grid = default_grid(state) if grid is None else grid
-    psi = sample(state, grid)
-    norm2 = quad_inner(psi, psi, grid).real
-    acted = act(obs, psi, state, grid)
-    mu = quad_inner(psi, acted, grid) / norm2
-    dev = acted - mu * psi
-    var = quad_inner(dev, dev, grid).real / norm2
-    return float(mu.real), float(np.sqrt(max(var, 0.0)))
 
 
 def moment_table(state, observables, grid=None):
@@ -309,130 +295,86 @@ def gram_sides(state, observables, grid=None):
     return {"lhs": float(det), "rhs": 0.0, "min_eigenvalue": min_eig}
 
 
-def moments(state, grid=None, observables=("Lz", "Phi")):
-    grid = default_grid(state) if grid is None else grid
+# -- registry relations ----------------------------------------------------------
+
+
+def _moments(state, grid):
+    tags = ("Lz", "Phi", "Hamiltonian") if state.family == "oscillator" else ("Lz", "Phi")
+    table = moment_table(state, tags, grid)
     out = {}
-    for obs in observables:
-        mu, sd = mean_std(state, obs, grid)
-        out[f"mean_{obs}"] = mu
-        out[f"std_{obs}"] = sd
+    for tag in ("Lz", "Phi"):
+        out[f"mean_{tag}"], out[f"std_{tag}"] = table[tag]
+    if "Hamiltonian" in table:
+        out["mean_energy"] = table["Hamiltonian"][0]
     return out
 
 
-def energy_mean(state, grid=None):
-    grid = default_grid(state) if grid is None else grid
-    mu, _ = mean_std(state, "Hamiltonian", grid)
-    return mu
+def _function_pair(f, g):
+    """eq8: Delta_Lz Delta_f >= (hbar/2) |<g>|."""
+
+    def values(state, grid):
+        table = moment_table(state, ("Lz", f, g), grid)
+        lhs = table["Lz"][1] * table[f][1]
+        return {"lhs": float(lhs), "rhs": float(0.5 * state.hbar * abs(table[g][0]))}
+
+    return values
 
 
-# -- scenario-level reports ----------------------------------------------------
+def _quadratic(state, grid):
+    """eq9: Delta_Lz^2 + hbar^2 Delta_sin^2 >= hbar^2 <cos>^2."""
+    table = moment_table(state, ("Lz", "SinPhi", "CosPhi"), grid)
+    hbar, s_lz, s_u, m_v = state.hbar, table["Lz"][1], table["SinPhi"][1], table["CosPhi"][0]
+    return {"lhs": float(s_lz**2 + hbar**2 * s_u**2), "rhs": float(hbar**2 * m_v**2)}
 
 
-def oracle_report(descriptor, resolution=None):
-    """Re-derive a named scenario entirely from grid samples.
-
-    The descriptor carries {"family", "params", "relation"}; the output
-    mirrors the spectral reports' JSON shape.
-    """
-    family = descriptor["family"]
-    params = descriptor.get("params", {})
-    relation = descriptor["relation"]
-    state = _descriptor_state(family, params)
-    return relation_values(state, relation, resolution=resolution)
+def _condition19(state, grid):
+    mm = mismatch_entries(state, "Lz", "Phi", grid)
+    ab = complex(mm[0, 1])
+    return {"entries": mm, "max_modulus": float(np.max(np.abs(mm))), "mismatch_ab": ab}
 
 
-def _descriptor_state(family, params):
-    if family in ("scr", "periodic"):
-        if "coefficients" in params:
-            return states.periodic_superposition(
-                {int(k): complex(v[0], v[1]) for k, v in params["coefficients"].items()},
-                hbar=params.get("hbar", 1.0),
-            )
-        return states.scr_eigenstate(
-            params.get("m", 0),
-            truncation=params.get("truncation", 64),
-            hbar=params.get("hbar", 1.0),
-        )
-    if family in ("qtp", "oscillator"):
-        return states.qtp_eigenstate(
-            params.get("n", 0),
-            inertia=params.get("J", params.get("inertia", 1.0)),
-            frequency=params.get("omega", params.get("frequency", 1.0)),
-            truncation=params.get("truncation", 64),
-            hbar=params.get("hbar", 1.0),
-        )
-    if family == "sphere":
-        coeffs = params.get("coefficients")
-        if coeffs is None:
-            coeffs = {params.get("m", 0): 1.0}
-        else:
-            coeffs = {int(k): complex(v[0], v[1]) for k, v in coeffs.items()}
-        return states.sphere_state(params["l"], coeffs, hbar=params.get("hbar", 1.0))
-    raise ValueError(f"oracle_report: unknown family {family!r}")
+def _decomposition(state, grid):
+    cross = csf_sides(state, "Lz", "Phi", grid)["cross"]
+    return {"symmetric": float(cross.real), "antisymmetric": float(cross.imag)}
+
+
+def _mismatch_target(target):
+    """eq22 (target i hbar) and eq23 (target 0): the (Lz, Phi) mismatch entry."""
+
+    def values(state, grid):
+        ab = mismatch_entries(state, "Lz", "Phi", grid)[0, 1]
+        return {"mismatch_ab": complex(ab), "deviation": float(abs(ab - target * state.hbar))}
+
+    return values
+
+
+def _eq24(state, grid):
+    return {"direct_mismatch": complex(mismatch_entries(state, "Lz", "Phi", grid)[0, 1])}
+
+
+# The registry relations with a grid derivation, by name: (state, grid) -> values.
+# The commutator has none: its residual is already computed on an oracle grid.
+RELATION_VALUES = {
+    "csf": lambda state, grid: csf_sides(state, "Lz", "Phi", grid),
+    "rsur": lambda state, grid: rsur_sides(state, "Lz", "Phi", grid),
+    "condition19": _condition19,
+    "decomposition": _decomposition,
+    "boundary": lambda state, grid: boundary_sides(state, grid),
+    "gram": lambda state, grid: gram_sides(state, ("Lz", "Phi", "SinPhi", "CosPhi"), grid),
+    "eq8-sin": _function_pair("SinPhi", "CosPhi"),
+    "eq8-cos": _function_pair("CosPhi", "SinPhi"),
+    "eq9-trig": _quadratic,
+    "eq22": _mismatch_target(1j),
+    "eq23": _mismatch_target(0.0),
+    "eq24": _eq24,
+    "moments": _moments,
+}
 
 
 def relation_values(state, relation, resolution=None):
     """Oracle-side numbers for one registry relation, as a plain dict."""
-    grid = default_grid(state, resolution)
-    hbar = state.hbar
-    if relation == "moments":
-        vals = moments(state, grid)
-        if state.family == "oscillator":
-            vals["mean_energy"] = energy_mean(state, grid)
-        return vals
-    if relation == "csf":
-        return csf_sides(state, "Lz", "Phi", grid)
-    if relation == "rsur":
-        return rsur_sides(state, "Lz", "Phi", grid)
-    if relation == "condition19":
-        mm = mismatch_entries(state, "Lz", "Phi", grid)
-        return {
-            "entries": mm,
-            "max_modulus": float(np.max(np.abs(mm))),
-            "mismatch_ab": complex(mm[0, 1]),
-        }
-    if relation == "decomposition":
-        grid = default_grid(state, resolution)
-        psi = sample(state, grid)
-        norm2 = quad_inner(psi, psi, grid).real
-        da, _ = deviation_samples(state, "Lz", psi, grid)
-        db, _ = deviation_samples(state, "Phi", psi, grid)
-        cross = quad_inner(da, db, grid) / norm2
-        return {"symmetric": float(cross.real), "antisymmetric": float(cross.imag)}
-    if relation == "boundary":
-        return boundary_sides(state, grid)
-    if relation == "gram":
-        return gram_sides(state, ("Lz", "Phi", "SinPhi", "CosPhi"), grid)
-    if relation == "eq22" or relation == "eq23":
-        mm = mismatch_entries(state, "Lz", "Phi", grid)
-        target = 1j * hbar if relation == "eq22" else 0.0
-        return {
-            "mismatch_ab": complex(mm[0, 1]),
-            "deviation": float(abs(mm[0, 1] - target)),
-        }
-    if relation == "eq24":
-        mm = mismatch_entries(state, "Lz", "Phi", grid)
-        return {"direct_mismatch": complex(mm[0, 1])}
-    if relation == "eq8-sin":
-        _, s_lz = mean_std(state, "Lz", grid)
-        _, s_f = mean_std(state, "SinPhi", grid)
-        m_g, _ = mean_std(state, "CosPhi", grid)
-        return {"lhs": float(s_lz * s_f), "rhs": float(0.5 * hbar * abs(m_g))}
-    if relation == "eq8-cos":
-        _, s_lz = mean_std(state, "Lz", grid)
-        _, s_f = mean_std(state, "CosPhi", grid)
-        m_g, _ = mean_std(state, "SinPhi", grid)
-        return {"lhs": float(s_lz * s_f), "rhs": float(0.5 * hbar * abs(m_g))}
-    if relation == "eq9-trig":
-        _, s_lz = mean_std(state, "Lz", grid)
-        _, s_u = mean_std(state, "SinPhi", grid)
-        m_v, _ = mean_std(state, "CosPhi", grid)
-        return {
-            "lhs": float(s_lz**2 + hbar**2 * s_u**2),
-            "rhs": float(hbar**2 * m_v**2),
-        }
-    if relation == "commutator":
-        from . import operators
-
-        return {"residual": operators.commutator_residual(state, resolution or 1024)}
-    raise ValueError(f"relation_values: unknown relation {relation!r}")
+    try:
+        values = RELATION_VALUES[relation]
+    except KeyError:
+        raise ValueError(f"relation_values: no grid oracle for relation {relation!r}") from None
+    return values(state, default_grid(state, resolution))

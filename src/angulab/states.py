@@ -108,10 +108,14 @@ def oscillator_superposition(coeffs, inertia=1.0, frequency=1.0, truncation=None
     )
 
 
+def _check_orbital(l):
+    if not 0 <= l <= specfun._THETA_MAX_L:
+        raise ValueError(f"sphere states need 0 <= l <= {specfun._THETA_MAX_L}, got l={l}")
+
+
 def sphere_state(l, coeffs, hbar=1.0):
     """Fixed-l sphere state sum_m c_m Y_lm; degenerate when several m mix."""
-    if l < 0:
-        raise ValueError("sphere_state: l must be nonnegative")
+    _check_orbital(l)
     vals = _normalized(coeffs)
     if any(abs(m) > l for m in vals):
         bad = [m for m in vals if abs(m) > l]
@@ -254,6 +258,7 @@ def random_oscillator(rng, nmax=10, inertia=1.0, frequency=1.0, hbar=1.0):
 
 
 def random_sphere(rng, l, hbar=1.0):
+    _check_orbital(l)
     m = np.arange(-l, l + 1)
     amps = rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size)
     if rng.uniform() < 0.25:

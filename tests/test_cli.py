@@ -164,6 +164,109 @@ class TestValidate:
         assert doc["reports"][0]["satisfied"] is False
 
 
+class TestInputContract:
+    """Inputs outside the contract exit 1 with one ``error:`` line, never a
+    traceback, a numerical failure or an empty report."""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("scenario", "qtp", "--J", "0"), "J must be finite and > 0"),
+            (("scenario", "qtp", "--J", "-1"), "J must be finite and > 0"),
+            (("scenario", "qtp", "--omega", "0"), "omega must be finite and > 0"),
+            (("scenario", "scr", "--hbar", "nan"), "hbar must be finite and > 0"),
+            (("scenario", "scr", "--hbar", "0"), "hbar must be finite and > 0"),
+            (("sweep", "qtp", "--random", "2", "--J", "0"), "J must be finite and > 0"),
+            (("scenario", "scr", "--m", "100"), "exceeds truncation"),
+            (("scenario", "qtp", "--n", "700"), "exceeds truncation"),
+            (("sweep", "qtp", "--n", "5..2"), "empty range"),
+            (("sweep", "qtp", "--n", "x..3"), "bad range"),
+            (("scenario", "scr", "--m", "abc"), "--m needs an integer"),
+            (("sweep", "scr", "--random", "-3"), "--random needs at least one state"),
+            (("sweep", "scr", "--random", "0"), "--random needs at least one state"),
+            (("scenario", "sphere", "--l", "70"), "0 <= l <= 64"),
+            (("sweep", "sphere", "--random", "1", "--l", "70"), "0 <= l <= 64"),
+        ],
+    )
+    def test_rejected(self, args, message):
+        proc = run_cli(*args, check=False)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestRegistry:
+    """Every registry relation, with the oracle, on one state per family."""
+
+    STATES = {"scr": {"m": 2}, "qtp": {"n": 1}, "sphere": {"l": 1, "m": 0}}
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        from angulab.cli import RELATION_REGISTRY, run_scenario
+
+        return {
+            family: run_scenario(
+                {
+                    "family": family,
+                    "parameters": params,
+                    "relations": list(RELATION_REGISTRY),
+                    "oracle": True,
+                }
+            )["reports"]
+            for family, params in self.STATES.items()
+        }
+
+    def test_oracle_agrees(self, reports):
+        from angulab.cli import RELATIONS
+
+        for family, entries in reports.items():
+            for entry in entries:
+                where = (family, entry["relation"])
+                if entry.get("status") == "not-applicable":
+                    assert "oracle" not in entry, where
+                elif entry["relation"] == "commutator":
+                    assert "unavailable" in entry["oracle"], where
+                    assert "oracle_delta" not in entry, where
+                else:
+                    assert entry["oracle_delta"] <= 1e-5, where
+                    keys = RELATIONS[entry["relation"]][1]
+                    assert any(key in entry["oracle"] for key in keys), where
+
+    def test_one_set_of_names(self):
+        from angulab import oracle
+        from angulab.cli import RELATION_REGISTRY, emit_schema
+
+        assert tuple(oracle.RELATION_VALUES) + ("commutator",) == RELATION_REGISTRY
+        enum = emit_schema()["relation_report"]["properties"]["relation"]["enum"]
+        assert tuple(enum) == RELATION_REGISTRY
+
+    def test_reports_match_schema(self, reports):
+        jsonschema = pytest.importorskip("jsonschema")
+        from angulab.cli import emit_schema
+
+        schema = emit_schema()["relation_report"]
+        for entries in reports.values():
+            for entry in entries:
+                jsonschema.validate(entry, schema)
+
+    def test_commutator_has_no_oracle_delta(self):
+        args = ("sweep", "scr", "--m", "0..1", "--relations", "commutator,csf", "--oracle")
+        doc = json.loads(run_cli(*args).stdout)
+        for item in doc["items"]:
+            comm, csf = item["reports"]
+            assert comm["oracle"] == {
+                "unavailable": "relation_values: no grid oracle for relation 'commutator'"
+            }
+            assert "oracle_delta" not in comm
+            assert csf["oracle_delta"] < 1e-6
+        rows = run_cli(*args, "--format", "csv").stdout.splitlines()
+        assert rows[0].endswith(",oracle_delta")
+        comm_rows = [row for row in rows[1:] if ",commutator," in row]
+        assert len(comm_rows) == 2
+        assert all(row.endswith(",") for row in comm_rows)
+
+
 class TestSchema:
     def test_schema_document(self):
         doc = json.loads(run_cli("schema").stdout)

@@ -149,16 +149,13 @@ class TestOracleReports:
         assert mm[0, 1] == pytest.approx(1j, abs=1e-6)
 
     def test_descriptor_api(self):
-        rep = oracle.oracle_report(
-            {"family": "scr", "params": {"m": 2}, "relation": "moments"}
-        )
+        """Named relations through ``relation_values``; unknown names raise."""
+        rep = oracle.relation_values(scr_eigenstate(2), "moments")
         assert rep["std_Phi"] == pytest.approx(PI / np.sqrt(3), abs=1e-6)
-        rep = oracle.oracle_report(
-            {"family": "qtp", "params": {"n": 1}, "relation": "rsur"}
-        )
+        rep = oracle.relation_values(qtp_eigenstate(1), "rsur")
         assert rep["lhs"] == pytest.approx(1.5, abs=1e-5)
         with pytest.raises(ValueError):
-            oracle.oracle_report({"family": "scr", "params": {}, "relation": "nope"})
+            oracle.relation_values(scr_eigenstate(0), "nope")
 
     def test_boundary_sides_match_spectral(self):
         from angulab.relations import boundary_bound
