@@ -5,7 +5,8 @@ ranges or seeded random states), ``validate`` (config file diagnostics),
 ``schema`` (the JSON schema for configs and reports).
 
 Exit codes: 0 the run completed (inequality verdicts are data, not
-failures), 1 configuration error, 2 a non-finite value was produced.
+failures) or stdout was closed early, as by ``| head``; 1 configuration
+error; 2 a non-finite value was produced.
 
 Random sweeps draw from numpy's PCG64 (``np.random.default_rng(seed)``)
 with a fixed draw order, so a seed pins the byte content of the report.
@@ -16,6 +17,7 @@ import concurrent.futures
 import csv
 import io
 import json
+import os
 import sys
 
 import numpy as np
@@ -82,7 +84,7 @@ def _checked(make, *args):
     """
     try:
         state = make(*args)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
     constants = {"hbar": state.hbar}
     if state.family == "oscillator":
@@ -242,12 +244,12 @@ def _jsonable(value):
     return value
 
 
-def _oracle_annotate(entry, state, name, resolution=None):
+def _oracle_annotate(entry, sampled, name):
     """Attach the oracle's parallel values and their maximum deviation."""
     if entry.get("status") == "not-applicable":
         return entry
     try:
-        ovals = oracle.relation_values(state, name, resolution=resolution)
+        ovals = oracle.relation_values(sampled, name)
     except (ValueError, TypeError) as exc:
         entry["oracle"] = {"unavailable": str(exc)}
         return entry
@@ -264,12 +266,14 @@ def _oracle_annotate(entry, state, name, resolution=None):
 
 
 def _evaluate_state(state, names, with_oracle, resolution):
-    """The named relations' reports on one state, and condition19's mismatch."""
+    """The named relations' reports on one state, and condition19's mismatch;
+    under --oracle they all read one ``oracle.Sampled`` of the state."""
+    sampled = oracle.Sampled(state, oracle.default_grid(state, resolution)) if with_oracle else None
     reports, mismatch = [], None
     for name in names:
         entry, mm = evaluate_relation(name, state, resolution=resolution)
-        if with_oracle:
-            entry = _oracle_annotate(entry, state, name, resolution=resolution)
+        if sampled is not None:
+            entry = _oracle_annotate(entry, sampled, name)
         reports.append(entry)
         if mm is not None:
             mismatch = mm
@@ -450,11 +454,11 @@ def validate_config_doc(config):
     for key in required:
         if key not in params:
             diags.append(f"missing parameter {key!r} for family {family!r}")
-    if family == "sphere" and "l" in params and "coefficients" in params:
-        l = int(params["l"])
-        bad = [k for k in params["coefficients"] if abs(int(k)) > l]
-        if bad:
-            diags.append(f"coefficient indices exceed l={l}: {sorted(bad)}")
+    if not diags and family != "custom":
+        try:
+            _build_state(family, params)
+        except ConfigError as exc:
+            diags.append(str(exc))
     diags += [f"unknown relation {n!r}" for n in config.get("relations", []) if n not in RELATIONS]
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
@@ -590,19 +594,11 @@ def _sweep_csv(doc, oracle_enabled):
     for item in doc["items"]:
         ptext = ";".join(f"{k}={v}" for k, v in sorted(item["params"].items()))
         for entry in item["reports"]:
+            row = [item["index"], doc["family"], ptext, entry["relation"]]
             if entry.get("status") == "not-applicable":
-                row = [item["index"], doc["family"], ptext, entry["relation"], "", "", "", "not-applicable"]
+                row += ["", "", "", "not-applicable"]
             else:
-                row = [
-                    item["index"],
-                    doc["family"],
-                    ptext,
-                    entry["relation"],
-                    repr(entry["lhs"]),
-                    repr(entry["rhs"]),
-                    repr(entry["slack"]),
-                    entry["satisfied"],
-                ]
+                row += [repr(entry[key]) for key in ("lhs", "rhs", "slack")] + [entry["satisfied"]]
             if oracle_enabled:
                 row.append(repr(entry["oracle_delta"]) if "oracle_delta" in entry else "")
             writer.writerow(row)
@@ -652,6 +648,10 @@ def main(argv=None):
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left; send the rest, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     return 0
 
 

@@ -10,13 +10,14 @@ Quadrature is the uniform midpoint rule on the circle (and in the sphere's
 azimuthal direction), the plain uniform rule on a truncated line where
 the integrands have Gaussian tails, and Gauss-Legendre in cos(theta).
 
-``relation_values`` looks a registry relation up by name in
-``RELATION_VALUES``.  The commutator has no entry: its spectral residual
-is itself computed on an oracle grid, so a comparison would read 0 by
-construction.  Observable tags resolve through
-``operators.resolve_observable``, which also gives the Fourier
-coefficients of the trigonometric multipliers; nothing comes from
-``relations``.
+``relation_values`` reads a registry relation, looked up by name in
+``RELATION_VALUES``, from a ``Sampled``: one state sampled once, keeping
+the samples, the first-order actions and scalars only.  The commutator
+has no entry: its spectral residual is itself computed on an oracle
+grid, so a comparison would read 0 by construction.  Observable tags
+resolve through ``operators.resolve_observable``, which also gives the
+Fourier coefficients of the trigonometric multipliers; nothing comes
+from ``relations``.
 """
 
 from dataclasses import dataclass
@@ -87,12 +88,9 @@ def sample(state, grid):
         return states.evaluate(state, grid.points)
     theta = np.arccos(grid.theta_rule.nodes)
     table = specfun.theta_lm_table(state.l, theta)
-    phases = np.exp(
-        1j * np.arange(-state.l, state.l + 1)[:, None] * grid.phi_grid.points[None, :]
-    )
-    c = np.zeros(2 * state.l + 1, dtype=complex)
-    for m, v in state.coefficients.items():
-        c[m + state.l] = v
+    m = np.arange(-state.l, state.l + 1)
+    phases = np.exp(1j * m[:, None] * grid.phi_grid.points[None, :])
+    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
     return np.einsum("m,mi,mj->ij", c, table, phases) / np.sqrt(TWO_PI)
 
 
@@ -115,14 +113,12 @@ _FD_FORWARD = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _FD_OFFSET = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
-def numeric_derivative(samples, grid, axis=-1):
-    """Fourth-order differences; one-sided at the ends, no wrap-around."""
-    samples = np.asarray(samples)
-    spacing = grid.spacing if isinstance(grid, Grid1D) else grid
-    n = samples.shape[axis]
-    if n < 5:
+def numeric_derivative(samples, grid):
+    """Fourth-order differences along the last axis, on the spacing of the
+    Grid1D ``grid``; one-sided at the ends, no wrap-around."""
+    arr = np.asarray(samples)
+    if arr.shape[-1] < 5:
         raise ValueError("numeric_derivative: need at least 5 samples")
-    arr = np.moveaxis(samples, axis, -1)
     out = np.zeros_like(arr, dtype=complex if np.iscomplexobj(arr) else float)
     out[..., 2:-2] = (
         _FD_INTERIOR[0] * arr[..., :-4]
@@ -136,8 +132,7 @@ def numeric_derivative(samples, grid, axis=-1):
     out[..., 1] = head @ _FD_OFFSET
     out[..., -1] = -(tail[..., ::-1] @ _FD_FORWARD)
     out[..., -2] = -(tail[..., ::-1] @ _FD_OFFSET)
-    out = out / spacing
-    return np.moveaxis(out, -1, axis)
+    return out / grid.spacing
 
 
 def boundary_density(samples, grid):
@@ -155,26 +150,17 @@ def boundary_density(samples, grid):
 # -- pointwise observable actions ---------------------------------------------
 
 
-def _phi_values(grid):
-    if isinstance(grid, Grid1D):
-        return grid.points
-    return grid.phi_grid.points[None, :]
-
-
 def act(obs, psi, state, grid):
     """Apply an observable (or its tag) to samples: derivatives by
     differencing, multiplications pointwise."""
     obs = operators.resolve_observable(obs)
     hbar = state.hbar
+    line = grid if isinstance(grid, Grid1D) else grid.phi_grid  # the sphere's phi axis is last
     if obs.tag == "Lz":
-        if isinstance(grid, Grid1D):
-            return -1j * hbar * numeric_derivative(psi, grid)
-        return -1j * hbar * numeric_derivative(psi, grid.phi_grid.spacing, axis=-1)
-    phi = _phi_values(grid)
+        return -1j * hbar * numeric_derivative(psi, line)
+    phi = line.points
     if obs.tag == "Phi":
         return phi * psi
-    if obs.tag == "Phi2":
-        return phi * phi * psi
     if obs.tag == "Hamiltonian":
         if getattr(state, "family", None) != "oscillator":
             raise ValueError("oracle act: Hamiltonian is line-family only")
@@ -202,179 +188,188 @@ def default_grid(state, resolution=None):
     raise ValueError(f"default_grid: unknown family {fam!r}")
 
 
-def moment_table(state, observables, grid=None):
-    """(mean, std) per observable, sampling the state only once."""
-    grid = default_grid(state) if grid is None else grid
-    psi = sample(state, grid)
-    norm2 = quad_inner(psi, psi, grid).real
-    out = {}
-    for obs in observables:
-        acted = act(obs, psi, state, grid)
-        mu = quad_inner(psi, acted, grid) / norm2
-        dev = acted - mu * psi
-        var = quad_inner(dev, dev, grid).real / norm2
-        tag = obs if isinstance(obs, str) else obs.tag
-        out[tag] = (float(mu.real), float(np.sqrt(max(var, 0.0))))
-    return out
+class Sampled:
+    """One state sampled once on one grid, shared by every relation on it.
+
+    Keeps ``psi``, its norm and the first-order actions ``A psi``.  Means,
+    ``(dA psi, dB psi)`` with ``dA = A - <A>``, ``(A psi, B psi)`` and
+    ``(psi, A B psi)`` are memoized as scalars; deviation and second-order
+    arrays are dropped once reduced.  Observables are named by tag, and
+    nothing is sampled until a value is asked for.
+    """
+
+    def __init__(self, state, grid=None):
+        self.state = state
+        self.grid = default_grid(state) if grid is None else grid
+        self._psi, self._acted, self._scalars = None, {}, {}
+
+    @property
+    def psi(self):
+        if self._psi is None:
+            self._psi = sample(self.state, self.grid)
+        return self._psi
+
+    @property
+    def norm2(self):
+        return self._inner(("norm",), lambda: (self.psi, self.psi)).real
+
+    def acted(self, tag):
+        if tag not in self._acted:
+            self._acted[tag] = act(tag, self.psi, self.state, self.grid)
+        return self._acted[tag]
+
+    def _inner(self, key, arrays):
+        """quad_inner of the two arrays ``arrays()`` builds, memoized under ``key``."""
+        if key not in self._scalars:
+            self._scalars[key] = quad_inner(*arrays(), self.grid)
+        return self._scalars[key]
+
+    def mean(self, tag):
+        """<A> as a complex number, before its real part is taken."""
+        return self._inner(("mean", tag), lambda: (self.psi, self.acted(tag))) / self.norm2
+
+    def expect2(self, a, b):
+        """(psi, A B psi), unnormalized."""
+        return self._inner(
+            ("AB", a, b), lambda: (self.psi, act(a, self.acted(b), self.state, self.grid))
+        )
+
+    def mismatch(self, a, b):
+        """((A psi, B psi) - (psi, A B psi)) / |psi|^2: one adjointness mismatch entry."""
+        lhs = self._inner(("A,B", a, b), lambda: (self.acted(a), self.acted(b)))
+        return (lhs - self.expect2(a, b)) / self.norm2
+
+    def dev_inners(self, pairs):
+        """(dA psi, dB psi) per (A, B) in ``pairs``, unnormalized; each
+        deviation array is built once per call and dropped with it."""
+        todo = [pair for pair in pairs if ("dA,dB", *pair) not in self._scalars]
+        devs = {t: self.acted(t) - self.mean(t) * self.psi for t in {t for p in todo for t in p}}
+        for a, b in todo:
+            self._scalars["dA,dB", a, b] = quad_inner(devs[a], devs[b], self.grid)
+        return [self._scalars["dA,dB", a, b] for a, b in pairs]
+
+    def std(self, tag):
+        (var,) = self.dev_inners([(tag, tag)])
+        return float(np.sqrt(max(var.real / self.norm2, 0.0)))
+
+    def cross(self, a, b):
+        """(dA psi, dB psi) / |psi|^2, from the arrays that also give both std devs."""
+        return self.dev_inners([(a, a), (b, b), (a, b)])[2] / self.norm2
 
 
-def deviation_samples(state, obs, psi, grid):
-    norm2 = quad_inner(psi, psi, grid).real
-    acted = act(obs, psi, state, grid)
-    mu = quad_inner(psi, acted, grid) / norm2
-    return acted - mu * psi, complex(mu)
+def moment_table(state, tags, grid=None):
+    """(mean, std) per observable tag, sampling the state only once."""
+    s = Sampled(state, grid)
+    return {tag: (float(s.mean(tag).real), s.std(tag)) for tag in tags}
 
 
 def mismatch_entries(state, obs_a, obs_b, grid=None):
     """The 2x2 adjointness mismatch, purely from samples."""
-    grid = default_grid(state) if grid is None else grid
-    psi = sample(state, grid)
-    norm2 = quad_inner(psi, psi, grid).real
-    obs = [obs_a, obs_b]
-    acted = [act(o, psi, state, grid) for o in obs]
-    out = np.zeros((2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            lhs = quad_inner(acted[j], acted[k], grid)
-            rhs = quad_inner(psi, act(obs[j], acted[k], state, grid), grid)
-            out[j, k] = (lhs - rhs) / norm2
-    return out
+    return _mismatch_matrix(Sampled(state, grid), (obs_a, obs_b))
 
 
-def csf_sides(state, obs_a, obs_b, grid=None):
-    grid = default_grid(state) if grid is None else grid
-    psi = sample(state, grid)
-    norm2 = quad_inner(psi, psi, grid).real
-    da, _ = deviation_samples(state, obs_a, psi, grid)
-    db, _ = deviation_samples(state, obs_b, psi, grid)
-    sa = np.sqrt(max(quad_inner(da, da, grid).real / norm2, 0.0))
-    sb = np.sqrt(max(quad_inner(db, db, grid).real / norm2, 0.0))
-    cross = quad_inner(da, db, grid) / norm2
-    return {"lhs": float(sa * sb), "rhs": float(abs(cross)), "cross": complex(cross)}
-
-
-def rsur_sides(state, obs_a, obs_b, grid=None):
-    grid = default_grid(state) if grid is None else grid
-    psi = sample(state, grid)
-    norm2 = quad_inner(psi, psi, grid).real
-    da, _ = deviation_samples(state, obs_a, psi, grid)
-    db, _ = deviation_samples(state, obs_b, psi, grid)
-    sa = np.sqrt(max(quad_inner(da, da, grid).real / norm2, 0.0))
-    sb = np.sqrt(max(quad_inner(db, db, grid).real / norm2, 0.0))
-    ab = quad_inner(psi, act(obs_a, act(obs_b, psi, state, grid), state, grid), grid)
-    ba = quad_inner(psi, act(obs_b, act(obs_a, psi, state, grid), state, grid), grid)
-    return {"lhs": float(sa * sb), "rhs": float(0.5 * abs(ab - ba) / norm2)}
-
-
-def boundary_sides(state, grid=None, squared_density=True):
-    grid = default_grid(state) if grid is None else grid
-    psi = sample(state, grid)
-    norm2 = quad_inner(psi, psi, grid).real
-    da, _ = deviation_samples(state, "Lz", psi, grid)
-    db, _ = deviation_samples(state, "Phi", psi, grid)
-    cross = quad_inner(da, db, grid) / norm2
-    dens = boundary_density(psi, grid)
-    if not squared_density:
-        dens = np.sqrt(dens)
-    rhs = 0.5 * state.hbar * abs(1.0 - TWO_PI * dens)
-    return {"lhs": float(abs(cross)), "rhs": float(rhs), "boundary_density": float(dens)}
-
-
-def gram_sides(state, observables, grid=None):
-    grid = default_grid(state) if grid is None else grid
-    psi = sample(state, grid)
-    norm2 = quad_inner(psi, psi, grid).real
-    devs = [deviation_samples(state, o, psi, grid)[0] for o in observables]
-    r = len(devs)
-    gram = np.zeros((r, r), dtype=complex)
-    for j in range(r):
-        for k in range(r):
-            gram[j, k] = quad_inner(devs[j], devs[k], grid) / norm2
-    det = np.linalg.det(gram).real
-    min_eig = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])
-    return {"lhs": float(det), "rhs": 0.0, "min_eigenvalue": min_eig}
+def _mismatch_matrix(s, tags):
+    return np.array([[s.mismatch(a, b) for b in tags] for a in tags])
 
 
 # -- registry relations ----------------------------------------------------------
 
 
-def _moments(state, grid):
-    tags = ("Lz", "Phi", "Hamiltonian") if state.family == "oscillator" else ("Lz", "Phi")
-    table = moment_table(state, tags, grid)
+def _csf(s):
+    cross = s.cross("Lz", "Phi")
+    return {"lhs": float(s.std("Lz") * s.std("Phi")), "rhs": float(abs(cross)), "cross": cross}
+
+
+def _rsur(s):
+    ab, ba = s.expect2("Lz", "Phi"), s.expect2("Phi", "Lz")
+    return {"lhs": float(s.std("Lz") * s.std("Phi")), "rhs": float(0.5 * abs(ab - ba) / s.norm2)}
+
+
+def _boundary(s):
+    dens = boundary_density(s.psi, s.grid)
+    rhs = 0.5 * s.state.hbar * abs(1.0 - TWO_PI * dens)
+    cross = s.cross("Lz", "Phi")
+    return {"lhs": float(abs(cross)), "rhs": float(rhs), "boundary_density": float(dens)}
+
+
+def _gram(s):
+    tags = ("Lz", "Phi", "SinPhi", "CosPhi")
+    inners = s.dev_inners([(a, b) for a in tags for b in tags])
+    gram = np.array([v / s.norm2 for v in inners]).reshape(len(tags), len(tags))
+    det = np.linalg.det(gram).real
+    min_eig = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])
+    return {"lhs": float(det), "rhs": 0.0, "min_eigenvalue": min_eig}
+
+
+def _moments(s):
     out = {}
     for tag in ("Lz", "Phi"):
-        out[f"mean_{tag}"], out[f"std_{tag}"] = table[tag]
-    if "Hamiltonian" in table:
-        out["mean_energy"] = table["Hamiltonian"][0]
+        out[f"mean_{tag}"], out[f"std_{tag}"] = float(s.mean(tag).real), s.std(tag)
+    if s.state.family == "oscillator":
+        out["mean_energy"] = float(s.mean("Hamiltonian").real)
     return out
 
 
 def _function_pair(f, g):
     """eq8: Delta_Lz Delta_f >= (hbar/2) |<g>|."""
 
-    def values(state, grid):
-        table = moment_table(state, ("Lz", f, g), grid)
-        lhs = table["Lz"][1] * table[f][1]
-        return {"lhs": float(lhs), "rhs": float(0.5 * state.hbar * abs(table[g][0]))}
+    def values(s):
+        lhs = s.std("Lz") * s.std(f)
+        return {"lhs": float(lhs), "rhs": float(0.5 * s.state.hbar * abs(float(s.mean(g).real)))}
 
     return values
 
 
-def _quadratic(state, grid):
+def _quadratic(s):
     """eq9: Delta_Lz^2 + hbar^2 Delta_sin^2 >= hbar^2 <cos>^2."""
-    table = moment_table(state, ("Lz", "SinPhi", "CosPhi"), grid)
-    hbar, s_lz, s_u, m_v = state.hbar, table["Lz"][1], table["SinPhi"][1], table["CosPhi"][0]
+    hbar, s_lz, s_u, m_v = s.state.hbar, s.std("Lz"), s.std("SinPhi"), float(s.mean("CosPhi").real)
     return {"lhs": float(s_lz**2 + hbar**2 * s_u**2), "rhs": float(hbar**2 * m_v**2)}
 
 
-def _condition19(state, grid):
-    mm = mismatch_entries(state, "Lz", "Phi", grid)
+def _condition19(s):
+    mm = _mismatch_matrix(s, ("Lz", "Phi"))
     ab = complex(mm[0, 1])
     return {"entries": mm, "max_modulus": float(np.max(np.abs(mm))), "mismatch_ab": ab}
 
 
-def _decomposition(state, grid):
-    cross = csf_sides(state, "Lz", "Phi", grid)["cross"]
+def _decomposition(s):
+    cross = s.cross("Lz", "Phi")
     return {"symmetric": float(cross.real), "antisymmetric": float(cross.imag)}
 
 
 def _mismatch_target(target):
     """eq22 (target i hbar) and eq23 (target 0): the (Lz, Phi) mismatch entry."""
 
-    def values(state, grid):
-        ab = mismatch_entries(state, "Lz", "Phi", grid)[0, 1]
-        return {"mismatch_ab": complex(ab), "deviation": float(abs(ab - target * state.hbar))}
+    def values(s):
+        ab = s.mismatch("Lz", "Phi")
+        return {"mismatch_ab": ab, "deviation": float(abs(ab - target * s.state.hbar))}
 
     return values
 
 
-def _eq24(state, grid):
-    return {"direct_mismatch": complex(mismatch_entries(state, "Lz", "Phi", grid)[0, 1])}
-
-
-# The registry relations with a grid derivation, by name: (state, grid) -> values.
+# The registry relations with a grid derivation, by name: Sampled -> values.
 # The commutator has none: its residual is already computed on an oracle grid.
 RELATION_VALUES = {
-    "csf": lambda state, grid: csf_sides(state, "Lz", "Phi", grid),
-    "rsur": lambda state, grid: rsur_sides(state, "Lz", "Phi", grid),
+    "csf": _csf,
+    "rsur": _rsur,
     "condition19": _condition19,
     "decomposition": _decomposition,
-    "boundary": lambda state, grid: boundary_sides(state, grid),
-    "gram": lambda state, grid: gram_sides(state, ("Lz", "Phi", "SinPhi", "CosPhi"), grid),
+    "boundary": _boundary,
+    "gram": _gram,
     "eq8-sin": _function_pair("SinPhi", "CosPhi"),
     "eq8-cos": _function_pair("CosPhi", "SinPhi"),
     "eq9-trig": _quadratic,
     "eq22": _mismatch_target(1j),
     "eq23": _mismatch_target(0.0),
-    "eq24": _eq24,
+    "eq24": lambda s: {"direct_mismatch": s.mismatch("Lz", "Phi")},
     "moments": _moments,
 }
 
 
-def relation_values(state, relation, resolution=None):
-    """Oracle-side numbers for one registry relation, as a plain dict."""
+def relation_values(sampled, relation):
+    """Oracle-side numbers for one registry relation on a ``Sampled`` state."""
     try:
         values = RELATION_VALUES[relation]
     except KeyError:
         raise ValueError(f"relation_values: no grid oracle for relation {relation!r}") from None
-    return values(state, default_grid(state, resolution))
+    return values(sampled)

@@ -15,6 +15,7 @@ Conventions
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -107,8 +108,10 @@ def legendre_polynomial(n, x):
     return p_cur if p_cur.ndim else float(p_cur)
 
 
+@lru_cache(maxsize=16)
 def gauss_legendre(n):
-    """Gauss-Legendre rule on [-1, 1], nodes by Newton iteration on P_n."""
+    """Gauss-Legendre rule on [-1, 1], nodes by Newton iteration on P_n;
+    memoized per n and shared, so its arrays are read-only."""
     if n < 2:
         raise ValueError("gauss_legendre: need n >= 2")
     # initial guesses, then Newton with P'_n from the standard identity
@@ -126,7 +129,9 @@ def gauss_legendre(n):
     dp = n * (x * legendre_polynomial(n, x) - p1) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     order = np.argsort(x)
-    return QuadratureRule(nodes=x[order], weights=w[order], domain="finite-interval")
+    nodes, weights = x[order], w[order]
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(nodes=nodes, weights=weights, domain="finite-interval")
 
 
 def gauss_hermite(n):

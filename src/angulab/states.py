@@ -117,9 +117,9 @@ def sphere_state(l, coeffs, hbar=1.0):
     """Fixed-l sphere state sum_m c_m Y_lm; degenerate when several m mix."""
     _check_orbital(l)
     vals = _normalized(coeffs)
-    if any(abs(m) > l for m in vals):
-        bad = [m for m in vals if abs(m) > l]
-        raise ValueError(f"sphere_state: coefficients at |m| > l: {bad}")
+    bad = [m for m in vals if abs(m) > l]
+    if bad:
+        raise ValueError(f"sphere_state: coefficient indices {bad} exceed l={l}")
     return SphereState(l=int(l), coefficients=vals, hbar=hbar)
 
 

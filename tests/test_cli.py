@@ -8,6 +8,11 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 
+ALL = (
+    "csf", "rsur", "condition19", "decomposition", "boundary", "gram", "eq8-sin", "eq8-cos",
+    "eq9-trig", "eq22", "eq23", "eq24", "moments", "commutator",
+)
+
 
 def run_cli(*args, check=True):
     proc = subprocess.run(
@@ -163,6 +168,27 @@ class TestValidate:
         doc = json.loads(run_cli("scenario", "--config", str(path)).stdout)
         assert doc["reports"][0]["satisfied"] is False
 
+    @pytest.mark.parametrize(
+        "family, params, message",
+        [
+            ("scr", {"m": 1, "hbar": 0}, "hbar must be finite and > 0"),
+            ("qtp", {"n": 1, "J": -1, "omega": 1.0, "hbar": 1.0}, "J must be finite and > 0"),
+            ("scr", {"m": [1], "hbar": 1.0}, "not 'list'"),
+            ("scr", {"m": 1, "hbar": 1.0}, None),
+        ],
+    )
+    def test_parameter_values(self, tmp_path, family, params, message):
+        """validate rejects what scenario --config would reject, with the same text."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": family, "parameters": params}))
+        proc = run_cli("validate", str(path), check=False)
+        scenario = run_cli("scenario", "--config", str(path), check=False)
+        if message is None:
+            assert (proc.returncode, proc.stdout, scenario.returncode) == (0, "", 0)
+        else:
+            assert proc.returncode == 1 and message in proc.stdout
+            assert scenario.returncode == 1 and message in scenario.stderr
+
 
 class TestInputContract:
     """Inputs outside the contract exit 1 with one ``error:`` line, never a
@@ -266,6 +292,29 @@ class TestRegistry:
         assert len(comm_rows) == 2
         assert all(row.endswith(",") for row in comm_rows)
 
+    @pytest.mark.parametrize("with_oracle, calls", [(True, 1), (False, 0)])
+    def test_state_sampled_once(self, monkeypatch, with_oracle, calls):
+        """Every relation with a grid oracle reads one sample of the state.
+
+        The commutator is left out: its spectral residual samples a grid of
+        its own, with or without --oracle.
+        """
+        from angulab import oracle
+        from angulab.cli import run_scenario
+
+        seen = []
+        sample = oracle.sample
+        monkeypatch.setattr(oracle, "sample", lambda *args: seen.append(1) or sample(*args))
+        config = {
+            "family": "scr",
+            "parameters": {"m": 2},
+            "relations": list(oracle.RELATION_VALUES),
+            "oracle": with_oracle,
+            "resolution": 1024,
+        }
+        run_scenario(config)
+        assert len(seen) == calls
+
 
 class TestSchema:
     def test_schema_document(self):
@@ -276,6 +325,21 @@ class TestSchema:
 
 
 class TestExitCodes:
+    def test_closed_stdout(self):
+        """A reader that leaves early (``| head``) ends the run quietly with 0."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "angulab.cli", "sweep", "scr", "--m=-40..40"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 0
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert "Traceback" not in err and err == ""
+
     def test_non_finite_guard(self):
         from angulab.cli import _check_finite
 
@@ -329,6 +393,23 @@ class TestGoldenFiles:
         assert by["rsur"]["lhs"] == pytest.approx(1.5, abs=1e-10)
         assert by["decomposition"]["details"]["antisymmetric"] == pytest.approx(-0.5, abs=1e-10)
         assert by["moments"]["details"]["mean_energy"] == pytest.approx(1.5, abs=1e-10)
+
+    def test_golden_sphere_oracle(self):
+        want = self._rerun_and_compare(
+            "sphere_l2_m1_oracle.json",
+            ("scenario", "sphere", "--l", "2", "--m", "1", "--relations", ",".join(ALL), "--oracle"),
+        )
+        assert all(r.get("oracle_delta", 0.0) <= 1e-5 for r in want["reports"])
+
+    def test_golden_qtp_oracle(self):
+        want = self._rerun_and_compare(
+            "qtp_n2_oracle.json",
+            (
+                "scenario", "qtp", "--n", "2", "--J", "2.5", "--omega", "0.7",
+                "--relations", ",".join(ALL), "--oracle",
+            ),
+        )
+        assert all(r.get("oracle_delta", 0.0) <= 1e-5 for r in want["reports"])
 
     def test_golden_sphere(self):
         want = self._rerun_and_compare(

@@ -15,6 +15,7 @@ from angulab.oracle import (
 from angulab.states import (
     qtp_eigenstate,
     random_periodic,
+    random_sphere,
     scr_eigenstate,
     sphere_state,
 )
@@ -150,12 +151,12 @@ class TestOracleReports:
 
     def test_descriptor_api(self):
         """Named relations through ``relation_values``; unknown names raise."""
-        rep = oracle.relation_values(scr_eigenstate(2), "moments")
+        rep = oracle.relation_values(oracle.Sampled(scr_eigenstate(2)), "moments")
         assert rep["std_Phi"] == pytest.approx(PI / np.sqrt(3), abs=1e-6)
-        rep = oracle.relation_values(qtp_eigenstate(1), "rsur")
+        rep = oracle.relation_values(oracle.Sampled(qtp_eigenstate(1)), "rsur")
         assert rep["lhs"] == pytest.approx(1.5, abs=1e-5)
         with pytest.raises(ValueError):
-            oracle.relation_values(scr_eigenstate(0), "nope")
+            oracle.relation_values(oracle.Sampled(scr_eigenstate(0)), "nope")
 
     def test_boundary_sides_match_spectral(self):
         from angulab.relations import boundary_bound
@@ -163,7 +164,7 @@ class TestOracleReports:
         rng = np.random.default_rng(44)
         for _ in range(5):
             s = random_periodic(rng)
-            o = oracle.boundary_sides(s)
+            o = oracle.relation_values(oracle.Sampled(s), "boundary")
             r = boundary_bound(s)
             assert o["lhs"] == pytest.approx(r.lhs, abs=2e-6)
             assert o["rhs"] == pytest.approx(r.rhs, abs=2e-6)
@@ -173,7 +174,46 @@ class TestOracleReports:
         from angulab.operators import LZ, PHI
 
         s = sphere_state(2, {-1: 1, 2: 1j})
-        o = oracle.csf_sides(s, "Lz", "Phi")
+        o = oracle.relation_values(oracle.Sampled(s), "csf")
         r = csf(LZ, PHI, s)
         assert o["lhs"] == pytest.approx(r.lhs, abs=2e-6)
         assert o["rhs"] == pytest.approx(r.rhs, abs=2e-6)
+
+
+class TestSharedSample:
+    """One ``Sampled`` shared by every relation gives exactly the numbers of
+    a fresh one per relation, whatever order the relations read it in."""
+
+    @staticmethod
+    def _states():
+        rng = np.random.default_rng(2024)
+        return {
+            "scr m=2": scr_eigenstate(2),
+            "qtp n=1": qtp_eigenstate(1),
+            "random periodic": random_periodic(rng),
+            "random sphere l=2": random_sphere(rng, 2),
+        }
+
+    @staticmethod
+    def _assert_same(got, want, where):
+        assert list(got) == list(want), where
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (where, key)
+
+    @pytest.mark.parametrize("label", ["scr m=2", "qtp n=1", "random periodic", "random sphere l=2"])
+    def test_shared_equals_fresh(self, label):
+        from angulab.cli import evaluate_relation
+
+        state = self._states()[label]
+        grid = oracle.default_grid(state, 1024)
+        names = [
+            name
+            for name in oracle.RELATION_VALUES
+            if evaluate_relation(name, state)[0].get("status") != "not-applicable"
+        ]
+        assert len(names) >= 9
+        fresh = {name: oracle.relation_values(oracle.Sampled(state, grid), name) for name in names}
+        for order in (names, names[::-1]):
+            shared = oracle.Sampled(state, grid)
+            for name in order:
+                self._assert_same(oracle.relation_values(shared, name), fresh[name], (label, name))

@@ -173,6 +173,16 @@ class TestQuadratureRules:
         assert np.sum(rule.weights) == pytest.approx(2 * np.pi, rel=1e-14)
         assert np.all(rule.weights > 0)
 
+    def test_gauss_legendre_cached_read_only(self):
+        rule = gauss_legendre(128)
+        fresh = gauss_legendre.__wrapped__(128)
+        assert gauss_legendre(128) is rule
+        assert rule.nodes.tobytes() == fresh.nodes.tobytes()
+        assert rule.weights.tobytes() == fresh.weights.tobytes()
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     def test_degenerate_rejected(self):
         for ctor in (gauss_legendre, gauss_hermite, periodic_trapezoid):
             with pytest.raises(ValueError):
