@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import operators, oracle, relations, states
-from .operators import COS_PHI, LZ, PHI, SIN_PHI, UnsupportedObservable
+from .operators import COS_PHI, HAMILTONIAN, LZ, PHI, SIN_PHI, UnsupportedObservable
 from .relations import TOL_COMMUTATOR, TOL_IDENTITY, identity_report
 
 SCHEMA_VERSION = 1
@@ -101,8 +101,8 @@ def _build_state(family, params):
 
 # -- relation registry -----------------------------------------------------------
 #
-# Each relation is one entry: its spectral evaluator, (state, resolution) ->
-# (report entry, mismatch JSON or None), and the report keys --oracle
+# Each relation is one entry: its spectral evaluator, (operators.Lifted,
+# resolution) -> (report entry, mismatch JSON or None), and the report keys --oracle
 # compares with the oracle's values (top-level lhs/rhs, else details keys;
 # a key the oracle does not return is skipped).  A relation that does not
 # apply to a state raises UnsupportedObservable (or TypeError), whose
@@ -113,8 +113,8 @@ def _not_applicable(name, reason):
     return {"relation": name, "status": "not-applicable", "reason": reason}
 
 
-def _only(state, families, reason):
-    if state.family not in families:
+def _only(lf, families, reason):
+    if lf.state.family not in families:
         raise UnsupportedObservable(reason)
 
 
@@ -128,15 +128,15 @@ def _record(name, details):
     return {**entry, "details": details}, None
 
 
-def _condition19(state, resolution):
-    mm = relations.adjointness_mismatch(LZ, PHI, state)
+def _condition19(lf, resolution):
+    mm = relations.adjointness_mismatch(LZ, PHI, lf)
     details = {"mismatch_ab": complex(mm.entries[0, 1])}
     entry = identity_report("condition19", mm.max_modulus, TOL_IDENTITY, details).to_json()
     return entry, mm.to_json()
 
 
-def _decomposition(state, resolution):
-    res = relations.covariance_decomposition(LZ, PHI, state)
+def _decomposition(lf, resolution):
+    res = relations.covariance_decomposition(LZ, PHI, lf)
     details = {
         "symmetric": res.symmetric,
         "antisymmetric": res.antisymmetric,
@@ -148,22 +148,22 @@ def _decomposition(state, resolution):
     return _plain(identity_report("decomposition", res.residual, TOL_IDENTITY, details))
 
 
-def _eq22(state, resolution):
-    _only(state, ("periodic",), "sharp-rotation identity, circle family only")
-    ab = relations.adjointness_mismatch(LZ, PHI, state).entries[0, 1]
-    details = {"mismatch_ab": complex(ab), "target": 1j * state.hbar}
-    return _plain(identity_report("eq22", ab - 1j * state.hbar, TOL_IDENTITY, details))
+def _eq22(lf, resolution):
+    _only(lf, ("periodic",), "sharp-rotation identity, circle family only")
+    ab = lf.mismatch(LZ, PHI)
+    details = {"mismatch_ab": complex(ab), "target": 1j * lf.state.hbar}
+    return _plain(identity_report("eq22", ab - 1j * lf.state.hbar, TOL_IDENTITY, details))
 
 
-def _eq23(state, resolution):
-    _only(state, ("oscillator",), "pendulum identity, line family only")
-    ab = relations.adjointness_mismatch(LZ, PHI, state).entries[0, 1]
+def _eq23(lf, resolution):
+    _only(lf, ("oscillator",), "pendulum identity, line family only")
+    ab = lf.mismatch(LZ, PHI)
     return _plain(identity_report("eq23", ab, TOL_IDENTITY, {"mismatch_ab": complex(ab)}))
 
 
-def _eq24(state, resolution):
-    _only(state, ("sphere",), "sphere family only")
-    info = relations.sphere_anomaly(state)
+def _eq24(lf, resolution):
+    _only(lf, ("sphere",), "sphere family only")
+    info = relations.sphere_anomaly(lf)
     return _record(
         "eq24",
         {
@@ -174,36 +174,36 @@ def _eq24(state, resolution):
     )
 
 
-def _moments(state, resolution):
+def _moments(lf, resolution):
     details = {
-        "mean_Lz": operators.mean(LZ, state),
-        "std_Lz": operators.std_dev(LZ, state),
-        "mean_Phi": operators.mean(PHI, state),
-        "std_Phi": operators.std_dev(PHI, state),
+        "mean_Lz": lf.mean(LZ),
+        "std_Lz": lf.std(LZ),
+        "mean_Phi": lf.mean(PHI),
+        "std_Phi": lf.std(PHI),
     }
-    if state.family == "oscillator":
-        details["mean_energy"] = operators.qtp_energy_mean(state)
+    if lf.state.family == "oscillator":
+        details["mean_energy"] = lf.mean(HAMILTONIAN)
     return _record("moments", details)
 
 
-def _commutator(state, resolution):
-    _only(state, ("periodic", "oscillator"), "1D families only")
-    residual = operators.commutator_residual(state, resolution or 1024)
+def _commutator(lf, resolution):
+    _only(lf, ("periodic", "oscillator"), "1D families only")
+    residual = operators.commutator_residual(lf.state, resolution or 1024)
     return _plain(identity_report("commutator", residual, TOL_COMMUTATOR, {"residual": residual}))
 
 
 SIDES = ("lhs", "rhs")
 
 RELATIONS = {
-    "csf": (lambda state, res: _plain(relations.csf(LZ, PHI, state)), SIDES),
-    "rsur": (lambda state, res: _plain(relations.rsur(LZ, PHI, state)), SIDES),
+    "csf": (lambda lf, res: _plain(relations.csf(LZ, PHI, lf)), SIDES),
+    "rsur": (lambda lf, res: _plain(relations.rsur(LZ, PHI, lf)), SIDES),
     "condition19": (_condition19, ("mismatch_ab",)),
     "decomposition": (_decomposition, ("symmetric", "antisymmetric")),
-    "boundary": (lambda state, res: _plain(relations.boundary_bound(state)), SIDES),
-    "gram": (lambda state, res: _plain(relations.gram_det(GRAM_SET, state)), SIDES),
-    "eq8-sin": (lambda state, res: _plain(relations.adjusted_relation("eq8-sin", state)), SIDES),
-    "eq8-cos": (lambda state, res: _plain(relations.adjusted_relation("eq8-cos", state)), SIDES),
-    "eq9-trig": (lambda state, res: _plain(relations.adjusted_relation("eq9-trig", state)), SIDES),
+    "boundary": (lambda lf, res: _plain(relations.boundary_bound(lf)), SIDES),
+    "gram": (lambda lf, res: _plain(relations.gram_det(GRAM_SET, lf)), SIDES),
+    "eq8-sin": (lambda lf, res: _plain(relations.adjusted_relation("eq8-sin", lf)), SIDES),
+    "eq8-cos": (lambda lf, res: _plain(relations.adjusted_relation("eq8-cos", lf)), SIDES),
+    "eq9-trig": (lambda lf, res: _plain(relations.adjusted_relation("eq9-trig", lf)), SIDES),
     "eq22": (_eq22, ("mismatch_ab",)),
     "eq23": (_eq23, ("mismatch_ab",)),
     "eq24": (_eq24, ("direct_mismatch",)),
@@ -223,13 +223,13 @@ def _check_relations(names):
 
 
 def evaluate_relation(name, state, resolution=None):
-    """One registry relation on one state.
+    """One registry relation on one state or ``operators.Lifted``.
 
     Returns (entry, mismatch_json) where mismatch_json is set only for
     condition19.
     """
     try:
-        return RELATIONS[name][0](state, resolution)
+        return RELATIONS[name][0](operators.lifted(state), resolution)
     except (UnsupportedObservable, TypeError) as exc:
         return _not_applicable(name, str(exc)), None
 
@@ -267,11 +267,12 @@ def _oracle_annotate(entry, sampled, name):
 
 def _evaluate_state(state, names, with_oracle, resolution):
     """The named relations' reports on one state, and condition19's mismatch;
-    under --oracle they all read one ``oracle.Sampled`` of the state."""
+    all read one ``operators.Lifted`` and, under --oracle, one ``oracle.Sampled``."""
+    lf = operators.Lifted(state)
     sampled = oracle.Sampled(state, oracle.default_grid(state, resolution)) if with_oracle else None
     reports, mismatch = [], None
     for name in names:
-        entry, mm = evaluate_relation(name, state, resolution=resolution)
+        entry, mm = evaluate_relation(name, lf, resolution=resolution)
         if sampled is not None:
             entry = _oracle_annotate(entry, sampled, name)
         reports.append(entry)

@@ -34,6 +34,9 @@ state multiplies its rows once by the symmetric square root R of O
 alike, so they commute with R, and every inner product is the plain sum
 over rows and depth pairs (d, e) of (u_d, phi^{d+e} v_e) with no overlap
 operand.
+
+``Lifted`` lifts a state once and memoizes what every relation reads from it:
+A psi, means, deviations and the pair products of A psi, B psi and psi.
 """
 
 from dataclasses import dataclass
@@ -54,13 +57,14 @@ class UnsupportedObservable(ValueError):
     """Raised when an observable does not act on the given family."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A named operator.
 
     ``fourier`` marks multiplication by sum_k f_k e^{i k phi}; ``action``
     is an optional custom coefficient-space action ket -> ket.  ``hermitian``
-    gates the mean / standard-deviation paths.
+    gates the mean / standard-deviation paths.  Observables compare and hash
+    by identity, so memo lookups keyed on them stay cheap.
     """
 
     tag: str
@@ -420,54 +424,81 @@ def inner_product(x, y):
     return lift(x).inner(lift(y))
 
 
-def _expectation(obs, ket):
-    """(<A>, A psi) for a Hermitian observable on a lifted ket."""
-    if not obs.hermitian:
-        raise UnsupportedObservable(
-            f"mean: observable {obs.label!r} is not Hermitian; expectation undefined"
+class Lifted:
+    """One state lifted once: ``state``, its ket ``psi``, and each value below,
+    computed on first use and memoized per observable (object or tag) or pair."""
+
+    def __init__(self, state):
+        self.state = state
+        self.psi = lift(state)
+        self._memo = {}
+
+    def _get(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def acted(self, a):
+        """A psi."""
+        return self._get(("A", a), lambda: apply(a, self.psi))
+
+    def mean(self, a):
+        """<A> = (psi, A psi); rejects non-Hermitian observables."""
+        return self._get(("mean", a), lambda: self._mean(resolve_observable(a)))
+
+    def _mean(self, obs):
+        if not obs.hermitian:
+            raise UnsupportedObservable(
+                f"mean: observable {obs.label!r} is not Hermitian; expectation undefined"
+            )
+        val = self.psi.inner(self.acted(obs))
+        if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
+            raise ArithmeticError(
+                f"mean of {obs.label}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
+            )
+        return float(val.real)
+
+    def deviation(self, a):
+        """The deviation ket dA psi = A psi - <A> psi."""
+        return self._get(("dA", a), lambda: self.acted(a).plus(self.psi.scaled(-self.mean(a))))
+
+    def std(self, a):
+        """Standard deviation, the norm of the deviation ket."""
+        return self._get(("std", a), lambda: self.deviation(a).norm())
+
+    def cross(self, a, b):
+        """(dA psi, dB psi)."""
+        return self._get(("dA,dB", a, b), lambda: self.deviation(a).inner(self.deviation(b)))
+
+    def expect2(self, a, b):
+        """(psi, A B psi)."""
+        return self._get(("AB", a, b), lambda: self.psi.inner(apply(a, self.acted(b))))
+
+    def mismatch(self, a, b):
+        """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
+        return self._get(
+            ("A,B", a, b), lambda: self.acted(a).inner(self.acted(b)) - self.expect2(a, b)
         )
-    acted = apply(obs, ket)
-    val = ket.inner(acted)
-    if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
-        raise ArithmeticError(
-            f"mean of {obs.label}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
-        )
-    return float(val.real), acted
+
+
+def lifted(state):
+    """``state`` itself if it is a ``Lifted``, else a new ``Lifted`` of it."""
+    return state if isinstance(state, Lifted) else Lifted(state)
 
 
 def mean(obs, state):
     """Expected value (psi, A psi); rejects non-Hermitian observables."""
-    return _expectation(resolve_observable(obs), lift(state))[0]
-
-
-@dataclass(frozen=True)
-class DeviationVector:
-    """delta_A psi = A psi - <A> psi together with its provenance."""
-
-    vector: object
-    observable: Observable
-    base: object
-    mean: float
-
-    def inner(self, other):
-        vec = other.vector if isinstance(other, DeviationVector) else other
-        return self.vector.inner(vec)
-
-    def norm(self):
-        return self.vector.norm()
+    return lifted(state).mean(obs)
 
 
 def deviation_vector(obs, state):
-    obs = resolve_observable(obs)
-    ket = lift(state)
-    mu, acted = _expectation(obs, ket)
-    vec = acted.plus(ket.scaled(-mu))
-    return DeviationVector(vector=vec, observable=obs, base=ket, mean=mu)
+    """The deviation ket delta_A psi = A psi - <A> psi."""
+    return lifted(state).deviation(obs)
 
 
 def std_dev(obs, state):
     """Standard deviation, the norm of the deviation vector."""
-    return deviation_vector(obs, state).norm()
+    return lifted(state).std(obs)
 
 
 def sphere_variances(state):

@@ -154,21 +154,12 @@ def act(obs, psi, state, grid):
     """Apply an observable (or its tag) to samples: derivatives by
     differencing, multiplications pointwise."""
     obs = operators.resolve_observable(obs)
-    hbar = state.hbar
     line = grid if isinstance(grid, Grid1D) else grid.phi_grid  # the sphere's phi axis is last
     if obs.tag == "Lz":
-        return -1j * hbar * numeric_derivative(psi, line)
+        return -1j * state.hbar * numeric_derivative(psi, line)
     phi = line.points
     if obs.tag == "Phi":
         return phi * psi
-    if obs.tag == "Hamiltonian":
-        if getattr(state, "family", None) != "oscillator":
-            raise ValueError("oracle act: Hamiltonian is line-family only")
-        lz1 = -1j * hbar * numeric_derivative(psi, grid)
-        lz2 = -1j * hbar * numeric_derivative(lz1, grid)
-        return lz2 / (2.0 * state.inertia) + 0.5 * state.inertia * state.frequency**2 * (
-            phi * phi * psi
-        )
     if obs.fourier is not None:
         fvals = np.zeros(np.shape(phi), dtype=complex)
         for k, coef in obs.fourier:
@@ -305,8 +296,10 @@ def _moments(s):
     out = {}
     for tag in ("Lz", "Phi"):
         out[f"mean_{tag}"], out[f"std_{tag}"] = float(s.mean(tag).real), s.std(tag)
-    if s.state.family == "oscillator":
-        out["mean_energy"] = float(s.mean("Hamiltonian").real)
+    if s.state.family == "oscillator":  # <H> from scalars condition19 also reads
+        j, w = s.state.inertia, s.state.frequency
+        energy = s.expect2("Lz", "Lz") / (2.0 * j) + 0.5 * j * w**2 * s.expect2("Phi", "Phi")
+        out["mean_energy"] = float((energy / s.norm2).real)
     return out
 
 

@@ -38,8 +38,7 @@ from .operators import (
     SIN_PHI,
     UnsupportedObservable,
     apply,
-    deviation_vector,
-    lift,
+    lifted,
     resolve_observable,
     trig_observable,
 )
@@ -116,7 +115,6 @@ def identity_report(name, deviation, tolerance, details):
 class MismatchMatrix:
     entries: np.ndarray
     observables: list
-    state: object
 
     @property
     def max_modulus(self):
@@ -133,52 +131,42 @@ class MismatchMatrix:
 def adjointness_mismatch(obs_a, obs_b, state):
     """Delta_jk = (A_j psi, A_k psi) - (psi, A_j A_k psi) over the pair."""
     obs = [resolve_observable(obs_a), resolve_observable(obs_b)]
-    psi = lift(state)
-    acted = [apply(o, psi) for o in obs]
-    entries = np.zeros((2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            entries[j, k] = acted[j].inner(acted[k]) - psi.inner(apply(obs[j], acted[k]))
-    return MismatchMatrix(entries=entries, observables=obs, state=state)
+    lf = lifted(state)
+    entries = np.array([[lf.mismatch(a, b) for b in obs] for a in obs], dtype=complex)
+    return MismatchMatrix(entries=entries, observables=obs)
 
 
-def csf(obs_a, obs_b, state, tolerance=TOL_INEQUALITY):
+def csf(obs_a, obs_b, state):
     """Delta_A Delta_B >= |(delta_A psi, delta_B psi)| for any pair."""
-    psi = lift(state)
-    da = deviation_vector(obs_a, psi)
-    db = deviation_vector(obs_b, psi)
-    cross = da.inner(db)
-    std_a, std_b = da.norm(), db.norm()
+    lf = lifted(state)
+    cross = lf.cross(obs_a, obs_b)
+    std_a, std_b = lf.std(obs_a), lf.std(obs_b)
     details = {
         "std_a": std_a,
         "std_b": std_b,
-        "mean_a": da.mean,
-        "mean_b": db.mean,
+        "mean_a": lf.mean(obs_a),
+        "mean_b": lf.mean(obs_b),
         "cross": complex(cross),
     }
-    return _inequality_report("csf", std_a * std_b, abs(cross), tolerance, details)
+    return _inequality_report("csf", std_a * std_b, abs(cross), TOL_INEQUALITY, details)
 
 
-def rsur(obs_a, obs_b, state, tolerance=TOL_IDENTITY, mismatch_threshold=TOL_IDENTITY):
+def rsur(obs_a, obs_b, state):
     """Delta_A Delta_B >= |<[A, B]>| / 2, with its entitlement on record.
 
     An unsatisfied report is data, not an error; the mismatch norm in the
     details says whether the relation was entitled to hold.
     """
-    psi = lift(state)
-    da = deviation_vector(obs_a, psi)
-    db = deviation_vector(obs_b, psi)
-    std_a, std_b = da.norm(), db.norm()
-    mm = adjointness_mismatch(obs_a, obs_b, psi)
-    if mm.max_modulus < mismatch_threshold:
+    lf = lifted(state)
+    std_a, std_b = lf.std(obs_a), lf.std(obs_b)
+    mm = adjointness_mismatch(obs_a, obs_b, lf)
+    if mm.max_modulus < TOL_IDENTITY:
         # split of (delta_A psi, delta_B psi): the imaginary part carries
         # the commutator mean when the adjointness conditions hold
-        rhs = abs(da.inner(db).imag)
+        rhs = abs(lf.cross(obs_a, obs_b).imag)
         route = "deviation-split"
     else:
-        a_b = psi.inner(apply(obs_a, apply(obs_b, psi)))
-        b_a = psi.inner(apply(obs_b, apply(obs_a, psi)))
-        rhs = 0.5 * abs(a_b - b_a)
+        rhs = 0.5 * abs(lf.expect2(obs_a, obs_b) - lf.expect2(obs_b, obs_a))
         route = "direct"
     details = {
         "std_a": std_a,
@@ -187,7 +175,7 @@ def rsur(obs_a, obs_b, state, tolerance=TOL_IDENTITY, mismatch_threshold=TOL_IDE
         "mismatch_ab": complex(mm.entries[0, 1]),
         "commutator_route": route,
     }
-    return _inequality_report("rsur", std_a * std_b, rhs, tolerance, details)
+    return _inequality_report("rsur", std_a * std_b, rhs, TOL_IDENTITY, details)
 
 
 @dataclass
@@ -199,23 +187,21 @@ class DecompositionResult:
     mismatch_max: float
 
 
-def covariance_decomposition(obs_a, obs_b, state, mismatch_threshold=TOL_IDENTITY):
+def covariance_decomposition(obs_a, obs_b, state):
     """Split (delta_A psi, delta_B psi) into real and imaginary parts.
 
     The real part is the symmetrized covariance, the imaginary part is
     -1/2 the mean of i[A, B]; the residual checks that reassembly.  The
-    identity is only claimed when the adjointness mismatch is below the
-    caller's threshold; outside that the result is flagged not applicable.
+    identity is only claimed when the adjointness mismatch is below
+    TOL_IDENTITY; outside that the result is flagged not applicable.
     """
-    psi = lift(state)
-    da = deviation_vector(obs_a, psi)
-    db = deviation_vector(obs_b, psi)
-    cross = da.inner(db)
-    mm = adjointness_mismatch(obs_a, obs_b, psi)
+    lf = lifted(state)
+    cross = lf.cross(obs_a, obs_b)
+    mm = adjointness_mismatch(obs_a, obs_b, lf)
     # <delta_A delta_B> and <delta_B delta_A> by straight composition
-    dbpsi, dapsi = db.vector, da.vector
-    dadb = psi.inner(apply(obs_a, dbpsi).plus(dbpsi.scaled(-da.mean)))
-    dbda = psi.inner(apply(obs_b, dapsi).plus(dapsi.scaled(-db.mean)))
+    dbpsi, dapsi = lf.deviation(obs_b), lf.deviation(obs_a)
+    dadb = lf.psi.inner(apply(obs_a, dbpsi).plus(dbpsi.scaled(-lf.mean(obs_a))))
+    dbda = lf.psi.inner(apply(obs_b, dapsi).plus(dapsi.scaled(-lf.mean(obs_b))))
     sym_term = 0.5 * (dadb + dbda)
     icomm_term = 1j * (dadb - dbda)  # (psi, i[A, B] psi)
     assembled = sym_term - 0.5j * icomm_term
@@ -224,26 +210,23 @@ def covariance_decomposition(obs_a, obs_b, state, mismatch_threshold=TOL_IDENTIT
         symmetric=float(cross.real),
         antisymmetric=float(cross.imag),
         residual=float(residual),
-        applicable=bool(mm.max_modulus < mismatch_threshold),
+        applicable=bool(mm.max_modulus < TOL_IDENTITY),
         mismatch_max=mm.max_modulus,
     )
 
 
-def boundary_bound(state, tolerance=TOL_IDENTITY, squared_density=True):
+def boundary_bound(state, squared_density=True):
     """Circle bound (hbar/2)|1 - 2 pi B| on both the deviation inner
     product and, through Cauchy-Schwarz, the Delta product."""
-    if not isinstance(state, (PeriodicState,)):
+    lf = lifted(state)
+    if not isinstance(lf.state, PeriodicState):
         raise UnsupportedObservable("boundary_bound: circle states only")
-    psi = lift(state)
-    da = deviation_vector(LZ, psi)
-    db = deviation_vector(PHI, psi)
-    bval = boundary_value(state)
+    bval = boundary_value(lf.state)
     density = abs(bval) ** 2 if squared_density else abs(bval)
-    rhs = 0.5 * state.hbar * abs(1.0 - 2.0 * np.pi * density)
-    cross = da.inner(db)
+    rhs = 0.5 * lf.state.hbar * abs(1.0 - 2.0 * np.pi * density)
+    cross = lf.cross(LZ, PHI)
     lhs = abs(cross)
-    product_lhs = da.norm() * db.norm()
-    slack = lhs - rhs
+    product_lhs = lf.std(LZ) * lf.std(PHI)
     product_slack = product_lhs - rhs
     details = {
         "boundary_value": complex(bval),
@@ -253,15 +236,9 @@ def boundary_bound(state, tolerance=TOL_IDENTITY, squared_density=True):
         "product_slack": float(product_slack),
         "squared_density": bool(squared_density),
     }
-    return RelationReport(
-        relation="boundary",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=float(slack),
-        satisfied=bool(slack >= -tolerance and product_slack >= -tolerance),
-        tolerance=tolerance,
-        details=details,
-    )
+    report = _inequality_report("boundary", lhs, rhs, TOL_IDENTITY, details)
+    report.satisfied = report.satisfied and product_slack >= -TOL_IDENTITY
+    return report
 
 
 # -- adjusted (mimic) relations ----------------------------------------------
@@ -308,53 +285,46 @@ EQ9_TRIG = AdjustedRelation("eq9-trig", "quadratic", u=SIN_PHI, v=COS_PHI)
 ADJUSTED_PRESETS = {rel.label: rel for rel in (EQ8_SIN, EQ8_COS, EQ9_TRIG)}
 
 
-def adjusted_relation(rel, state, tolerance=TOL_IDENTITY):
+def adjusted_relation(rel, state):
     if isinstance(rel, str):
         try:
             rel = ADJUSTED_PRESETS[rel]
         except KeyError:
             raise UnsupportedObservable(f"no adjusted-relation preset {rel!r}") from None
-    psi = lift(state)
-    hbar = psi.hbar
+    lf = lifted(state)
+    hbar = lf.psi.hbar
     if rel.form == "function-pair":
-        lhs = operators.std_dev(LZ, psi) * operators.std_dev(rel.f, psi)
-        rhs = hbar * abs(operators.mean(rel.g, psi))
-        details = {"form": rel.form}
+        lhs = lf.std(LZ) * lf.std(rel.f)
+        rhs = hbar * abs(lf.mean(rel.g))
     elif rel.form == "quadratic":
-        lhs = operators.std_dev(LZ, psi) ** 2 + hbar**2 * operators.std_dev(rel.u, psi) ** 2
-        rhs = hbar**2 * operators.mean(rel.v, psi) ** 2
-        details = {"form": rel.form}
+        lhs = lf.std(LZ) ** 2 + hbar**2 * lf.std(rel.u) ** 2
+        rhs = hbar**2 * lf.mean(rel.v) ** 2
     elif rel.form == "ratio":
-        d_phi = operators.std_dev(PHI, psi)
-        lhs = operators.std_dev(LZ, psi) * d_phi / rel.a(d_phi)
-        rhs = hbar * abs(operators.mean(rel.b, psi))
-        details = {"form": rel.form}
+        d_phi = lf.std(PHI)
+        lhs = lf.std(LZ) * d_phi / rel.a(d_phi)
+        rhs = hbar * abs(lf.mean(rel.b))
     else:
         raise UnsupportedObservable(f"unknown adjusted-relation form {rel.form!r}")
-    return _inequality_report(rel.label, lhs, rhs, tolerance, details)
+    return _inequality_report(rel.label, lhs, rhs, TOL_IDENTITY, {"form": rel.form})
 
 
-def gram_det(observables, state, tolerance=TOL_GRAM):
+def gram_det(observables, state):
     """det[(delta_j psi, delta_k psi)] >= 0 and its minimum eigenvalue."""
     if len(observables) < 2:
         raise ValueError("gram_det: need at least two observables")
-    psi = lift(state)
-    devs = [deviation_vector(o, psi) for o in observables]
-    r = len(devs)
-    gram = np.zeros((r, r), dtype=complex)
-    for j in range(r):
-        for k in range(r):
-            gram[j, k] = devs[j].inner(devs[k])
+    lf = lifted(state)
+    r = len(observables)
+    gram = np.array([[lf.cross(a, b) for b in observables] for a in observables], dtype=complex)
     det = np.linalg.det(gram)
     if abs(det.imag) > 1e-10 * max(1.0, abs(det.real)):
         raise ArithmeticError(f"gram_det: determinant imaginary residue {det.imag:.3e}")
     herm = 0.5 * (gram + gram.conj().T)
     min_eig = float(np.linalg.eigvalsh(herm)[0])
-    details = {"min_eigenvalue": min_eig, "order": len(devs)}
+    details = {"min_eigenvalue": min_eig, "order": r}
     for j in range(r):
         for k in range(r):
             details[f"gram_{j}{k}"] = complex(gram[j, k])
-    return _inequality_report("gram", float(det.real), 0.0, tolerance, details)
+    return _inequality_report("gram", float(det.real), 0.0, TOL_GRAM, details)
 
 
 # -- sphere anomaly -----------------------------------------------------------
@@ -362,8 +332,7 @@ def gram_det(observables, state, tolerance=TOL_GRAM):
 
 def sphere_mismatch(state):
     """Direct (Lz psi, phi psi) - (psi, Lz phi psi) for a sphere state."""
-    mm = adjointness_mismatch(LZ, PHI, state)
-    return complex(mm.entries[0, 1])
+    return lifted(state).mismatch(LZ, PHI)
 
 
 def sphere_anomaly(state):
@@ -374,12 +343,13 @@ def sphere_anomaly(state):
     printed and reported alongside the direct value without asserting
     their equality.
     """
-    if not isinstance(state, SphereState):
+    lf = lifted(state)
+    if not isinstance(lf.state, SphereState):
         raise UnsupportedObservable("sphere_anomaly: sphere states only")
-    direct = sphere_mismatch(state)
-    l, hbar = state.l, state.hbar
+    direct = sphere_mismatch(lf)
+    l, hbar = lf.state.l, lf.state.hbar
     c = np.zeros(2 * l + 1, dtype=complex)
-    for m, v in state.coefficients.items():
+    for m, v in lf.state.coefficients.items():
         c[m + l] = v
     mvals = np.arange(-l, l + 1, dtype=float)
     phi1 = operators._theta_overlap(l) * operators._phi_power_block(1, l)

@@ -316,6 +316,68 @@ class TestRegistry:
         assert len(seen) == calls
 
 
+class TestSharedLifted:
+    """One ``operators.Lifted`` shared by every registry relation gives
+    exactly the entries of a fresh state per relation, whatever order the
+    relations read it in."""
+
+    LABELS = ("scr m=2", "qtp n=1", "random periodic", "random oscillator", "random sphere l=2")
+
+    @staticmethod
+    def _states():
+        import numpy as np
+
+        from angulab import states
+
+        rng = np.random.default_rng(2025)
+        return {
+            "scr m=2": states.scr_eigenstate(2),
+            "qtp n=1": states.qtp_eigenstate(1),
+            "random periodic": states.random_periodic(rng),
+            "random oscillator": states.random_oscillator(rng, inertia=1.7, frequency=0.6),
+            "random sphere l=2": states.random_sphere(rng, 2),
+        }
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_shared_equals_fresh(self, label):
+        from angulab import operators
+        from angulab.cli import RELATIONS, evaluate_relation
+
+        state = self._states()[label]
+        names = list(RELATIONS)
+        fresh = {name: evaluate_relation(name, state) for name in names}
+        assert sum(entry.get("status") != "not-applicable" for entry, _ in fresh.values()) >= 9
+        for order in (names, names[::-1]):
+            shared = operators.Lifted(state)
+            for name in order:
+                assert evaluate_relation(name, shared) == fresh[name], (label, name)
+
+    def test_apply_calls_per_state(self, monkeypatch):
+        """The 13 spectral relations on one state act with an operator at
+        most 16 times: every relation reads the same ``A psi`` and pair
+        products.  ``apply`` is counted in every namespace that binds it."""
+        import angulab
+        from angulab import cli, operators, oracle, relations
+
+        calls = []
+        apply = operators.apply
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return apply(*args, **kwargs)
+
+        for ns in (angulab, operators, relations, oracle, cli):
+            for key, value in list(vars(ns).items()):
+                if value is apply:
+                    monkeypatch.setattr(ns, key, counted)
+        names = [name for name in cli.RELATIONS if name != "commutator"]
+        assert len(names) == 13
+        for label, state in self._states().items():
+            calls.clear()
+            cli._evaluate_state(state, names, False, None)
+            assert 0 < len(calls) <= 16, (label, len(calls))
+
+
 class TestSchema:
     def test_schema_document(self):
         doc = json.loads(run_cli("schema").stdout)

@@ -139,7 +139,7 @@ class TestInnerProductAndMean:
             ket = lift(state)
             for obs in ALL_OBS:
                 dv = deviation_vector(obs, state)
-                assert abs(ket.inner(dv.vector)) < 1e-10
+                assert abs(ket.inner(dv)) < 1e-10
 
     def test_inner_product_of_states(self):
         a = scr_eigenstate(1)

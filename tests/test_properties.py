@@ -1,0 +1,86 @@
+"""Invariants checked as properties over seeded random states of every
+family, with hbar (and J, omega on the line) drawn as well.
+
+sin^2 + cos^2 = 1 is not among them: the Hermite band of trigonometric
+multiplication on the line is too narrow at small lam, which breaks it.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from angulab import operators, states  # noqa: E402
+from angulab.cli import GRAM_SET, RELATIONS, evaluate_relation  # noqa: E402
+from angulab.operators import COS_PHI, LZ, PHI, SIN_PHI  # noqa: E402
+from angulab.relations import TOL_GRAM, TOL_IDENTITY, TOL_INEQUALITY, csf, gram_det  # noqa: E402
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+SEEDS = st.integers(0, 2**32 - 1)
+HBARS = st.floats(0.1, 10.0)
+LINE_CONSTANTS = st.floats(0.1, 10.0)
+
+
+@st.composite
+def random_states(draw, families=("periodic", "oscillator", "sphere")):
+    """A seeded random state of one of ``families``."""
+    family = draw(st.sampled_from(families))
+    rng = np.random.default_rng(draw(SEEDS))
+    hbar = draw(HBARS)
+    if family == "periodic":
+        return states.random_periodic(rng, hbar=hbar)
+    if family == "oscillator":
+        inertia, frequency = draw(LINE_CONSTANTS), draw(LINE_CONSTANTS)
+        return states.random_oscillator(rng, inertia=inertia, frequency=frequency, hbar=hbar)
+    return states.random_sphere(rng, draw(st.integers(0, 4)), hbar=hbar)
+
+
+@PROPERTY
+@given(random_states())
+def test_csf_holds_on_every_pair(state):
+    lf = operators.Lifted(state)
+    for a, b in itertools.combinations((LZ, PHI, SIN_PHI, COS_PHI), 2):
+        assert csf(a, b, lf).slack >= -TOL_INEQUALITY, (a.label, b.label)
+
+
+@PROPERTY
+@given(random_states())
+def test_gram_is_positive_semidefinite(state):
+    assert gram_det(GRAM_SET, state).details["min_eigenvalue"] >= -TOL_GRAM
+
+
+@PROPERTY
+@given(random_states(families=("oscillator",)))
+def test_pendulum_mismatch_vanishes(state):
+    lf = operators.Lifted(state)
+    assert abs(lf.mismatch(LZ, PHI)) < TOL_IDENTITY
+
+
+@PROPERTY
+@given(st.integers(-40, 40), HBARS)
+def test_scr_mismatch_is_i_hbar(m, hbar):
+    lf = operators.Lifted(states.scr_eigenstate(m, hbar=hbar))
+    assert abs(lf.mismatch(LZ, PHI) - 1j * hbar) < TOL_IDENTITY
+
+
+@PROPERTY
+@given(random_states(families=("periodic",)))
+def test_boundary_identity(state):
+    """Im (dLz psi, dphi psi) = -(hbar/2) (1 - 2 pi |psi(2 pi - 0)|^2)."""
+    density = abs(states.boundary_value(state)) ** 2
+    target = -0.5 * state.hbar * (1.0 - 2.0 * np.pi * density)
+    assert abs(operators.Lifted(state).cross(LZ, PHI).imag - target) < TOL_IDENTITY
+
+
+@PROPERTY
+@given(random_states(), st.permutations(list(RELATIONS)))
+def test_shared_lifted_equals_fresh(state, order):
+    shared = operators.Lifted(state)
+    for name in order:
+        assert evaluate_relation(name, shared) == evaluate_relation(name, state), name
