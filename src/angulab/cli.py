@@ -13,17 +13,17 @@ with a fixed draw order, so a seed pins the byte content of the report.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import operators, oracle, relations, states
-from .operators import COS_PHI, HAMILTONIAN, LZ, PHI, SIN_PHI, UnsupportedObservable
+from .operators import COS_PHI, HAMILTONIAN, LZ, PHI, SIN_PHI
 from .relations import TOL_COMMUTATOR, TOL_IDENTITY, identity_report
 
 SCHEMA_VERSION = 1
@@ -101,38 +101,34 @@ def _build_state(family, params):
 
 # -- relation registry -----------------------------------------------------------
 #
-# Each relation is one entry: its spectral evaluator, (operators.Lifted,
-# resolution) -> (report entry, mismatch JSON or None), and the report keys --oracle
-# compares with the oracle's values (top-level lhs/rhs, else details keys;
-# a key the oracle does not return is skipped).  A relation that does not
-# apply to a state raises UnsupportedObservable (or TypeError), whose
-# message becomes the not-applicable reason.
+# Each relation is one row: its spectral evaluator, (operators.Lifted,
+# resolution) -> report entry; the report keys --oracle compares with the
+# oracle's values (top-level lhs/rhs, else details keys; a key the oracle does
+# not return is skipped); and, for a relation that holds on some families
+# only, ``only = (state families, reason)``.  On a state of any other family
+# the evaluator is not called, and the entry is not-applicable with that reason.
+
+
+class Relation(NamedTuple):
+    evaluate: Callable
+    compared: tuple = ()
+    only: tuple = None
 
 
 def _not_applicable(name, reason):
     return {"relation": name, "status": "not-applicable", "reason": reason}
 
 
-def _only(lf, families, reason):
-    if lf.state.family not in families:
-        raise UnsupportedObservable(reason)
-
-
-def _plain(report):
-    return report.to_json(), None
-
-
 def _record(name, details):
     """A report that only carries numbers: no sides, always satisfied."""
     entry = dict(relation=name, lhs=0.0, rhs=0.0, slack=0.0, satisfied=True, tolerance=0.0)
-    return {**entry, "details": details}, None
+    return {**entry, "details": details}
 
 
 def _condition19(lf, resolution):
     mm = relations.adjointness_mismatch(LZ, PHI, lf)
     details = {"mismatch_ab": complex(mm.entries[0, 1])}
-    entry = identity_report("condition19", mm.max_modulus, TOL_IDENTITY, details).to_json()
-    return entry, mm.to_json()
+    return identity_report("condition19", mm.max_modulus, TOL_IDENTITY, details).to_json()
 
 
 def _decomposition(lf, resolution):
@@ -144,25 +140,22 @@ def _decomposition(lf, resolution):
     }
     if not res.applicable:
         entry = _not_applicable("decomposition", "adjointness mismatch above threshold")
-        return {**entry, "details": details}, None
-    return _plain(identity_report("decomposition", res.residual, TOL_IDENTITY, details))
+        return {**entry, "details": details}
+    return identity_report("decomposition", res.residual, TOL_IDENTITY, details).to_json()
 
 
 def _eq22(lf, resolution):
-    _only(lf, ("periodic",), "sharp-rotation identity, circle family only")
     ab = lf.mismatch(LZ, PHI)
     details = {"mismatch_ab": complex(ab), "target": 1j * lf.state.hbar}
-    return _plain(identity_report("eq22", ab - 1j * lf.state.hbar, TOL_IDENTITY, details))
+    return identity_report("eq22", ab - 1j * lf.state.hbar, TOL_IDENTITY, details).to_json()
 
 
 def _eq23(lf, resolution):
-    _only(lf, ("oscillator",), "pendulum identity, line family only")
     ab = lf.mismatch(LZ, PHI)
-    return _plain(identity_report("eq23", ab, TOL_IDENTITY, {"mismatch_ab": complex(ab)}))
+    return identity_report("eq23", ab, TOL_IDENTITY, {"mismatch_ab": complex(ab)}).to_json()
 
 
 def _eq24(lf, resolution):
-    _only(lf, ("sphere",), "sphere family only")
     info = relations.sphere_anomaly(lf)
     return _record(
         "eq24",
@@ -187,28 +180,40 @@ def _moments(lf, resolution):
 
 
 def _commutator(lf, resolution):
-    _only(lf, ("periodic", "oscillator"), "1D families only")
     residual = operators.commutator_residual(lf.state, resolution or 1024)
-    return _plain(identity_report("commutator", residual, TOL_COMMUTATOR, {"residual": residual}))
+    return identity_report("commutator", residual, TOL_COMMUTATOR, {"residual": residual}).to_json()
+
+
+def _adjusted(name):
+    return lambda lf, res: relations.adjusted_relation(name, lf).to_json()
 
 
 SIDES = ("lhs", "rhs")
 
 RELATIONS = {
-    "csf": (lambda lf, res: _plain(relations.csf(LZ, PHI, lf)), SIDES),
-    "rsur": (lambda lf, res: _plain(relations.rsur(LZ, PHI, lf)), SIDES),
-    "condition19": (_condition19, ("mismatch_ab",)),
-    "decomposition": (_decomposition, ("symmetric", "antisymmetric")),
-    "boundary": (lambda lf, res: _plain(relations.boundary_bound(lf)), SIDES),
-    "gram": (lambda lf, res: _plain(relations.gram_det(GRAM_SET, lf)), SIDES),
-    "eq8-sin": (lambda lf, res: _plain(relations.adjusted_relation("eq8-sin", lf)), SIDES),
-    "eq8-cos": (lambda lf, res: _plain(relations.adjusted_relation("eq8-cos", lf)), SIDES),
-    "eq9-trig": (lambda lf, res: _plain(relations.adjusted_relation("eq9-trig", lf)), SIDES),
-    "eq22": (_eq22, ("mismatch_ab",)),
-    "eq23": (_eq23, ("mismatch_ab",)),
-    "eq24": (_eq24, ("direct_mismatch",)),
-    "moments": (_moments, ("mean_Lz", "std_Lz", "mean_Phi", "std_Phi", "mean_energy")),
-    "commutator": (_commutator, ()),  # the grid oracle has no independent value for it
+    "csf": Relation(lambda lf, res: relations.csf(LZ, PHI, lf).to_json(), SIDES),
+    "rsur": Relation(lambda lf, res: relations.rsur(LZ, PHI, lf).to_json(), SIDES),
+    "condition19": Relation(_condition19, ("mismatch_ab",)),
+    "decomposition": Relation(_decomposition, ("symmetric", "antisymmetric")),
+    "boundary": Relation(
+        lambda lf, res: relations.boundary_bound(lf).to_json(),
+        SIDES,
+        (("periodic",), "boundary_bound: circle states only"),
+    ),
+    "gram": Relation(lambda lf, res: relations.gram_det(GRAM_SET, lf).to_json(), SIDES),
+    "eq8-sin": Relation(_adjusted("eq8-sin"), SIDES),
+    "eq8-cos": Relation(_adjusted("eq8-cos"), SIDES),
+    "eq9-trig": Relation(_adjusted("eq9-trig"), SIDES),
+    "eq22": Relation(
+        _eq22, ("mismatch_ab",), (("periodic",), "sharp-rotation identity, circle family only")
+    ),
+    "eq23": Relation(
+        _eq23, ("mismatch_ab",), (("oscillator",), "pendulum identity, line family only")
+    ),
+    "eq24": Relation(_eq24, ("direct_mismatch",), (("sphere",), "sphere family only")),
+    "moments": Relation(_moments, ("mean_Lz", "std_Lz", "mean_Phi", "std_Phi", "mean_energy")),
+    # the grid oracle has no independent value for the commutator
+    "commutator": Relation(_commutator, only=(("periodic", "oscillator"), "1D families only")),
 }
 
 RELATION_REGISTRY = tuple(RELATIONS)
@@ -222,16 +227,20 @@ def _check_relations(names):
     return names
 
 
-def evaluate_relation(name, state, resolution=None):
-    """One registry relation on one state or ``operators.Lifted``.
+def _check_resolution(resolution):
+    """Return ``resolution``; raise ConfigError unless it is None or an integer >= 8."""
+    if resolution is not None and (type(resolution) is not int or resolution < 8):
+        raise ConfigError(f"resolution must be an integer >= 8, got {resolution!r}")
+    return resolution
 
-    Returns (entry, mismatch_json) where mismatch_json is set only for
-    condition19.
-    """
-    try:
-        return RELATIONS[name][0](operators.lifted(state), resolution)
-    except (UnsupportedObservable, TypeError) as exc:
-        return _not_applicable(name, str(exc)), None
+
+def evaluate_relation(name, state, resolution=None):
+    """One registry relation's report entry on one state or ``operators.Lifted``."""
+    evaluate, _, only = RELATIONS[name]
+    lf = operators.lifted(state)
+    if only is not None and lf.state.family not in only[0]:
+        return _not_applicable(name, only[1])
+    return evaluate(lf, resolution)
 
 
 def _jsonable(value):
@@ -266,19 +275,20 @@ def _oracle_annotate(entry, sampled, name):
 
 
 def _evaluate_state(state, names, with_oracle, resolution):
-    """The named relations' reports on one state, and condition19's mismatch;
-    all read one ``operators.Lifted`` and, under --oracle, one ``oracle.Sampled``."""
+    """The named relations' reports on one state, and the (Lz, Phi) mismatch
+    matrix if condition19 is among them; all read one ``operators.Lifted``
+    and, under --oracle, one ``oracle.Sampled``."""
     lf = operators.Lifted(state)
     sampled = oracle.Sampled(state, oracle.default_grid(state, resolution)) if with_oracle else None
-    reports, mismatch = [], None
+    reports = []
     for name in names:
-        entry, mm = evaluate_relation(name, lf, resolution=resolution)
+        entry = evaluate_relation(name, lf, resolution)
         if sampled is not None:
             entry = _oracle_annotate(entry, sampled, name)
         reports.append(entry)
-        if mm is not None:
-            mismatch = mm
-    return reports, mismatch
+    if "condition19" not in names:
+        return reports, None
+    return reports, relations.adjointness_mismatch(LZ, PHI, lf).to_json()
 
 
 def run_scenario(config):
@@ -286,10 +296,9 @@ def run_scenario(config):
     family = config["family"]
     params = config.get("parameters", {})
     names = _check_relations(config.get("relations") or DEFAULT_RELATIONS)
+    resolution = _check_resolution(config.get("resolution"))
     state = _build_state(family, params)
-    reports, mismatch = _evaluate_state(
-        state, names, config.get("oracle"), config.get("resolution")
-    )
+    reports, mismatch = _evaluate_state(state, names, config.get("oracle"), resolution)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "scenario",
@@ -335,7 +344,6 @@ def _add_common(sub):
     sub.add_argument("--oracle", action="store_true", help="attach grid-oracle cross checks")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0, help="PCG64 seed for random states")
-    sub.add_argument("--jobs", type=int, default=1)
     sub.add_argument("--resolution", type=int, default=None, help="grid resolution override")
 
 
@@ -461,6 +469,10 @@ def validate_config_doc(config):
         except ConfigError as exc:
             diags.append(str(exc))
     diags += [f"unknown relation {n!r}" for n in config.get("relations", []) if n not in RELATIONS]
+    try:
+        _check_resolution(config.get("resolution"))
+    except ConfigError as exc:
+        diags.append(str(exc))
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         diags.append(f"unknown format {fmt!r}")
@@ -498,7 +510,7 @@ def emit_schema():
             "parameters": {"type": "object"},
             "relations": {"type": "array", "items": {"type": "string"}},
             "oracle": {"type": "boolean"},
-            "resolution": {"type": ["integer", "null"]},
+            "resolution": {"type": ["integer", "null"], "minimum": 8},
             "format": {"type": "string", "enum": ["json", "csv"]},
             "seed": {"type": "integer"},
         },
@@ -553,28 +565,13 @@ def _sweep_items(args):
     ]
 
 
-def _evaluate_item(index, params, state, names, args):
-    reports, mismatch = _evaluate_state(state, names, args.oracle, args.resolution)
-    return {"index": index, "params": params, "reports": reports, "mismatch": mismatch}
-
-
 def run_sweep(args):
     names = _check_relations(_split_names(args.relations))
-    items = _sweep_items(args)
-    jobs = max(1, args.jobs)
-    if jobs == 1:
-        entries = [
-            _evaluate_item(i, params, state, names, args)
-            for i, (params, state) in enumerate(items)
-        ]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_evaluate_item, i, params, state, names, args)
-                for i, (params, state) in enumerate(items)
-            ]
-            entries = [f.result() for f in futures]
-    entries.sort(key=lambda e: e["index"])
+    resolution = _check_resolution(args.resolution)
+    entries = []
+    for index, (params, state) in enumerate(_sweep_items(args)):
+        reports, mismatch = _evaluate_state(state, names, args.oracle, resolution)
+        entries.append({"index": index, "params": params, "reports": reports, "mismatch": mismatch})
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",

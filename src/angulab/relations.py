@@ -37,7 +37,6 @@ from .operators import (
     PHI,
     SIN_PHI,
     UnsupportedObservable,
-    apply,
     lifted,
     resolve_observable,
     trig_observable,
@@ -198,10 +197,10 @@ def covariance_decomposition(obs_a, obs_b, state):
     lf = lifted(state)
     cross = lf.cross(obs_a, obs_b)
     mm = adjointness_mismatch(obs_a, obs_b, lf)
-    # <delta_A delta_B> and <delta_B delta_A> by straight composition
-    dbpsi, dapsi = lf.deviation(obs_b), lf.deviation(obs_a)
-    dadb = lf.psi.inner(apply(obs_a, dbpsi).plus(dbpsi.scaled(-lf.mean(obs_a))))
-    dbda = lf.psi.inner(apply(obs_b, dapsi).plus(dapsi.scaled(-lf.mean(obs_b))))
+    # <delta_A delta_B> = <A B> - <A><B>, and the same for <delta_B delta_A>
+    ab = lf.mean(obs_a) * lf.mean(obs_b)
+    dadb = lf.expect2(obs_a, obs_b) - ab
+    dbda = lf.expect2(obs_b, obs_a) - ab
     sym_term = 0.5 * (dadb + dbda)
     icomm_term = 1j * (dadb - dbda)  # (psi, i[A, B] psi)
     assembled = sym_term - 0.5j * icomm_term

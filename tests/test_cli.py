@@ -111,11 +111,6 @@ class TestSweep:
                 if rep["relation"] == "csf":
                     assert rep["slack"] >= -1e-10
 
-    def test_jobs_preserve_order(self):
-        a = run_cli("sweep", "qtp", "--n", "0..6", "--relations", "moments").stdout
-        b = run_cli("sweep", "qtp", "--n", "0..6", "--relations", "moments", "--jobs", "4").stdout
-        assert a == b
-
     def test_determinism_bytes(self):
         args = ("sweep", "scr", "--random", "4", "--seed", "3", "--relations", "csf")
         assert run_cli(*args).stdout == run_cli(*args).stdout
@@ -190,6 +185,9 @@ class TestValidate:
             assert scenario.returncode == 1 and message in scenario.stderr
 
 
+RESOLUTION = "resolution must be an integer >= 8, got"
+
+
 class TestInputContract:
     """Inputs outside the contract exit 1 with one ``error:`` line, never a
     traceback, a numerical failure or an empty report."""
@@ -212,6 +210,12 @@ class TestInputContract:
             (("sweep", "scr", "--random", "0"), "--random needs at least one state"),
             (("scenario", "sphere", "--l", "70"), "0 <= l <= 64"),
             (("sweep", "sphere", "--random", "1", "--l", "70"), "0 <= l <= 64"),
+            (("scenario", "scr", "--m", "2", "--oracle", "--resolution", "4"), RESOLUTION),
+            (("scenario", "scr", "--m", "2", "--oracle", "--resolution", "-5"), RESOLUTION),
+            (("scenario", "sphere", "--l", "1", "--oracle", "--resolution", "4"), RESOLUTION),
+            (("scenario", "scr", "--relations", "commutator", "--resolution", "4"), RESOLUTION),
+            (("scenario", "scr", "--m", "2", "--oracle", "--resolution", "0"), RESOLUTION),
+            (("sweep", "qtp", "--n", "0..2", "--oracle", "--resolution", "4"), RESOLUTION),
         ],
     )
     def test_rejected(self, args, message):
@@ -220,6 +224,18 @@ class TestInputContract:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_resolution_in_config(self, tmp_path):
+        """validate and scenario --config reject a coarse grid with the same text."""
+        path = tmp_path / "cfg.json"
+        params = {"m": 2, "hbar": 1.0}
+        cfg = {"family": "scr", "parameters": params, "oracle": True, "resolution": 4}
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("validate", str(path), check=False)
+        assert proc.returncode == 1 and proc.stdout == f"{RESOLUTION} 4\n"
+        scenario = run_cli("scenario", "--config", str(path), check=False)
+        assert scenario.returncode == 1 and scenario.stdout == ""
+        assert scenario.stderr == f"error: {RESOLUTION} 4\n"
 
 
 class TestRegistry:
@@ -258,6 +274,36 @@ class TestRegistry:
                     assert entry["oracle_delta"] <= 1e-5, where
                     keys = RELATIONS[entry["relation"]][1]
                     assert any(key in entry["oracle"] for key in keys), where
+
+    def test_only_gives_reason(self, reports):
+        """A row whose ``only`` leaves out the state's family reports exactly
+        its reason; every other row gives a report with numbers."""
+        from angulab.cli import RELATIONS
+
+        family_of = {"scr": "periodic", "qtp": "oscillator", "sphere": "sphere"}
+        for family, entries in reports.items():
+            for entry in entries:
+                only = RELATIONS[entry["relation"]].only
+                if only is not None and family_of[family] not in only[0]:
+                    assert entry == {
+                        "relation": entry["relation"],
+                        "status": "not-applicable",
+                        "reason": only[1],
+                    }, family
+                elif entry["relation"] != "decomposition":
+                    assert "status" not in entry and "lhs" in entry, (family, entry["relation"])
+
+    def test_evaluator_errors_propagate(self, monkeypatch):
+        """A failing evaluator raises; it is never turned into not-applicable."""
+        from angulab import relations, states
+        from angulab.cli import evaluate_relation
+
+        def broken(*args):
+            raise TypeError("unsupported operand type(s) for +: 'RelationReport' and 'int'")
+
+        monkeypatch.setattr(relations, "csf", broken)
+        with pytest.raises(TypeError):
+            evaluate_relation("csf", states.scr_eigenstate(2))
 
     def test_one_set_of_names(self):
         from angulab import oracle
@@ -346,7 +392,7 @@ class TestSharedLifted:
         state = self._states()[label]
         names = list(RELATIONS)
         fresh = {name: evaluate_relation(name, state) for name in names}
-        assert sum(entry.get("status") != "not-applicable" for entry, _ in fresh.values()) >= 9
+        assert sum(entry.get("status") != "not-applicable" for entry in fresh.values()) >= 9
         for order in (names, names[::-1]):
             shared = operators.Lifted(state)
             for name in order:
@@ -354,7 +400,7 @@ class TestSharedLifted:
 
     def test_apply_calls_per_state(self, monkeypatch):
         """The 13 spectral relations on one state act with an operator at
-        most 16 times: every relation reads the same ``A psi`` and pair
+        most 11 times: every relation reads the same ``A psi`` and pair
         products.  ``apply`` is counted in every namespace that binds it."""
         import angulab
         from angulab import cli, operators, oracle, relations
@@ -375,7 +421,7 @@ class TestSharedLifted:
         for label, state in self._states().items():
             calls.clear()
             cli._evaluate_state(state, names, False, None)
-            assert 0 < len(calls) <= 16, (label, len(calls))
+            assert 0 < len(calls) <= 11, (label, len(calls))
 
 
 class TestSchema:

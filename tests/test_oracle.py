@@ -209,7 +209,7 @@ class TestSharedSample:
         names = [
             name
             for name in oracle.RELATION_VALUES
-            if evaluate_relation(name, state)[0].get("status") != "not-applicable"
+            if evaluate_relation(name, state).get("status") != "not-applicable"
         ]
         assert len(names) >= 9
         fresh = {name: oracle.relation_values(oracle.Sampled(state, grid), name) for name in names}
