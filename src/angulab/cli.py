@@ -257,11 +257,10 @@ def _oracle_annotate(entry, sampled, name):
     """Attach the oracle's parallel values and their maximum deviation."""
     if entry.get("status") == "not-applicable":
         return entry
-    try:
-        ovals = oracle.relation_values(sampled, name)
-    except (ValueError, TypeError) as exc:
-        entry["oracle"] = {"unavailable": str(exc)}
+    if name not in oracle.RELATION_VALUES:
+        entry["oracle"] = {"unavailable": f"relation_values: no grid oracle for relation {name!r}"}
         return entry
+    ovals = oracle.relation_values(sampled, name)
     delta = 0.0
     for key in RELATIONS[name][1]:
         if key in ovals:

@@ -1,5 +1,6 @@
 """Brute-force grid oracle: every inner product, moment, and mismatch
-recomputed from dense samples, never from the spectral matrices.
+recomputed from samples of the wave function, never from the spectral
+matrices.
 
 Derivatives use fourth-order central differences in the interior and
 one-sided stencils at the extremities of the range; the circle is treated
@@ -9,6 +10,11 @@ one-sided-derivative reading of the commutation relation there.
 Quadrature is the uniform midpoint rule on the circle (and in the sphere's
 azimuthal direction), the plain uniform rule on a truncated line where
 the integrands have Gaussian tails, and Gauss-Legendre in cos(theta).
+Every observable acts along phi alone, so a sphere state
+sum_m theta_lm(theta) c_m e^{i m phi} / sqrt(2 pi) is kept as its phi
+factor, one row c_m e^{i m phi} / sqrt(2 pi) per m, and theta is
+integrated through the Gram matrix of the sampled theta_lm under the
+oracle's own Gauss-Legendre rule (``theta_gram``).
 
 ``relation_values`` reads a registry relation, looked up by name in
 ``RELATION_VALUES``, from a ``Sampled``: one state sampled once, keeping
@@ -21,6 +27,7 @@ from ``relations``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,20 +89,32 @@ def total_weight(grid):
     return float(np.sum(grid.theta_rule.weights) * grid.phi_grid.spacing * grid.phi_grid.points.size)
 
 
+@lru_cache(maxsize=16)
+def theta_gram(l, n_theta):
+    """G[m, m'] = sum_i w_i theta_lm(theta_i) theta_lm'(theta_i) over the
+    n_theta-node Gauss-Legendre rule in cos(theta), rows m = -l..l;
+    memoized per (l, n_theta) and shared, so it is read-only."""
+    rule = specfun.gauss_legendre(n_theta)
+    table = specfun.theta_lm_table(l, np.arccos(rule.nodes))
+    gram = (table * rule.weights) @ table.T
+    gram.flags.writeable = False
+    return gram
+
+
 def sample(state, grid):
-    """Wave-function samples on the grid (2D array for the sphere)."""
+    """Wave-function samples on the grid; on the sphere the phi factor
+    only, a (2l + 1, n_phi) array with row m = -l..l holding
+    c_m e^{i m phi} / sqrt(2 pi)."""
     if isinstance(grid, Grid1D):
         return states.evaluate(state, grid.points)
-    theta = np.arccos(grid.theta_rule.nodes)
-    table = specfun.theta_lm_table(state.l, theta)
     m = np.arange(-state.l, state.l + 1)
-    phases = np.exp(1j * m[:, None] * grid.phi_grid.points[None, :])
     c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
-    return np.einsum("m,mi,mj->ij", c, table, phases) / np.sqrt(TWO_PI)
+    return c[:, None] * np.exp(1j * m[:, None] * grid.phi_grid.points) / np.sqrt(TWO_PI)
 
 
 def quad_inner(f, g, grid):
-    """(f, g) = sum w conj(f) g over the grid."""
+    """(f, g) = sum w conj(f) g over the grid; on the sphere, for phi rows
+    as ``sample`` gives them, h_phi sum conj(f) (G g) with G = theta_gram."""
     f = np.asarray(f)
     g = np.asarray(g)
     if f.shape != g.shape:
@@ -104,8 +123,10 @@ def quad_inner(f, g, grid):
         if f.shape != grid.points.shape:
             raise ValueError("quad_inner: sample length does not match the grid")
         return complex(grid.spacing * np.sum(np.conj(f) * g))
-    w_theta = grid.theta_rule.weights
-    return complex(grid.phi_grid.spacing * np.sum(w_theta @ (np.conj(f) * g)))
+    if f.ndim != 2 or f.shape[0] % 2 == 0 or f.shape[1] != grid.phi_grid.points.size:
+        raise ValueError("quad_inner: sphere samples must be 2l + 1 rows over the phi grid")
+    gram = theta_gram(f.shape[0] // 2, grid.theta_rule.nodes.size)
+    return complex(grid.phi_grid.spacing * np.sum(np.conj(f) * (gram @ g)))
 
 
 _FD_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0

@@ -305,6 +305,20 @@ class TestRegistry:
         with pytest.raises(TypeError):
             evaluate_relation("csf", states.scr_eigenstate(2))
 
+    def test_oracle_errors_propagate(self, monkeypatch):
+        """A failing grid oracle raises under --oracle; only a relation with
+        no ``RELATION_VALUES`` row is reported unavailable."""
+        from angulab import oracle
+        from angulab.cli import run_scenario
+
+        def broken(sampled):
+            raise TypeError("unsupported operand type(s) for +: 'dict' and 'int'")
+
+        monkeypatch.setitem(oracle.RELATION_VALUES, "csf", broken)
+        config = {"family": "scr", "parameters": {"m": 2}, "relations": ["csf"], "oracle": True}
+        with pytest.raises(TypeError):
+            run_scenario(config)
+
     def test_one_set_of_names(self):
         from angulab import oracle
         from angulab.cli import RELATION_REGISTRY, emit_schema

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from angulab import oracle
+from angulab import oracle, specfun
 from angulab.oracle import (
     Grid1D,
     circle_grid,
@@ -22,6 +22,22 @@ from angulab.states import (
 
 PI = np.pi
 TWO_PI = 2 * np.pi
+
+
+def _dense_sample(state, grid):
+    """Reference: psi(theta_i, phi_j) on the full (n_theta, n_phi) tensor grid."""
+    theta = np.arccos(grid.theta_rule.nodes)
+    table = specfun.theta_lm_table(state.l, theta)
+    m = np.arange(-state.l, state.l + 1)
+    phases = np.exp(1j * m[:, None] * grid.phi_grid.points[None, :])
+    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
+    return np.einsum("m,mi,mj->ij", c, table, phases) / np.sqrt(TWO_PI)
+
+
+def _dense_quad_inner(f, g, grid):
+    """Reference: Gauss-Legendre weights in theta times the midpoint rule in phi."""
+    w_theta = grid.theta_rule.weights
+    return complex(grid.phi_grid.spacing * np.sum(w_theta @ (np.conj(f) * g)))
 
 
 class TestGrids:
@@ -66,6 +82,14 @@ class TestQuadInner:
         g = circle_grid(512)
         with pytest.raises(ValueError):
             quad_inner(np.ones(3), np.ones(3), g)
+
+    @pytest.mark.parametrize(
+        "shape", [(64,), (2, 64), (4, 64), (3, 32), (3, 65)], ids=lambda s: "x".join(map(str, s))
+    )
+    def test_sphere_shape_mismatch(self, shape):
+        g = sphere_grid(16, 64)
+        with pytest.raises(ValueError):
+            quad_inner(np.ones(shape), np.ones(shape), g)
 
 
 class TestNumericDerivative:
@@ -178,6 +202,48 @@ class TestOracleReports:
         r = csf(LZ, PHI, s)
         assert o["lhs"] == pytest.approx(r.lhs, abs=2e-6)
         assert o["rhs"] == pytest.approx(r.rhs, abs=2e-6)
+
+
+class TestFactoredSphere:
+    """The sphere oracle keeps a state's phi factor, one row per m, and
+    integrates theta through ``theta_gram``: by linearity that is the dense
+    tensor-grid oracle summed in another order, so every registry value
+    agrees with the dense reference up to rounding."""
+
+    @pytest.mark.parametrize("l", range(5))
+    def test_matches_dense_reference(self, monkeypatch, l):
+        state = random_sphere(np.random.default_rng(700 + l), l, hbar=1.7)
+        grid = oracle.default_grid(state, 1024)
+        # boundary extrapolates psi(2 pi - 0) on a circle grid; the sphere has none
+        names = [name for name in oracle.RELATION_VALUES if name != "boundary"]
+        factored = {name: oracle.relation_values(oracle.Sampled(state, grid), name) for name in names}
+        monkeypatch.setattr(oracle, "sample", _dense_sample)
+        monkeypatch.setattr(oracle, "quad_inner", _dense_quad_inner)
+        dense = oracle.Sampled(state, grid)
+        assert dense.psi.shape == (grid.theta_rule.nodes.size, grid.phi_grid.points.size)
+        for name in names:
+            want = oracle.relation_values(dense, name)
+            got = factored[name]
+            assert list(got) == list(want), name
+            for key in want:
+                g, w = np.asarray(got[key]), np.asarray(want[key])
+                bound = np.maximum(1e-10, 1e-9 * np.abs(w))
+                assert np.all(np.abs(g - w) <= bound), (name, key, g, w)
+
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_phi_rows(self, l):
+        s = oracle.Sampled(random_sphere(np.random.default_rng(l), l))
+        assert s.psi.shape == (2 * l + 1, oracle.DEFAULT_SPHERE_PHI)
+
+    @pytest.mark.parametrize("l", [0, 1, 4])
+    def test_theta_gram(self, l):
+        gram = oracle.theta_gram(l, oracle.DEFAULT_SPHERE_THETA)
+        assert gram.shape == (2 * l + 1, 2 * l + 1)
+        assert np.allclose(gram, gram.T, rtol=0.0, atol=1e-15)
+        assert not gram.flags.writeable
+        assert np.linalg.matrix_rank(gram) == l + 1  # theta_l,-m = +-theta_lm
+        assert np.allclose(np.diag(gram), 1.0, rtol=0.0, atol=1e-13)
+        assert oracle.theta_gram(l, oracle.DEFAULT_SPHERE_THETA) is gram
 
 
 class TestSharedSample:
