@@ -35,8 +35,12 @@ alike, so they commute with R, and every inner product is the plain sum
 over rows and depth pairs (d, e) of (u_d, phi^{d+e} v_e) with no overlap
 operand.
 
-``Lifted`` lifts a state once and memoizes what every relation reads from it:
-A psi, means, deviations and the pair products of A psi, B psi and psi.
+Every ket owns a memo dict.  ``Lifted`` is a view of a state and its ket
+that fills the ket's memo with what every relation reads: A psi, means,
+deviations, standard deviations and the pair products of A psi, B psi and
+psi.  Every ``Lifted`` of the same ket, and so every relation called on that
+ket, shares those values; ket coefficients are read-only so that the memo
+cannot go stale.
 """
 
 from dataclasses import dataclass
@@ -179,13 +183,15 @@ class FourierKet:
     product is a plain sum over rows.  No operator mixes rows.
     """
 
-    __slots__ = ("coeffs", "kmax", "hbar", "l")
+    __slots__ = ("coeffs", "kmax", "hbar", "l", "memo")
 
     def __init__(self, coeffs, kmax, hbar, l=None):
+        coeffs.setflags(write=False)
         self.coeffs = coeffs  # shape (rows, D+1, 2*kmax+1), complex
         self.kmax = kmax
         self.hbar = hbar
         self.l = l
+        self.memo = {}  # filled by Lifted
 
     @property
     def family(self):
@@ -271,14 +277,16 @@ def _embed(ket, depth, kmax):
 class LineKet:
     """Hermite-band vector with the pendulum's scale parameters attached."""
 
-    __slots__ = ("coeffs", "lam", "hbar", "inertia", "frequency")
+    __slots__ = ("coeffs", "lam", "hbar", "inertia", "frequency", "memo")
 
     def __init__(self, coeffs, lam, hbar, inertia, frequency):
+        coeffs.setflags(write=False)
         self.coeffs = coeffs  # shape (K,), complex
         self.lam = lam
         self.hbar = hbar
         self.inertia = inertia
         self.frequency = frequency
+        self.memo = {}  # filled by Lifted
 
     @property
     def family(self):
@@ -425,26 +433,33 @@ def inner_product(x, y):
 
 
 class Lifted:
-    """One state lifted once: ``state``, its ket ``psi``, and each value below,
-    computed on first use and memoized per observable (object or tag) or pair."""
+    """A view of one state and its ket ``psi``.
+
+    Each value below is computed on first use and memoized per observable
+    (object or tag) or pair in ``psi.memo``, the ket's own dict, so every
+    ``Lifted`` of the same ket reads the values any of them computed.
+    """
+
+    __slots__ = ("state", "psi", "_memo")
 
     def __init__(self, state):
         self.state = state
         self.psi = lift(state)
-        self._memo = {}
-
-    def _get(self, key, compute):
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        self._memo = self.psi.memo
 
     def acted(self, a):
         """A psi."""
-        return self._get(("A", a), lambda: apply(a, self.psi))
+        val = self._memo.get(("A", a))
+        if val is None:
+            val = self._memo["A", a] = apply(a, self.psi)
+        return val
 
     def mean(self, a):
         """<A> = (psi, A psi); rejects non-Hermitian observables."""
-        return self._get(("mean", a), lambda: self._mean(resolve_observable(a)))
+        val = self._memo.get(("mean", a))
+        if val is None:
+            val = self._memo["mean", a] = self._mean(resolve_observable(a))
+        return val
 
     def _mean(self, obs):
         if not obs.hermitian:
@@ -460,25 +475,38 @@ class Lifted:
 
     def deviation(self, a):
         """The deviation ket dA psi = A psi - <A> psi."""
-        return self._get(("dA", a), lambda: self.acted(a).plus(self.psi.scaled(-self.mean(a))))
+        val = self._memo.get(("dA", a))
+        if val is None:
+            val = self._memo["dA", a] = self.acted(a).plus(self.psi.scaled(-self.mean(a)))
+        return val
 
     def std(self, a):
         """Standard deviation, the norm of the deviation ket."""
-        return self._get(("std", a), lambda: self.deviation(a).norm())
+        val = self._memo.get(("std", a))
+        if val is None:
+            val = self._memo["std", a] = self.deviation(a).norm()
+        return val
 
     def cross(self, a, b):
         """(dA psi, dB psi)."""
-        return self._get(("dA,dB", a, b), lambda: self.deviation(a).inner(self.deviation(b)))
+        val = self._memo.get(("dA,dB", a, b))
+        if val is None:
+            val = self._memo["dA,dB", a, b] = self.deviation(a).inner(self.deviation(b))
+        return val
 
     def expect2(self, a, b):
         """(psi, A B psi)."""
-        return self._get(("AB", a, b), lambda: self.psi.inner(apply(a, self.acted(b))))
+        val = self._memo.get(("AB", a, b))
+        if val is None:
+            val = self._memo["AB", a, b] = self.psi.inner(apply(a, self.acted(b)))
+        return val
 
     def mismatch(self, a, b):
         """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
-        return self._get(
-            ("A,B", a, b), lambda: self.acted(a).inner(self.acted(b)) - self.expect2(a, b)
-        )
+        val = self._memo.get(("A,B", a, b))
+        if val is None:
+            val = self._memo["A,B", a, b] = self.acted(a).inner(self.acted(b)) - self.expect2(a, b)
+        return val
 
 
 def lifted(state):

@@ -200,6 +200,23 @@ def _unfolded_sphere_ket(state):
     return FourierKet(coeffs, kmax, state.hbar, l)
 
 
+class TestReadOnlyCoeffs:
+    """Kets memoize what is read from them, so their coefficients are frozen."""
+
+    @pytest.mark.parametrize(
+        "state",
+        [scr_eigenstate(2), qtp_eigenstate(1), sphere_state(2, {0: 1.0, 1: 1j})],
+        ids=["periodic", "oscillator", "sphere"],
+    )
+    def test_in_place_write_raises(self, state):
+        ket = lift(state)
+        with pytest.raises(ValueError):
+            ket.coeffs[...] = 0.0
+        for obs in ALL_OBS:
+            with pytest.raises(ValueError):
+                apply(obs, ket).coeffs.flat[0] = 1.0
+
+
 class TestFourierInnerKernel:
     WIDE = trig_observable("wide", {2: 0.3 - 0.1j, -1: 0.5j, 0: 0.2})
     CHAINS = (

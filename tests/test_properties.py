@@ -17,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from angulab import operators, states  # noqa: E402
 from angulab.cli import GRAM_SET, RELATIONS, evaluate_relation  # noqa: E402
-from angulab.operators import COS_PHI, LZ, PHI, SIN_PHI  # noqa: E402
+from angulab.operators import COS_PHI, LZ, PHI, PHI2, SIN_PHI  # noqa: E402
 from angulab.relations import TOL_GRAM, TOL_IDENTITY, TOL_INEQUALITY, csf, gram_det  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -84,3 +84,36 @@ def test_shared_lifted_equals_fresh(state, order):
     shared = operators.Lifted(state)
     for name in order:
         assert evaluate_relation(name, shared) == evaluate_relation(name, state), name
+
+
+READS = {"acted": 1, "mean": 1, "std": 1, "cross": 2, "expect2": 2, "mismatch": 2}  # arity
+
+
+def _value(lf, read, obs):
+    """One memoized read; an acted ket compares by its coefficients."""
+    val = getattr(lf, read)(*obs)
+    return (val.coeffs.shape, val.coeffs.tobytes()) if read == "acted" else val
+
+
+@PROPERTY
+@given(
+    random_states(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(sorted(READS)),
+            st.lists(st.sampled_from((LZ, PHI, PHI2, SIN_PHI, COS_PHI)), min_size=2, max_size=2),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+)
+def test_views_of_one_ket_equal_fresh(state, reads):
+    """Reads through two ``Lifted`` views of one ket, interleaved in any
+    order, equal each read on a freshly lifted state."""
+    ket = operators.lift(state)
+    views = (operators.Lifted(ket), operators.Lifted(ket))
+    for read, obs, second in reads:
+        obs = obs[: READS[read]]
+        got = _value(views[second], read, obs)
+        assert got == _value(operators.Lifted(state), read, obs), (read, [o.tag for o in obs])

@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from angulab.operators import COS_PHI, HAMILTONIAN, LZ, PHI, SIN_PHI, UnsupportedObservable
+from angulab.operators import COS_PHI, HAMILTONIAN, LZ, PHI, SIN_PHI, UnsupportedObservable, lift
 from angulab.relations import (
     EQ8_SIN,
     AdjustedRelation,
@@ -22,6 +24,7 @@ from angulab.states import (
     qtp_eigenstate,
     random_oscillator,
     random_periodic,
+    random_sphere,
     scr_eigenstate,
     sphere_state,
 )
@@ -278,3 +281,43 @@ class TestReportConventions:
         mm = adjointness_mismatch(LZ, PHI, scr_eigenstate(1)).to_json()
         assert mm["max_modulus"] == pytest.approx(1.0, abs=1e-12)
         assert mm["entries"][0][1]["im"] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSharedKet:
+    """Every relation called on one lifted ket reads the same memo: the
+    pair sweep's csf and rsur calls give exactly the reports of a fresh ket
+    per call, in either pair order, and act with each operator product once."""
+
+    PAIRS = tuple(itertools.combinations((LZ, PHI, SIN_PHI, COS_PHI), 2))
+    LABELS = ("random periodic", "random oscillator", "random sphere l=2")
+
+    @staticmethod
+    def _states():
+        rng = np.random.default_rng(808)
+        return {
+            "random periodic": random_periodic(rng),
+            "random oscillator": random_oscillator(rng, inertia=1.3, frequency=0.8),
+            "random sphere l=2": random_sphere(rng, 2),
+        }
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_shared_equals_fresh(self, label):
+        state = self._states()[label]
+        fresh = {
+            (a, b): (csf(a, b, lift(state)), rsur(a, b, lift(state))) for a, b in self.PAIRS
+        }
+        ket = lift(state)
+        for pairs in (self.PAIRS, self.PAIRS[::-1]):
+            for a, b in pairs:
+                assert (csf(a, b, ket), rsur(a, b, ket)) == fresh[a, b], (label, a.tag, b.tag)
+
+    def test_apply_calls_per_ket(self, apply_calls):
+        """The 12 pair-sweep calls on one ket act at most 20 times: A psi for
+        the 4 observables and A B psi for the 16 ordered pairs of them."""
+        for label, state in self._states().items():
+            ket = lift(state)
+            apply_calls.clear()
+            for a, b in self.PAIRS:
+                csf(a, b, ket)
+                rsur(a, b, ket)
+            assert 0 < len(apply_calls) <= 20, (label, len(apply_calls))
