@@ -6,7 +6,12 @@ ranges or seeded random states), ``validate`` (config file diagnostics),
 
 Exit codes: 0 the run completed (inequality verdicts are data, not
 failures) or stdout was closed early, as by ``| head``; 1 configuration
-error; 2 a non-finite value was produced.
+error; 2 the report holds a non-finite number anywhere, ``details``
+included, whatever the ``--format``; nothing then goes to stdout, and
+stderr names the number's path.
+
+``main`` can run many times in one process; it reuses one argument parser
+per process.
 
 Random sweeps draw from numpy's PCG64 (``np.random.default_rng(seed)``)
 with a fixed draw order, so a seed pins the byte content of the report.
@@ -14,8 +19,10 @@ with a fixed draw order, so a seed pins the byte content of the report.
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -90,7 +97,7 @@ def _checked(make, *args):
     if state.family == "oscillator":
         constants.update(J=state.inertia, omega=state.frequency)
     for key, val in constants.items():
-        if not (np.isfinite(val) and val > 0):
+        if not (math.isfinite(val) and val > 0):
             raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
     return state
 
@@ -346,7 +353,9 @@ def _add_common(sub):
     sub.add_argument("--resolution", type=int, default=None, help="grid resolution override")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="angulab",
         description="Uncertainty-relation checks for the angular momentum / azimuthal angle pair",
@@ -602,34 +611,56 @@ def _sweep_csv(doc, oracle_enabled):
     return buf.getvalue()
 
 
-def _check_finite(obj, path="report"):
+def _check_finite(obj):
+    """Raise ArithmeticError naming the first non-finite float in ``obj``;
+    the walk builds no path until a value fails."""
+    stack = [obj]
+    while stack:
+        val = stack.pop()
+        if isinstance(val, dict):
+            stack.extend(val.values())
+        elif isinstance(val, (list, tuple)):
+            stack.extend(val)
+        elif isinstance(val, float) and not math.isfinite(val):
+            _name_non_finite(obj, "report")
+
+
+def _name_non_finite(obj, path):
     if isinstance(obj, dict):
         for key, val in obj.items():
-            _check_finite(val, f"{path}.{key}")
+            _name_non_finite(val, f"{path}.{key}")
     elif isinstance(obj, (list, tuple)):
         for i, val in enumerate(obj):
-            _check_finite(val, f"{path}[{i}]")
-    elif isinstance(obj, float) and not np.isfinite(obj):
+            _name_non_finite(val, f"{path}[{i}]")
+    elif isinstance(obj, float) and not math.isfinite(obj):
         raise ArithmeticError(f"non-finite value at {path}")
 
 
+def _dumps(doc):
+    """``doc`` as indented JSON, or ArithmeticError naming a non-finite float:
+    the indenting encoder already tests each float, so success costs no walk."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        _name_non_finite(doc, "report")
+        raise
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "scenario":
             config = _config_from_args(args)
-            doc = run_scenario(config)
-            _check_finite(doc)
-            print(json.dumps(doc, sort_keys=True, indent=2))
+            print(_dumps(run_scenario(config)))
             return 0
         if args.command == "sweep":
             doc = run_sweep(args)
-            _check_finite(doc)
             if args.format == "csv":
+                # CSV leaves out details, but the whole report is held to the check
+                _check_finite(doc)
                 sys.stdout.write(_sweep_csv(doc, args.oracle))
             else:
-                print(json.dumps(doc, sort_keys=True, indent=2))
+                print(_dumps(doc))
             return 0
         if args.command == "validate":
             diags = validate_config(args.path)

@@ -27,6 +27,7 @@ Central objects:
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +51,7 @@ TOL_COMMUTATOR = 1e-6
 
 
 def _cnum(z):
-    return {"re": float(np.real(z)), "im": float(np.imag(z))}
+    return {"re": float(z.real), "im": float(z.imag)}
 
 
 @dataclass
@@ -110,12 +111,12 @@ def identity_report(name, deviation, tolerance, details):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MismatchMatrix:
     entries: np.ndarray
     observables: list
 
-    @property
+    @cached_property
     def max_modulus(self):
         return float(np.max(np.abs(self.entries)))
 

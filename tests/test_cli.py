@@ -459,6 +459,68 @@ class TestExitCodes:
         with pytest.raises(ArithmeticError):
             _check_finite({"bad": {"deep": float("inf")}})
 
+    @pytest.mark.parametrize(
+        "argv, at",
+        [
+            (("sweep", "scr", "--random", "2"), "report.items[0].reports[1]"),
+            (("sweep", "scr", "--random", "2", "--format", "csv"), "report.items[0].reports[1]"),
+            (("scenario", "sphere", "--l", "1"), "report.reports[1]"),
+        ],
+        ids=["sweep-json", "sweep-csv", "scenario"],
+    )
+    @pytest.mark.parametrize("key", ["lhs", "details.min_eigenvalue"])
+    def test_non_finite_exits_2(self, monkeypatch, capsys, argv, at, key):
+        """A NaN anywhere in the report, in a printed field or in a details key
+        that CSV leaves out, exits 2 with nothing on stdout and one line
+        naming its path."""
+        from angulab import cli
+
+        gram = cli.RELATIONS["gram"]
+
+        def planted(lf, resolution):
+            entry = gram.evaluate(lf, resolution)
+            if key == "lhs":
+                entry["lhs"] = float("nan")
+            else:
+                entry["details"]["min_eigenvalue"] = float("nan")
+            return entry
+
+        monkeypatch.setitem(cli.RELATIONS, "gram", gram._replace(evaluate=planted))
+        assert cli.main([*argv, "--relations", "csf,gram"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numerical failure: non-finite value at {at}.{key}\n"
+
+    def test_parser_built_once(self):
+        from angulab import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize(
+        "first, code, second",
+        [
+            (
+                ("sweep", "qtp", "--random", "3", "--seed", "5", "--oracle", "--format", "csv",
+                 "--hbar", "3.7"),
+                0,
+                ("sweep", "qtp", "--random", "3", "--seed", "5"),
+            ),
+            (("scenario", "sphere", "--m", "1"), 1, ("scenario", "sphere", "--l", "2", "--m", "1")),
+        ],
+        ids=["sweep-after-sweep", "scenario-after-rejected"],
+    )
+    def test_parser_keeps_no_state(self, capsys, first, code, second):
+        """The cached parser carries nothing from one in-process run to the
+        next: the second run prints what a fresh process prints."""
+        from angulab import cli
+
+        assert cli.main(list(first)) == code
+        capsys.readouterr()
+        assert cli.main(list(second)) == 0
+        out, err = capsys.readouterr()
+        fresh = run_cli(*second)
+        assert (out, err) == (fresh.stdout, fresh.stderr)
+
     def test_validate_config_helper(self, tmp_path):
         from angulab.cli import validate_config
 
