@@ -77,7 +77,7 @@ def _make_state(family, params):
             raise ConfigError("custom family needs --coeffs <json-file>")
         try:
             return states.load(path)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load state from {path}: {exc}") from None
     raise ConfigError(f"unknown family {family!r}")
 
@@ -226,11 +226,19 @@ RELATIONS = {
 RELATION_REGISTRY = tuple(RELATIONS)
 
 
+def _relation_diags(names):
+    """Diagnostics for a list of relation names: empty, or naming unknown ones."""
+    if not names:
+        return ["--relations names no relation"]
+    return [f"unknown relation {name!r}" for name in names if name not in RELATIONS]
+
+
 def _check_relations(names):
-    """Return ``names``; raise ConfigError on the first one not in the registry."""
-    for name in names:
-        if name not in RELATIONS:
-            raise ConfigError(f"unknown relation {name!r}")
+    """Return ``names``; raise ConfigError if the list is empty or names an
+    unknown relation."""
+    diags = _relation_diags(names)
+    if diags:
+        raise ConfigError(diags[0])
     return names
 
 
@@ -301,7 +309,8 @@ def run_scenario(config):
     """Evaluate one configured scenario into a report document."""
     family = config["family"]
     params = config.get("parameters", {})
-    names = _check_relations(config.get("relations") or DEFAULT_RELATIONS)
+    names = config.get("relations")
+    names = _check_relations(DEFAULT_RELATIONS if names is None else names)
     resolution = _check_resolution(config.get("resolution"))
     state = _build_state(family, params)
     reports, mismatch = _evaluate_state(state, names, config.get("oracle"), resolution)
@@ -427,16 +436,19 @@ def _config_from_args(args):
 
 
 def _read_coeff_file(path):
+    """{index: [re, im]} from a list of [m, re, im] rows, bare or under
+    "coefficients"; ConfigError for a file outside that format."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        if isinstance(doc, dict) and "coefficients" in doc:
+            doc = doc["coefficients"]
+        coeffs = {str(int(k)): [float(re), float(im)] for k, re, im in doc}
+        if not all(math.isfinite(x) for pair in coeffs.values() for x in pair):
+            raise ValueError("coefficients must be finite")
+    except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read coefficients {path}: {exc}") from None
-    if isinstance(doc, dict) and "coefficients" in doc:
-        entries = doc["coefficients"]
-    else:
-        entries = doc
-    return {str(int(k)): [float(re), float(im)] for k, re, im in entries}
+    return coeffs
 
 
 def validate_config(path):
@@ -476,7 +488,8 @@ def validate_config_doc(config):
             _build_state(family, params)
         except ConfigError as exc:
             diags.append(str(exc))
-    diags += [f"unknown relation {n!r}" for n in config.get("relations", []) if n not in RELATIONS]
+    if config.get("relations") is not None:
+        diags += _relation_diags(config["relations"])
     try:
         _check_resolution(config.get("resolution"))
     except ConfigError as exc:
@@ -516,7 +529,7 @@ def emit_schema():
         "properties": {
             "family": {"type": "string", "enum": list(FAMILIES)},
             "parameters": {"type": "object"},
-            "relations": {"type": "array", "items": {"type": "string"}},
+            "relations": {"type": "array", "items": {"type": "string"}, "minItems": 1},
             "oracle": {"type": "boolean"},
             "resolution": {"type": ["integer", "null"], "minimum": 8},
             "format": {"type": "string", "enum": ["json", "csv"]},

@@ -27,13 +27,18 @@ working dimension.
 
 Circle and sphere kets share one type with a leading row axis: one row on
 the circle, one per polar function theta_lm (m = -l..l) on the sphere at
-fixed l.  The theta factors enter only through their Gauss-Legendre overlap
-matrix O, which is positive semidefinite of rank l + 1.  Lifting a sphere
-state multiplies its rows once by the symmetric square root R of O
-(R R = O).  L_z, phi and trigonometric multiplication act on every row
-alike, so they commute with R, and every inner product is the plain sum
-over rows and depth pairs (d, e) of (u_d, phi^{d+e} v_e) with no overlap
-operand.
+fixed l.  Each ket stores only its own band of Fourier modes, lo .. lo +
+width - 1: a circle state's band runs from its lowest to its highest mode,
+a sphere state's from -l to l, and multiplication by a trigonometric
+polynomial widens the band by that polynomial's lowest and highest modes.
+The theta factors enter only through their Gauss-Legendre overlap matrix O,
+which is positive semidefinite of rank l + 1.  Lifting a sphere state
+multiplies its rows once by the symmetric square root R of O (R R = O).
+L_z, phi and trigonometric multiplication act on every row alike, so they
+commute with R, and every inner product is a plain sum over rows with no
+overlap operand: one matmul and one vdot against a cached metric whose
+blocks (e_i, phi^{d+e} e_j) depend only on the depths and the mode
+difference j - i, never on an absolute mode.
 
 Every ket owns a memo dict.  ``Lifted`` is a view of a state and its ket
 that fills the ket's memo with what every relation reads: A psi, means,
@@ -52,7 +57,6 @@ from . import specfun
 from .specfun import TWO_PI
 from .states import OscillatorState, PeriodicState, SphereState
 
-_KPAD = 4  # head-room in the Fourier band for trig multiplications
 _NPAD = 48  # head-room in the Hermite band; trig tails decay superfactorially
 _MEAN_IMAG_TOL = 1e-10
 
@@ -113,11 +117,8 @@ def resolve_observable(obs):
 # -- circle matrix elements ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _phi_power_block(power, kmax):
-    """(e_a, phi^power e_b) for a, b in [-kmax, kmax]; exactly Hermitian."""
-    k = np.arange(-kmax, kmax + 1)
-    s = k[None, :] - k[:, None]
+def _phi_power_entries(power, s):
+    """(e_a, phi^power e_b) over an integer array ``s`` of differences b - a."""
     out = np.zeros(s.shape, dtype=complex)
     diag = s == 0
     out[diag] = TWO_PI**power / (power + 1.0)
@@ -131,6 +132,31 @@ def _phi_power_block(power, kmax):
                 coef *= power - j + 1
             acc += (-1.0) ** j * coef * inv_is ** (j + 1) * TWO_PI ** (power - j - 1)
         out[~diag] = acc
+    return out
+
+
+@lru_cache(maxsize=None)
+def _phi_power_block(power, kmax):
+    """(e_a, phi^power e_b) for a, b in [-kmax, kmax]; exactly Hermitian."""
+    k = np.arange(-kmax, kmax + 1)
+    out = _phi_power_entries(power, k[None, :] - k[:, None])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _metric(da, wa, db, wb, shift):
+    """Gram matrix of a depth-da, width-wa band against a depth-db, width-wb one.
+
+    Entry [(d, i), (e, j)] is (e_i, phi^(d+e) e_{j+shift}): the second band
+    starts ``shift`` modes above the first.  Each block depends on the mode
+    difference j + shift - i only, so no absolute mode enters the key.
+    """
+    s = np.arange(shift - wa + 1, shift + wb)  # every difference j + shift - i
+    table = np.stack([_phi_power_entries(p, s) for p in range(da + db - 1)])
+    diff = np.arange(wb)[None, :] - np.arange(wa)[:, None] + wa - 1  # index into s
+    power = np.arange(da)[:, None] + np.arange(db)[None, :]
+    out = table[power[:, None, :, None], diff[None, :, None, :]].reshape(da * wa, db * wb)
     out.setflags(write=False)
     return out
 
@@ -176,19 +202,21 @@ def _theta_overlap_root(l):
 
 
 class FourierKet:
-    """Exact representation sum_d phi^d * (Fourier band) on [0, 2 pi), per row.
+    """Exact representation sum_d phi^d * sum_k u_{d k} e^{i k phi} on [0, 2 pi), per row.
 
-    A circle ket has one row; a sphere ket at fixed ``l`` has 2l+1 rows,
-    already multiplied by the root of the theta overlap, so the inner
-    product is a plain sum over rows.  No operator mixes rows.
+    ``coeffs[r, d, i]`` is u_{d k} of row r at mode k = lo + i: each ket
+    holds only its own band of modes lo .. lo + width - 1.  A circle ket has
+    one row; a sphere ket at fixed ``l`` has 2l+1 rows, already multiplied
+    by the root of the theta overlap, so the inner product is a plain sum
+    over rows.  No operator mixes rows.
     """
 
-    __slots__ = ("coeffs", "kmax", "hbar", "l", "memo")
+    __slots__ = ("coeffs", "lo", "hbar", "l", "memo")
 
-    def __init__(self, coeffs, kmax, hbar, l=None):
+    def __init__(self, coeffs, lo, hbar, l=None):
         coeffs.setflags(write=False)
-        self.coeffs = coeffs  # shape (rows, D+1, 2*kmax+1), complex
-        self.kmax = kmax
+        self.coeffs = coeffs  # shape (rows, depth, width), complex
+        self.lo = lo
         self.hbar = hbar
         self.l = l
         self.memo = {}  # filled by Lifted
@@ -197,52 +225,55 @@ class FourierKet:
     def family(self):
         return "periodic" if self.l is None else "sphere"
 
-    def _like(self, coeffs, kmax):
-        return FourierKet(coeffs, kmax, self.hbar, self.l)
+    def _like(self, coeffs, lo):
+        return FourierKet(coeffs, lo, self.hbar, self.l)
 
     def scaled(self, z):
-        return self._like(z * self.coeffs, self.kmax)
+        return self._like(z * self.coeffs, self.lo)
 
     def plus(self, other):
-        a, b, kmax = _align(self, other)
-        return self._like(a + b, kmax)
+        _check_space(self, other)
+        a, b = self.coeffs, other.coeffs
+        lo = min(self.lo, other.lo)
+        width = max(self.lo + a.shape[2], other.lo + b.shape[2]) - lo
+        out = np.zeros((a.shape[0], max(a.shape[1], b.shape[1]), width), dtype=complex)
+        for ket, c in ((self, a), (other, b)):
+            off = ket.lo - lo
+            out[:, : c.shape[1], off : off + c.shape[2]] += c
+        return self._like(out, lo)
 
     def lz(self):
         c = self.coeffs
-        k = np.arange(-self.kmax, self.kmax + 1)
+        k = self.lo + np.arange(c.shape[2])
         out = (self.hbar * k) * c.astype(complex)
         depth = c.shape[1]
         if depth > 1:
             d = np.arange(1, depth)[:, None]
             out[:, :-1] += -1j * self.hbar * d * c[:, 1:]
-        return self._like(out, self.kmax)
+        return self._like(out, self.lo)
 
     def mul_phi(self):
         rows, depth, width = self.coeffs.shape
         out = np.zeros((rows, depth + 1, width), dtype=complex)
         out[:, 1:] = self.coeffs
-        return self._like(out, self.kmax)
+        return self._like(out, self.lo)
 
     def mul_trig(self, fourier):
-        grow = max(abs(k) for k, _ in fourier)
-        kmax = self.kmax + grow
+        low = min(k for k, _ in fourier)
+        high = max(k for k, _ in fourier)
         rows, depth, width = self.coeffs.shape
-        out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
+        out = np.zeros((rows, depth, width + high - low), dtype=complex)
         for k, coef in fourier:
-            lo = grow + k
-            out[:, :, lo : lo + width] += coef * self.coeffs
-        return self._like(out, kmax)
+            out[:, :, k - low : k - low + width] += coef * self.coeffs
+        return self._like(out, self.lo + low)
 
     def inner(self, other):
-        a, b, kmax = _align(self, other)
-        total = 0.0 + 0.0j
-        for d in range(a.shape[1]):
-            for e in range(b.shape[1]):
-                if d + e == 0:
-                    total += np.vdot(a[:, d], b[:, e])
-                else:
-                    total += np.vdot(a[:, d], b[:, e] @ _phi_power_block(d + e, kmax).T)
-        return complex(total)
+        _check_space(self, other)
+        a, b = self.coeffs, other.coeffs
+        rows, da, wa = a.shape
+        _, db, wb = b.shape
+        metric = _metric(da, wa, db, wb, other.lo - self.lo)
+        return complex(np.vdot(a, b.reshape(rows, db * wb) @ metric.T))
 
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
@@ -255,23 +286,9 @@ def _space_error(x, y):
     )
 
 
-def _align(x, y):
-    """Both coefficient arrays on the common depth and band, and that band."""
+def _check_space(x, y):
     if type(y) is not FourierKet or x.l != y.l:
         raise _space_error(x, y)
-    kmax = max(x.kmax, y.kmax)
-    depth = max(x.coeffs.shape[1], y.coeffs.shape[1])
-    return _embed(x, depth, kmax), _embed(y, depth, kmax), kmax
-
-
-def _embed(ket, depth, kmax):
-    rows, d0, w0 = ket.coeffs.shape
-    if d0 == depth and ket.kmax == kmax:
-        return ket.coeffs
-    out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
-    off = kmax - ket.kmax
-    out[:, :d0, off : off + w0] = ket.coeffs
-    return out
 
 
 class LineKet:
@@ -374,11 +391,11 @@ def lift(state):
     if isinstance(state, (FourierKet, LineKet)):
         return state
     if isinstance(state, PeriodicState):
-        kmax = max(abs(m) for m in state.coefficients) + _KPAD
-        coeffs = np.zeros((1, 1, 2 * kmax + 1), dtype=complex)
+        lo = min(state.coefficients)
+        coeffs = np.zeros((1, 1, max(state.coefficients) - lo + 1), dtype=complex)
         for m, a in state.coefficients.items():
-            coeffs[0, 0, m + kmax] = a
-        return FourierKet(coeffs, kmax, state.hbar)
+            coeffs[0, 0, m - lo] = a
+        return FourierKet(coeffs, lo, state.hbar)
     if isinstance(state, OscillatorState):
         dim = max(state.coefficients) + 1 + _NPAD
         coeffs = np.zeros(dim, dtype=complex)
@@ -387,14 +404,12 @@ def lift(state):
         return LineKet(coeffs, state.scale, state.hbar, state.inertia, state.frequency)
     if isinstance(state, SphereState):
         l = state.l
-        kmax = l + _KPAD
         c = np.zeros(2 * l + 1, dtype=complex)
         for m, v in state.coefficients.items():
             c[m + l] = v
-        # row r holds sum_m root[r, m] c_m e^{i m phi}
-        coeffs = np.zeros((2 * l + 1, 1, 2 * kmax + 1), dtype=complex)
-        coeffs[:, 0, kmax - l : kmax + l + 1] = _theta_overlap_root(l) * c
-        return FourierKet(coeffs, kmax, state.hbar, l)
+        # row r holds sum_m root[r, m] c_m e^{i m phi}, on the band -l..l
+        coeffs = (_theta_overlap_root(l) * c)[:, None, :]
+        return FourierKet(coeffs, -l, state.hbar, l)
     raise TypeError(f"lift: unsupported state type {type(state)!r}")
 
 

@@ -58,6 +58,8 @@ def _normalized(coeffs):
     if not vals:
         raise ValueError("state coefficients are all zero")
     norm = np.sqrt(sum(abs(v) ** 2 for v in vals.values()))
+    if not np.isfinite(norm):
+        raise ValueError("state coefficients must be finite")
     return {k: v / norm for k, v in sorted(vals.items())}
 
 
@@ -197,6 +199,8 @@ def to_json(state):
 
 
 def from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError(f"from_json: expected a JSON object, got {type(doc).__name__}")
     family = doc.get("family")
     params = doc.get("params", {})
     coeffs = {int(k): complex(re, im) for k, re, im in doc.get("coefficients", [])}

@@ -186,6 +186,15 @@ class TestValidate:
 
 
 RESOLUTION = "resolution must be an integer >= 8, got"
+NO_RELATION = "--relations names no relation"
+SPHERE_COEFFS = ("scenario", "sphere", "--l", "1", "--coeffs")
+CUSTOM = ("scenario", "custom", "--coeffs")
+PERIODIC = '{"family": "periodic", "coefficients": %s}'
+SCR_CONFIG = {"family": "scr", "parameters": {"m": 1, "hbar": 1.0}}
+
+
+class File(str):
+    """A ``test_rejected`` argument that stands for a file holding this text."""
 
 
 class TestInputContract:
@@ -216,10 +225,34 @@ class TestInputContract:
             (("scenario", "scr", "--relations", "commutator", "--resolution", "4"), RESOLUTION),
             (("scenario", "scr", "--m", "2", "--oracle", "--resolution", "0"), RESOLUTION),
             (("sweep", "qtp", "--n", "0..2", "--oracle", "--resolution", "4"), RESOLUTION),
+            (SPHERE_COEFFS + (File("[[1, 2]]"),), "cannot read coefficients"),
+            (SPHERE_COEFFS + (File('[["x", 1, 0]]'),), "cannot read coefficients"),
+            (SPHERE_COEFFS + (File('{"coefficients": 5}'),), "cannot read coefficients"),
+            (SPHERE_COEFFS + (File("[[0, NaN, 0], [1, 1, 0]]"),), "coefficients must be finite"),
+            (CUSTOM + (File("[[0, 1, 0]]"),), "cannot load state from"),
+            (
+                CUSTOM + (File(PERIODIC % "[[0, 1, 0], [1, Infinity, 0]]"),),
+                "coefficients must be finite",
+            ),
+            (CUSTOM + (File(PERIODIC % "5"),), "cannot load state from"),
+            (("scenario", "scr", "--m", "1", "--relations", ""), NO_RELATION),
+            (("sweep", "scr", "--m=1..1", "--relations", ""), NO_RELATION),
+            (("sweep", "qtp", "--random", "2", "--relations", " , "), NO_RELATION),
+            (
+                ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "relations": []}))),
+                NO_RELATION,
+            ),
         ],
     )
-    def test_rejected(self, args, message):
-        proc = run_cli(*args, check=False)
+    def test_rejected(self, args, message, tmp_path):
+        argv = []
+        for i, arg in enumerate(args):
+            if isinstance(arg, File):
+                path = tmp_path / f"arg{i}.json"
+                path.write_text(arg)
+                arg = str(path)
+            argv.append(arg)
+        proc = run_cli(*argv, check=False)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and message in proc.stderr
@@ -236,6 +269,19 @@ class TestInputContract:
         scenario = run_cli("scenario", "--config", str(path), check=False)
         assert scenario.returncode == 1 and scenario.stdout == ""
         assert scenario.stderr == f"error: {RESOLUTION} 4\n"
+
+    def test_relations_in_config(self, tmp_path):
+        """An empty relation list is rejected by validate with the CLI's text;
+        an absent or null one means the default relations."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**SCR_CONFIG, "relations": []}))
+        proc = run_cli("validate", str(path), check=False)
+        assert proc.returncode == 1 and proc.stdout == f"{NO_RELATION}\n"
+        for doc in (SCR_CONFIG, {**SCR_CONFIG, "relations": None}):
+            path.write_text(json.dumps(doc))
+            assert run_cli("validate", str(path)).stdout == ""
+            reports = json.loads(run_cli("scenario", "--config", str(path)).stdout)["reports"]
+            assert [r["relation"] for r in reports] == ["csf", "rsur", "condition19", "moments"]
 
 
 class TestRegistry:
@@ -432,6 +478,7 @@ class TestSchema:
         assert doc["schema_version"] == 1
         assert "condition19" in doc["relation_report"]["properties"]["relation"]["enum"]
         assert doc["config"]["required"] == ["family", "parameters"]
+        assert doc["config"]["properties"]["relations"]["minItems"] == 1
 
 
 class TestExitCodes:

@@ -12,6 +12,7 @@ from angulab.operators import (
     SIN_PHI,
     FourierKet,
     UnsupportedObservable,
+    _metric,
     _phi_power_block,
     _theta_overlap,
     _theta_overlap_root,
@@ -164,10 +165,11 @@ class TestInnerProductAndMean:
 
 
 def _reference_inner(x, y):
-    """The unfolded inner product: per depth pair, the circle block loop on
-    one row, the theta-overlap einsum on sphere rows (coefficients not
-    multiplied by the overlap root)."""
-    kmax = max(x.kmax, y.kmax)
+    """The unfolded inner product: both kets on one symmetric band [-kmax,
+    kmax], then per depth pair the circle block loop on one row, the
+    theta-overlap einsum on sphere rows (coefficients not multiplied by the
+    overlap root)."""
+    kmax = max(max(abs(k.lo), abs(k.lo + k.coeffs.shape[2] - 1)) for k in (x, y))
     depth = max(x.coeffs.shape[1], y.coeffs.shape[1])
     a, b = (_reference_embed(k, depth, kmax) for k in (x, y))
     total = 0.0 + 0.0j
@@ -186,18 +188,18 @@ def _reference_inner(x, y):
 def _reference_embed(ket, depth, kmax):
     rows, d0, w0 = ket.coeffs.shape
     out = np.zeros((rows, depth, 2 * kmax + 1), dtype=complex)
-    off = kmax - ket.kmax
+    off = ket.lo + kmax
     out[:, :d0, off : off + w0] = ket.coeffs
     return out
 
 
 def _unfolded_sphere_ket(state):
     """Sphere ket with row m holding c_m e^{i m phi}, before the overlap root."""
-    l, kmax = state.l, state.l + 4
-    coeffs = np.zeros((2 * l + 1, 1, 2 * kmax + 1), dtype=complex)
+    l = state.l
+    coeffs = np.zeros((2 * l + 1, 1, 2 * l + 1), dtype=complex)
     for m, c in state.coefficients.items():
-        coeffs[m + l, 0, m + kmax] = c
-    return FourierKet(coeffs, kmax, state.hbar, l)
+        coeffs[m + l, 0, m + l] = c
+    return FourierKet(coeffs, -l, state.hbar, l)
 
 
 class TestReadOnlyCoeffs:
@@ -219,6 +221,7 @@ class TestReadOnlyCoeffs:
 
 class TestFourierInnerKernel:
     WIDE = trig_observable("wide", {2: 0.3 - 0.1j, -1: 0.5j, 0: 0.2})
+    RAISE = trig_observable("raise", {3: 0.4, 1: -0.2j})  # positive modes only
     CHAINS = (
         (),
         (LZ,),
@@ -257,10 +260,49 @@ class TestFourierInnerKernel:
             for got, want in self._pairs(lift(state), _unfolded_sphere_ket(state)):
                 assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            scr_eigenstate(64),
+            periodic_superposition({m: 1 + 0.1j * (m - 40) for m in range(40, 45)}),
+        ],
+        ids=["m=64", "m=40..44"],
+    )
+    def test_off_centre_circle_matches_block_loop(self, state):
+        ket = lift(state)
+        assert ket.coeffs.shape[2] == 1 + max(state.coefficients) - min(state.coefficients)
+        for got, want in self._pairs(ket, ket):
+            assert got == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("l", (1, 3))
+    def test_sphere_one_sided_multiplier(self, l):
+        state = random_sphere(np.random.default_rng(70 + l), l)
+        folded, unfolded = lift(state), _unfolded_sphere_ket(state)
+        up = self.RAISE
+        raised = apply(up, folded)  # the band -l..l grows to -l+1..l+3
+        assert (raised.lo, raised.coeffs.shape[2]) == (1 - l, 2 * l + 3)
+        chains = ((up,), (PHI, up), (up, LZ, SIN_PHI), (up, PHI, self.WIDE))
+        for ca in chains:
+            for cb in self.CHAINS + chains:
+                got = self._chain(folded, ca).inner(self._chain(folded, cb))
+                want = _reference_inner(self._chain(unfolded, ca), self._chain(unfolded, cb))
+                assert got == pytest.approx(want, rel=1e-12)
+
     def test_chains_reach_depth_three_and_grow_band(self):
         ket = self._chain(lift(sphere_state(2, {1: 1.0})), self.CHAINS[4])
         assert ket.coeffs.shape[1] == 4
-        assert ket.kmax == 2 + 4 + 1 + 2
+        # SIN_PHI widens [-2, 2] by one mode each side; WIDE by one below, two above
+        assert (ket.lo, ket.coeffs.shape[2]) == (-4, 10)
+
+    def test_metric_cache_holds_no_absolute_mode(self, capsys):
+        from angulab import cli
+
+        relations = "--relations=csf,rsur,condition19,moments,gram,eq9-trig,boundary"
+        assert cli.main(["sweep", "scr", "--m=0..4", relations]) == 0
+        size = _metric.cache_info().currsize
+        assert cli.main(["sweep", "scr", "--m=55..59", relations]) == 0
+        capsys.readouterr()
+        assert _metric.cache_info().currsize == size
 
     @pytest.mark.parametrize("l", range(7))
     def test_overlap_root_squares_to_overlap(self, l):

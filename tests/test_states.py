@@ -222,3 +222,15 @@ class TestJsonRoundTrip:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             from_json({"family": "nope", "params": {}, "coefficients": [[0, 1, 0]]})
+
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="expected a JSON object, got list"):
+            from_json([[0, 1, 0]])
+
+    @pytest.mark.parametrize("part", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_coefficient(self, part):
+        doc = {"family": "periodic", "params": {}, "coefficients": [[0, part, 0], [1, 1, 0]]}
+        with pytest.raises(ValueError, match="must be finite"):
+            from_json(doc)
+        with pytest.raises(ValueError, match="must be finite"):
+            sphere_state(1, {0: complex(0, part)})
