@@ -67,7 +67,9 @@ def _make_state(family, params):
         if "l" not in params:
             raise ConfigError("missing parameter 'l' for the sphere family")
         if "coefficients" in params:
-            coeffs = {int(k): complex(v[0], v[1]) for k, v in params["coefficients"].items()}
+            coeffs = {
+                states.mode_index(k): complex(v[0], v[1]) for k, v in params["coefficients"].items()
+            }
         else:
             coeffs = {int(params.get("m", 0)): 1.0}
         return states.sphere_state(int(params["l"]), coeffs, hbar=hbar)
@@ -227,7 +229,10 @@ RELATION_REGISTRY = tuple(RELATIONS)
 
 
 def _relation_diags(names):
-    """Diagnostics for a list of relation names: empty, or naming unknown ones."""
+    """Diagnostics for a list of relation names: not a list, empty, or naming
+    unknown ones."""
+    if not isinstance(names, (list, tuple)):
+        return [f"relations must be a list of relation names, got {names!r}"]
     if not names:
         return ["--relations names no relation"]
     return [f"unknown relation {name!r}" for name in names if name not in RELATIONS]
@@ -443,7 +448,7 @@ def _read_coeff_file(path):
             doc = json.load(fh)
         if isinstance(doc, dict) and "coefficients" in doc:
             doc = doc["coefficients"]
-        coeffs = {str(int(k)): [float(re), float(im)] for k, re, im in doc}
+        coeffs = {str(states.mode_index(k)): [float(re), float(im)] for k, re, im in doc}
         if not all(math.isfinite(x) for pair in coeffs.values() for x in pair):
             raise ValueError("coefficients must be finite")
     except (OSError, ValueError, TypeError) as exc:

@@ -40,16 +40,25 @@ overlap operand: one matmul and one vdot against a cached metric whose
 blocks (e_i, phi^{d+e} e_j) depend only on the depths and the mode
 difference j - i, never on an absolute mode.
 
-Every ket owns a memo dict.  ``Lifted`` is a view of a state and its ket
-that fills the ket's memo with what every relation reads: A psi, means,
-deviations, standard deviations and the pair products of A psi, B psi and
-psi.  Every ``Lifted`` of the same ket, and so every relation called on that
-ket, shares those values; ket coefficients are read-only so that the memo
-cannot go stale.
+Kets may carry leading axes that stack several kets on one band; every
+operator acts on each alike.  ``Lifted`` is a view of a state and its ket
+psi that answers every relation's reads from one stacked block per set of
+observables, kept in the ket's memo dict: psi and A psi for each observable
+on their common band, each observable applied once to the stack of A psi,
+and three contractions against the metric (a plain conj . x on the line)
+for the Gram matrix P = (A psi, B psi), the deviation Gram G = (dA psi,
+dB psi) from explicit deviation kets, and E = (psi, A B psi).  Means,
+standard deviations, cross terms and adjointness mismatches are index
+reads.  Reads among L_z, phi, sin phi and cos phi share one block; any
+other read gets a block of its own observables, so every value depends on
+the ket and the observables read only.  Every ``Lifted`` of the same ket,
+and so every relation called on that ket, shares the blocks; ket
+coefficients are read-only so that the memo cannot go stale.
 """
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,8 +78,7 @@ class UnsupportedObservable(ValueError):
 class Observable:
     """A named operator.
 
-    ``fourier`` marks multiplication by sum_k f_k e^{i k phi}; ``action``
-    is an optional custom coefficient-space action ket -> ket.  ``hermitian``
+    ``fourier`` marks multiplication by sum_k f_k e^{i k phi}.  ``hermitian``
     gates the mean / standard-deviation paths.  Observables compare and hash
     by identity, so memo lookups keyed on them stay cheap.
     """
@@ -78,7 +86,6 @@ class Observable:
     tag: str
     hermitian: bool = True
     fourier: tuple = None
-    action: object = None
 
     @property
     def label(self):
@@ -204,18 +211,19 @@ def _theta_overlap_root(l):
 class FourierKet:
     """Exact representation sum_d phi^d * sum_k u_{d k} e^{i k phi} on [0, 2 pi), per row.
 
-    ``coeffs[r, d, i]`` is u_{d k} of row r at mode k = lo + i: each ket
+    ``coeffs[..., r, d, i]`` is u_{d k} of row r at mode k = lo + i: each ket
     holds only its own band of modes lo .. lo + width - 1.  A circle ket has
     one row; a sphere ket at fixed ``l`` has 2l+1 rows, already multiplied
     by the root of the theta overlap, so the inner product is a plain sum
-    over rows.  No operator mixes rows.
+    over rows.  No operator mixes rows.  Leading axes, if any, stack kets on
+    one band; L_z, phi and trigonometric multiplication act on each alike.
     """
 
     __slots__ = ("coeffs", "lo", "hbar", "l", "memo")
 
     def __init__(self, coeffs, lo, hbar, l=None):
         coeffs.setflags(write=False)
-        self.coeffs = coeffs  # shape (rows, depth, width), complex
+        self.coeffs = coeffs  # shape (..., rows, depth, width), complex
         self.lo = lo
         self.hbar = hbar
         self.l = l
@@ -225,11 +233,11 @@ class FourierKet:
     def family(self):
         return "periodic" if self.l is None else "sphere"
 
-    def _like(self, coeffs, lo):
-        return FourierKet(coeffs, lo, self.hbar, self.l)
+    def _like(self, coeffs, lo=None):
+        return FourierKet(coeffs, self.lo if lo is None else lo, self.hbar, self.l)
 
     def scaled(self, z):
-        return self._like(z * self.coeffs, self.lo)
+        return self._like(z * self.coeffs)
 
     def plus(self, other):
         _check_space(self, other)
@@ -244,27 +252,28 @@ class FourierKet:
 
     def lz(self):
         c = self.coeffs
-        k = self.lo + np.arange(c.shape[2])
-        out = (self.hbar * k) * c.astype(complex)
-        depth = c.shape[1]
+        k = self.lo + np.arange(c.shape[-1])
+        out = (self.hbar * k) * c
+        depth = c.shape[-2]
         if depth > 1:
             d = np.arange(1, depth)[:, None]
-            out[:, :-1] += -1j * self.hbar * d * c[:, 1:]
-        return self._like(out, self.lo)
+            out[..., :-1, :] += -1j * self.hbar * d * c[..., 1:, :]
+        return self._like(out)
 
     def mul_phi(self):
-        rows, depth, width = self.coeffs.shape
-        out = np.zeros((rows, depth + 1, width), dtype=complex)
-        out[:, 1:] = self.coeffs
-        return self._like(out, self.lo)
+        c = self.coeffs
+        out = np.zeros(c.shape[:-2] + (c.shape[-2] + 1, c.shape[-1]), dtype=complex)
+        out[..., 1:, :] = c
+        return self._like(out)
 
     def mul_trig(self, fourier):
         low = min(k for k, _ in fourier)
         high = max(k for k, _ in fourier)
-        rows, depth, width = self.coeffs.shape
-        out = np.zeros((rows, depth, width + high - low), dtype=complex)
+        c = self.coeffs
+        width = c.shape[-1]
+        out = np.zeros(c.shape[:-1] + (width + high - low,), dtype=complex)
         for k, coef in fourier:
-            out[:, :, k - low : k - low + width] += coef * self.coeffs
+            out[..., k - low : k - low + width] += coef * c
         return self._like(out, self.lo + low)
 
     def inner(self, other):
@@ -274,6 +283,19 @@ class FourierKet:
         _, db, wb = b.shape
         metric = _metric(da, wa, db, wb, other.lo - self.lo)
         return complex(np.vdot(a, b.reshape(rows, db * wb) @ metric.T))
+
+    def gram(self, other):
+        """(x_i, y_j) for the kets x_i stacked in ``self`` and y_j in ``other``.
+
+        Both stacks lie on one band: one matmul against the metric, one
+        contraction over rows, depths and modes.
+        """
+        _check_space(self, other)
+        rows, depth, width = self.coeffs.shape[-3:]
+        metric = _metric(depth, width, depth, width, 0)
+        mb = other.coeffs.reshape(-1, depth * width) @ metric.T
+        size = rows * depth * width
+        return self.coeffs.reshape(-1, size).conj() @ mb.reshape(-1, size).T
 
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
@@ -292,13 +314,16 @@ def _check_space(x, y):
 
 
 class LineKet:
-    """Hermite-band vector with the pendulum's scale parameters attached."""
+    """Hermite-band vector with the pendulum's scale parameters attached.
+
+    Leading axes, if any, stack kets of one band, as for ``FourierKet``.
+    """
 
     __slots__ = ("coeffs", "lam", "hbar", "inertia", "frequency", "memo")
 
     def __init__(self, coeffs, lam, hbar, inertia, frequency):
         coeffs.setflags(write=False)
-        self.coeffs = coeffs  # shape (K,), complex
+        self.coeffs = coeffs  # shape (..., K), complex
         self.lam = lam
         self.hbar = hbar
         self.inertia = inertia
@@ -322,10 +347,10 @@ class LineKet:
     def _ladder(self, sign):
         # (result)_n = sqrt(n/2) c_{n-1} + sign * sqrt((n+1)/2) c_{n+1}
         c = self.coeffs
-        n = np.arange(c.size)
+        n = np.arange(c.shape[-1])
         out = np.zeros_like(c)
-        out[1:] += np.sqrt(n[1:] / 2.0) * c[:-1]
-        out[:-1] += sign * np.sqrt((n[:-1] + 1) / 2.0) * c[1:]
+        out[..., 1:] += np.sqrt(n[1:] / 2.0) * c[..., :-1]
+        out[..., :-1] += sign * np.sqrt((n[:-1] + 1) / 2.0) * c[..., 1:]
         return out
 
     def lz(self):
@@ -336,8 +361,8 @@ class LineKet:
         return self._like(self._ladder(+1.0) / self.lam)
 
     def mul_trig(self, fourier):
-        mat = _line_mult_matrix(self.coeffs.size, float(self.lam), fourier)
-        return self._like(mat @ self.coeffs)
+        mat = _line_mult_matrix(self.coeffs.shape[-1], float(self.lam), fourier)
+        return self._like(self.coeffs @ mat.T)
 
     def hamiltonian(self):
         kin = self.lz().lz().scaled(1.0 / (2.0 * self.inertia))
@@ -348,6 +373,11 @@ class LineKet:
         a, b = _align_line(self, other)
         return complex(np.vdot(a, b))
 
+    def gram(self, other):
+        """(x_i, y_j) for the kets stacked in ``self`` and ``other``: conj(x) . y."""
+        a, b = _align_line(self, other)
+        return a.reshape(-1, a.shape[-1]).conj() @ b.reshape(-1, b.shape[-1]).T
+
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
@@ -356,12 +386,37 @@ def _align_line(x, y):
     if type(y) is not LineKet:
         raise _space_error(x, y)
     a, b = x.coeffs, y.coeffs
-    size = max(a.size, b.size)
-    if a.size < size:
-        a = np.concatenate([a, np.zeros(size - a.size, dtype=complex)])
-    if b.size < size:
-        b = np.concatenate([b, np.zeros(size - b.size, dtype=complex)])
-    return a, b
+    size = max(a.shape[-1], b.shape[-1])
+    return _pad_line(a, size), _pad_line(b, size)
+
+
+def _pad_line(c, size):
+    if c.shape[-1] == size:
+        return c
+    out = np.zeros(c.shape[:-1] + (size,), dtype=complex)
+    out[..., : c.shape[-1]] = c
+    return out
+
+
+def _stack(kets):
+    """One ket whose leading axis runs over ``kets`` placed on their common
+    band; a ket that is itself a stack contributes each of its kets."""
+    first = kets[0]
+    if type(first) is LineKet:
+        size = max(ket.coeffs.shape[-1] for ket in kets)
+        parts = [_pad_line(ket.coeffs, size).reshape(-1, size) for ket in kets]
+        return first._like(np.concatenate(parts))
+    lo = min(ket.lo for ket in kets)
+    width = max(ket.lo + ket.coeffs.shape[-1] for ket in kets) - lo
+    depth = max(ket.coeffs.shape[-2] for ket in kets)
+    parts = [ket.coeffs.reshape((-1,) + ket.coeffs.shape[-3:]) for ket in kets]
+    out = np.zeros((sum(map(len, parts)), parts[0].shape[1], depth, width), dtype=complex)
+    start = 0
+    for ket, part in zip(kets, parts):
+        off = ket.lo - lo
+        out[start : start + len(part), :, : part.shape[2], off : off + part.shape[3]] = part
+        start += len(part)
+    return first._like(out, lo)
 
 
 @lru_cache(maxsize=128)
@@ -417,8 +472,6 @@ def apply(obs, state):
     """Act with an observable on a state or ket, returning a ket."""
     obs = resolve_observable(obs)
     ket = lift(state)
-    if obs.action is not None:
-        return obs.action(ket)
     if obs.fourier is not None:
         return ket.mul_trig(obs.fourier)
     if obs.tag == "Lz":
@@ -447,12 +500,100 @@ def inner_product(x, y):
     return lift(x).inner(lift(y))
 
 
+# The observables whose reads share one block: the four of the paper.  A read
+# that involves any other observable gets a block of its own observables.
+_PAPER = (LZ, PHI, SIN_PHI, COS_PHI)
+
+
+class _Block:
+    """psi and A psi for the observables ``obs`` of one ket, on one band.
+
+    ``stack`` holds psi, then A psi for each observable in order, and ``p``
+    their Gram matrix (X psi, Y psi).  The rest is computed on first use,
+    as nested lists read by index: the checked means, the deviation Gram
+    (dA psi, dB psi) from explicit deviation kets and its standard
+    deviations, and the second-order products (psi, A B psi), from each
+    observable applied once to the stack of A psi, with the mismatches.
+    Every entry depends on the ket and ``obs`` only.
+    """
+
+    def __init__(self, lf, obs):
+        self.obs = obs
+        self.stack = _stack([lf.psi, *(lf.acted(a) for a in obs)])
+        self.p = self.stack.gram(self.stack)
+
+    @cached_property
+    def means(self):
+        """<A> = (psi, A psi) per observable; rejects non-Hermitian observables."""
+        out = []
+        for a, val in zip(self.obs, self.p[0, 1:].tolist()):
+            if not a.hermitian:
+                raise UnsupportedObservable(
+                    f"mean: observable {a.label!r} is not Hermitian; expectation undefined"
+                )
+            if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
+                raise ArithmeticError(
+                    f"mean of {a.label}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
+                )
+            out.append(val.real)
+        return out
+
+    @cached_property
+    def deviations(self):
+        """The stack of dA psi = A psi - <A> psi, one per observable."""
+        c = self.stack.coeffs
+        means = np.array(self.means).reshape((-1,) + (1,) * (c.ndim - 1))
+        return self.stack._like(c[1:] - means * c[0])
+
+    @cached_property
+    def gram(self):
+        """(dA psi, dB psi) per pair of observables."""
+        return self.deviations.gram(self.deviations).tolist()
+
+    @cached_property
+    def stds(self):
+        """The norm of each deviation ket."""
+        return [math.sqrt(max(row[i].real, 0.0)) for i, row in enumerate(self.gram)]
+
+    @cached_property
+    def _second(self):
+        c = self.stack.coeffs
+        acted = self.stack._like(c[1:])
+        # psi first, then A_k A_j psi at 1 + k n + j, all on one band
+        both = _stack([self.stack._like(c[:1]), *(apply(a, acted) for a in self.obs)])
+        psi, rest = both._like(both.coeffs[:1]), both._like(both.coeffs[1:])
+        return psi.gram(rest).reshape(len(self.obs), -1)
+
+    @cached_property
+    def second(self):
+        """(psi, A B psi) per pair of observables."""
+        return self._second.tolist()
+
+    @cached_property
+    def mismatch(self):
+        """(A psi, B psi) - (psi, A B psi) per pair of observables."""
+        return (self.p[1:, 1:] - self._second).tolist()
+
+
+@lru_cache(maxsize=256)
+def _block_key(obs):
+    """The observables (objects or tags) ``obs`` of a read resolved into the
+    observables of the block that serves it, and the index of each in it."""
+    obs = tuple(map(resolve_observable, obs))
+    key = tuple(dict.fromkeys(obs))
+    if all(a in _PAPER for a in key):
+        key = _PAPER
+    return key, tuple(map(key.index, obs))
+
+
 class Lifted:
     """A view of one state and its ket ``psi``.
 
-    Each value below is computed on first use and memoized per observable
-    (object or tag) or pair in ``psi.memo``, the ket's own dict, so every
-    ``Lifted`` of the same ket reads the values any of them computed.
+    Every read goes through a ``_Block`` memoized in ``psi.memo``, the ket's
+    own dict, so every ``Lifted`` of the same ket reads the values any of
+    them computed.  Reads among the paper's four observables share one
+    block; a read of any other observable uses a block of the observables
+    it names, so no value depends on what was read before.
     """
 
     __slots__ = ("state", "psi", "_memo")
@@ -464,64 +605,50 @@ class Lifted:
 
     def acted(self, a):
         """A psi."""
-        val = self._memo.get(("A", a))
+        a = resolve_observable(a)
+        val = self._memo.get(a)
         if val is None:
-            val = self._memo["A", a] = apply(a, self.psi)
+            val = self._memo[a] = apply(a, self.psi)
         return val
+
+    def _block(self, *obs):
+        """The block for a read of ``obs`` and the index of each of them in it."""
+        key, index = _block_key(obs)
+        block = self._memo.get(key)
+        if block is None:
+            block = self._memo[key] = _Block(self, key)
+        return block, index
 
     def mean(self, a):
         """<A> = (psi, A psi); rejects non-Hermitian observables."""
-        val = self._memo.get(("mean", a))
-        if val is None:
-            val = self._memo["mean", a] = self._mean(resolve_observable(a))
-        return val
-
-    def _mean(self, obs):
-        if not obs.hermitian:
-            raise UnsupportedObservable(
-                f"mean: observable {obs.label!r} is not Hermitian; expectation undefined"
-            )
-        val = self.psi.inner(self.acted(obs))
-        if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
-            raise ArithmeticError(
-                f"mean of {obs.label}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
-            )
-        return float(val.real)
+        block, (i,) = self._block(a)
+        return block.means[i]
 
     def deviation(self, a):
         """The deviation ket dA psi = A psi - <A> psi."""
-        val = self._memo.get(("dA", a))
-        if val is None:
-            val = self._memo["dA", a] = self.acted(a).plus(self.psi.scaled(-self.mean(a)))
-        return val
+        block, (i,) = self._block(a)
+        devs = block.deviations
+        return devs._like(devs.coeffs[i])
 
     def std(self, a):
         """Standard deviation, the norm of the deviation ket."""
-        val = self._memo.get(("std", a))
-        if val is None:
-            val = self._memo["std", a] = self.deviation(a).norm()
-        return val
+        block, (i,) = self._block(a)
+        return block.stds[i]
 
     def cross(self, a, b):
         """(dA psi, dB psi)."""
-        val = self._memo.get(("dA,dB", a, b))
-        if val is None:
-            val = self._memo["dA,dB", a, b] = self.deviation(a).inner(self.deviation(b))
-        return val
+        block, (i, j) = self._block(a, b)
+        return block.gram[i][j]
 
     def expect2(self, a, b):
         """(psi, A B psi)."""
-        val = self._memo.get(("AB", a, b))
-        if val is None:
-            val = self._memo["AB", a, b] = self.psi.inner(apply(a, self.acted(b)))
-        return val
+        block, (i, j) = self._block(a, b)
+        return block.second[i][j]
 
     def mismatch(self, a, b):
         """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
-        val = self._memo.get(("A,B", a, b))
-        if val is None:
-            val = self._memo["A,B", a, b] = self.acted(a).inner(self.acted(b)) - self.expect2(a, b)
-        return val
+        block, (i, j) = self._block(a, b)
+        return block.mismatch[i][j]
 
 
 def lifted(state):

@@ -118,7 +118,7 @@ class MismatchMatrix:
 
     @cached_property
     def max_modulus(self):
-        return float(np.max(np.abs(self.entries)))
+        return float(np.abs(self.entries).max())
 
     def to_json(self):
         return {

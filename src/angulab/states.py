@@ -53,8 +53,16 @@ class SphereState:
     family: str = field(default="sphere", init=False, repr=False)
 
 
+def mode_index(k):
+    """``k`` as an integer mode index; ValueError for a fractional, non-finite
+    or boolean one, which ``int`` would truncate or accept."""
+    if isinstance(k, bool) or (isinstance(k, float) and not k.is_integer()):
+        raise ValueError(f"mode index must be an integer, got {k!r}")
+    return int(k)
+
+
 def _normalized(coeffs):
-    vals = {int(k): complex(v) for k, v in coeffs.items() if v != 0}
+    vals = {mode_index(k): complex(v) for k, v in coeffs.items() if v != 0}
     if not vals:
         raise ValueError("state coefficients are all zero")
     norm = np.sqrt(sum(abs(v) ** 2 for v in vals.values()))
@@ -203,7 +211,7 @@ def from_json(doc):
         raise ValueError(f"from_json: expected a JSON object, got {type(doc).__name__}")
     family = doc.get("family")
     params = doc.get("params", {})
-    coeffs = {int(k): complex(re, im) for k, re, im in doc.get("coefficients", [])}
+    coeffs = {mode_index(k): complex(re, im) for k, re, im in doc.get("coefficients", [])}
     if family == "periodic":
         return periodic_superposition(
             coeffs, truncation=params.get("truncation"), hbar=params.get("hbar", 1.0)

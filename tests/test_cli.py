@@ -187,6 +187,7 @@ class TestValidate:
 
 RESOLUTION = "resolution must be an integer >= 8, got"
 NO_RELATION = "--relations names no relation"
+RELATION_LIST = "relations must be a list of relation names"
 SPHERE_COEFFS = ("scenario", "sphere", "--l", "1", "--coeffs")
 CUSTOM = ("scenario", "custom", "--coeffs")
 PERIODIC = '{"family": "periodic", "coefficients": %s}'
@@ -242,6 +243,12 @@ class TestInputContract:
                 ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "relations": []}))),
                 NO_RELATION,
             ),
+            (SPHERE_COEFFS + (File("[[1.5, 1, 0]]"),), "mode index must be an integer"),
+            (CUSTOM + (File(PERIODIC % "[[0.5, 1, 0]]"),), "mode index must be an integer"),
+            (
+                ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "relations": "csf"}))),
+                RELATION_LIST,
+            ),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -271,12 +278,16 @@ class TestInputContract:
         assert scenario.stderr == f"error: {RESOLUTION} 4\n"
 
     def test_relations_in_config(self, tmp_path):
-        """An empty relation list is rejected by validate with the CLI's text;
-        an absent or null one means the default relations."""
+        """An empty relation list, or a string in place of a list, is rejected
+        by validate with the CLI's text; an absent or null one means the
+        default relations."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**SCR_CONFIG, "relations": []}))
         proc = run_cli("validate", str(path), check=False)
         assert proc.returncode == 1 and proc.stdout == f"{NO_RELATION}\n"
+        path.write_text(json.dumps({**SCR_CONFIG, "relations": "csf"}))
+        proc = run_cli("validate", str(path), check=False)
+        assert proc.returncode == 1 and proc.stdout == f"{RELATION_LIST}, got 'csf'\n"
         for doc in (SCR_CONFIG, {**SCR_CONFIG, "relations": None}):
             path.write_text(json.dumps(doc))
             assert run_cli("validate", str(path)).stdout == ""

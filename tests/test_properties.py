@@ -117,3 +117,58 @@ def test_views_of_one_ket_equal_fresh(state, reads):
         obs = obs[: READS[read]]
         got = _value(views[second], read, obs)
         assert got == _value(operators.Lifted(state), read, obs), (read, [o.tag for o in obs])
+
+
+@st.composite
+def eigenstates(draw):
+    """An scr, qtp or single-m sphere eigenstate with a drawn hbar."""
+    family = draw(st.sampled_from(("periodic", "oscillator", "sphere")))
+    hbar = draw(HBARS)
+    if family == "periodic":
+        return states.scr_eigenstate(draw(st.integers(-40, 40)), hbar=hbar)
+    if family == "oscillator":
+        return states.qtp_eigenstate(draw(st.integers(0, 20)), hbar=hbar)
+    l = draw(st.integers(0, 4))
+    return states.sphere_state(l, {draw(st.integers(-l, l)): 1.0}, hbar=hbar)
+
+
+STACKED_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI)
+REL = 1e-12
+
+
+def _close(got, want, scale):
+    return abs(got - want) <= REL * scale
+
+
+@PROPERTY
+@given(st.one_of(random_states(), eigenstates()))
+def test_stacked_reads_equal_ket_definitions(state):
+    """Every read of the stacked block equals its definition built from
+    ``apply``, ``plus``, ``scaled`` and ``inner`` on the ket, within rel
+    1e-12 of the size of the terms it is made of.  A standard deviation is
+    compared through its square, the quantity both sides round."""
+    psi = operators.lift(state)
+    lf = operators.Lifted(state)
+    acted = {a: operators.apply(a, psi) for a in STACKED_OBS}
+    size = {a: acted[a].norm() for a in STACKED_OBS}
+    means = {a: psi.inner(acted[a]).real for a in STACKED_OBS}
+    devs = {a: acted[a].plus(psi.scaled(-means[a])) for a in STACKED_OBS}
+    for a in STACKED_OBS:
+        assert _close(lf.mean(a), means[a], size[a]), ("mean", a.tag)
+        assert _close(lf.std(a) ** 2, devs[a].norm() ** 2, size[a] ** 2), ("std", a.tag)
+    for a, b in itertools.product(STACKED_OBS, repeat=2):
+        pair = size[a] * size[b]
+        second = operators.apply(a, acted[b])
+        expect2 = psi.inner(second)
+        assert _close(lf.cross(a, b), devs[a].inner(devs[b]), pair), ("cross", a.tag, b.tag)
+        assert _close(lf.expect2(a, b), expect2, second.norm()), ("expect2", a.tag, b.tag)
+        mismatch = acted[a].inner(acted[b]) - expect2
+        assert _close(lf.mismatch(a, b), mismatch, pair + second.norm()), ("mismatch", a.tag, b.tag)
+
+
+@PROPERTY
+@given(st.integers(-64, 64), HBARS)
+def test_scr_eigenstate_std_lz_is_zero(m, hbar):
+    """The deviation kets are explicit, so no mean is subtracted from a
+    second moment: std(L_z) of an scr eigenstate is exactly 0."""
+    assert operators.Lifted(states.scr_eigenstate(m, hbar=hbar)).std(LZ) == 0.0
