@@ -347,10 +347,10 @@ class LineKet:
     def _ladder(self, sign):
         # (result)_n = sqrt(n/2) c_{n-1} + sign * sqrt((n+1)/2) c_{n+1}
         c = self.coeffs
-        n = np.arange(c.shape[-1])
+        roots = _ladder_roots(c.shape[-1])
         out = np.zeros_like(c)
-        out[..., 1:] += np.sqrt(n[1:] / 2.0) * c[..., :-1]
-        out[..., :-1] += sign * np.sqrt((n[:-1] + 1) / 2.0) * c[..., 1:]
+        out[..., 1:] += roots * c[..., :-1]
+        out[..., :-1] += sign * roots * c[..., 1:]
         return out
 
     def lz(self):
@@ -380,6 +380,14 @@ class LineKet:
 
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
+
+
+@lru_cache(maxsize=None)
+def _ladder_roots(dim):
+    """sqrt(n/2) for n = 1 .. dim - 1, the weights of both Hermite ladders."""
+    out = np.sqrt(np.arange(1, dim) / 2.0)
+    out.setflags(write=False)
+    return out
 
 
 def _align_line(x, y):

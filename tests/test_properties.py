@@ -145,8 +145,9 @@ def _close(got, want, scale):
 def test_stacked_reads_equal_ket_definitions(state):
     """Every read of the stacked block equals its definition built from
     ``apply``, ``plus``, ``scaled`` and ``inner`` on the ket, within rel
-    1e-12 of the size of the terms it is made of.  A standard deviation is
-    compared through its square, the quantity both sides round."""
+    1e-12 of the size of the terms it is made of.  Both sides take the norm
+    of an explicit deviation ket, so a standard deviation near 0 agrees to
+    rounding; one taken from <A^2> - <A>^2 would not."""
     psi = operators.lift(state)
     lf = operators.Lifted(state)
     acted = {a: operators.apply(a, psi) for a in STACKED_OBS}
@@ -155,7 +156,7 @@ def test_stacked_reads_equal_ket_definitions(state):
     devs = {a: acted[a].plus(psi.scaled(-means[a])) for a in STACKED_OBS}
     for a in STACKED_OBS:
         assert _close(lf.mean(a), means[a], size[a]), ("mean", a.tag)
-        assert _close(lf.std(a) ** 2, devs[a].norm() ** 2, size[a] ** 2), ("std", a.tag)
+        assert _close(lf.std(a), devs[a].norm(), size[a]), ("std", a.tag)
     for a, b in itertools.product(STACKED_OBS, repeat=2):
         pair = size[a] * size[b]
         second = operators.apply(a, acted[b])
@@ -169,6 +170,7 @@ def test_stacked_reads_equal_ket_definitions(state):
 @PROPERTY
 @given(st.integers(-64, 64), HBARS)
 def test_scr_eigenstate_std_lz_is_zero(m, hbar):
-    """The deviation kets are explicit, so no mean is subtracted from a
-    second moment: std(L_z) of an scr eigenstate is exactly 0."""
+    """L_z psi = hbar m psi holds coefficient by coefficient and the
+    deviation ket is formed explicitly, so std(L_z) of an scr eigenstate is
+    exactly 0."""
     assert operators.Lifted(states.scr_eigenstate(m, hbar=hbar)).std(LZ) == 0.0

@@ -286,7 +286,8 @@ class TestReportConventions:
 class TestSharedKet:
     """Every relation called on one lifted ket reads the same memo: the
     pair sweep's csf and rsur calls give exactly the reports of a fresh ket
-    per call, in either pair order, and act with each operator product once."""
+    per call, in either pair order, and act with each operator once on psi
+    and once on the stack of A psi."""
 
     PAIRS = tuple(itertools.combinations((LZ, PHI, SIN_PHI, COS_PHI), 2))
     LABELS = ("random periodic", "random oscillator", "random sphere l=2")
@@ -312,12 +313,13 @@ class TestSharedKet:
                 assert (csf(a, b, ket), rsur(a, b, ket)) == fresh[a, b], (label, a.tag, b.tag)
 
     def test_apply_calls_per_ket(self, apply_calls):
-        """The 12 pair-sweep calls on one ket act at most 20 times: A psi for
-        the 4 observables and A B psi for the 16 ordered pairs of them."""
+        """The 12 pair-sweep calls on one ket act at most 8 times: A psi for
+        the 4 observables, then each of them once on the stack of A psi,
+        which gives A B psi for all 16 ordered pairs."""
         for label, state in self._states().items():
             ket = lift(state)
             apply_calls.clear()
             for a, b in self.PAIRS:
                 csf(a, b, ket)
                 rsur(a, b, ket)
-            assert 0 < len(apply_calls) <= 20, (label, len(apply_calls))
+            assert 0 < len(apply_calls) <= 8, (label, len(apply_calls))
