@@ -247,10 +247,17 @@ def _check_relations(names):
     return names
 
 
+# 2**20 nodes: 16 MiB per complex sample array, of which the oracle holds several
+MAX_RESOLUTION = 2**20
+
+
 def _check_resolution(resolution):
-    """Return ``resolution``; raise ConfigError unless it is None or an integer >= 8."""
+    """Return ``resolution``; raise ConfigError unless it is None or an
+    integer from 8 to MAX_RESOLUTION."""
     if resolution is not None and (type(resolution) is not int or resolution < 8):
         raise ConfigError(f"resolution must be an integer >= 8, got {resolution!r}")
+    if resolution is not None and resolution > MAX_RESOLUTION:
+        raise ConfigError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution!r}")
     return resolution
 
 
@@ -364,7 +371,7 @@ def _add_common(sub):
     sub.add_argument("--oracle", action="store_true", help="attach grid-oracle cross checks")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0, help="PCG64 seed for random states")
-    sub.add_argument("--resolution", type=int, default=None, help="grid resolution override")
+    sub.add_argument("--resolution", type=int, default=None, help="grid resolution override, 8 to 2**20")
 
 
 @functools.lru_cache(maxsize=1)
@@ -536,7 +543,7 @@ def emit_schema():
             "parameters": {"type": "object"},
             "relations": {"type": "array", "items": {"type": "string"}, "minItems": 1},
             "oracle": {"type": "boolean"},
-            "resolution": {"type": ["integer", "null"], "minimum": 8},
+            "resolution": {"type": ["integer", "null"], "minimum": 8, "maximum": MAX_RESOLUTION},
             "format": {"type": "string", "enum": ["json", "csv"]},
             "seed": {"type": "integer"},
         },

@@ -16,6 +16,20 @@ factor, one row c_m e^{i m phi} / sqrt(2 pi) per m, and theta is
 integrated through the Gram matrix of the sampled theta_lm under the
 oracle's own Gauss-Legendre rule (``theta_gram``).
 
+On a ``circle_grid`` the phases e^{i m phi} come from ``phase_rows``: one
+cache per process of read-only rows, keyed on (node count, m >= 1) and
+bounded by bytes.  A negative m takes the conjugate of its positive row,
+which equals the direct exponential bit for bit, and m = 0 adds its
+coefficient as a scalar.  Circle states sum their modes in coefficient
+order, and every product multiplies a fresh copy of the row, so numpy
+forms it as it forms ``a * np.exp(...)``: array-first (``E *= a``) once the
+temporary is large enough to elide (at the default 32768 nodes),
+scalar-first below that.  The two orders differ in the last bit, so the
+samples, the sphere's phi rows and the trigonometric multipliers of
+``act`` all equal the direct formulas exactly.  ``states.evaluate`` stays
+the pointwise reference; it still samples line states and any grid that
+is not a ``circle_grid``.
+
 ``relation_values`` reads a registry relation, looked up by name in
 ``RELATION_VALUES``, from a ``Sampled``: one state sampled once, keeping
 the samples, the first-order actions and scalars only.  The commutator
@@ -101,15 +115,87 @@ def theta_gram(l, n_theta):
     return gram
 
 
+class PhaseRows:
+    """Read-only rows e^{i m phi_j}, m >= 1, over the nodes of ``circle_grid(n)``.
+
+    A row is kept per (n, m) while the kept rows stay within ``budget``
+    bytes; one that does not fit is computed for the call and dropped, so
+    a wide band or a fine grid cannot grow the cache.  No grid array is
+    kept, only the rows.
+    """
+
+    def __init__(self, budget):
+        self.budget, self.nbytes, self._rows = budget, 0, {}
+
+    def __call__(self, n, m):
+        row = self._rows.get((n, m))
+        if row is None:
+            row = np.exp(1j * m * circle_grid(n).points)
+            row.flags.writeable = False
+            if self.nbytes + row.nbytes <= self.budget:
+                self._rows[n, m] = row
+                self.nbytes += row.nbytes
+        return row
+
+    def cache_clear(self):
+        self._rows.clear()
+        self.nbytes = 0
+
+
+# |m| = 1..8 at the default 32768 circle nodes (4 MiB) and 4096 sphere phi nodes (0.5 MiB)
+phase_rows = PhaseRows(budget=9 * 2**19)
+
+
+def _midpoint_count(grid):
+    """n when the Grid1D ``grid`` holds exactly the nodes of ``circle_grid(n)``, else None."""
+    n = grid.points.size
+    if grid.domain == "circle" and n >= 8 and np.array_equal(grid.points, circle_grid(n).points):
+        return n
+    return None
+
+
+def _wave(n, m):
+    """A new array e^{i m phi_j} on ``circle_grid(n)``, equal bit for bit to
+    ``np.exp(1j * m * phi)``: a cached row, its conjugate for m < 0, ones for m = 0."""
+    if m == 0:
+        return np.ones(n, dtype=complex)
+    row = phase_rows(n, abs(m))
+    return row.copy() if m > 0 else np.conj(row)
+
+
+def _series(terms, phi, n):
+    """sum a e^{i m phi} over (m, a) in ``terms``, added in that order as
+    ``states.evaluate`` adds a circle state's modes: from ``_wave`` when
+    ``phi`` are the nodes of ``circle_grid(n)``, directly when n is None.
+    Each product takes a fresh array inline, never a cached row or a named
+    one, so numpy picks the loop it picks for ``a * np.exp(...)``."""
+    out = np.zeros(phi.shape, dtype=complex)
+    for m, a in terms:
+        if m == 0:
+            out += a
+        else:
+            out += a * (np.exp(1j * m * phi) if n is None else _wave(n, m))
+    return out
+
+
 def sample(state, grid):
     """Wave-function samples on the grid; on the sphere the phi factor
     only, a (2l + 1, n_phi) array with row m = -l..l holding
-    c_m e^{i m phi} / sqrt(2 pi)."""
+    c_m e^{i m phi} / sqrt(2 pi).  Circle states on a ``circle_grid`` sum
+    cached rows; any other grid falls back to ``states.evaluate``."""
     if isinstance(grid, Grid1D):
-        return states.evaluate(state, grid.points)
+        n = _midpoint_count(grid) if isinstance(state, states.PeriodicState) else None
+        if n is None:
+            return states.evaluate(state, grid.points)
+        return _series(state.coefficients.items(), grid.points, n) / np.sqrt(TWO_PI)
+    phi = grid.phi_grid.points
+    n = _midpoint_count(grid.phi_grid)
     m = np.arange(-state.l, state.l + 1)
     c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
-    return c[:, None] * np.exp(1j * m[:, None] * grid.phi_grid.points) / np.sqrt(TWO_PI)
+    if n is None:
+        return c[:, None] * np.exp(1j * m[:, None] * phi) / np.sqrt(TWO_PI)
+    # the product takes a fresh array, as in _series
+    return c[:, None] * np.stack([_wave(n, k) for k in m.tolist()]) / np.sqrt(TWO_PI)
 
 
 def quad_inner(f, g, grid):
@@ -182,10 +268,7 @@ def act(obs, psi, state, grid):
     if obs.tag == "Phi":
         return phi * psi
     if obs.fourier is not None:
-        fvals = np.zeros(np.shape(phi), dtype=complex)
-        for k, coef in obs.fourier:
-            fvals = fvals + coef * np.exp(1j * k * phi)
-        return fvals * psi
+        return _series(obs.fourier, phi, _midpoint_count(line)) * psi
     raise ValueError(f"oracle act: unsupported observable {obs.tag!r}")
 
 

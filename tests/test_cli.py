@@ -186,6 +186,7 @@ class TestValidate:
 
 
 RESOLUTION = "resolution must be an integer >= 8, got"
+RESOLUTION_CAP = "resolution must be at most 1048576, got"
 NO_RELATION = "--relations names no relation"
 RELATION_LIST = "relations must be a list of relation names"
 SPHERE_COEFFS = ("scenario", "sphere", "--l", "1", "--coeffs")
@@ -226,6 +227,15 @@ class TestInputContract:
             (("scenario", "scr", "--relations", "commutator", "--resolution", "4"), RESOLUTION),
             (("scenario", "scr", "--m", "2", "--oracle", "--resolution", "0"), RESOLUTION),
             (("sweep", "qtp", "--n", "0..2", "--oracle", "--resolution", "4"), RESOLUTION),
+            (
+                ("scenario", "scr", "--m", "2", "--oracle", "--resolution", "10000000000000"),
+                RESOLUTION_CAP,
+            ),
+            (("sweep", "scr", "--random", "2", "--oracle", "--resolution", "1048577"), RESOLUTION_CAP),
+            (
+                ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "resolution": 2**20 + 1}))),
+                RESOLUTION_CAP,
+            ),
             (SPHERE_COEFFS + (File("[[1, 2]]"),), "cannot read coefficients"),
             (SPHERE_COEFFS + (File('[["x", 1, 0]]'),), "cannot read coefficients"),
             (SPHERE_COEFFS + (File('{"coefficients": 5}'),), "cannot read coefficients"),
@@ -276,6 +286,24 @@ class TestInputContract:
         scenario = run_cli("scenario", "--config", str(path), check=False)
         assert scenario.returncode == 1 and scenario.stdout == ""
         assert scenario.stderr == f"error: {RESOLUTION} 4\n"
+
+    def test_resolution_cap_in_config(self, tmp_path):
+        """validate and the config schema both stop at MAX_RESOLUTION."""
+        jsonschema = pytest.importorskip("jsonschema")
+        from angulab.cli import MAX_RESOLUTION, emit_schema
+
+        schema = emit_schema()["config"]
+        path = tmp_path / "cfg.json"
+        cfg = {**SCR_CONFIG, "oracle": True, "resolution": MAX_RESOLUTION}
+        jsonschema.validate(cfg, schema)
+        path.write_text(json.dumps(cfg))
+        assert run_cli("validate", str(path)).stdout == ""
+        cfg["resolution"] += 1
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(cfg, schema)
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("validate", str(path), check=False)
+        assert proc.returncode == 1 and proc.stdout == f"{RESOLUTION_CAP} {MAX_RESOLUTION + 1}\n"
 
     def test_relations_in_config(self, tmp_path):
         """An empty relation list, or a string in place of a list, is rejected

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from angulab import oracle, specfun
+from angulab import cli, oracle, specfun
 from angulab.oracle import (
     Grid1D,
     circle_grid,
@@ -13,6 +13,7 @@ from angulab.oracle import (
     sphere_grid,
 )
 from angulab.states import (
+    periodic_superposition,
     qtp_eigenstate,
     random_periodic,
     random_sphere,
@@ -59,6 +60,36 @@ class TestGrids:
         q2 = qtp_eigenstate(1, inertia=4.0)  # lam = 2
         g2 = line_grid_for(q2)
         assert g2.points[-1] == pytest.approx(6.0)
+
+
+class TestPhaseRows:
+    """The row cache behind circle and sphere sampling: read-only rows,
+    bounded by bytes whatever band or resolution is sampled."""
+
+    def test_rows_are_read_only(self):
+        row = oracle.phase_rows(64, 3)
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
+    def test_default_rows_fill_the_budget(self):
+        """|m| = 1..8 at the default circle and sphere node counts fit exactly."""
+        rows = oracle.phase_rows
+        rows.cache_clear()
+        sample(random_periodic(np.random.default_rng(0), band=8), circle_grid())
+        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(8))
+        assert rows.nbytes == rows.budget
+
+    def test_bytes_stay_within_budget(self):
+        rows = oracle.phase_rows
+        rows.cache_clear()
+        wide = periodic_superposition({m: 1.0 for m in range(-64, 65)})
+        sample(wide, circle_grid())
+        kept = rows.nbytes
+        assert 0 < kept <= rows.budget
+        fine = periodic_superposition({-1: 1.0, 1: 1.0})
+        psi = sample(fine, circle_grid(cli.MAX_RESOLUTION))
+        assert rows.nbytes == kept
+        assert psi.shape == (cli.MAX_RESOLUTION,)
 
 
 class TestQuadInner:

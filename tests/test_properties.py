@@ -6,6 +6,7 @@ multiplication on the line is too narrow at small lam, which breaks it.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from angulab import operators, states  # noqa: E402
+from angulab import operators, oracle, states  # noqa: E402
 from angulab.cli import GRAM_SET, RELATIONS, evaluate_relation  # noqa: E402
 from angulab.operators import COS_PHI, LZ, PHI, PHI2, SIN_PHI  # noqa: E402
 from angulab.relations import TOL_GRAM, TOL_IDENTITY, TOL_INEQUALITY, csf, gram_det  # noqa: E402
@@ -174,3 +175,102 @@ def test_scr_eigenstate_std_lz_is_zero(m, hbar):
     deviation ket is formed explicitly, so std(L_z) of an scr eigenstate is
     exactly 0."""
     assert operators.Lifted(states.scr_eigenstate(m, hbar=hbar)).std(LZ) == 0.0
+
+
+# -- the oracle's cached phase rows ---------------------------------------------
+#
+# Sampling from cached rows must give exactly the numbers of the direct
+# formulas, bit for bit, on every grid size: numpy forms a complex product
+# array-first when it can elide a large temporary and scalar-first below
+# that, and the two orders differ in the last bit.
+
+RESOLUTIONS = st.sampled_from((8, 1001, 4096, 16384, 32768))
+
+
+@st.composite
+def mode_sets(draw, top):
+    """Sorted mode indices of a band 0..top with gaps: any of -band..band,
+    negative indices only, or m = 0 alone."""
+    kind = draw(st.sampled_from(("any", "negative", "zero") if top else ("zero",)))
+    if kind == "zero":
+        return [0]
+    band = draw(st.integers(0 if kind == "any" else 1, top))
+    high = band if kind == "any" else -1
+    return sorted(draw(st.sets(st.integers(-band, high), min_size=1)))
+
+
+def _amplitudes(modes, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(len(modes)) + 1j * rng.standard_normal(len(modes))
+    return dict(zip(modes, amps))
+
+
+def _trig_reference(obs, psi, phi):
+    """sin phi or cos phi times ``psi``, each phase taken from np.exp."""
+    fvals = np.zeros(np.shape(phi), dtype=complex)
+    for k, coef in obs.fourier:
+        fvals = fvals + coef * np.exp(1j * k * phi)
+    return fvals * psi
+
+
+def _cold_and_warm(fn):
+    """``fn()`` with the row cache emptied first, then again with it filled."""
+    oracle.phase_rows.cache_clear()
+    return fn(), fn()
+
+
+@PROPERTY
+@given(mode_sets(40), SEEDS, RESOLUTIONS)
+def test_circle_sample_equals_evaluate(modes, seed, n):
+    """On a circle_grid the oracle sums cached rows and never calls
+    states.evaluate; on a hand-built circle grid with other nodes it falls
+    back to states.evaluate.  Both equal states.evaluate exactly."""
+    state = states.periodic_superposition(_amplitudes(modes, seed))
+    grid = oracle.circle_grid(n)
+    shifted = oracle.Grid1D(grid.points - 0.25 * grid.spacing, grid.spacing, "circle")
+    for g, calls in ((grid, 0), (shifted, 2)):
+        want = states.evaluate(state, g.points)
+        with mock.patch.object(oracle.states, "evaluate", wraps=states.evaluate) as spy:
+            cold, warm = _cold_and_warm(lambda: oracle.sample(state, g))
+        assert spy.call_count == calls
+        assert np.array_equal(cold, want) and np.array_equal(warm, want)
+
+
+@PROPERTY
+@given(st.integers(0, 12).flatmap(lambda l: st.tuples(st.just(l), mode_sets(l))), SEEDS, RESOLUTIONS)
+def test_sphere_rows_equal_direct_phases(l_modes, seed, n):
+    """Sphere phi rows equal c_m e^{i m phi} / sqrt(2 pi) from np.exp.  l
+    stops at 12 because every array holds 2l + 1 rows of n nodes."""
+    l, modes = l_modes
+    state = states.sphere_state(l, _amplitudes(modes, seed))
+    grid = oracle.sphere_grid(8, n)
+    m = np.arange(-l, l + 1)
+    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
+    want = c[:, None] * np.exp(1j * m[:, None] * grid.phi_grid.points) / np.sqrt(2.0 * np.pi)
+    cold, warm = _cold_and_warm(lambda: oracle.sample(state, grid))
+    assert np.array_equal(cold, want) and np.array_equal(warm, want)
+
+
+@PROPERTY
+@given(mode_sets(40), SEEDS, RESOLUTIONS, st.integers(0, 3))
+def test_trig_act_equals_direct_formula(modes, seed, n, l):
+    """act(SinPhi / CosPhi) equals the multiplier summed from np.exp on
+    circle, sphere, hand-built circle and line grids."""
+    circle = states.periodic_superposition(_amplitudes(modes, seed))
+    sphere = states.random_sphere(np.random.default_rng(seed), l)
+    line = states.random_oscillator(np.random.default_rng(seed), nmax=4)
+    grid = oracle.circle_grid(n)
+    shifted = oracle.Grid1D(grid.points - 0.25 * grid.spacing, grid.spacing, "circle")
+    cases = [
+        (circle, grid, grid.points),
+        (circle, shifted, shifted.points),
+        (sphere, oracle.sphere_grid(8, n), grid.points),
+        (line, oracle.line_grid_for(line, n=n), None),
+    ]
+    for state, g, phi in cases:
+        phi = g.points if phi is None else phi
+        psi = oracle.sample(state, g)
+        for obs in (SIN_PHI, COS_PHI):
+            want = _trig_reference(obs, psi, phi)
+            cold, warm = _cold_and_warm(lambda: oracle.act(obs, psi, state, g))
+            assert np.array_equal(cold, want) and np.array_equal(warm, want), (state.family, obs.tag)
