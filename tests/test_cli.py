@@ -227,15 +227,6 @@ class TestInputContract:
             (("scenario", "scr", "--relations", "commutator", "--resolution", "4"), RESOLUTION),
             (("scenario", "scr", "--m", "2", "--oracle", "--resolution", "0"), RESOLUTION),
             (("sweep", "qtp", "--n", "0..2", "--oracle", "--resolution", "4"), RESOLUTION),
-            (
-                ("scenario", "scr", "--m", "2", "--oracle", "--resolution", "10000000000000"),
-                RESOLUTION_CAP,
-            ),
-            (("sweep", "scr", "--random", "2", "--oracle", "--resolution", "1048577"), RESOLUTION_CAP),
-            (
-                ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "resolution": 2**20 + 1}))),
-                RESOLUTION_CAP,
-            ),
             (SPHERE_COEFFS + (File("[[1, 2]]"),), "cannot read coefficients"),
             (SPHERE_COEFFS + (File('[["x", 1, 0]]'),), "cannot read coefficients"),
             (SPHERE_COEFFS + (File('{"coefficients": 5}'),), "cannot read coefficients"),
@@ -258,6 +249,15 @@ class TestInputContract:
             (
                 ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "relations": "csf"}))),
                 RELATION_LIST,
+            ),
+            (
+                ("scenario", "scr", "--m", "2", "--oracle", "--resolution", "10000000000000"),
+                RESOLUTION_CAP,
+            ),
+            (("sweep", "scr", "--random", "2", "--oracle", "--resolution", "1048577"), RESOLUTION_CAP),
+            (
+                ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "resolution": 2**20 + 1}))),
+                RESOLUTION_CAP,
             ),
         ],
     )
