@@ -261,6 +261,19 @@ def _check_resolution(resolution):
     return resolution
 
 
+def _check_sphere_rows(state, resolution):
+    """Raise ConfigError if the oracle would sample a sphere state on more
+    than MAX_RESOLUTION values per array: it keeps 2l + 1 phi rows of
+    ``resolution`` nodes each."""
+    if state.family == "sphere" and resolution is not None:
+        rows = 2 * state.l + 1
+        if rows * resolution > MAX_RESOLUTION:
+            raise ConfigError(
+                f"sphere oracle rows x resolution must be at most {MAX_RESOLUTION}, "
+                f"got {rows} x {resolution}"
+            )
+
+
 def evaluate_relation(name, state, resolution=None):
     """One registry relation's report entry on one state or ``operators.Lifted``."""
     evaluate, _, only = RELATIONS[name]
@@ -305,7 +318,10 @@ def _evaluate_state(state, names, with_oracle, resolution):
     matrix if condition19 is among them; all read one ``operators.Lifted``
     and, under --oracle, one ``oracle.Sampled``."""
     lf = operators.Lifted(state)
-    sampled = oracle.Sampled(state, oracle.default_grid(state, resolution)) if with_oracle else None
+    sampled = None
+    if with_oracle:
+        _check_sphere_rows(state, resolution)
+        sampled = oracle.Sampled(state, oracle.default_grid(state, resolution))
     reports = []
     for name in names:
         entry = evaluate_relation(name, lf, resolution)
@@ -495,15 +511,18 @@ def validate_config_doc(config):
     for key in required:
         if key not in params:
             diags.append(f"missing parameter {key!r} for family {family!r}")
+    state = None
     if not diags and family != "custom":
         try:
-            _build_state(family, params)
+            state = _build_state(family, params)
         except ConfigError as exc:
             diags.append(str(exc))
     if config.get("relations") is not None:
         diags += _relation_diags(config["relations"])
     try:
-        _check_resolution(config.get("resolution"))
+        resolution = _check_resolution(config.get("resolution"))
+        if state is not None and config.get("oracle"):
+            _check_sphere_rows(state, resolution)
     except ConfigError as exc:
         diags.append(str(exc))
     fmt = config.get("format", "json")

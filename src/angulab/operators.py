@@ -44,10 +44,17 @@ Kets may carry leading axes that stack several kets on one band; every
 operator acts on each alike.  ``Lifted`` is a view of a state and its ket
 psi that answers every relation's reads from one stacked block per set of
 observables, kept in the ket's memo dict: psi and A psi for each observable
-on their common band, each observable applied once to the stack of A psi,
-and three contractions against the metric (a plain conj . x on the line)
-for the Gram matrix P = (A psi, B psi), the deviation Gram G = (dA psi,
-dB psi) from explicit deviation kets, and E = (psi, A B psi).  Means,
+on their common band, then A B psi for every ordered pair, each filled by
+one action of the ket's class on the whole stack, and three contractions
+against the metric (a plain conj . x on the line) for the Gram matrix
+P = (A psi, B psi), the deviation Gram G = (dA psi, dB psi) from explicit
+deviation kets, and E = (psi, A B psi).  A Fourier ket acts through a band
+map: the images of its band's basis kets under every observable of the
+block, on their common band, built once per (depth, width, lo, observables)
+from ``apply`` itself and cached within a byte budget.  Its L_z slots are
+built at hbar = 1 and scaled in place, so no hbar enters the key, and one
+matmul acts on every row of a sphere ket.  A line ket's band never grows,
+so each action writes in place into one preallocated stack.  Means,
 standard deviations, cross terms and adjointness mismatches are index
 reads.  Reads among L_z, phi, sin phi and cos phi share one block; any
 other read gets a block of its own observables, so every value depends on
@@ -284,19 +291,6 @@ class FourierKet:
         metric = _metric(da, wa, db, wb, other.lo - self.lo)
         return complex(np.vdot(a, b.reshape(rows, db * wb) @ metric.T))
 
-    def gram(self, other):
-        """(x_i, y_j) for the kets x_i stacked in ``self`` and y_j in ``other``.
-
-        Both stacks lie on one band: one matmul against the metric, one
-        contraction over rows, depths and modes.
-        """
-        _check_space(self, other)
-        rows, depth, width = self.coeffs.shape[-3:]
-        metric = _metric(depth, width, depth, width, 0)
-        mb = other.coeffs.reshape(-1, depth * width) @ metric.T
-        size = rows * depth * width
-        return self.coeffs.reshape(-1, size).conj() @ mb.reshape(-1, size).T
-
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
@@ -344,21 +338,32 @@ class LineKet:
         a, b = _align_line(self, other)
         return self._like(a + b)
 
-    def _ladder(self, sign):
-        # (result)_n = sqrt(n/2) c_{n-1} + sign * sqrt((n+1)/2) c_{n+1}
-        c = self.coeffs
-        roots = _ladder_roots(c.shape[-1])
-        out = np.zeros_like(c)
-        out[..., 1:] += roots * c[..., :-1]
-        out[..., :-1] += sign * roots * c[..., 1:]
+    def fill(self, obs, c, out):
+        """Write A c into ``out`` for coefficients ``c`` on this ket's band.
+
+        L_z, phi and trigonometric multiplication write in place; any other
+        observable acts through ``apply``.  The band never grows, so ``c``
+        may be any stack of kets and ``out`` any array of its shape.
+        """
+        if obs.fourier is not None:
+            mat = _line_mult_matrix(c.shape[-1], float(self.lam), obs.fourier)
+            np.matmul(c, mat.T, out=out)
+        elif obs.tag == "Lz":
+            # -i hbar lam d/dxi; the derivative matrix is minus the odd ladder
+            _ladder(c, -1.0, out)
+            out *= 1j * self.hbar * self.lam
+        elif obs.tag == "Phi":
+            _ladder(c, +1.0, out)
+            out /= self.lam
+        else:
+            out[...] = apply(obs, self._like(c)).coeffs
         return out
 
     def lz(self):
-        # -i hbar lam d/dxi; the derivative matrix is minus the odd ladder
-        return self._like(1j * self.hbar * self.lam * self._ladder(-1.0))
+        return self._like(self.fill(LZ, self.coeffs, np.empty_like(self.coeffs)))
 
     def mul_phi(self):
-        return self._like(self._ladder(+1.0) / self.lam)
+        return self._like(self.fill(PHI, self.coeffs, np.empty_like(self.coeffs)))
 
     def mul_trig(self, fourier):
         mat = _line_mult_matrix(self.coeffs.shape[-1], float(self.lam), fourier)
@@ -373,11 +378,6 @@ class LineKet:
         a, b = _align_line(self, other)
         return complex(np.vdot(a, b))
 
-    def gram(self, other):
-        """(x_i, y_j) for the kets stacked in ``self`` and ``other``: conj(x) . y."""
-        a, b = _align_line(self, other)
-        return a.reshape(-1, a.shape[-1]).conj() @ b.reshape(-1, b.shape[-1]).T
-
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
@@ -388,6 +388,14 @@ def _ladder_roots(dim):
     out = np.sqrt(np.arange(1, dim) / 2.0)
     out.setflags(write=False)
     return out
+
+
+def _ladder(c, sign, out):
+    """out_n = sqrt(n/2) c_{n-1} + sign * sqrt((n+1)/2) c_{n+1}, in place."""
+    roots = _ladder_roots(c.shape[-1])
+    out[..., 0] = 0.0
+    np.multiply(roots, c[..., :-1], out=out[..., 1:])
+    out[..., :-1] += sign * roots * c[..., 1:]
 
 
 def _align_line(x, y):
@@ -404,27 +412,6 @@ def _pad_line(c, size):
     out = np.zeros(c.shape[:-1] + (size,), dtype=complex)
     out[..., : c.shape[-1]] = c
     return out
-
-
-def _stack(kets):
-    """One ket whose leading axis runs over ``kets`` placed on their common
-    band; a ket that is itself a stack contributes each of its kets."""
-    first = kets[0]
-    if type(first) is LineKet:
-        size = max(ket.coeffs.shape[-1] for ket in kets)
-        parts = [_pad_line(ket.coeffs, size).reshape(-1, size) for ket in kets]
-        return first._like(np.concatenate(parts))
-    lo = min(ket.lo for ket in kets)
-    width = max(ket.lo + ket.coeffs.shape[-1] for ket in kets) - lo
-    depth = max(ket.coeffs.shape[-2] for ket in kets)
-    parts = [ket.coeffs.reshape((-1,) + ket.coeffs.shape[-3:]) for ket in kets]
-    out = np.zeros((sum(map(len, parts)), parts[0].shape[1], depth, width), dtype=complex)
-    start = 0
-    for ket, part in zip(kets, parts):
-        off = ket.lo - lo
-        out[start : start + len(part), :, : part.shape[2], off : off + part.shape[3]] = part
-        start += len(part)
-    return first._like(out, lo)
 
 
 @lru_cache(maxsize=128)
@@ -513,22 +500,66 @@ def inner_product(x, y):
 _PAPER = (LZ, PHI, SIN_PHI, COS_PHI)
 
 
+class _BandMap:
+    """The images of one band's basis kets under a tuple of slots, on their
+    common band: ``matrix[s, b, (d, i)]`` is coefficient (d, i) of slot s
+    acting on basis ket b.  A slot is an observable, or psi itself (the
+    identity) when the map leads with it.  L_z slots are built at hbar = 1
+    and scaled in place by ``act``, so no hbar enters the key."""
+
+    __slots__ = ("matrix", "lo", "depth", "width", "_lz", "nbytes")
+
+    def __init__(self, depth, width, lo, obs, with_psi):
+        size = depth * width
+        basis = FourierKet(np.eye(size, dtype=complex).reshape(size, 1, depth, width), lo, 1.0)
+        images = ([basis] if with_psi else []) + [apply(a, basis) for a in obs]
+        self.lo = min(ket.lo for ket in images)
+        self.width = max(ket.lo + ket.coeffs.shape[-1] for ket in images) - self.lo
+        self.depth = max(ket.coeffs.shape[-2] for ket in images)
+        out = np.zeros((len(images), size, self.depth, self.width), dtype=complex)
+        for slot, ket in zip(out, images):
+            c = ket.coeffs[:, 0]  # (basis ket, depth, width)
+            off = ket.lo - self.lo
+            slot[:, : c.shape[1], off : off + c.shape[2]] = c
+        self.matrix = out.reshape(len(images), size, -1)
+        self.matrix.setflags(write=False)
+        self.nbytes = self.matrix.nbytes
+        first = len(images) - len(obs)
+        self._lz = [s for s, a in enumerate(obs, first) if a.fourier is None and a.tag == "Lz"]
+
+    def act(self, x, hbar):
+        """(slot, ket, band) images of the kets ``x``, (ket, band) on this band."""
+        out = np.matmul(x, self.matrix)
+        for s in self._lz:
+            out[s] *= hbar
+        return out
+
+
+# One map per (depth, width, lo, observables, with_psi); 16 MiB holds both
+# maps of an l = 64 sphere block (9.4 MB).
+_band_map = specfun.BytesLRU(_BandMap, budget=2**24)
+
+
 class _Block:
     """psi and A psi for the observables ``obs`` of one ket, on one band.
 
-    ``stack`` holds psi, then A psi for each observable in order, and ``p``
-    their Gram matrix (X psi, Y psi).  The rest is computed on first use,
-    as nested lists read by index: the checked means, the deviation Gram
-    (dA psi, dB psi) from explicit deviation kets and its standard
-    deviations, and the second-order products (psi, A B psi), from each
-    observable applied once to the stack of A psi, with the mismatches.
-    Every entry depends on the ket and ``obs`` only.
+    ``stack`` holds psi, then A psi for each observable in order, filled by
+    one action of the ket's class on the whole stack, and ``p`` their Gram
+    matrix (X psi, Y psi).  The rest is computed on first use, as nested
+    lists read by index: the checked means, the deviation Gram (dA psi, dB
+    psi) from explicit deviation kets and its standard deviations, and the
+    second-order products (psi, A B psi), from one more action of the class
+    on the stack of A psi, with the mismatches.  Every entry depends on the
+    ket and ``obs`` only.  Each ket class has a subclass that supplies the
+    stack (``_fill``), the contraction on its band (``_gram``), the
+    second-order products (``_second``) and a row of a stack as a ket
+    (``ket``).
     """
 
-    def __init__(self, lf, obs):
-        self.obs = obs
-        self.stack = _stack([lf.psi, *(lf.acted(a) for a in obs)])
-        self.p = self.stack.gram(self.stack)
+    def __init__(self, psi, obs):
+        self.psi, self.obs = psi, obs
+        self.stack = self._fill()
+        self.p = self._gram(self.stack, self.stack)
 
     @cached_property
     def means(self):
@@ -549,14 +580,14 @@ class _Block:
     @cached_property
     def deviations(self):
         """The stack of dA psi = A psi - <A> psi, one per observable."""
-        c = self.stack.coeffs
-        means = np.array(self.means).reshape((-1,) + (1,) * (c.ndim - 1))
-        return self.stack._like(c[1:] - means * c[0])
+        s = self.stack
+        means = np.array(self.means).reshape((-1,) + (1,) * (s.ndim - 1))
+        return s[1:] - means * s[0]
 
     @cached_property
     def gram(self):
         """(dA psi, dB psi) per pair of observables."""
-        return self.deviations.gram(self.deviations).tolist()
+        return self._gram(self.deviations, self.deviations).tolist()
 
     @cached_property
     def stds(self):
@@ -564,23 +595,80 @@ class _Block:
         return [math.sqrt(max(row[i].real, 0.0)) for i, row in enumerate(self.gram)]
 
     @cached_property
-    def _second(self):
-        c = self.stack.coeffs
-        acted = self.stack._like(c[1:])
-        # psi first, then A_k A_j psi at 1 + k n + j, all on one band
-        both = _stack([self.stack._like(c[:1]), *(apply(a, acted) for a in self.obs)])
-        psi, rest = both._like(both.coeffs[:1]), both._like(both.coeffs[1:])
-        return psi.gram(rest).reshape(len(self.obs), -1)
+    def _products(self):
+        return self._second()
 
     @cached_property
     def second(self):
         """(psi, A B psi) per pair of observables."""
-        return self._second.tolist()
+        return self._products.tolist()
 
     @cached_property
     def mismatch(self):
         """(A psi, B psi) - (psi, A B psi) per pair of observables."""
-        return (self.p[1:, 1:] - self._second).tolist()
+        return (self.p[1:, 1:] - self._products).tolist()
+
+
+class _FourierBlock(_Block):
+    """A circle or sphere block: the stack is ``(slot, rows, depth * width)``,
+    filled through cached band maps, each one matmul over every row."""
+
+    def _fill(self):
+        psi = self.psi
+        depth, width = psi.coeffs.shape[-2:]
+        self._x = psi.coeffs.reshape(-1, depth * width)  # (rows, band)
+        self._map = _band_map(depth, width, psi.lo, self.obs, True)
+        return self._map.act(self._x, psi.hbar)
+
+    def _gram(self, x, y):
+        """(x_i, y_j) over the block's band: one metric matmul, one contraction."""
+        band = self._map
+        metric = _metric(band.depth, band.width, band.depth, band.width, 0)
+        my = y.reshape(-1, metric.shape[0]) @ metric.T
+        return x.reshape(len(x), -1).conj() @ my.reshape(len(y), -1).T
+
+    def _second(self):
+        band, psi = self._map, self.psi
+        top = _band_map(band.depth, band.width, band.lo, self.obs, False)
+        acted = self.stack[1:].reshape(-1, band.depth * band.width)
+        twice = top.act(acted, psi.hbar)  # [k, (j, rows), band]: A_k A_j psi
+        depth, width = psi.coeffs.shape[-2:]
+        metric = _metric(depth, width, top.depth, top.width, top.lo - psi.lo)
+        n = len(self.obs)
+        return twice.reshape(n, n, -1) @ (self._x.conj() @ metric).reshape(-1)
+
+    def ket(self, row):
+        band, psi = self._map, self.psi
+        return FourierKet(row.reshape(-1, band.depth, band.width), band.lo, psi.hbar, psi.l)
+
+
+class _LineBlock(_Block):
+    """An oscillator block: the Hermite band never grows, so each action
+    writes in place into one preallocated stack."""
+
+    def _fill(self):
+        c = self.psi.coeffs
+        out = np.empty((len(self.obs) + 1,) + c.shape, dtype=complex)
+        out[0] = c
+        for a, row in zip(self.obs, out[1:]):
+            self.psi.fill(a, c, row)
+        return out
+
+    def _gram(self, x, y):
+        return x.conj() @ y.T
+
+    def _second(self):
+        acted = self.stack[1:]
+        out = np.empty((len(self.obs),) + acted.shape, dtype=complex)
+        for a, part in zip(self.obs, out):
+            self.psi.fill(a, acted, part)  # part[j] = A_k A_j psi
+        return out @ self.psi.coeffs.conj()
+
+    def ket(self, column):
+        return self.psi._like(column)
+
+
+_BLOCKS = {FourierKet: _FourierBlock, LineKet: _LineBlock}
 
 
 @lru_cache(maxsize=256)
@@ -597,11 +685,11 @@ def _block_key(obs):
 class Lifted:
     """A view of one state and its ket ``psi``.
 
-    Every read goes through a ``_Block`` memoized in ``psi.memo``, the ket's
-    own dict, so every ``Lifted`` of the same ket reads the values any of
-    them computed.  Reads among the paper's four observables share one
-    block; a read of any other observable uses a block of the observables
-    it names, so no value depends on what was read before.
+    Every read goes through a block memoized in ``psi.memo``, the ket's own
+    dict, so every ``Lifted`` of the same ket reads the values any of them
+    computed.  Reads among the paper's four observables share one block; a
+    read of any other observable uses a block of the observables it names,
+    so no value depends on what was read before.
     """
 
     __slots__ = ("state", "psi", "_memo")
@@ -624,7 +712,7 @@ class Lifted:
         key, index = _block_key(obs)
         block = self._memo.get(key)
         if block is None:
-            block = self._memo[key] = _Block(self, key)
+            block = self._memo[key] = _BLOCKS[type(self.psi)](self.psi, key)
         return block, index
 
     def mean(self, a):
@@ -635,8 +723,7 @@ class Lifted:
     def deviation(self, a):
         """The deviation ket dA psi = A psi - <A> psi."""
         block, (i,) = self._block(a)
-        devs = block.deviations
-        return devs._like(devs.coeffs[i])
+        return block.ket(block.deviations[i])
 
     def std(self, a):
         """Standard deviation, the norm of the deviation ket."""

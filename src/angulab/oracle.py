@@ -18,9 +18,9 @@ oracle's own Gauss-Legendre rule (``theta_gram``).
 
 On a ``circle_grid`` the phases e^{i m phi} come from ``phase_rows``: one
 cache per process of read-only rows, keyed on (node count, m >= 1) and
-bounded by bytes.  A negative m takes the conjugate of its positive row,
-which equals the direct exponential bit for bit, and m = 0 adds its
-coefficient as a scalar.  Circle states sum their modes in coefficient
+bounded by bytes, least recently used rows out first.  A negative m
+takes the conjugate of its positive row, which equals the direct
+exponential bit for bit, and m = 0 adds its coefficient as a scalar.  Circle states sum their modes in coefficient
 order, and every product multiplies a fresh copy of the row, so numpy
 forms it as it forms ``a * np.exp(...)``: array-first (``E *= a``) once the
 temporary is large enough to elide (at the default 32768 nodes),
@@ -115,35 +115,18 @@ def theta_gram(l, n_theta):
     return gram
 
 
-class PhaseRows:
-    """Read-only rows e^{i m phi_j}, m >= 1, over the nodes of ``circle_grid(n)``.
-
-    A row is kept per (n, m) while the kept rows stay within ``budget``
-    bytes; one that does not fit is computed for the call and dropped, so
-    a wide band or a fine grid cannot grow the cache.  No grid array is
-    kept, only the rows.
-    """
-
-    def __init__(self, budget):
-        self.budget, self.nbytes, self._rows = budget, 0, {}
-
-    def __call__(self, n, m):
-        row = self._rows.get((n, m))
-        if row is None:
-            row = np.exp(1j * m * circle_grid(n).points)
-            row.flags.writeable = False
-            if self.nbytes + row.nbytes <= self.budget:
-                self._rows[n, m] = row
-                self.nbytes += row.nbytes
-        return row
-
-    def cache_clear(self):
-        self._rows.clear()
-        self.nbytes = 0
+def _phase_row(n, m):
+    """The read-only row e^{i m phi_j}, m >= 1, over the nodes of ``circle_grid(n)``."""
+    row = np.exp(1j * m * circle_grid(n).points)
+    row.flags.writeable = False
+    return row
 
 
+# Rows per (n, m) within a byte budget, least recently used out first; a row
+# larger than the budget is computed for the call and dropped, so a wide band
+# or a fine grid cannot grow the cache.  No grid array is kept, only the rows.
 # |m| = 1..8 at the default 32768 circle nodes (4 MiB) and 4096 sphere phi nodes (0.5 MiB)
-phase_rows = PhaseRows(budget=9 * 2**19)
+phase_rows = specfun.BytesLRU(_phase_row, budget=9 * 2**19)
 
 
 def _midpoint_count(grid):

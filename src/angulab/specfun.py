@@ -29,6 +29,38 @@ _HERMITE_FUNC_MAX = 600
 _THETA_MAX_L = 64
 
 
+class BytesLRU:
+    """``make(*key)`` memoized while the kept values fit in ``budget`` bytes.
+
+    Each value counts its ``nbytes``.  A new value evicts the least recently
+    used ones until it fits; a value larger than the whole budget is
+    returned and never kept.
+    """
+
+    def __init__(self, make, budget):
+        self.make, self.budget, self.nbytes, self._items = make, budget, 0, {}
+
+    def __call__(self, *key):
+        items = self._items
+        value = items.pop(key, None)  # re-inserted below as the most recent
+        if value is None:
+            value = self.make(*key)
+            if value.nbytes > self.budget:
+                return value
+            self.nbytes += value.nbytes
+            while self.nbytes > self.budget:
+                self.nbytes -= items.pop(next(iter(items))).nbytes
+        items[key] = value
+        return value
+
+    def keys(self):
+        return self._items.keys()
+
+    def cache_clear(self):
+        self._items.clear()
+        self.nbytes = 0
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights over one of the three supported domains."""

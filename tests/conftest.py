@@ -2,23 +2,37 @@ import pytest
 
 
 @pytest.fixture
-def apply_calls(monkeypatch):
-    """A list that grows by one per ``operators.apply`` call, counted in
-    every angulab namespace that binds ``apply``."""
+def actions(monkeypatch):
+    """A list that grows by one per operator action: each ``operators.apply``
+    call, counted in every angulab namespace that binds ``apply``, and each
+    ``LineKet.fill`` of a line stack.  An action taken inside a counted one
+    (a line ket's ``apply`` fills, a fill of phi^2 or the Hamiltonian
+    applies) is not counted again."""
     import angulab
     from angulab import cli, operators, oracle, relations
 
     calls = []
+    inside = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            if not inside:
+                calls.append(1)
+            inside.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
     apply = operators.apply
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return apply(*args, **kwargs)
-
+    counted_apply = counted(apply)
     for ns in (angulab, operators, relations, oracle, cli):
         for key, value in list(vars(ns).items()):
             if value is apply:
-                monkeypatch.setattr(ns, key, counted)
+                monkeypatch.setattr(ns, key, counted_apply)
+    monkeypatch.setattr(operators.LineKet, "fill", counted(operators.LineKet.fill))
     return calls
 
 

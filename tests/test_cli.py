@@ -187,6 +187,8 @@ class TestValidate:
 
 RESOLUTION = "resolution must be an integer >= 8, got"
 RESOLUTION_CAP = "resolution must be at most 1048576, got"
+SPHERE_ROWS = "sphere oracle rows x resolution must be at most 1048576, got"
+SPHERE_CONFIG = {"family": "sphere", "parameters": {"l": 1, "m": 0, "hbar": 1.0}, "oracle": True}
 NO_RELATION = "--relations names no relation"
 RELATION_LIST = "relations must be a list of relation names"
 SPHERE_COEFFS = ("scenario", "sphere", "--l", "1", "--coeffs")
@@ -259,6 +261,26 @@ class TestInputContract:
                 ("scenario", "--config", File(json.dumps({**SCR_CONFIG, "resolution": 2**20 + 1}))),
                 RESOLUTION_CAP,
             ),
+            (
+                ("scenario", "sphere", "--l", "1", "--m", "0")
+                + ("--oracle", "--resolution", "1048576"),
+                f"{SPHERE_ROWS} 3 x 1048576",
+            ),
+            (
+                ("sweep", "sphere", "--l", "1", "--random", "2")
+                + ("--oracle", "--resolution", "524288"),
+                f"{SPHERE_ROWS} 3 x 524288",
+            ),
+            (
+                ("scenario", "--config", File(json.dumps({**SPHERE_CONFIG, "resolution": 2**19}))),
+                f"{SPHERE_ROWS} 3 x 524288",
+            ),
+            (
+                CUSTOM
+                + (File('{"family": "sphere", "params": {"l": 1}, "coefficients": [[0, 1, 0]]}'),)
+                + ("--oracle", "--resolution", "524288"),
+                f"{SPHERE_ROWS} 3 x 524288",
+            ),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -304,6 +326,21 @@ class TestInputContract:
         path.write_text(json.dumps(cfg))
         proc = run_cli("validate", str(path), check=False)
         assert proc.returncode == 1 and proc.stdout == f"{RESOLUTION_CAP} {MAX_RESOLUTION + 1}\n"
+
+    def test_sphere_rows_in_config(self, tmp_path):
+        """validate caps a sphere state's oracle rows times the resolution
+        with the text scenario prints, and only when the oracle samples."""
+        path = tmp_path / "cfg.json"
+        cap = 2**20 // 3
+        for resolution, oracle_on, out in (
+            (cap, True, ""),
+            (cap + 1, True, f"{SPHERE_ROWS} 3 x {cap + 1}\n"),
+            (cap + 1, False, ""),
+        ):
+            cfg = {**SPHERE_CONFIG, "oracle": oracle_on, "resolution": resolution}
+            path.write_text(json.dumps(cfg))
+            proc = run_cli("validate", str(path), check=False)
+            assert (proc.returncode, proc.stdout) == (1 if out else 0, out), resolution
 
     def test_relations_in_config(self, tmp_path):
         """An empty relation list, or a string in place of a list, is rejected
@@ -497,18 +534,22 @@ class TestSharedLifted:
             for name in order:
                 assert evaluate_relation(name, shared) == fresh[name], (label, name)
 
-    def test_apply_calls_per_state(self, apply_calls):
+    def test_apply_calls_per_state(self, actions):
         """The 13 spectral relations on one state act with an operator at
         most 11 times: every relation reads the same ``A psi`` and pair
-        products.  ``apply`` is counted in every namespace that binds it."""
-        from angulab import cli
+        products.  Actions are ``apply`` calls, counted in every namespace
+        that binds it, and line-stack fills; circle and sphere kets are
+        counted on an emptied band-map cache, where each map is built from
+        one ``apply`` per observable."""
+        from angulab import cli, operators
 
         names = [name for name in cli.RELATIONS if name != "commutator"]
         assert len(names) == 13
         for label, state in self._states().items():
-            apply_calls.clear()
+            operators._band_map.cache_clear()
+            actions.clear()
             cli._evaluate_state(state, names, False, None)
-            assert 0 < len(apply_calls) <= 11, (label, len(apply_calls))
+            assert 0 < len(actions) <= 11, (label, len(actions))
 
 
 class TestSchema:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -90,6 +92,23 @@ class TestPhaseRows:
         psi = sample(fine, circle_grid(cli.MAX_RESOLUTION))
         assert rows.nbytes == kept
         assert psi.shape == (cli.MAX_RESOLUTION,)
+
+    def test_rows_of_a_new_grid_evict_the_oldest(self):
+        """Once the default-grid rows fill the budget, 16384-node rows evict
+        the least recently used ones and are then reused."""
+        rows = oracle.phase_rows
+        rows.cache_clear()
+        sample(random_periodic(np.random.default_rng(0), band=8), circle_grid())
+        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(8))
+        assert rows.nbytes == rows.budget
+        state = random_periodic(np.random.default_rng(1), band=8)
+        first = sample(state, circle_grid(16384))
+        assert {(16384, m) for m in range(1, 9)} <= set(rows.keys())
+        assert rows.nbytes <= rows.budget
+        with mock.patch.object(rows, "make", wraps=rows.make) as make:
+            again = sample(state, circle_grid(16384))
+        assert make.call_count == 0
+        assert np.array_equal(again, first)
 
 
 class TestQuadInner:

@@ -177,6 +177,104 @@ def test_scr_eigenstate_std_lz_is_zero(m, hbar):
     assert operators.Lifted(states.scr_eigenstate(m, hbar=hbar)).std(LZ) == 0.0
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        states.random_periodic(np.random.default_rng(129), band=64),
+        states.random_sphere(np.random.default_rng(16), 16),
+    ],
+    ids=["circle width 129", "sphere l=16"],
+)
+def test_stacked_reads_on_wide_bands(state):
+    """The checks of ``test_stacked_reads_equal_ket_definitions`` on a circle
+    state of width 129 and a sphere state with l = 16."""
+    test_stacked_reads_equal_ket_definitions.hypothesis.inner_test(state)
+
+
+# -- the stacked action of each ket class ------------------------------------
+#
+# A block acts once per ket class on a whole stack: circle and sphere kets
+# through cached band maps built from ``apply``, line kets by in-place fills.
+# On each basis ket of a band that action must give exactly what ``apply``
+# gives.
+
+ONE_SIDED = operators.trig_observable("OneSided", {3: 0.4, 1: -0.2j})  # moves the band up
+FOURIER_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI, ONE_SIDED)
+LINE_OBS = FOURIER_OBS + (operators.HAMILTONIAN,)
+
+
+def observable_sets(obs):
+    return st.lists(st.sampled_from(obs), min_size=1, max_size=len(obs), unique=True).map(tuple)
+
+
+@st.composite
+def fourier_bands(draw):
+    """(depth, width, lo, l) of a circle band or of a sphere band with l <= 12."""
+    depth = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return depth, draw(st.integers(1, 24)), draw(st.integers(-64, 64)), None
+    l = draw(st.integers(0, 12))
+    return depth, 2 * l + 1, -l, l
+
+
+def _on_band(ket, lo, depth, width):
+    """A single-row ket's coefficients placed on a wider band."""
+    out = np.zeros((depth, width), dtype=complex)
+    d, w = ket.coeffs.shape[-2:]
+    out[:d, ket.lo - lo : ket.lo - lo + w] = ket.coeffs[0]
+    return out
+
+
+@PROPERTY
+@given(fourier_bands(), observable_sets(FOURIER_OBS), st.booleans(), HBARS)
+def test_band_map_equals_apply_on_every_basis_ket(band, obs, with_psi, hbar):
+    depth, width, lo, l = band
+    size = depth * width
+    bmap = operators._band_map(depth, width, lo, obs, with_psi)
+    images = bmap.act(np.eye(size, dtype=complex), hbar)  # (slot, basis ket, band)
+    for b in range(size):
+        coeffs = np.zeros((1, depth, width), dtype=complex)
+        coeffs.flat[b] = 1.0
+        e = operators.FourierKet(coeffs, lo, hbar, l)
+        want = ([e] if with_psi else []) + [operators.apply(a, e) for a in obs]
+        for slot, ket, a in zip(images, want, ("psi",) * with_psi + obs):
+            got = slot[b].reshape(bmap.depth, bmap.width)
+            assert np.array_equal(got, _on_band(ket, bmap.lo, bmap.depth, bmap.width)), (b, a)
+
+
+@PROPERTY
+@given(st.integers(0, 20), HBARS, LINE_CONSTANTS, LINE_CONSTANTS, observable_sets(LINE_OBS))
+def test_line_fill_equals_apply_on_every_basis_ket(n, hbar, inertia, frequency, obs):
+    ket = operators.lift(states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar))
+    basis = np.eye(ket.coeffs.size, dtype=complex)
+    for a in obs:
+        images = ket.fill(a, basis, np.empty_like(basis))
+        for b, row in enumerate(basis):
+            assert np.array_equal(images[b], operators.apply(a, ket._like(row)).coeffs), (b, a)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(HBARS, min_size=20, max_size=20), SEEDS)
+def test_band_maps_hold_no_hbar(hbars, seed):
+    """States that differ only in hbar share their band maps: over 20 drawn
+    hbar values the map cache gains no entry after the first, and it stays
+    within its byte budget."""
+    cache = operators._band_map
+
+    def read(hbar):
+        for state in (
+            states.random_periodic(np.random.default_rng(seed), hbar=hbar),
+            states.random_sphere(np.random.default_rng(seed), 3, hbar=hbar),
+        ):
+            operators.Lifted(state).mismatch(LZ, PHI)
+        assert cache.nbytes <= cache.budget
+        return set(cache.keys())
+
+    keys = read(hbars[0])
+    for hbar in hbars[1:]:
+        assert read(hbar) == keys
+
+
 # -- the oracle's cached phase rows ---------------------------------------------
 #
 # Sampling from cached rows must give exactly the numbers of the direct
