@@ -528,7 +528,7 @@ class _BandMap:
         self._lz = [s for s, a in enumerate(obs, first) if a.fourier is None and a.tag == "Lz"]
 
     def act(self, x, hbar):
-        """(slot, ket, band) images of the kets ``x``, (ket, band) on this band."""
+        """The images ``[slot, ket, band]`` of the kets ``x[ket, band]`` at ``hbar``."""
         out = np.matmul(x, self.matrix)
         for s in self._lz:
             out[s] *= hbar

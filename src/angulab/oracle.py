@@ -20,15 +20,15 @@ On a ``circle_grid`` the phases e^{i m phi} come from ``phase_rows``: one
 cache per process of read-only rows, keyed on (node count, m >= 1) and
 bounded by bytes, least recently used rows out first.  A negative m
 takes the conjugate of its positive row, which equals the direct
-exponential bit for bit, and m = 0 adds its coefficient as a scalar.  Circle states sum their modes in coefficient
-order, and every product multiplies a fresh copy of the row, so numpy
-forms it as it forms ``a * np.exp(...)``: array-first (``E *= a``) once the
-temporary is large enough to elide (at the default 32768 nodes),
-scalar-first below that.  The two orders differ in the last bit, so the
-samples, the sphere's phi rows and the trigonometric multipliers of
-``act`` all equal the direct formulas exactly.  ``states.evaluate`` stays
-the pointwise reference; it still samples line states and any grid that
-is not a ``circle_grid``.
+exponential bit for bit, and m = 0 adds its coefficient as a scalar.
+Circle states sum their modes in coefficient order, and every product
+multiplies a fresh copy of the row, so numpy forms it as it forms
+``a * np.exp(...)``: array-first (``E *= a``) once the temporary is large
+enough to elide (at the default 32768 nodes), scalar-first below that.
+The two orders differ in the last bit, so the samples, the sphere's phi
+rows and the trigonometric multipliers of ``act`` all equal the direct
+formulas exactly.  ``states.evaluate`` stays the pointwise reference; it
+still samples line states and any grid that is not a ``circle_grid``.
 
 ``relation_values`` reads a registry relation, looked up by name in
 ``RELATION_VALUES``, from a ``Sampled``: one state sampled once, keeping
