@@ -664,8 +664,8 @@ class _LineBlock(_Block):
             self.psi.fill(a, acted, part)  # part[j] = A_k A_j psi
         return out @ self.psi.coeffs.conj()
 
-    def ket(self, column):
-        return self.psi._like(column)
+    def ket(self, row):
+        return self.psi._like(row)
 
 
 _BLOCKS = {FourierKet: _FourierBlock, LineKet: _LineBlock}
