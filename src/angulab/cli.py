@@ -110,17 +110,17 @@ def _build_state(family, params):
 
 # -- relation registry -----------------------------------------------------------
 #
-# Each relation is one row: its spectral evaluator, (operators.Lifted,
-# resolution) -> report entry; the report keys --oracle compares with the
-# oracle's values (top-level lhs/rhs, else details keys; a key the oracle does
-# not return is skipped); and, for a relation that holds on some families
-# only, ``only = (state families, reason)``.  On a state of any other family
-# the evaluator is not called, and the entry is not-applicable with that reason.
+# Each relation is one row: its spectral evaluator, operators.Lifted -> report
+# entry; the report keys --oracle compares with its oracle.RELATION_VALUES row
+# (top-level lhs/rhs, else details keys; a key the oracle does not return is
+# skipped); and, for a relation that holds on some families only, ``only =
+# (state families, reason)``.  On a state of any other family the evaluator is
+# not called, and the entry is not-applicable with that reason.
 
 
 class Relation(NamedTuple):
     evaluate: Callable
-    compared: tuple = ()
+    compared: tuple
     only: tuple = None
 
 
@@ -134,13 +134,13 @@ def _record(name, details):
     return {**entry, "details": details}
 
 
-def _condition19(lf, resolution):
+def _condition19(lf):
     mm = relations.adjointness_mismatch(LZ, PHI, lf)
     details = {"mismatch_ab": complex(mm.entries[0, 1])}
     return identity_report("condition19", mm.max_modulus, TOL_IDENTITY, details).to_json()
 
 
-def _decomposition(lf, resolution):
+def _decomposition(lf):
     res = relations.covariance_decomposition(LZ, PHI, lf)
     details = {
         "symmetric": res.symmetric,
@@ -153,18 +153,18 @@ def _decomposition(lf, resolution):
     return identity_report("decomposition", res.residual, TOL_IDENTITY, details).to_json()
 
 
-def _eq22(lf, resolution):
+def _eq22(lf):
     ab = lf.mismatch(LZ, PHI)
     details = {"mismatch_ab": complex(ab), "target": 1j * lf.state.hbar}
     return identity_report("eq22", ab - 1j * lf.state.hbar, TOL_IDENTITY, details).to_json()
 
 
-def _eq23(lf, resolution):
+def _eq23(lf):
     ab = lf.mismatch(LZ, PHI)
     return identity_report("eq23", ab, TOL_IDENTITY, {"mismatch_ab": complex(ab)}).to_json()
 
 
-def _eq24(lf, resolution):
+def _eq24(lf):
     info = relations.sphere_anomaly(lf)
     return _record(
         "eq24",
@@ -176,7 +176,7 @@ def _eq24(lf, resolution):
     )
 
 
-def _moments(lf, resolution):
+def _moments(lf):
     details = {
         "mean_Lz": lf.mean(LZ),
         "std_Lz": lf.std(LZ),
@@ -188,28 +188,30 @@ def _moments(lf, resolution):
     return _record("moments", details)
 
 
-def _commutator(lf, resolution):
-    residual = operators.commutator_residual(lf.state, resolution or 1024)
+def _commutator(lf):
+    """||L_z (phi psi) - phi (L_z psi) + i hbar psi|| in the ket algebra."""
+    lz_phi, phi_lz = operators.apply(LZ, lf.acted(PHI)), operators.apply(PHI, lf.acted(LZ))
+    residual = lz_phi.plus(phi_lz.scaled(-1.0)).plus(lf.psi.scaled(1j * lf.state.hbar)).norm()
     return identity_report("commutator", residual, TOL_COMMUTATOR, {"residual": residual}).to_json()
 
 
 def _adjusted(name):
-    return lambda lf, res: relations.adjusted_relation(name, lf).to_json()
+    return lambda lf: relations.adjusted_relation(name, lf).to_json()
 
 
 SIDES = ("lhs", "rhs")
 
 RELATIONS = {
-    "csf": Relation(lambda lf, res: relations.csf(LZ, PHI, lf).to_json(), SIDES),
-    "rsur": Relation(lambda lf, res: relations.rsur(LZ, PHI, lf).to_json(), SIDES),
+    "csf": Relation(lambda lf: relations.csf(LZ, PHI, lf).to_json(), SIDES),
+    "rsur": Relation(lambda lf: relations.rsur(LZ, PHI, lf).to_json(), SIDES),
     "condition19": Relation(_condition19, ("mismatch_ab",)),
     "decomposition": Relation(_decomposition, ("symmetric", "antisymmetric")),
     "boundary": Relation(
-        lambda lf, res: relations.boundary_bound(lf).to_json(),
+        lambda lf: relations.boundary_bound(lf).to_json(),
         SIDES,
         (("periodic",), "boundary_bound: circle states only"),
     ),
-    "gram": Relation(lambda lf, res: relations.gram_det(GRAM_SET, lf).to_json(), SIDES),
+    "gram": Relation(lambda lf: relations.gram_det(GRAM_SET, lf).to_json(), SIDES),
     "eq8-sin": Relation(_adjusted("eq8-sin"), SIDES),
     "eq8-cos": Relation(_adjusted("eq8-cos"), SIDES),
     "eq9-trig": Relation(_adjusted("eq9-trig"), SIDES),
@@ -221,8 +223,9 @@ RELATIONS = {
     ),
     "eq24": Relation(_eq24, ("direct_mismatch",), (("sphere",), "sphere family only")),
     "moments": Relation(_moments, ("mean_Lz", "std_Lz", "mean_Phi", "std_Phi", "mean_energy")),
-    # the grid oracle has no independent value for the commutator
-    "commutator": Relation(_commutator, only=(("periodic", "oscillator"), "1D families only")),
+    "commutator": Relation(
+        _commutator, ("residual",), (("periodic", "oscillator"), "1D families only")
+    ),
 }
 
 RELATION_REGISTRY = tuple(RELATIONS)
@@ -274,13 +277,13 @@ def _check_sphere_rows(state, resolution):
             )
 
 
-def evaluate_relation(name, state, resolution=None):
+def evaluate_relation(name, state):
     """One registry relation's report entry on one state or ``operators.Lifted``."""
     evaluate, _, only = RELATIONS[name]
     lf = operators.lifted(state)
     if only is not None and lf.state.family not in only[0]:
         return _not_applicable(name, only[1])
-    return evaluate(lf, resolution)
+    return evaluate(lf)
 
 
 def _jsonable(value):
@@ -296,9 +299,6 @@ def _jsonable(value):
 def _oracle_annotate(entry, sampled, name):
     """Attach the oracle's parallel values and their maximum deviation."""
     if entry.get("status") == "not-applicable":
-        return entry
-    if name not in oracle.RELATION_VALUES:
-        entry["oracle"] = {"unavailable": f"relation_values: no grid oracle for relation {name!r}"}
         return entry
     ovals = oracle.relation_values(sampled, name)
     delta = 0.0
@@ -324,7 +324,7 @@ def _evaluate_state(state, names, with_oracle, resolution):
         sampled = oracle.Sampled(state, oracle.default_grid(state, resolution))
     reports = []
     for name in names:
-        entry = evaluate_relation(name, lf, resolution)
+        entry = evaluate_relation(name, lf)
         if sampled is not None:
             entry = _oracle_annotate(entry, sampled, name)
         reports.append(entry)
@@ -387,7 +387,7 @@ def _add_common(sub):
     sub.add_argument("--oracle", action="store_true", help="attach grid-oracle cross checks")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0, help="PCG64 seed for random states")
-    sub.add_argument("--resolution", type=int, default=None, help="grid resolution override, 8 to 2**20")
+    sub.add_argument("--resolution", type=int, default=None, help="oracle grid resolution, 8 to 2**20")
 
 
 @functools.lru_cache(maxsize=1)

@@ -71,9 +71,8 @@ import numpy as np
 
 from . import specfun
 from .specfun import TWO_PI
-from .states import OscillatorState, PeriodicState, SphereState
+from .states import _NPAD, OscillatorState, PeriodicState, SphereState
 
-_NPAD = 48  # head-room in the Hermite band; trig tails decay superfactorially
 _MEAN_IMAG_TOL = 1e-10
 
 
@@ -454,9 +453,7 @@ def lift(state):
         return LineKet(coeffs, state.scale, state.hbar, state.inertia, state.frequency)
     if isinstance(state, SphereState):
         l = state.l
-        c = np.zeros(2 * l + 1, dtype=complex)
-        for m, v in state.coefficients.items():
-            c[m + l] = v
+        c = np.array([state.coefficients.get(m, 0.0) for m in range(-l, l + 1)], dtype=complex)
         # row r holds sum_m root[r, m] c_m e^{i m phi}, on the band -l..l
         coeffs = (_theta_overlap_root(l) * c)[:, None, :]
         return FourierKet(coeffs, -l, state.hbar, l)
@@ -776,9 +773,7 @@ def sphere_variances(state):
     if not isinstance(state, SphereState):
         raise TypeError("sphere_variances: need a SphereState")
     l = state.l
-    c = np.zeros(2 * l + 1, dtype=complex)
-    for m, v in state.coefficients.items():
-        c[m + l] = v
+    c = np.array([state.coefficients.get(m, 0.0) for m in range(-l, l + 1)], dtype=complex)
     mvals = np.arange(-l, l + 1)
     w = np.abs(c) ** 2
     mean_lz = state.hbar * float(w @ mvals)
@@ -799,12 +794,10 @@ def qtp_energy_mean(state):
 
 
 def commutator_residual(state, resolution=1024):
-    """max interior |[L_z, phi] psi + i hbar psi| on a sampling grid.
-
-    Evaluated with the grid oracle's differencing (one-sided stencils at
-    the extremities, never wrap-around), so it is an independent check of
-    the canonical commutator on the half-open range.
-    """
+    """max interior |[L_z, phi] psi + i hbar psi| on a grid of ``resolution``
+    nodes: the grid oracle's commutator value, differenced with one-sided
+    stencils at the extremities and never wrapped, so an independent check
+    of the canonical commutator on the half-open range."""
     from . import oracle  # local import keeps module dependencies one-way
 
     if isinstance(state, PeriodicState):
@@ -813,9 +806,4 @@ def commutator_residual(state, resolution=1024):
         grid = oracle.line_grid_for(state, n=resolution, half_width_floor=9.0, margin=5.0)
     else:
         raise TypeError("commutator_residual: circle or line families only")
-    psi = oracle.sample(state, grid)
-    phi = grid.points
-    dpsi = oracle.numeric_derivative(psi, grid)
-    dphipsi = oracle.numeric_derivative(phi * psi, grid)
-    residual = state.hbar * np.abs(dphipsi - phi * dpsi - psi)
-    return float(np.max(residual[2:-2]))
+    return oracle.relation_values(oracle.Sampled(state, grid), "commutator")["residual"]

@@ -32,12 +32,11 @@ still samples line states and any grid that is not a ``circle_grid``.
 
 ``relation_values`` reads a registry relation, looked up by name in
 ``RELATION_VALUES``, from a ``Sampled``: one state sampled once, keeping
-the samples, the first-order actions and scalars only.  The commutator
-has no entry: its spectral residual is itself computed on an oracle
-grid, so a comparison would read 0 by construction.  Observable tags
-resolve through ``operators.resolve_observable``, which also gives the
-Fourier coefficients of the trigonometric multipliers; nothing comes
-from ``relations``.
+the samples, the first-order actions and scalars only; every registry
+relation has an entry.  Observable tags resolve through
+``operators.resolve_observable``, which also gives the Fourier
+coefficients of the trigonometric multipliers; nothing comes from
+``relations``.
 """
 
 from dataclasses import dataclass
@@ -427,8 +426,13 @@ def _mismatch_target(target):
     return values
 
 
-# The registry relations with a grid derivation, by name: Sampled -> values.
-# The commutator has none: its residual is already computed on an oracle grid.
+def _commutator(s):
+    """max |[L_z, phi] psi + i hbar psi| over the nodes of central stencils."""
+    comm = act("Lz", s.acted("Phi"), s.state, s.grid) - act("Phi", s.acted("Lz"), s.state, s.grid)
+    return {"residual": float(np.max(np.abs(comm + 1j * s.state.hbar * s.psi)[..., 2:-2]))}
+
+
+# The grid derivation of every registry relation, by name: Sampled -> values.
 RELATION_VALUES = {
     "csf": _csf,
     "rsur": _rsur,
@@ -443,6 +447,7 @@ RELATION_VALUES = {
     "eq23": _mismatch_target(0.0),
     "eq24": lambda s: {"direct_mismatch": s.mismatch("Lz", "Phi")},
     "moments": _moments,
+    "commutator": _commutator,
 }
 
 

@@ -21,6 +21,8 @@ import numpy as np
 from . import specfun
 from .specfun import TWO_PI
 
+_NPAD = 48  # head-room that lift adds to a line band; trig tails decay superfactorially
+
 
 @dataclass(frozen=True)
 class PeriodicState:
@@ -38,6 +40,11 @@ class OscillatorState:
     frequency: float = 1.0
     hbar: float = 1.0
     family: str = field(default="oscillator", init=False, repr=False)
+
+    def __post_init__(self):
+        top, limit = max(self.coefficients), specfun._HERMITE_FUNC_MAX - _NPAD  # lift pads by _NPAD
+        if top > limit:
+            raise ValueError(f"oscillator index {top} exceeds line band limit {limit}")
 
     @property
     def scale(self):

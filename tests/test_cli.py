@@ -195,6 +195,9 @@ SPHERE_COEFFS = ("scenario", "sphere", "--l", "1", "--coeffs")
 CUSTOM = ("scenario", "custom", "--coeffs")
 PERIODIC = '{"family": "periodic", "coefficients": %s}'
 SCR_CONFIG = {"family": "scr", "parameters": {"m": 1, "hbar": 1.0}}
+OSCILLATOR = '{"family": "oscillator", "coefficients": [[0, 1, 0], [%d, 1, 0]]}'
+QTP_PARAMS = {"J": 1.0, "omega": 1.0, "hbar": 1.0, "truncation": 1000}
+LINE_BAND = "exceeds line band limit 552"
 
 
 class File(str):
@@ -281,6 +284,13 @@ class TestInputContract:
                 + ("--oracle", "--resolution", "524288"),
                 f"{SPHERE_ROWS} 3 x 524288",
             ),
+            (CUSTOM + (File(OSCILLATOR % 600),), f"oscillator index 600 {LINE_BAND}"),
+            (CUSTOM + (File(OSCILLATOR % 553),), f"oscillator index 553 {LINE_BAND}"),
+            (
+                ("scenario", "--config")
+                + (File(json.dumps({"family": "qtp", "parameters": {**QTP_PARAMS, "n": 600}})),),
+                f"oscillator index 600 {LINE_BAND}",
+            ),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -342,6 +352,17 @@ class TestInputContract:
             proc = run_cli("validate", str(path), check=False)
             assert (proc.returncode, proc.stdout) == (1 if out else 0, out), resolution
 
+    def test_line_band_limit_in_config(self, tmp_path):
+        """validate rejects an oscillator index past the line band with the
+        text scenario prints, and passes the largest index the band serves."""
+        path = tmp_path / "cfg.json"
+        for n, out in ((552, ""), (553, f"oscillator index 553 {LINE_BAND}\n")):
+            path.write_text(json.dumps({"family": "qtp", "parameters": {**QTP_PARAMS, "n": n}}))
+            proc = run_cli("validate", str(path), check=False)
+            assert (proc.returncode, proc.stdout) == (1 if out else 0, out), n
+        scenario = run_cli("scenario", "--config", str(path), check=False)
+        assert scenario.stderr == f"error: {out}"
+
     def test_relations_in_config(self, tmp_path):
         """An empty relation list, or a string in place of a list, is rejected
         by validate with the CLI's text; an absent or null one means the
@@ -389,9 +410,6 @@ class TestRegistry:
                 where = (family, entry["relation"])
                 if entry.get("status") == "not-applicable":
                     assert "oracle" not in entry, where
-                elif entry["relation"] == "commutator":
-                    assert "unavailable" in entry["oracle"], where
-                    assert "oracle_delta" not in entry, where
                 else:
                     assert entry["oracle_delta"] <= 1e-5, where
                     keys = RELATIONS[entry["relation"]][1]
@@ -428,8 +446,7 @@ class TestRegistry:
             evaluate_relation("csf", states.scr_eigenstate(2))
 
     def test_oracle_errors_propagate(self, monkeypatch):
-        """A failing grid oracle raises under --oracle; only a relation with
-        no ``RELATION_VALUES`` row is reported unavailable."""
+        """A failing grid oracle raises under --oracle."""
         from angulab import oracle
         from angulab.cli import run_scenario
 
@@ -445,7 +462,7 @@ class TestRegistry:
         from angulab import oracle
         from angulab.cli import RELATION_REGISTRY, emit_schema
 
-        assert tuple(oracle.RELATION_VALUES) + ("commutator",) == RELATION_REGISTRY
+        assert tuple(oracle.RELATION_VALUES) == RELATION_REGISTRY
         enum = emit_schema()["relation_report"]["properties"]["relation"]["enum"]
         assert tuple(enum) == RELATION_REGISTRY
 
@@ -458,29 +475,41 @@ class TestRegistry:
             for entry in entries:
                 jsonschema.validate(entry, schema)
 
-    def test_commutator_has_no_oracle_delta(self):
-        args = ("sweep", "scr", "--m", "0..1", "--relations", "commutator,csf", "--oracle")
+    def test_commutator_oracle_delta_in_json_and_csv(self):
+        """Under --oracle the commutator carries its grid residual and their
+        deviation, in JSON and in CSV alike."""
+        args = ("sweep", "qtp", "--n", "0..1", "--relations", "commutator,csf", "--oracle")
         doc = json.loads(run_cli(*args).stdout)
+        deltas = []
         for item in doc["items"]:
             comm, csf = item["reports"]
-            assert comm["oracle"] == {
-                "unavailable": "relation_values: no grid oracle for relation 'commutator'"
-            }
-            assert "oracle_delta" not in comm
-            assert csf["oracle_delta"] < 1e-6
+            assert list(comm["oracle"]) == ["residual"]
+            spectral, grid = comm["details"]["residual"], comm["oracle"]["residual"]
+            assert comm["oracle_delta"] == abs(spectral - grid)
+            assert comm["oracle_delta"] <= 1e-5 and csf["oracle_delta"] < 1e-6
+            deltas.append(repr(comm["oracle_delta"]))
         rows = run_cli(*args, "--format", "csv").stdout.splitlines()
         assert rows[0].endswith(",oracle_delta")
         comm_rows = [row for row in rows[1:] if ",commutator," in row]
-        assert len(comm_rows) == 2
-        assert all(row.endswith(",") for row in comm_rows)
+        assert [row.rsplit(",", 1)[1] for row in comm_rows] == deltas
+
+    @pytest.mark.parametrize("family, values", [("qtp", "--n=0..14"), ("scr", "--m=0..64")])
+    def test_commutator_sweeps_satisfied(self, capsys, family, values):
+        """The canonical commutator holds on every eigenstate of both sweeps,
+        where grid differencing exceeds its tolerance from n = 6 and m = 11 on."""
+        from angulab import cli
+
+        assert cli.main(["sweep", family, values, "--relations", "commutator"]) == 0
+        items = json.loads(capsys.readouterr().out)["items"]
+        assert len(items) == {"qtp": 15, "scr": 65}[family]
+        for item in items:
+            (entry,) = item["reports"]
+            assert entry["satisfied"] is True and entry["rhs"] <= 1e-14, item["params"]
 
     @pytest.mark.parametrize("with_oracle, calls", [(True, 1), (False, 0)])
     def test_state_sampled_once(self, monkeypatch, with_oracle, calls):
-        """Every relation with a grid oracle reads one sample of the state.
-
-        The commutator is left out: its spectral residual samples a grid of
-        its own, with or without --oracle.
-        """
+        """Every registry relation reads one sample of the state under
+        --oracle, and none without it."""
         from angulab import oracle
         from angulab.cli import run_scenario
 
@@ -604,8 +633,8 @@ class TestExitCodes:
 
         gram = cli.RELATIONS["gram"]
 
-        def planted(lf, resolution):
-            entry = gram.evaluate(lf, resolution)
+        def planted(lf):
+            entry = gram.evaluate(lf)
             if key == "lhs":
                 entry["lhs"] = float("nan")
             else:

@@ -80,6 +80,15 @@ def test_boundary_identity(state):
 
 
 @PROPERTY
+@given(random_states())
+def test_commutator_is_canonical_in_the_ket_algebra(state):
+    """L_z (phi psi) - phi (L_z psi) = -i hbar psi on every family, the
+    sphere included, where the registry row itself is not applicable."""
+    entry = RELATIONS["commutator"].evaluate(operators.Lifted(state))
+    assert entry["details"]["residual"] <= 1e-12 * state.hbar
+
+
+@PROPERTY
 @given(random_states(), st.permutations(list(RELATIONS)))
 def test_shared_lifted_equals_fresh(state, order):
     shared = operators.Lifted(state)
