@@ -87,20 +87,16 @@ def _make_state(family, params):
 def _checked(make, *args):
     """The state ``make(*args)`` builds, held to the input contract.
 
-    A ValueError from the constructor becomes a ConfigError, and so do
-    physical constants (hbar, and J and omega on the line) that are not
-    finite and positive.
+    A ValueError from the constructor becomes a ConfigError, and so does an
+    hbar that is not finite and positive (line states check hbar, J and
+    omega themselves, with the same text).
     """
     try:
         state = make(*args)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
-    constants = {"hbar": state.hbar}
-    if state.family == "oscillator":
-        constants.update(J=state.inertia, omega=state.frequency)
-    for key, val in constants.items():
-        if not (math.isfinite(val) and val > 0):
-            raise ConfigError(f"{key} must be finite and > 0, got {val!r}")
+    if not (math.isfinite(state.hbar) and state.hbar > 0):
+        raise ConfigError(f"hbar must be finite and > 0, got {state.hbar!r}")
     return state
 
 
@@ -512,7 +508,7 @@ def validate_config_doc(config):
         if key not in params:
             diags.append(f"missing parameter {key!r} for family {family!r}")
     state = None
-    if not diags and family != "custom":
+    if not diags:
         try:
             state = _build_state(family, params)
         except ConfigError as exc:
@@ -681,10 +677,12 @@ def _name_non_finite(obj, path):
 
 
 def _dumps(doc):
-    """``doc`` as indented JSON, or ArithmeticError naming a non-finite float:
-    the indenting encoder already tests each float, so success costs no walk."""
+    """``doc`` as JSON on one line, keys sorted, or ArithmeticError naming a
+    non-finite float.  With no indent CPython encodes in C, and that encoder
+    still tests each float, so success costs no walk.  ``python -m json.tool``
+    indents the line for reading."""
     try:
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
     except ValueError:
         _name_non_finite(doc, "report")
         raise
@@ -712,7 +710,7 @@ def main(argv=None):
                 print(diag)
             return 1 if diags else 0
         if args.command == "schema":
-            print(json.dumps(emit_schema(), sort_keys=True, indent=2))
+            print(_dumps(emit_schema()))
             return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

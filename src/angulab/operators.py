@@ -21,9 +21,11 @@ matrix elements
 On the line the Hermite-function ladder gives exact tridiagonal actions,
     xi h_n   = sqrt(n/2) h_{n-1} + sqrt((n+1)/2) h_{n+1},
     d/dxi h_n = sqrt(n/2) h_{n-1} - sqrt((n+1)/2) h_{n+1},
-and multiplication by a trigonometric polynomial of phi = xi / lam uses a
-Gauss-Hermite matrix that is exact to machine precision at the padded
-working dimension.
+and multiplication by e^{i k phi}, phi = xi / lam, is the displacement
+D(i k / (lam sqrt 2)), whose matrix elements come from a stable Laguerre
+recurrence (``specfun.displacement_matrix``).  A line ket holds the band
+``states.line_band`` sizes from its top index and lam, so that the images
+under sin phi and cos phi lose less than eps outside it.
 
 Circle and sphere kets share one type with a leading row axis: one row on
 the circle, one per polar function theta_lm (m = -l..l) on the sphere at
@@ -71,7 +73,7 @@ import numpy as np
 
 from . import specfun
 from .specfun import TWO_PI
-from .states import _NPAD, OscillatorState, PeriodicState, SphereState
+from .states import OscillatorState, PeriodicState, SphereState, line_band
 
 _MEAN_IMAG_TOL = 1e-10
 
@@ -413,23 +415,32 @@ def _pad_line(c, size):
     return out
 
 
-@lru_cache(maxsize=128)
-def _line_mult_matrix(dim, lam, fourier):
-    """Matrix of f(phi) = sum_k f_k e^{i k phi} on h_0..h_{dim-1}, phi = xi/lam.
-
-    Gauss-Hermite with dim + 48 nodes; exact for the polynomial part and
-    converged to machine precision for the entire trigonometric factor.
-    """
-    rule = specfun.gauss_hermite(dim + 48)
-    x, w = rule.nodes, rule.weights
-    wt = w * np.exp(x * x)  # plain-dxi weights against h_n h_k
-    table = specfun.hermite_function_table(dim - 1, x)
-    fvals = np.zeros(x.shape, dtype=complex)
+def _trig_matrix(dim, lam, fourier):
+    """Matrix of f(phi) = sum_k f_k e^{i k phi} on h_0..h_{dim-1}, phi = xi/lam:
+    e^{i k xi / lam} is the displacement D(i k / (lam sqrt 2))."""
+    out = np.zeros((dim, dim), dtype=complex)
     for k, coef in fourier:
-        fvals += coef * np.exp(1j * k * x / lam)
-    mat = (table * (wt * fvals)) @ table.T
-    mat.setflags(write=False)
-    return mat
+        out += coef * specfun.displacement_matrix(1j * k / (lam * math.sqrt(2.0)), dim)
+    out.setflags(write=False)
+    return out
+
+
+# One matrix per (lam, fourier), grown by ``_line_mult_matrix``, so no ``make``;
+# 64 MiB holds sin and cos at the band cap.
+_line_trig = specfun.BytesLRU(None, budget=2**26)
+
+
+def _line_mult_matrix(dim, lam, fourier):
+    """``_trig_matrix`` on h_0..h_{dim-1}: its entries do not depend on the
+    band, so this is a leading block of the one matrix kept per (lam,
+    fourier), rebuilt larger when a wider band asks for it."""
+    mat = _line_trig.get((lam, fourier), dim)
+    if mat is None:
+        mat = _line_trig.put((lam, fourier), _trig_matrix(dim, lam, fourier))
+    return mat[:dim, :dim]
+
+
+_line_mult_matrix.cache_info = _line_trig.cache_info  # hit counts, as lru_cache reports them
 
 
 # -- lifting and operator dispatch -------------------------------------------
@@ -446,8 +457,7 @@ def lift(state):
             coeffs[0, 0, m - lo] = a
         return FourierKet(coeffs, lo, state.hbar)
     if isinstance(state, OscillatorState):
-        dim = max(state.coefficients) + 1 + _NPAD
-        coeffs = np.zeros(dim, dtype=complex)
+        coeffs = np.zeros(line_band(max(state.coefficients), state.scale), dtype=complex)
         for n, b in state.coefficients.items():
             coeffs[n] = b
         return LineKet(coeffs, state.scale, state.hbar, state.inertia, state.frequency)

@@ -104,7 +104,7 @@ def identity_report(name, deviation, tolerance, details):
         relation=name,
         lhs=0.0,
         rhs=float(dev),
-        slack=float(-dev),
+        slack=0.0 - float(dev),  # not -dev: a zero deviation gives 0.0, not -0.0
         satisfied=bool(dev <= tolerance),
         tolerance=tolerance,
         details=details,

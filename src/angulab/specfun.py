@@ -14,6 +14,8 @@ Conventions
   insensitive to that choice, consistency is what matters.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,37 +30,60 @@ _HERMITE_POLY_MAX = 250
 _HERMITE_FUNC_MAX = 600
 _THETA_MAX_L = 64
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
 
 class BytesLRU:
     """``make(*key)`` memoized while the kept values fit in ``budget`` bytes.
 
     Each value counts its ``nbytes``.  A new value evicts the least recently
     used ones until it fits; a value larger than the whole budget is
-    returned and never kept.
+    returned and never kept.  ``get`` and ``put`` serve callers that grow
+    a kept array: ``get`` passes over one with too few rows.
     """
 
     def __init__(self, make, budget):
         self.make, self.budget, self.nbytes, self._items = make, budget, 0, {}
+        self.hits = self.misses = 0
 
     def __call__(self, *key):
+        value = self.get(key)
+        return self.put(key, self.make(*key)) if value is None else value
+
+    def get(self, key, rows=0):
+        """The value kept for ``key``, now the most recent, or None if there
+        is none with at least ``rows`` rows."""
+        value = self._items.get(key)
+        if value is None or (rows and len(value) < rows):
+            return None
+        self._items[key] = self._items.pop(key)
+        self.hits += 1
+        return value
+
+    def put(self, key, value):
+        """Keep ``value`` for ``key`` in place of any earlier one; return it."""
         items = self._items
-        value = items.pop(key, None)  # re-inserted below as the most recent
-        if value is None:
-            value = self.make(*key)
-            if value.nbytes > self.budget:
-                return value
+        self.misses += 1
+        old = items.pop(key, None)
+        if old is not None:
+            self.nbytes -= old.nbytes
+        if value.nbytes <= self.budget:
             self.nbytes += value.nbytes
             while self.nbytes > self.budget:
                 self.nbytes -= items.pop(next(iter(items))).nbytes
-        items[key] = value
+            items[key] = value
         return value
 
     def keys(self):
         return self._items.keys()
 
+    def cache_info(self):
+        """(hits, misses, maxsize, currsize), as ``functools.lru_cache`` reports."""
+        return CacheInfo(self.hits, self.misses, None, len(self._items))
+
     def cache_clear(self):
         self._items.clear()
-        self.nbytes = 0
+        self.nbytes = self.hits = self.misses = 0
 
 
 @dataclass(frozen=True)
@@ -126,6 +151,56 @@ def hermite_function_table(nmax, xi):
     for k in range(2, nmax + 1):
         out[k] = xi * np.sqrt(2.0 / k) * out[k - 1] - np.sqrt((k - 1.0) / k) * out[k - 2]
     return out
+
+
+def displacement_diagonals(x, count, size):
+    """g[n, d] = sqrt(n!/(n+d)!) x^(d/2) exp(-x/2) L_n^(d)(x) for n < count,
+    d < size: the moduli of the displacement matrix elements <n+d|D|n> and
+    <n|D|n+d> at |alpha|^2 = x > 0 (see ``displacement_matrix``).
+
+    Each diagonal d is stepped in n by the normalized Laguerre recurrence
+        g_(n+1) = [(2n+1+d-x) g_n - sqrt(n(n+d)) g_(n-1)] / sqrt((n+1)(n+1+d)),
+    which stays stable where the two-term recurrence in n from
+    a D = D (a + alpha) loses every digit at large x.  The pair it carries
+    is rescaled whenever it leaves [1e-150, 1e150], with the scale kept as a
+    logarithm, so exp(-x/2) cannot underflow before the Laguerre factor
+    grows; values below about 1e-170 come out as zero.
+    """
+    d = np.arange(size, dtype=float)
+    log_fact = np.array([math.lgamma(v + 1.0) for v in d])
+    scale = 0.5 * d * math.log(x) - 0.5 * x - 0.5 * log_fact  # log g_0
+    prev, cur = np.zeros(size), np.ones(size)
+    g = np.empty((count, size))
+    for k in range(count):
+        g[k] = cur * np.exp(scale)
+        step = (2 * k + 1 + d - x) * cur - np.sqrt(k * (k + d)) * prev
+        prev, cur = cur, step / np.sqrt((k + 1) * (k + 1 + d))
+        norm = np.maximum(np.abs(prev), np.abs(cur))
+        far = (norm > 1e150) | (norm < 1e-150)
+        if far.any():
+            norm = np.where(far, norm, 1.0)
+            prev, cur, scale = prev / norm, cur / norm, scale + np.log(norm)
+    return g
+
+
+def displacement_matrix(alpha, rows, cols=None):
+    """<h_m| D(alpha) |h_n> for m < rows and n < cols (default rows), where
+    D(alpha) = exp(alpha a^+ - conj(alpha) a) is the oscillator displacement.
+
+    Closed form (Cahill & Glauber, Phys. Rev. 177, 1857 (1969)), for d >= 0:
+        <n+d|D|n> = (alpha/|alpha|)^d g_n,   <n|D|n+d> = (-conj(alpha)/|alpha|)^d g_n,
+    with g from ``displacement_diagonals``.
+    """
+    cols = rows if cols is None else cols
+    m, n = np.indices((rows, cols))
+    if alpha == 0:
+        return (m == n).astype(complex)
+    g = displacement_diagonals(abs(alpha) ** 2, min(rows, cols), max(rows, cols))
+    steps = np.ones((2, g.shape[1]), dtype=complex)
+    steps[:, 1:] = [[alpha / abs(alpha)], [-np.conj(alpha) / abs(alpha)]]
+    below, above = np.cumprod(steps, axis=1)  # powers, exact for alpha on an axis
+    diag = np.abs(m - n)
+    return np.where(m >= n, below[diag], above[diag]) * g[np.minimum(m, n), diag]
 
 
 def legendre_polynomial(n, x):

@@ -14,14 +14,51 @@ by the (real) norm only so the global phase of the input survives.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import specfun
 from .specfun import TWO_PI
 
-_NPAD = 48  # head-room that lift adds to a line band; trig tails decay superfactorially
+# Hermite rows a line ket may hold: lam down to 0.027 at index 10, 0.11 at 600.
+_LINE_BAND_MAX = 1024
+
+
+@lru_cache(maxsize=1024)
+def line_band(nmax, lam):
+    """The Hermite rows a line ket of top index ``nmax`` needs at scale ``lam``.
+
+    sin phi and cos phi mix e^{+-i phi} = D(+-i / (lam sqrt 2)), which
+    spreads h_n over rows up to about (sqrt(x) + sqrt(2 n + 1))^2, x =
+    1 / (2 lam^2).  The band is the smallest one outside which every h_n,
+    n <= nmax, leaves an image mass below eps, and at least nmax + 3 so
+    that two ladder steps stay inside.  ValueError, naming lam, past
+    ``_LINE_BAND_MAX`` rows; h_0 alone leaves about half its mass beyond
+    row x, so x >= _LINE_BAND_MAX is rejected before any work.
+    """
+    if nmax > specfun._HERMITE_FUNC_MAX:
+        raise ValueError(
+            f"oscillator index {nmax} exceeds Hermite function limit {specfun._HERMITE_FUNC_MAX}"
+        )
+    x = 0.5 / (lam * lam)
+    dim = max(math.ceil(x), nmax + 3)
+    if 0.0 < x < _LINE_BAND_MAX:
+        size = math.ceil((math.sqrt(x) + math.sqrt(2 * nmax + 1) + 6.0) ** 2)
+        g = specfun.displacement_diagonals(x, nmax + 1, size)
+        tail = np.cumsum(g[:, ::-1] ** 2, axis=1)[:, ::-1]  # [n, d]: mass in rows >= n + d
+        rows = np.arange(nmax + 1, size)
+        n = np.arange(nmax + 1)[:, None]
+        worst = tail[n, rows - n].max(axis=0)
+        dim = max(int(rows[np.argmax(worst < np.finfo(float).eps)]), nmax + 3)
+    if dim > _LINE_BAND_MAX:
+        raise ValueError(
+            f"oscillator index {nmax} exceeds line band limit {_LINE_BAND_MAX} at "
+            f"lam={lam:.6g}: its sin/cos images need at least {dim} Hermite rows"
+        )
+    return dim
 
 
 @dataclass(frozen=True)
@@ -42,9 +79,10 @@ class OscillatorState:
     family: str = field(default="oscillator", init=False, repr=False)
 
     def __post_init__(self):
-        top, limit = max(self.coefficients), specfun._HERMITE_FUNC_MAX - _NPAD  # lift pads by _NPAD
-        if top > limit:
-            raise ValueError(f"oscillator index {top} exceeds line band limit {limit}")
+        for key, val in (("hbar", self.hbar), ("J", self.inertia), ("omega", self.frequency)):
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{key} must be finite and > 0, got {val!r}")
+        line_band(max(self.coefficients), self.scale)  # raises past the band cap
 
     @property
     def scale(self):

@@ -195,9 +195,13 @@ SPHERE_COEFFS = ("scenario", "sphere", "--l", "1", "--coeffs")
 CUSTOM = ("scenario", "custom", "--coeffs")
 PERIODIC = '{"family": "periodic", "coefficients": %s}'
 SCR_CONFIG = {"family": "scr", "parameters": {"m": 1, "hbar": 1.0}}
-OSCILLATOR = '{"family": "oscillator", "coefficients": [[0, 1, 0], [%d, 1, 0]]}'
-QTP_PARAMS = {"J": 1.0, "omega": 1.0, "hbar": 1.0, "truncation": 1000}
-LINE_BAND = "exceeds line band limit 552"
+# J = 0.001 puts lam at 0.0316, where these indices need more than the band cap
+OSCILLATOR = (
+    '{"family": "oscillator", "params": {"inertia": 0.001}, '
+    '"coefficients": [[0, 1, 0], [%d, 1, 0]]}'
+)
+QTP_PARAMS = {"J": 0.001, "omega": 1.0, "hbar": 1.0, "truncation": 1000}
+LINE_BAND = "exceeds line band limit 1024 at lam=0.0316228"
 
 
 class File(str):
@@ -291,6 +295,15 @@ class TestInputContract:
                 + (File(json.dumps({"family": "qtp", "parameters": {**QTP_PARAMS, "n": 600}})),),
                 f"oscillator index 600 {LINE_BAND}",
             ),
+            (
+                ("scenario", "--config")
+                + (File(json.dumps({"family": "custom", "parameters": {"coeffs": "absent.json"}})),),
+                "cannot load state from absent.json",
+            ),
+            (
+                CUSTOM + (File('{"family": "oscillator", "coefficients": [[601, 1, 0]]}'),),
+                "oscillator index 601 exceeds Hermite function limit 600",
+            ),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -353,13 +366,20 @@ class TestInputContract:
             assert (proc.returncode, proc.stdout) == (1 if out else 0, out), resolution
 
     def test_line_band_limit_in_config(self, tmp_path):
-        """validate rejects an oscillator index past the line band with the
-        text scenario prints, and passes the largest index the band serves."""
+        """validate rejects a state whose sin/cos band exceeds the cap at its
+        lam with the text scenario prints, and passes the same index at a
+        lam the band serves."""
+        from angulab import states
+
         path = tmp_path / "cfg.json"
-        for n, out in ((552, ""), (553, f"oscillator index 553 {LINE_BAND}\n")):
-            path.write_text(json.dumps({"family": "qtp", "parameters": {**QTP_PARAMS, "n": n}}))
+        with pytest.raises(ValueError) as small_lam:
+            states.qtp_eigenstate(280, inertia=0.001, truncation=600)
+        assert f"oscillator index 280 {LINE_BAND}" in str(small_lam.value)
+        for J, out in ((1.0, ""), (0.001, f"{small_lam.value}\n")):
+            params = {**QTP_PARAMS, "n": 280, "J": J, "truncation": 600}
+            path.write_text(json.dumps({"family": "qtp", "parameters": params}))
             proc = run_cli("validate", str(path), check=False)
-            assert (proc.returncode, proc.stdout) == (1 if out else 0, out), n
+            assert (proc.returncode, proc.stdout) == (1 if out else 0, out), J
         scenario = run_cli("scenario", "--config", str(path), check=False)
         assert scenario.stderr == f"error: {out}"
 
@@ -379,6 +399,33 @@ class TestInputContract:
             assert run_cli("validate", str(path)).stdout == ""
             reports = json.loads(run_cli("scenario", "--config", str(path)).stdout)["reports"]
             assert [r["relation"] for r in reports] == ["csf", "rsur", "condition19", "moments"]
+
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            (None, "cannot load state from"),
+            (OSCILLATOR % 600, f"oscillator index 600 {LINE_BAND}"),
+            ('{"family": "oscillator", "coefficients": [[600, 1, 0]]}', None),
+        ],
+        ids=["missing-file", "past-band-cap", "valid"],
+    )
+    def test_custom_config_builds_state(self, tmp_path, coeffs, message):
+        """validate loads a custom config's coefficient file and rejects what
+        scenario --config rejects, with the same text."""
+        state_path = tmp_path / "state.json"
+        if coeffs is not None:
+            state_path.write_text(coeffs)
+        path = tmp_path / "cfg.json"
+        cfg = {"family": "custom", "parameters": {"coeffs": str(state_path)}, "relations": ["csf"]}
+        path.write_text(json.dumps(cfg))
+        proc = run_cli("validate", str(path), check=False)
+        scenario = run_cli("scenario", "--config", str(path), check=False)
+        if message is None:
+            assert (proc.returncode, proc.stdout, scenario.returncode) == (0, "", 0)
+        else:
+            assert proc.returncode == 1 and message in proc.stdout
+            assert scenario.returncode == 1 and scenario.stderr == f"error: {proc.stdout}"
 
 
 class TestRegistry:
@@ -414,6 +461,23 @@ class TestRegistry:
                     assert entry["oracle_delta"] <= 1e-5, where
                     keys = RELATIONS[entry["relation"]][1]
                     assert any(key in entry["oracle"] for key in keys), where
+
+    def test_small_J_trig_rows_agree_with_oracle(self):
+        """At J = 0.01 (lam = 0.1) the eq8 and eq9 sin/cos values match the
+        grid; a 97-node Gauss-Hermite matrix was off by 0.0185 and 0.302."""
+        args = ("scenario", "qtp", "--n", "0", "--J", "0.01", "--relations", "eq8-sin,eq9-trig")
+        reports = json.loads(run_cli(*args, "--oracle").stdout)["reports"]
+        assert [r["relation"] for r in reports] == ["eq8-sin", "eq9-trig"]
+        assert all(r["oracle_delta"] <= 1e-5 for r in reports), reports
+
+    def test_high_index_trig_row_runs(self, tmp_path):
+        """A qtp state at n = 280 gets a finite sin/cos band and exits 0."""
+        path = tmp_path / "cfg.json"
+        params = {"n": 280, "J": 1.0, "omega": 1.0, "hbar": 1.0, "truncation": 600}
+        path.write_text(json.dumps({"family": "qtp", "parameters": params, "relations": ["eq8-sin"]}))
+        proc = run_cli("scenario", "--config", str(path), check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert math.isfinite(json.loads(proc.stdout)["reports"][0]["lhs"])
 
     def test_only_gives_reason(self, reports):
         """A row whose ``only`` leaves out the state's family reports exactly
@@ -599,7 +663,7 @@ class TestExitCodes:
             stderr=subprocess.PIPE,
             text=True,
         )
-        assert proc.stdout.readline() == "{\n"
+        assert proc.stdout.read(2) == '{"'
         proc.stdout.close()
         assert proc.wait(timeout=60) == 0
         err = proc.stderr.read()
@@ -747,3 +811,37 @@ class TestGoldenFiles:
         by = {r["relation"]: r for r in want["reports"]}
         assert by["eq24"]["details"]["direct_mismatch"]["im"] == pytest.approx(1.0, abs=1e-10)
         assert by["condition19"]["details"]["mismatch_ab"]["im"] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestJsonWriter:
+    """Reports are JSON on one line, keys sorted, with a closing newline."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("scenario", "qtp", "--n", "2", "--relations", ",".join(ALL), "--oracle"),
+            ("sweep", "scr", "--m=-3..3"),
+            ("sweep", "sphere", "--l", "2", "--random", "2", "--relations", "csf,gram"),
+            ("schema",),
+        ],
+        ids=["scenario", "sweep", "sweep-sphere", "schema"],
+    )
+    def test_one_line(self, args):
+        out = run_cli(*args).stdout
+        assert out.endswith("\n") and out.count("\n") == 1
+        doc = json.loads(out)
+        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_schema_output_validates_goldens(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads(run_cli("schema").stdout)["relation_report"]
+        for path in sorted(GOLDEN.glob("*.json")):
+            for entry in json.loads(path.read_text())["reports"]:
+                jsonschema.validate(entry, schema)
+
+    def test_zero_slack_is_positive_zero(self):
+        """An identity entry with no deviation prints slack 0.0, not -0.0."""
+        rows = run_cli(
+            "sweep", "scr", "--m=0..3", "--relations", "commutator", "--format", "csv"
+        ).stdout.splitlines()
+        assert rows[1:] == [f"{m},scr,m={m},commutator,0.0,0.0,0.0,True" for m in range(4)]

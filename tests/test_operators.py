@@ -427,3 +427,50 @@ class TestEnergy:
         s = random_periodic(rng)
         m2 = mean(PHI2, s)
         assert m2 == pytest.approx(std_dev(PHI, s) ** 2 + mean(PHI, s) ** 2, abs=1e-10)
+
+
+class TestLineTrig:
+    """Multiplication by sin phi and cos phi on the line: displacement
+    matrices sliced from one matrix per (lam, multiplier), on a band sized
+    from the state."""
+
+    def test_one_matrix_per_lam_and_multiplier(self):
+        from angulab import operators
+
+        operators._line_trig.cache_clear()
+        lam, fourier = 0.37, SIN_PHI.fourier
+        small = operators._line_mult_matrix(20, lam, fourier)
+        assert np.shares_memory(operators._line_mult_matrix(12, lam, fourier), small)
+        big = operators._line_mult_matrix(50, lam, fourier)
+        assert np.array_equal(big[:20, :20], small)  # entries do not depend on the band
+        assert np.shares_memory(operators._line_mult_matrix(20, lam, fourier), big)
+        assert list(operators._line_trig.keys()) == [(lam, fourier)]
+        assert operators._line_mult_matrix.cache_info()[:2] == (2, 2)  # (hits, misses)
+
+    def test_band_holds_the_trig_images(self):
+        """Outside the band every h_n, n <= nmax, leaves less than eps of its
+        sin/cos image; one row fewer does not (or the ladders set the band)."""
+        from angulab import specfun
+        from angulab.states import line_band
+
+        assert line_band(8, 1.0) == 27  # 57 with the fixed 48-row pad
+        for nmax, lam in ((0, 1.0), (8, 1.0), (10, 0.0316), (40, 0.3), (3, 30.0)):
+            dim = line_band(nmax, lam)
+            alpha = 1j / (lam * np.sqrt(2.0))
+            mass = np.abs(specfun.displacement_matrix(alpha, dim + 200, nmax + 1)) ** 2
+            tail = mass[::-1].cumsum(axis=0)[::-1].max(axis=1)
+            assert tail[dim] < np.finfo(float).eps, (nmax, lam)
+            assert tail[dim - 1] >= np.finfo(float).eps or dim == nmax + 3, (nmax, lam)
+
+    def test_band_cap_names_lam(self):
+        with pytest.raises(ValueError, match=r"line band limit 1024 at lam=0\.01:"):
+            qtp_eigenstate(0, inertia=1e-4)
+        with pytest.raises(ValueError, match="Hermite function limit 600"):
+            qtp_eigenstate(601, truncation=601)
+        assert lift(qtp_eigenstate(600, truncation=600)).coeffs.size == 657
+
+    @pytest.mark.parametrize("J", [0.01, 0.1, 1.0])
+    def test_sin_squared_plus_cos_squared(self, J):
+        psi = lift(qtp_eigenstate(0, inertia=J))
+        total = apply(SIN_PHI, psi).norm() ** 2 + apply(COS_PHI, psi).norm() ** 2
+        assert total == pytest.approx(1.0, abs=1e-14)

@@ -199,3 +199,45 @@ class TestQuadratureRules:
         for a, b in zip(errors, errors[1:]):
             assert b <= a or b < 1e-10
         assert errors[-1] < 1e-10
+
+
+class TestDisplacementMatrix:
+    """<h_m|D(alpha)|h_n> from the diagonal Laguerre recurrence, against the
+    closed form evaluated in mpmath at 60 digits."""
+
+    @staticmethod
+    def closed_form(m, n, alpha):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            a = mpmath.mpc(alpha.real, alpha.imag)
+            x = abs(a) ** 2
+            lo, hi = min(m, n), max(m, n)
+            step = a if m >= n else -mpmath.conj(a)
+            val = (
+                mpmath.sqrt(mpmath.factorial(lo) / mpmath.factorial(hi))
+                * step ** (hi - lo)
+                * mpmath.exp(-x / 2)
+                * mpmath.laguerre(lo, hi - lo, x)
+            )
+            return complex(val)
+
+    # (rows, lam): from a wide band at lam 1.3 to the line band cap at lam 0.029
+    @pytest.mark.parametrize("dim, lam", [(60, 1.3), (200, 0.1), (400, 0.05), (601, 0.03), (1024, 0.029)])
+    def test_entries_match_closed_form(self, dim, lam):
+        rng = np.random.default_rng(dim)
+        for k in (1, -1, 2):
+            alpha = 1j * k / (lam * math.sqrt(2.0))
+            mat = specfun.displacement_matrix(alpha, dim)
+            picks = rng.integers(0, dim, size=(12, 2)).tolist() + [[0, 0], [dim - 1, 0], [0, dim - 1]]
+            for m, n in picks:
+                assert abs(mat[m, n] - self.closed_form(m, n, alpha)) < 2e-14, (k, m, n)
+
+    def test_unitary_where_the_band_holds_the_image(self):
+        """Columns n whose image lies inside the rows have unit norm, and a
+        rectangular block equals the leading part of the square one."""
+        alpha = 0.3 - 1.1j
+        mat = specfun.displacement_matrix(alpha, 80)
+        assert np.allclose(np.linalg.norm(mat[:, :20], axis=0), 1.0, atol=1e-14)
+        assert np.allclose(mat.conj().T @ mat[:, :20], np.eye(80)[:, :20], atol=1e-14)
+        assert np.array_equal(specfun.displacement_matrix(alpha, 80, 20), mat[:, :20])
+        assert np.array_equal(specfun.displacement_matrix(0.0, 3), np.eye(3))
