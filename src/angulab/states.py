@@ -29,7 +29,8 @@ _LINE_BAND_MAX = 1024
 
 @lru_cache(maxsize=1024)
 def line_band(nmax, lam):
-    """The Hermite rows a line ket of top index ``nmax`` needs at scale ``lam``.
+    """The Hermite rows a line ket of top index ``nmax`` needs at scale ``lam``
+    (finite and > 0).
 
     sin phi and cos phi mix e^{+-i phi} = D(+-i / (lam sqrt 2)), which
     spreads h_n over rows up to about (sqrt(x) + sqrt(2 n + 1))^2, x =
@@ -43,20 +44,21 @@ def line_band(nmax, lam):
         raise ValueError(
             f"oscillator index {nmax} exceeds Hermite function limit {specfun._HERMITE_FUNC_MAX}"
         )
-    x = 0.5 / (lam * lam)
-    dim = max(math.ceil(x), nmax + 3)
-    if 0.0 < x < _LINE_BAND_MAX:
+    dim, lam2 = nmax + 3, float(lam) * float(lam)
+    if lam2 <= 0.5 / _LINE_BAND_MAX:
+        dim = _LINE_BAND_MAX + 1
+    elif lam2 < math.inf:  # else x = 0: the multiplier is 1
+        x = 0.5 / lam2
         size = math.ceil((math.sqrt(x) + math.sqrt(2 * nmax + 1) + 6.0) ** 2)
         g = specfun.displacement_diagonals(x, nmax + 1, size)
         tail = np.cumsum(g[:, ::-1] ** 2, axis=1)[:, ::-1]  # [n, d]: mass in rows >= n + d
         rows = np.arange(nmax + 1, size)
         n = np.arange(nmax + 1)[:, None]
         worst = tail[n, rows - n].max(axis=0)
-        dim = max(int(rows[np.argmax(worst < np.finfo(float).eps)]), nmax + 3)
+        dim = max(int(rows[np.argmax(worst < np.finfo(float).eps)]), dim)
     if dim > _LINE_BAND_MAX:
         raise ValueError(
-            f"oscillator index {nmax} exceeds line band limit {_LINE_BAND_MAX} at "
-            f"lam={lam:.6g}: its sin/cos images need at least {dim} Hermite rows"
+            f"oscillator index {nmax} exceeds line band limit {_LINE_BAND_MAX} at lam={lam:.6g}"
         )
     return dim
 
@@ -82,7 +84,10 @@ class OscillatorState:
         for key, val in (("hbar", self.hbar), ("J", self.inertia), ("omega", self.frequency)):
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{key} must be finite and > 0, got {val!r}")
-        line_band(max(self.coefficients), self.scale)  # raises past the band cap
+        lam = self.scale
+        if not 0.0 < lam < math.inf:
+            raise ValueError(f"sqrt(J omega / hbar) must be finite and > 0, got {float(lam)!r}")
+        line_band(max(self.coefficients), lam)  # raises past the band cap
 
     @property
     def scale(self):

@@ -202,6 +202,7 @@ OSCILLATOR = (
 )
 QTP_PARAMS = {"J": 0.001, "omega": 1.0, "hbar": 1.0, "truncation": 1000}
 LINE_BAND = "exceeds line band limit 1024 at lam=0.0316228"
+ABSENT_CUSTOM = {"family": "custom", "parameters": {"coeffs": "absent.json"}}
 
 
 class File(str):
@@ -296,13 +297,16 @@ class TestInputContract:
                 f"oscillator index 600 {LINE_BAND}",
             ),
             (
-                ("scenario", "--config")
-                + (File(json.dumps({"family": "custom", "parameters": {"coeffs": "absent.json"}})),),
+                ("scenario", "--config", File(json.dumps(ABSENT_CUSTOM))),
                 "cannot load state from absent.json",
             ),
             (
                 CUSTOM + (File('{"family": "oscillator", "coefficients": [[601, 1, 0]]}'),),
                 "oscillator index 601 exceeds Hermite function limit 600",
+            ),
+            (
+                ("scenario", "qtp", "--J", "1e200", "--omega", "1e200"),
+                "sqrt(J omega / hbar) must be finite and > 0, got inf",
             ),
         ],
     )
@@ -464,7 +468,7 @@ class TestRegistry:
 
     def test_small_J_trig_rows_agree_with_oracle(self):
         """At J = 0.01 (lam = 0.1) the eq8 and eq9 sin/cos values match the
-        grid; a 97-node Gauss-Hermite matrix was off by 0.0185 and 0.302."""
+        grid."""
         args = ("scenario", "qtp", "--n", "0", "--J", "0.01", "--relations", "eq8-sin,eq9-trig")
         reports = json.loads(run_cli(*args, "--oracle").stdout)["reports"]
         assert [r["relation"] for r in reports] == ["eq8-sin", "eq9-trig"]
@@ -474,7 +478,8 @@ class TestRegistry:
         """A qtp state at n = 280 gets a finite sin/cos band and exits 0."""
         path = tmp_path / "cfg.json"
         params = {"n": 280, "J": 1.0, "omega": 1.0, "hbar": 1.0, "truncation": 600}
-        path.write_text(json.dumps({"family": "qtp", "parameters": params, "relations": ["eq8-sin"]}))
+        cfg = {"family": "qtp", "parameters": params, "relations": ["eq8-sin"]}
+        path.write_text(json.dumps(cfg))
         proc = run_cli("scenario", "--config", str(path), check=False)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert math.isfinite(json.loads(proc.stdout)["reports"][0]["lhs"])

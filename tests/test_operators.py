@@ -453,7 +453,7 @@ class TestLineTrig:
         from angulab import specfun
         from angulab.states import line_band
 
-        assert line_band(8, 1.0) == 27  # 57 with the fixed 48-row pad
+        assert line_band(8, 1.0) == 27
         for nmax, lam in ((0, 1.0), (8, 1.0), (10, 0.0316), (40, 0.3), (3, 30.0)):
             dim = line_band(nmax, lam)
             alpha = 1j / (lam * np.sqrt(2.0))
@@ -463,7 +463,7 @@ class TestLineTrig:
             assert tail[dim - 1] >= np.finfo(float).eps or dim == nmax + 3, (nmax, lam)
 
     def test_band_cap_names_lam(self):
-        with pytest.raises(ValueError, match=r"line band limit 1024 at lam=0\.01:"):
+        with pytest.raises(ValueError, match=r"line band limit 1024 at lam=0\.01$"):
             qtp_eigenstate(0, inertia=1e-4)
         with pytest.raises(ValueError, match="Hermite function limit 600"):
             qtp_eigenstate(601, truncation=601)

@@ -67,8 +67,8 @@ def test_scr_mismatch_is_i_hbar(m, hbar):
     assert abs(lf.mismatch(LZ, PHI) - 1j * hbar) < TOL_IDENTITY
 
 
-# Drawn corners: lam = 0.1 (J = 0.1, omega = 1, hbar = 10), where a 97-node
-# Gauss-Hermite matrix lost 0.41 of the sum, and the smallest lam, 0.032.
+# Corners of the drawn range that random draws seldom reach: lam = 0.1
+# (J = 0.1, omega = 1, hbar = 10) and the smallest lam, 0.032 (omega = 0.1).
 SMALL_LAMS = [
     states.random_oscillator(np.random.default_rng(0), inertia=0.1, frequency=omega, hbar=10.0)
     for omega in (1.0, 0.1)

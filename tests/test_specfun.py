@@ -222,13 +222,16 @@ class TestDisplacementMatrix:
             return complex(val)
 
     # (rows, lam): from a wide band at lam 1.3 to the line band cap at lam 0.029
-    @pytest.mark.parametrize("dim, lam", [(60, 1.3), (200, 0.1), (400, 0.05), (601, 0.03), (1024, 0.029)])
+    @pytest.mark.parametrize(
+        "dim, lam", [(60, 1.3), (200, 0.1), (400, 0.05), (601, 0.03), (1024, 0.029)]
+    )
     def test_entries_match_closed_form(self, dim, lam):
         rng = np.random.default_rng(dim)
         for k in (1, -1, 2):
             alpha = 1j * k / (lam * math.sqrt(2.0))
             mat = specfun.displacement_matrix(alpha, dim)
-            picks = rng.integers(0, dim, size=(12, 2)).tolist() + [[0, 0], [dim - 1, 0], [0, dim - 1]]
+            picks = rng.integers(0, dim, size=(12, 2)).tolist()
+            picks += [[0, 0], [dim - 1, 0], [0, dim - 1]]
             for m, n in picks:
                 assert abs(mat[m, n] - self.closed_form(m, n, alpha)) < 2e-14, (k, m, n)
 
