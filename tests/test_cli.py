@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -816,6 +817,41 @@ class TestGoldenFiles:
         by = {r["relation"]: r for r in want["reports"]}
         assert by["eq24"]["details"]["direct_mismatch"]["im"] == pytest.approx(1.0, abs=1e-10)
         assert by["condition19"]["details"]["mismatch_ab"]["im"] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestBlasThreads:
+    """Oracle inner products are BLAS dots, which OpenBLAS splits across
+    threads on large grids, so their round-off follows the thread count:
+    values agree across counts within the golden tolerance, and stdout is
+    byte-identical between runs at one count."""
+
+    SPHERE = {
+        "family": "sphere",
+        "params": {"l": 3},
+        "coefficients": [[-3, 0.3, 0.1], [-1, 0.5, -0.2], [0, 0.4, 0.0], [2, 0.2, 0.6], [3, -0.1, 0.3]],
+    }
+
+    @staticmethod
+    def _stdout(args, threads):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+        proc = subprocess.run(
+            [sys.executable, "-m", "angulab.cli", *args], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("label", ["scr", "sphere"])
+    def test_thread_counts_agree(self, tmp_path, label):
+        if label == "scr":
+            args = ("scenario", "scr", "--m", "3", "--oracle")
+        else:
+            path = tmp_path / "sphere.json"
+            path.write_text(json.dumps(self.SPHERE))
+            args = ("scenario", "custom", "--coeffs", str(path), "--oracle")
+        runs = {threads: [self._stdout(args, threads) for _ in range(2)] for threads in (1, 2)}
+        for first, second in runs.values():
+            assert first == second
+        walk_compare(json.loads(runs[2][0]), json.loads(runs[1][0]))
 
 
 class TestJsonWriter:

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -140,6 +141,126 @@ class TestQuadInner:
         g = sphere_grid(16, 64)
         with pytest.raises(ValueError):
             quad_inner(np.ones(shape), np.ones(shape), g)
+
+
+def _four_term_derivative(samples, grid):
+    """Reference: the four-term interior expression with full-array temporaries."""
+    arr = np.asarray(samples)
+    c = oracle._FD_INTERIOR
+    out = np.zeros_like(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    out[..., 2:-2] = c[0] * arr[..., :-4] + c[1] * arr[..., 1:-3] + c[3] * arr[..., 3:-1] + c[4] * arr[..., 4:]
+    head, tail = arr[..., :5], arr[..., -5:]
+    out[..., 0] = head @ oracle._FD_FORWARD
+    out[..., 1] = head @ oracle._FD_OFFSET
+    out[..., -1] = -(tail[..., ::-1] @ oracle._FD_FORWARD)
+    out[..., -2] = -(tail[..., ::-1] @ oracle._FD_OFFSET)
+    return out / grid.spacing
+
+
+def _peak_bytes(fn):
+    """Peak bytes traced while ``fn()`` runs, above what was live before it;
+    numpy reports its array buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestInPlaceKernels:
+    """The hot kernels fill their results in place: derivatives and
+    deviation kets equal the full-temporary expressions bit for bit, and
+    only the summation order of ``quad_inner`` differs from h sum conj(f) g."""
+
+    # 16384 complex (32768 real) elements is where numpy starts eliding temporaries
+    @pytest.mark.parametrize("n", [1024, 8192, 32768, 65536])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_derivative_equals_four_term_expression(self, n, rows, dtype):
+        rng = np.random.default_rng(n + (rows or 0))
+        shape = (n,) if rows is None else (rows, n)
+        arr = rng.standard_normal(shape)
+        if dtype is complex:
+            arr = arr + 1j * rng.standard_normal(shape)
+        grid = circle_grid(n)
+        got, want = numeric_derivative(arr, grid), _four_term_derivative(arr, grid)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @staticmethod
+    def _sampled(family):
+        rng = np.random.default_rng(17)
+        state = {
+            "circle": random_periodic(rng),
+            "line": qtp_eigenstate(3),
+            "sphere": random_sphere(rng, 3),
+        }[family]
+        return oracle.Sampled(state)
+
+    @pytest.mark.parametrize("family", ["circle", "line", "sphere"])
+    def test_quad_inner_matches_direct_sum(self, family):
+        s = self._sampled(family)
+        arrays = [s.psi] + [s.acted(t) for t in ("Lz", "Phi", "SinPhi", "CosPhi")]
+        if family == "sphere":
+            gram = oracle.theta_gram(s.state.l, s.grid.theta_rule.nodes.size)
+            h, metric = s.grid.phi_grid.spacing, lambda g: gram @ g
+        else:
+            h, metric = s.grid.spacing, lambda g: g
+        for f in arrays:
+            for g in arrays:
+                terms = np.conj(f) * metric(g)
+                want = complex(h * np.sum(terms))
+                # relative to the summed moduli: entries that vanish analytically sit at round-off
+                scale = h * np.sum(np.abs(terms))
+                assert abs(quad_inner(f, g, s.grid) - want) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("family", ["circle", "line", "sphere"])
+    def test_deviation_is_bit_identical(self, family):
+        s = self._sampled(family)
+        for tag in ("Lz", "Phi", "SinPhi", "CosPhi"):
+            want = s.acted(tag) - s.mean(tag) * s.psi
+            assert np.array_equal(s._deviation(tag).view(np.uint8), want.view(np.uint8))
+
+
+class TestAllocations:
+    """On a 32768-node grid each full-grid array is 512 KiB; the kernels
+    allocate only the arrays they return or must hold at once."""
+
+    SLACK = 16384  # bytes of small Python objects, far below one grid array
+
+    @pytest.fixture
+    def warm(self):
+        s = oracle.Sampled(random_periodic(np.random.default_rng(23)), circle_grid(32768))
+        tags = ("Lz", "Phi", "SinPhi", "CosPhi")
+        for tag in tags:
+            s.acted(tag)
+            s.mean(tag)
+        return s, tags, s.psi.nbytes
+
+    def test_quad_inner_allocates_no_grid_array(self, warm):
+        s, _, _ = warm
+        assert _peak_bytes(lambda: quad_inner(s.psi, s.acted("Phi"), s.grid)) < self.SLACK
+
+    def test_numeric_derivative_peaks_at_two_arrays(self, warm):
+        s, _, size = warm
+        peak = _peak_bytes(lambda: numeric_derivative(s.psi, s.grid))
+        assert 2 * size - self.SLACK < peak < 2 * size + self.SLACK
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    def test_dev_inners_allocates_one_array_per_tag(self, warm, count):
+        s, tags, size = warm
+        pairs = [(a, b) for a in tags[:count] for b in tags[:count]]
+        peak = _peak_bytes(lambda: s.dev_inners(pairs))
+        assert count * size - self.SLACK < peak < count * size + self.SLACK
+
+    def test_second_circle_grid_allocates_nothing(self):
+        first = circle_grid(32768)
+        assert _peak_bytes(lambda: circle_grid(32768)) == 0
+        assert circle_grid(32768) is first
+        with pytest.raises(ValueError):
+            first.points[0] = 0.0
 
 
 class TestNumericDerivative:
