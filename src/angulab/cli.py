@@ -131,9 +131,9 @@ def _record(name, details):
 
 
 def _condition19(lf):
-    mm = relations.adjointness_mismatch(LZ, PHI, lf)
-    details = {"mismatch_ab": complex(mm.entries[0, 1])}
-    return identity_report("condition19", mm.max_modulus, TOL_IDENTITY, details).to_json()
+    entries, max_modulus, _, _ = lf.pair(LZ, PHI).mismatch
+    details = {"mismatch_ab": entries[0][1]}
+    return identity_report("condition19", max_modulus, TOL_IDENTITY, details).to_json()
 
 
 def _decomposition(lf):
@@ -173,12 +173,8 @@ def _eq24(lf):
 
 
 def _moments(lf):
-    details = {
-        "mean_Lz": lf.mean(LZ),
-        "std_Lz": lf.std(LZ),
-        "mean_Phi": lf.mean(PHI),
-        "std_Phi": lf.std(PHI),
-    }
+    mean_lz, mean_phi, std_lz, std_phi, _ = lf.pair(LZ, PHI).moments
+    details = {"mean_Lz": mean_lz, "std_Lz": std_lz, "mean_Phi": mean_phi, "std_Phi": std_phi}
     if lf.state.family == "oscillator":
         details["mean_energy"] = lf.mean(HAMILTONIAN)
     return _record("moments", details)
@@ -258,6 +254,14 @@ def _check_resolution(resolution):
     if resolution is not None and resolution > MAX_RESOLUTION:
         raise ConfigError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution!r}")
     return resolution
+
+
+def _check_seed(seed):
+    """Return ``seed``; raise ConfigError unless it is None or an integer >= 0,
+    which numpy's ``default_rng`` takes."""
+    if seed is not None and (type(seed) is not int or seed < 0):
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _check_sphere_rows(state, resolution):
@@ -455,7 +459,7 @@ def _config_from_args(args):
         "oracle": bool(args.oracle),
         "resolution": args.resolution,
         "format": args.format,
-        "seed": args.seed,
+        "seed": _check_seed(args.seed),
     }
 
 
@@ -521,6 +525,10 @@ def validate_config_doc(config):
             _check_sphere_rows(state, resolution)
     except ConfigError as exc:
         diags.append(str(exc))
+    try:
+        _check_seed(config.get("seed"))
+    except ConfigError as exc:
+        diags.append(str(exc))
     fmt = config.get("format", "json")
     if fmt not in ("json", "csv"):
         diags.append(f"unknown format {fmt!r}")
@@ -560,7 +568,7 @@ def emit_schema():
             "oracle": {"type": "boolean"},
             "resolution": {"type": ["integer", "null"], "minimum": 8, "maximum": MAX_RESOLUTION},
             "format": {"type": "string", "enum": ["json", "csv"]},
-            "seed": {"type": "integer"},
+            "seed": {"type": "integer", "minimum": 0},
         },
         "required": ["family", "parameters"],
     }
@@ -616,6 +624,7 @@ def _sweep_items(args):
 def run_sweep(args):
     names = _check_relations(_split_names(args.relations))
     resolution = _check_resolution(args.resolution)
+    _check_seed(args.seed)
     entries = []
     for index, (params, state) in enumerate(_sweep_items(args)):
         reports, mismatch = _evaluate_state(state, names, args.oracle, resolution)

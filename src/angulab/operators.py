@@ -56,12 +56,13 @@ block, on their common band, built once per (depth, width, lo, observables)
 from ``apply`` itself and cached within a byte budget.  Its L_z slots are
 built at hbar = 1 and scaled in place, so no hbar enters the key, and one
 matmul acts on every row of a sphere ket.  A line ket's band never grows,
-so each action writes in place into one preallocated stack.  Means,
-standard deviations, cross terms and adjointness mismatches are index
-reads.  Reads among L_z, phi, sin phi and cos phi share one block; any
-other read gets a block of its own observables, so every value depends on
-the ket and the observables read only.  Every ``Lifted`` of the same ket,
-and so every relation called on that ket, shares the blocks; ket
+so each action writes in place into one preallocated stack.  A relation
+reads its entries in one lookup: a pair read kept on the block holds the
+means, standard deviations and cross term, and apart from them the
+mismatches, their largest modulus and the second-order products.  Reads
+among L_z, phi, sin phi and cos phi share one block; any other read gets a
+block of its own observables, so every value depends on the ket and the
+observables read only.  All ``Lifted`` of one ket share the blocks; ket
 coefficients are read-only so that the memo cannot go stale.
 """
 
@@ -556,17 +557,18 @@ class _Block:
     lists read by index: the checked means, the deviation Gram (dA psi, dB
     psi) from explicit deviation kets and its standard deviations, and the
     second-order products (psi, A B psi), from one more action of the class
-    on the stack of A psi, with the mismatches.  Every entry depends on the
-    ket and ``obs`` only.  Each ket class has a subclass that supplies the
-    stack (``_fill``), the contraction on its band (``_gram``), the
-    second-order products (``_second``) and a row of a stack as a ket
-    (``ket``).
+    on the stack of A psi, with the mismatches; ``pairs`` keeps the
+    ``_Pair`` reads.  Every entry depends on the ket and ``obs`` only.  Each
+    ket class has a subclass that supplies the stack (``_fill``), the
+    contraction on its band (``_gram``), the second-order products
+    (``_second``) and a row of a stack as a ket (``ket``).
     """
 
     def __init__(self, psi, obs):
         self.psi, self.obs = psi, obs
         self.stack = self._fill()
         self.p = self._gram(self.stack, self.stack)
+        self.pairs = {}
 
     @cached_property
     def means(self):
@@ -602,18 +604,43 @@ class _Block:
         return [math.sqrt(max(row[i].real, 0.0)) for i, row in enumerate(self.gram)]
 
     @cached_property
-    def _products(self):
-        return self._second()
-
-    @cached_property
     def second(self):
-        """(psi, A B psi) per pair of observables."""
-        return self._products.tolist()
+        """(psi, A B psi), the mismatch (A psi, B psi) - (psi, A B psi), and
+        the largest modulus of the 2 x 2 mismatches over (A, B), from one
+        ``np.abs``, per pair of observables."""
+        products = self._second()
+        entries = self.p[1:, 1:] - products
+        mod = np.abs(entries)
+        top = np.maximum(np.maximum(mod, mod.T), np.maximum.outer(mod.diagonal(), mod.diagonal()))
+        return products.tolist(), entries.tolist(), top.tolist()
 
-    @cached_property
+
+class _Pair:
+    """A relation's entries for A = obs[i], B = obs[j] of a block, each part
+    read on first use; the mismatch part never reads the means, so it also
+    serves observables that are not Hermitian."""
+
+    __slots__ = ("block", "i", "j", "_moments", "_mismatch")
+
+    def __init__(self, block, i, j):
+        self.block, self.i, self.j, self._moments, self._mismatch = block, i, j, None, None
+
+    @property
+    def moments(self):
+        """(<A>, <B>, Delta A, Delta B, (dA psi, dB psi))."""
+        if self._moments is None:
+            b, i, j = self.block, self.i, self.j
+            self._moments = b.means[i], b.means[j], b.stds[i], b.stds[j], b.gram[i][j]
+        return self._moments
+
+    @property
     def mismatch(self):
-        """(A psi, B psi) - (psi, A B psi) per pair of observables."""
-        return (self.p[1:, 1:] - self._products).tolist()
+        """(the 2 x 2 mismatches over (A, B), their largest modulus, (psi, A B
+        psi), (psi, B A psi))."""
+        if self._mismatch is None:
+            (s, e, top), i, j = self.block.second, self.i, self.j
+            self._mismatch = [[e[i][i], e[i][j]], [e[j][i], e[j][j]]], top[i][j], s[i][j], s[j][i]
+        return self._mismatch
 
 
 class _FourierBlock(_Block):
@@ -696,7 +723,8 @@ class Lifted:
     dict, so every ``Lifted`` of the same ket reads the values any of them
     computed.  Reads among the paper's four observables share one block; a
     read of any other observable uses a block of the observables it names,
-    so no value depends on what was read before.
+    so no value depends on what was read before.  ``pair`` gives a relation
+    all its entries at once; the other reads give one entry each.
     """
 
     __slots__ = ("state", "psi", "_memo")
@@ -722,6 +750,11 @@ class Lifted:
             block = self._memo[key] = _BLOCKS[type(self.psi)](self.psi, key)
         return block, index
 
+    def pair(self, a, b):
+        """The ``_Pair`` read of observables a and b, built once per block."""
+        block, (i, j) = self._block(a, b)
+        return block.pairs.get((i, j)) or block.pairs.setdefault((i, j), _Pair(block, i, j))
+
     def mean(self, a):
         """<A> = (psi, A psi); rejects non-Hermitian observables."""
         block, (i,) = self._block(a)
@@ -745,12 +778,12 @@ class Lifted:
     def expect2(self, a, b):
         """(psi, A B psi)."""
         block, (i, j) = self._block(a, b)
-        return block.second[i][j]
+        return block.second[0][i][j]
 
     def mismatch(self, a, b):
         """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
         block, (i, j) = self._block(a, b)
-        return block.mismatch[i][j]
+        return block.second[1][i][j]
 
 
 def lifted(state):

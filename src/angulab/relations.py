@@ -27,7 +27,6 @@ Central objects:
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -115,10 +114,7 @@ def identity_report(name, deviation, tolerance, details):
 class MismatchMatrix:
     entries: np.ndarray
     observables: list
-
-    @cached_property
-    def max_modulus(self):
-        return float(np.abs(self.entries).max())
+    max_modulus: float
 
     def to_json(self):
         return {
@@ -130,24 +126,15 @@ class MismatchMatrix:
 
 def adjointness_mismatch(obs_a, obs_b, state):
     """Delta_jk = (A_j psi, A_k psi) - (psi, A_j A_k psi) over the pair."""
+    entries, max_modulus, _, _ = lifted(state).pair(obs_a, obs_b).mismatch
     obs = [resolve_observable(obs_a), resolve_observable(obs_b)]
-    lf = lifted(state)
-    entries = np.array([[lf.mismatch(a, b) for b in obs] for a in obs], dtype=complex)
-    return MismatchMatrix(entries=entries, observables=obs)
+    return MismatchMatrix(np.array(entries, dtype=complex), obs, max_modulus)
 
 
 def csf(obs_a, obs_b, state):
     """Delta_A Delta_B >= |(delta_A psi, delta_B psi)| for any pair."""
-    lf = lifted(state)
-    cross = lf.cross(obs_a, obs_b)
-    std_a, std_b = lf.std(obs_a), lf.std(obs_b)
-    details = {
-        "std_a": std_a,
-        "std_b": std_b,
-        "mean_a": lf.mean(obs_a),
-        "mean_b": lf.mean(obs_b),
-        "cross": complex(cross),
-    }
+    mean_a, mean_b, std_a, std_b, cross = lifted(state).pair(obs_a, obs_b).moments
+    details = {"std_a": std_a, "std_b": std_b, "mean_a": mean_a, "mean_b": mean_b, "cross": cross}
     return _inequality_report("csf", std_a * std_b, abs(cross), TOL_INEQUALITY, details)
 
 
@@ -157,22 +144,22 @@ def rsur(obs_a, obs_b, state):
     An unsatisfied report is data, not an error; the mismatch norm in the
     details says whether the relation was entitled to hold.
     """
-    lf = lifted(state)
-    std_a, std_b = lf.std(obs_a), lf.std(obs_b)
-    mm = adjointness_mismatch(obs_a, obs_b, lf)
-    if mm.max_modulus < TOL_IDENTITY:
+    read = lifted(state).pair(obs_a, obs_b)
+    _, _, std_a, std_b, cross = read.moments
+    entries, mismatch_max, ab, ba = read.mismatch
+    if mismatch_max < TOL_IDENTITY:
         # split of (delta_A psi, delta_B psi): the imaginary part carries
         # the commutator mean when the adjointness conditions hold
-        rhs = abs(lf.cross(obs_a, obs_b).imag)
+        rhs = abs(cross.imag)
         route = "deviation-split"
     else:
-        rhs = 0.5 * abs(lf.expect2(obs_a, obs_b) - lf.expect2(obs_b, obs_a))
+        rhs = 0.5 * abs(ab - ba)
         route = "direct"
     details = {
         "std_a": std_a,
         "std_b": std_b,
-        "mismatch_max": mm.max_modulus,
-        "mismatch_ab": complex(mm.entries[0, 1]),
+        "mismatch_max": mismatch_max,
+        "mismatch_ab": complex(entries[0][1]),
         "commutator_route": route,
     }
     return _inequality_report("rsur", std_a * std_b, rhs, TOL_IDENTITY, details)
@@ -195,13 +182,13 @@ def covariance_decomposition(obs_a, obs_b, state):
     identity is only claimed when the adjointness mismatch is below
     TOL_IDENTITY; outside that the result is flagged not applicable.
     """
-    lf = lifted(state)
-    cross = lf.cross(obs_a, obs_b)
-    mm = adjointness_mismatch(obs_a, obs_b, lf)
+    read = lifted(state).pair(obs_a, obs_b)
+    mean_a, mean_b, _, _, cross = read.moments
+    _, mismatch_max, second_ab, second_ba = read.mismatch
     # <delta_A delta_B> = <A B> - <A><B>, and the same for <delta_B delta_A>
-    ab = lf.mean(obs_a) * lf.mean(obs_b)
-    dadb = lf.expect2(obs_a, obs_b) - ab
-    dbda = lf.expect2(obs_b, obs_a) - ab
+    ab = mean_a * mean_b
+    dadb = second_ab - ab
+    dbda = second_ba - ab
     sym_term = 0.5 * (dadb + dbda)
     icomm_term = 1j * (dadb - dbda)  # (psi, i[A, B] psi)
     assembled = sym_term - 0.5j * icomm_term
@@ -210,8 +197,8 @@ def covariance_decomposition(obs_a, obs_b, state):
         symmetric=float(cross.real),
         antisymmetric=float(cross.imag),
         residual=float(residual),
-        applicable=bool(mm.max_modulus < TOL_IDENTITY),
-        mismatch_max=mm.max_modulus,
+        applicable=bool(mismatch_max < TOL_IDENTITY),
+        mismatch_max=mismatch_max,
     )
 
 
@@ -224,9 +211,9 @@ def boundary_bound(state, squared_density=True):
     bval = boundary_value(lf.state)
     density = abs(bval) ** 2 if squared_density else abs(bval)
     rhs = 0.5 * lf.state.hbar * abs(1.0 - 2.0 * np.pi * density)
-    cross = lf.cross(LZ, PHI)
+    _, _, std_lz, std_phi, cross = lf.pair(LZ, PHI).moments
     lhs = abs(cross)
-    product_lhs = lf.std(LZ) * lf.std(PHI)
+    product_lhs = std_lz * std_phi
     product_slack = product_lhs - rhs
     details = {
         "boundary_value": complex(bval),
@@ -312,9 +299,9 @@ def gram_det(observables, state):
     """det[(delta_j psi, delta_k psi)] >= 0 and its minimum eigenvalue."""
     if len(observables) < 2:
         raise ValueError("gram_det: need at least two observables")
-    lf = lifted(state)
-    r = len(observables)
-    gram = np.array([[lf.cross(a, b) for b in observables] for a in observables], dtype=complex)
+    block, index = lifted(state)._block(*observables)
+    r, g = len(observables), block.gram
+    gram = np.array([[g[i][j] for j in index] for i in index], dtype=complex)
     det = np.linalg.det(gram)
     if abs(det.imag) > 1e-10 * max(1.0, abs(det.real)):
         raise ArithmeticError(f"gram_det: determinant imaginary residue {det.imag:.3e}")

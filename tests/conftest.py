@@ -36,6 +36,23 @@ def actions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lookups(monkeypatch):
+    """A list that grows by the observables of each block lookup, one entry
+    per ``operators.Lifted._block`` call."""
+    from angulab import operators
+
+    calls = []
+    block = operators.Lifted._block
+
+    def counted(self, *obs):
+        calls.append(obs)
+        return block(self, *obs)
+
+    monkeypatch.setattr(operators.Lifted, "_block", counted)
+    return calls
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """One pass/fail line per acceptance criterion at the end of the run."""
     rows = []

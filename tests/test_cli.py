@@ -188,6 +188,7 @@ class TestValidate:
 
 RESOLUTION = "resolution must be an integer >= 8, got"
 RESOLUTION_CAP = "resolution must be at most 1048576, got"
+SEED = "seed must be a non-negative integer, got"
 SPHERE_ROWS = "sphere oracle rows x resolution must be at most 1048576, got"
 SPHERE_CONFIG = {"family": "sphere", "parameters": {"l": 1, "m": 0, "hbar": 1.0}, "oracle": True}
 NO_RELATION = "--relations names no relation"
@@ -309,6 +310,7 @@ class TestInputContract:
                 ("scenario", "qtp", "--J", "1e200", "--omega", "1e200"),
                 "sqrt(J omega / hbar) must be finite and > 0, got inf",
             ),
+            (("sweep", "scr", "--random", "2", "--seed", "-1"), f"{SEED} -1"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -336,6 +338,28 @@ class TestInputContract:
         scenario = run_cli("scenario", "--config", str(path), check=False)
         assert scenario.returncode == 1 and scenario.stdout == ""
         assert scenario.stderr == f"error: {RESOLUTION} 4\n"
+
+    def test_seed_in_config(self, tmp_path):
+        """validate, scenario --config and the config schema reject a negative
+        seed with the text sweep prints; seed 0 passes all three."""
+        jsonschema = pytest.importorskip("jsonschema")
+        from angulab.cli import emit_schema
+
+        schema = emit_schema()["config"]
+        path = tmp_path / "cfg.json"
+        for seed, out in ((0, ""), (-1, f"{SEED} -1\n"), ("7", f"{SEED} '7'\n")):
+            cfg = {**SCR_CONFIG, "seed": seed}
+            if out:
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(cfg, schema)
+            else:
+                jsonschema.validate(cfg, schema)
+            path.write_text(json.dumps(cfg))
+            proc = run_cli("validate", str(path), check=False)
+            assert (proc.returncode, proc.stdout) == (1 if out else 0, out), seed
+            scenario = run_cli("scenario", "--config", str(path), check=False)
+            assert scenario.returncode == (1 if out else 0), seed
+            assert scenario.stderr == (f"error: {out}" if out else ""), seed
 
     def test_resolution_cap_in_config(self, tmp_path):
         """validate and the config schema both stop at MAX_RESOLUTION."""
@@ -649,6 +673,25 @@ class TestSharedLifted:
             actions.clear()
             cli._evaluate_state(state, names, False, None)
             assert 0 < len(actions) <= 11, (label, len(actions))
+
+
+    def test_block_lookups_per_relation(self, lookups):
+        """Each registry relation that reads pairs takes one block lookup per
+        state; moments takes a second one on the line, for the energy."""
+        from angulab import operators
+        from angulab.cli import RELATIONS, evaluate_relation
+
+        names = ("csf", "rsur", "condition19", "decomposition", "boundary", "gram", "eq22")
+        names += ("eq23", "moments")
+        for label, state in self._states().items():
+            lf = operators.Lifted(state)
+            for name in names:
+                lookups.clear()
+                evaluate_relation(name, lf)
+                only = RELATIONS[name].only
+                applies = only is None or state.family in only[0]
+                extra = name == "moments" and state.family == "oscillator"
+                assert len(lookups) == applies + extra, (label, name, lookups)
 
 
 class TestSchema:

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from angulab import operators, oracle, states  # noqa: E402
+from angulab import operators, oracle, relations, states  # noqa: E402
 from angulab.cli import GRAM_SET, RELATIONS, evaluate_relation  # noqa: E402
 from angulab.operators import COS_PHI, LZ, PHI, PHI2, SIN_PHI  # noqa: E402
 from angulab.relations import TOL_GRAM, TOL_IDENTITY, TOL_INEQUALITY, csf, gram_det  # noqa: E402
@@ -398,3 +398,107 @@ def test_trig_act_equals_direct_formula(modes, seed, n, l):
             want = _trig_reference(obs, psi, phi)
             cold, warm = _cold_and_warm(lambda: oracle.act(obs, psi, state, g))
             assert np.array_equal(cold, want) and np.array_equal(warm, want), (state.family, obs.tag)
+
+
+
+# -- pair reads against the one-entry reads ------------------------------------
+
+PAPER_PAIRS = tuple(itertools.combinations((LZ, PHI, SIN_PHI, COS_PHI), 2))
+EQ8 = (("eq8-sin", SIN_PHI, relations.EQ8_SIN.g), ("eq8-cos", COS_PHI, relations.EQ8_COS.g))
+
+
+def _inequality(name, lhs, rhs, tolerance, details):
+    return relations._inequality_report(name, lhs, rhs, tolerance, details).to_json()
+
+
+def _entry_pair_reports(lf, a, b):
+    """csf, rsur, adjointness_mismatch and covariance_decomposition of (a, b)
+    from the one-entry ``Lifted`` reads: the relations' formulas with every
+    entry read on its own."""
+    std_a, std_b, cross = lf.std(a), lf.std(b), lf.cross(a, b)
+    mean_a, mean_b = lf.mean(a), lf.mean(b)
+    entries = np.array([[lf.mismatch(x, y) for y in (a, b)] for x in (a, b)], dtype=complex)
+    top = float(np.abs(entries).max())
+    second_ab, second_ba = lf.expect2(a, b), lf.expect2(b, a)
+    if top < TOL_IDENTITY:
+        rhs, route = abs(cross.imag), "deviation-split"
+    else:
+        rhs, route = 0.5 * abs(second_ab - second_ba), "direct"
+    rsur_details = {"std_a": std_a, "std_b": std_b, "mismatch_max": top}
+    rsur_details.update(mismatch_ab=complex(entries[0, 1]), commutator_route=route)
+    dadb, dbda = second_ab - mean_a * mean_b, second_ba - mean_a * mean_b
+    assembled = 0.5 * (dadb + dbda) - 0.5j * (1j * (dadb - dbda))
+    residual = float(abs(cross - assembled))
+    csf_details = {"std_a": std_a, "std_b": std_b, "mean_a": mean_a, "mean_b": mean_b, "cross": cross}
+    return {
+        "csf": _inequality("csf", std_a * std_b, abs(cross), TOL_INEQUALITY, csf_details),
+        "rsur": _inequality("rsur", std_a * std_b, rhs, TOL_IDENTITY, rsur_details),
+        "mismatch": relations.MismatchMatrix(entries, [a, b], top).to_json(),
+        "decomposition": relations.DecompositionResult(
+            float(cross.real), float(cross.imag), residual, top < TOL_IDENTITY, top
+        ),
+    }
+
+
+def _entry_reports(lf):
+    """Every relation of ``_reports`` from the one-entry reads."""
+    out = {(a.tag, b.tag): _entry_pair_reports(lf, a, b) for a, b in PAPER_PAIRS}
+    gram = np.array([[lf.cross(a, b) for b in GRAM_SET] for a in GRAM_SET], dtype=complex)
+    details = {"min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T))[0])}
+    details["order"] = len(GRAM_SET)
+    details.update({f"gram_{j}{k}": complex(z) for j, row in enumerate(gram) for k, z in enumerate(row)})
+    out["gram"] = _inequality("gram", float(np.linalg.det(gram).real), 0.0, TOL_GRAM, details)
+    hbar = lf.state.hbar
+    for rel, f, g in EQ8:
+        lhs, rhs = lf.std(LZ) * lf.std(f), hbar * abs(lf.mean(g))
+        out[rel] = _inequality(rel, lhs, rhs, TOL_IDENTITY, {"form": "function-pair"})
+    if lf.state.family == "periodic":
+        bval = states.boundary_value(lf.state)
+        rhs = 0.5 * hbar * abs(1.0 - 2.0 * np.pi * abs(bval) ** 2)
+        cross, product = lf.cross(LZ, PHI), lf.std(LZ) * lf.std(PHI)
+        details = {"boundary_value": bval, "boundary_density": abs(bval) ** 2, "cross": cross}
+        details.update(product_lhs=product, product_slack=product - rhs, squared_density=True)
+        report = relations._inequality_report("boundary", abs(cross), rhs, TOL_IDENTITY, details)
+        report.satisfied = report.satisfied and product - rhs >= -TOL_IDENTITY
+        out["boundary"] = report.to_json()
+    return out
+
+
+def _reports(lf):
+    """Every relation over the paper's pairs, gram, eq8 and, on the circle,
+    the boundary bound, from the relations themselves."""
+    out = {
+        (a.tag, b.tag): {
+            "csf": relations.csf(a, b, lf).to_json(),
+            "rsur": relations.rsur(a, b, lf).to_json(),
+            "mismatch": relations.adjointness_mismatch(a, b, lf).to_json(),
+            "decomposition": relations.covariance_decomposition(a, b, lf),
+        }
+        for a, b in PAPER_PAIRS
+    }
+    out["gram"] = gram_det(GRAM_SET, lf).to_json()
+    out.update({rel: relations.adjusted_relation(rel, lf).to_json() for rel, _, _ in EQ8})
+    if lf.state.family == "periodic":
+        out["boundary"] = relations.boundary_bound(lf).to_json()
+    return out
+
+
+# The relation run first on a fresh ket, and where its report sits in ``_reports``.
+FIRST = {
+    "csf then rsur": (lambda lf: relations.csf(LZ, PHI, lf).to_json(), ("Lz", "Phi"), "csf"),
+    "rsur then csf": (lambda lf: relations.rsur(LZ, PHI, lf).to_json(), ("Lz", "Phi"), "rsur"),
+    "gram then csf": (lambda lf: gram_det(GRAM_SET, lf).to_json(), "gram", None),
+}
+
+
+@PROPERTY
+@given(random_states())
+def test_pair_reads_equal_one_entry_reads(state):
+    """Each relation's report equals, float for float, the one built from
+    one-entry reads, whichever relation runs first on a fresh ket."""
+    want = _entry_reports(operators.Lifted(state))
+    for label, (first, key, name) in FIRST.items():
+        lf = operators.Lifted(state)
+        report = first(lf)
+        assert report == (want[key] if name is None else want[key][name]), label
+        assert _reports(lf) == want, label

@@ -13,6 +13,7 @@ from angulab.operators import (
     LineKet,
     UnsupportedObservable,
     lift,
+    trig_observable,
 )
 from angulab.relations import (
     EQ8_SIN,
@@ -345,3 +346,52 @@ class TestSharedKet:
                     csf(a, b, ket)
                     rsur(a, b, ket)
                 assert actions == [], label
+
+
+class TestPairRead:
+    """A relation call takes one block lookup: ``Lifted.pair`` for a pair,
+    one ``Lifted._block`` over all its observables for gram_det."""
+
+    CALLS = {
+        "csf": lambda lf: csf(LZ, PHI, lf),
+        "rsur": lambda lf: rsur(SIN_PHI, COS_PHI, lf),
+        "adjointness_mismatch": lambda lf: adjointness_mismatch(PHI, SIN_PHI, lf),
+        "covariance_decomposition": lambda lf: covariance_decomposition(LZ, COS_PHI, lf),
+        "gram_det": lambda lf: gram_det((LZ, PHI, SIN_PHI, COS_PHI), lf),
+        "boundary_bound": boundary_bound,
+    }
+    RAISE = trig_observable("raise", {1: 1.0})
+
+    @staticmethod
+    def _states(circle_only=False):
+        rng = np.random.default_rng(44)
+        out = [random_periodic(rng), random_oscillator(rng), random_sphere(rng, 2)]
+        return out[:1] if circle_only else out
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_one_lookup_per_call(self, name, lookups):
+        """One lookup on a fresh ket, whose block it builds, and one again
+        once the block is built."""
+        for state in self._states(circle_only=name == "boundary_bound"):
+            lf = operators.Lifted(state)
+            for when in ("fresh", "warm"):
+                lookups.clear()
+                self.CALLS[name](lf)
+                assert len(lookups) == 1, (state.family, when, lookups)
+
+    def test_mismatch_of_non_hermitian_multiplier(self):
+        """adjointness_mismatch reads the entries of a multiplier that is not
+        Hermitian, before and after its mean is refused."""
+        for state in self._states():
+            lf = operators.Lifted(state)
+            obs = (LZ, self.RAISE)
+            for _ in range(2):
+                mm = adjointness_mismatch(*obs, lf)
+                want = [[lf.mismatch(a, b) for b in obs] for a in obs]
+                assert mm.entries == pytest.approx(np.array(want), abs=1e-12), state.family
+                assert mm.max_modulus == float(np.abs(mm.entries).max()), state.family
+                assert mm.max_modulus > 0.1, state.family  # (raise psi, raise psi) != (psi, raise^2 psi)
+                with pytest.raises(UnsupportedObservable):
+                    lf.mean(self.RAISE)
+                with pytest.raises(UnsupportedObservable):
+                    csf(*obs, lf)
