@@ -5,10 +5,11 @@ ranges or seeded random states), ``validate`` (config file diagnostics),
 ``schema`` (the JSON schema for configs and reports).
 
 Exit codes: 0 the run completed (inequality verdicts are data, not
-failures) or stdout was closed early, as by ``| head``; 1 configuration
-error; 2 the report holds a non-finite number anywhere, ``details``
-included, whatever the ``--format``; nothing then goes to stdout, and
-stderr names the number's path.
+failures) or stdout was closed early, as by ``| head``; 1 a configuration
+or usage error, named on one ``error:`` line; 2 the report holds a
+non-finite number anywhere, ``details`` included, whatever the
+``--format``; nothing then goes to stdout, and stderr names the number's
+path.
 
 ``main`` can run many times in one process; it reuses one argument parser
 per process.
@@ -106,8 +107,8 @@ def _build_state(family, params):
 
 # -- relation registry -----------------------------------------------------------
 #
-# Each relation is one row: its spectral evaluator, operators.Lifted -> report
-# entry; the report keys --oracle compares with its oracle.RELATION_VALUES row
+# Each relation is one row: its spectral evaluator, lifted ket -> report entry;
+# the report keys --oracle compares with its oracle.RELATION_VALUES row
 # (top-level lhs/rhs, else details keys; a key the oracle does not return is
 # skipped); and, for a relation that holds on some families only, ``only =
 # (state families, reason)``.  On a state of any other family the evaluator is
@@ -130,14 +131,14 @@ def _record(name, details):
     return {**entry, "details": details}
 
 
-def _condition19(lf):
-    entries, max_modulus, _, _ = lf.pair(LZ, PHI).mismatch
+def _condition19(ket):
+    entries, max_modulus, _, _ = ket.pair(LZ, PHI).mismatch
     details = {"mismatch_ab": entries[0][1]}
     return identity_report("condition19", max_modulus, TOL_IDENTITY, details).to_json()
 
 
-def _decomposition(lf):
-    res = relations.covariance_decomposition(LZ, PHI, lf)
+def _decomposition(ket):
+    res = relations.covariance_decomposition(LZ, PHI, ket)
     details = {
         "symmetric": res.symmetric,
         "antisymmetric": res.antisymmetric,
@@ -149,19 +150,19 @@ def _decomposition(lf):
     return identity_report("decomposition", res.residual, TOL_IDENTITY, details).to_json()
 
 
-def _eq22(lf):
-    ab = lf.mismatch(LZ, PHI)
-    details = {"mismatch_ab": complex(ab), "target": 1j * lf.state.hbar}
-    return identity_report("eq22", ab - 1j * lf.state.hbar, TOL_IDENTITY, details).to_json()
+def _eq22(ket):
+    ab = ket.mismatch(LZ, PHI)
+    details = {"mismatch_ab": complex(ab), "target": 1j * ket.hbar}
+    return identity_report("eq22", ab - 1j * ket.hbar, TOL_IDENTITY, details).to_json()
 
 
-def _eq23(lf):
-    ab = lf.mismatch(LZ, PHI)
+def _eq23(ket):
+    ab = ket.mismatch(LZ, PHI)
     return identity_report("eq23", ab, TOL_IDENTITY, {"mismatch_ab": complex(ab)}).to_json()
 
 
-def _eq24(lf):
-    info = relations.sphere_anomaly(lf)
+def _eq24(ket):
+    info = relations.sphere_anomaly(ket)
     return _record(
         "eq24",
         {
@@ -172,38 +173,38 @@ def _eq24(lf):
     )
 
 
-def _moments(lf):
-    mean_lz, mean_phi, std_lz, std_phi, _ = lf.pair(LZ, PHI).moments
+def _moments(ket):
+    mean_lz, mean_phi, std_lz, std_phi, _ = ket.pair(LZ, PHI).moments
     details = {"mean_Lz": mean_lz, "std_Lz": std_lz, "mean_Phi": mean_phi, "std_Phi": std_phi}
-    if lf.state.family == "oscillator":
-        details["mean_energy"] = lf.mean(HAMILTONIAN)
+    if ket.family == "oscillator":
+        details["mean_energy"] = ket.mean(HAMILTONIAN)
     return _record("moments", details)
 
 
-def _commutator(lf):
+def _commutator(ket):
     """||L_z (phi psi) - phi (L_z psi) + i hbar psi|| in the ket algebra."""
-    lz_phi, phi_lz = operators.apply(LZ, lf.acted(PHI)), operators.apply(PHI, lf.acted(LZ))
-    residual = lz_phi.plus(phi_lz.scaled(-1.0)).plus(lf.psi.scaled(1j * lf.state.hbar)).norm()
+    lz_phi, phi_lz = operators.apply(LZ, ket.acted(PHI)), operators.apply(PHI, ket.acted(LZ))
+    residual = lz_phi.plus(phi_lz.scaled(-1.0)).plus(ket.scaled(1j * ket.hbar)).norm()
     return identity_report("commutator", residual, TOL_COMMUTATOR, {"residual": residual}).to_json()
 
 
 def _adjusted(name):
-    return lambda lf: relations.adjusted_relation(name, lf).to_json()
+    return lambda ket: relations.adjusted_relation(name, ket).to_json()
 
 
 SIDES = ("lhs", "rhs")
 
 RELATIONS = {
-    "csf": Relation(lambda lf: relations.csf(LZ, PHI, lf).to_json(), SIDES),
-    "rsur": Relation(lambda lf: relations.rsur(LZ, PHI, lf).to_json(), SIDES),
+    "csf": Relation(lambda ket: relations.csf(LZ, PHI, ket).to_json(), SIDES),
+    "rsur": Relation(lambda ket: relations.rsur(LZ, PHI, ket).to_json(), SIDES),
     "condition19": Relation(_condition19, ("mismatch_ab",)),
     "decomposition": Relation(_decomposition, ("symmetric", "antisymmetric")),
     "boundary": Relation(
-        lambda lf: relations.boundary_bound(lf).to_json(),
+        lambda ket: relations.boundary_bound(ket).to_json(),
         SIDES,
         (("periodic",), "boundary_bound: circle states only"),
     ),
-    "gram": Relation(lambda lf: relations.gram_det(GRAM_SET, lf).to_json(), SIDES),
+    "gram": Relation(lambda ket: relations.gram_det(GRAM_SET, ket).to_json(), SIDES),
     "eq8-sin": Relation(_adjusted("eq8-sin"), SIDES),
     "eq8-cos": Relation(_adjusted("eq8-cos"), SIDES),
     "eq9-trig": Relation(_adjusted("eq9-trig"), SIDES),
@@ -278,12 +279,12 @@ def _check_sphere_rows(state, resolution):
 
 
 def evaluate_relation(name, state):
-    """One registry relation's report entry on one state or ``operators.Lifted``."""
+    """One registry relation's report entry on one state or its lifted ket."""
     evaluate, _, only = RELATIONS[name]
-    lf = operators.lifted(state)
-    if only is not None and lf.state.family not in only[0]:
+    ket = operators.lift(state)
+    if only is not None and ket.family not in only[0]:
         return _not_applicable(name, only[1])
-    return evaluate(lf)
+    return evaluate(ket)
 
 
 def _jsonable(value):
@@ -315,22 +316,22 @@ def _oracle_annotate(entry, sampled, name):
 
 def _evaluate_state(state, names, with_oracle, resolution):
     """The named relations' reports on one state, and the (Lz, Phi) mismatch
-    matrix if condition19 is among them; all read one ``operators.Lifted``
-    and, under --oracle, one ``oracle.Sampled``."""
-    lf = operators.Lifted(state)
+    matrix if condition19 is among them; all read one lifted ket and, under
+    --oracle, one ``oracle.Sampled``."""
+    ket = operators.lift(state)
     sampled = None
     if with_oracle:
         _check_sphere_rows(state, resolution)
         sampled = oracle.Sampled(state, oracle.default_grid(state, resolution))
     reports = []
     for name in names:
-        entry = evaluate_relation(name, lf)
+        entry = evaluate_relation(name, ket)
         if sampled is not None:
             entry = _oracle_annotate(entry, sampled, name)
         reports.append(entry)
     if "condition19" not in names:
         return reports, None
-    return reports, relations.adjointness_mismatch(LZ, PHI, lf).to_json()
+    return reports, relations.adjointness_mismatch(LZ, PHI, ket).to_json()
 
 
 def run_scenario(config):
@@ -382,18 +383,24 @@ def _add_common(sub):
     sub.add_argument("--hbar", type=float, default=1.0)
     sub.add_argument("--J", dest="J", type=float, default=1.0, help="moment of inertia")
     sub.add_argument("--omega", type=float, default=1.0, help="oscillation frequency")
-    sub.add_argument("--coeffs", help="state coefficient file (JSON)")
     sub.add_argument("--relations", default=",".join(DEFAULT_RELATIONS))
     sub.add_argument("--oracle", action="store_true", help="attach grid-oracle cross checks")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=int, default=0, help="PCG64 seed for random states")
     sub.add_argument("--resolution", type=int, default=None, help="oracle grid resolution, 8 to 2**20")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises ConfigError, so it exits 1 with one ``error:``
+    line like any other input outside the contract; exit 2 stays with
+    non-finite reports.  Subparsers are built of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The parser, built once per process; ``parse_args`` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="angulab",
         description="Uncertainty-relation checks for the angular momentum / azimuthal angle pair",
     )
@@ -405,6 +412,7 @@ def build_parser():
     sc.add_argument("--m", type=str, default=None, help="circle mode index / sphere mode")
     sc.add_argument("--n", type=str, default=None, help="pendulum quantum number")
     sc.add_argument("--l", type=int, default=None, help="orbital number")
+    sc.add_argument("--coeffs", help="state coefficient file (JSON)")
     _add_common(sc)
 
     sw = subs.add_parser("sweep", help="run relations across a parameter range or random states")
@@ -413,6 +421,8 @@ def build_parser():
     sw.add_argument("--n", type=str, default=None, help="range a..b of pendulum numbers")
     sw.add_argument("--l", type=int, default=None)
     sw.add_argument("--random", type=int, default=None, help="number of seeded random states")
+    sw.add_argument("--seed", type=int, default=0, help="PCG64 seed for random states")
+    sw.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(sw)
 
     va = subs.add_parser("validate", help="check a scenario config file")
@@ -458,8 +468,6 @@ def _config_from_args(args):
         "relations": _split_names(args.relations),
         "oracle": bool(args.oracle),
         "resolution": args.resolution,
-        "format": args.format,
-        "seed": _check_seed(args.seed),
     }
 
 
@@ -530,8 +538,8 @@ def validate_config_doc(config):
     except ConfigError as exc:
         diags.append(str(exc))
     fmt = config.get("format", "json")
-    if fmt not in ("json", "csv"):
-        diags.append(f"unknown format {fmt!r}")
+    if fmt != "json":
+        diags.append(f"scenario reports are JSON only, got format {fmt!r}")
     return diags
 
 
@@ -567,7 +575,7 @@ def emit_schema():
             "relations": {"type": "array", "items": {"type": "string"}, "minItems": 1},
             "oracle": {"type": "boolean"},
             "resolution": {"type": ["integer", "null"], "minimum": 8, "maximum": MAX_RESOLUTION},
-            "format": {"type": "string", "enum": ["json", "csv"]},
+            "format": {"type": "string", "enum": ["json"]},
             "seed": {"type": "integer", "minimum": 0},
         },
         "required": ["family", "parameters"],
@@ -698,8 +706,8 @@ def _dumps(doc):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "scenario":
             config = _config_from_args(args)
             print(_dumps(run_scenario(config)))

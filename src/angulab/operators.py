@@ -43,27 +43,27 @@ blocks (e_i, phi^{d+e} e_j) depend only on the depths and the mode
 difference j - i, never on an absolute mode.
 
 Kets may carry leading axes that stack several kets on one band; every
-operator acts on each alike.  ``Lifted`` is a view of a state and its ket
-psi that answers every relation's reads from one stacked block per set of
-observables, kept in the ket's memo dict: psi and A psi for each observable
-on their common band, then A B psi for every ordered pair, each filled by
-one action of the ket's class on the whole stack, and three contractions
-against the metric (a plain conj . x on the line) for the Gram matrix
-P = (A psi, B psi), the deviation Gram G = (dA psi, dB psi) from explicit
-deviation kets, and E = (psi, A B psi).  A Fourier ket acts through a band
-map: the images of its band's basis kets under every observable of the
-block, on their common band, built once per (depth, width, lo, observables)
-from ``apply`` itself and cached within a byte budget.  Its L_z slots are
-built at hbar = 1 and scaled in place, so no hbar enters the key, and one
-matmul acts on every row of a sphere ket.  A line ket's band never grows,
-so each action writes in place into one preallocated stack.  A relation
-reads its entries in one lookup: a pair read kept on the block holds the
-means, standard deviations and cross term, and apart from them the
+operator acts on each alike.  ``lift`` records the state a ket came from in
+its ``state`` slot, and the ket answers every relation's reads from one
+stacked block per set of observables, kept in its memo dict: psi and A psi
+for each observable on their common band, then A B psi for every ordered
+pair, each filled by one action of the ket's class on the whole stack, and
+three contractions against the metric (a plain conj . x on the line) for the
+Gram matrix P = (A psi, B psi), the deviation Gram G = (dA psi, dB psi) from
+explicit deviation kets, and E = (psi, A B psi).  A Fourier ket acts through
+a band map: the images of its band's basis kets under every observable of
+the block, on their common band, built once per (depth, width, lo,
+observables) from ``apply`` itself and cached within a byte budget.  Its L_z
+slots are built at hbar = 1 and scaled in place, so no hbar enters the key,
+and one matmul acts on every row of a sphere ket.  A line ket's band never
+grows, so each action writes in place into one preallocated stack.  A
+relation reads its entries in one lookup: a pair read kept on the block
+holds the means, standard deviations and cross term, and apart from them the
 mismatches, their largest modulus and the second-order products.  Reads
 among L_z, phi, sin phi and cos phi share one block; any other read gets a
-block of its own observables, so every value depends on the ket and the
-observables read only.  All ``Lifted`` of one ket share the blocks; ket
-coefficients are read-only so that the memo cannot go stale.
+block of its own observables, in order of tag, so every value depends on the
+ket and the observables read only.  Ket coefficients are read-only so that
+the memo cannot go stale.
 """
 
 import math
@@ -217,7 +217,79 @@ def _theta_overlap_root(l):
     return out
 
 
-class FourierKet:
+class Ket:
+    """The reads shared by both ket classes.
+
+    Every read goes through a block memoized in ``memo``, the ket's own
+    dict; the coefficients are read-only, so the memo cannot go stale.
+    Reads among the paper's four observables share one block; a read of any
+    other observable uses a block of the observables it names, so no value
+    depends on what was read before.  ``pair`` gives a relation all its
+    entries at once; the other reads give one entry each.  ``state`` is the
+    state ``lift`` made the ket from, or None on a ket an operation returned.
+    """
+
+    __slots__ = ("coeffs", "memo", "state")
+
+    def __init__(self, coeffs):
+        coeffs.setflags(write=False)
+        self.coeffs = coeffs
+        self.memo = {}
+        self.state = None
+
+    def acted(self, a):
+        """A psi."""
+        a = resolve_observable(a)
+        val = self.memo.get(a)
+        if val is None:
+            val = self.memo[a] = apply(a, self)
+        return val
+
+    def _block(self, *obs):
+        """The block for a read of ``obs`` and the index of each of them in it."""
+        key, index = _block_key(obs)
+        block = self.memo.get(key)
+        if block is None:
+            block = self.memo[key] = _BLOCKS[type(self)](self, key)
+        return block, index
+
+    def pair(self, a, b):
+        """The ``_Pair`` read of observables a and b, built once per block."""
+        block, (i, j) = self._block(a, b)
+        return block.pairs.get((i, j)) or block.pairs.setdefault((i, j), _Pair(block, i, j))
+
+    def mean(self, a):
+        """<A> = (psi, A psi); rejects non-Hermitian observables."""
+        block, (i,) = self._block(a)
+        return block.means[i]
+
+    def deviation(self, a):
+        """The deviation ket dA psi = A psi - <A> psi."""
+        block, (i,) = self._block(a)
+        return block.ket(block.deviations[i])
+
+    def std(self, a):
+        """Standard deviation, the norm of the deviation ket."""
+        block, (i,) = self._block(a)
+        return block.stds[i]
+
+    def cross(self, a, b):
+        """(dA psi, dB psi)."""
+        block, (i, j) = self._block(a, b)
+        return block.gram[i][j]
+
+    def expect2(self, a, b):
+        """(psi, A B psi)."""
+        block, (i, j) = self._block(a, b)
+        return block.second[0][i][j]
+
+    def mismatch(self, a, b):
+        """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
+        block, (i, j) = self._block(a, b)
+        return block.second[1][i][j]
+
+
+class FourierKet(Ket):
     """Exact representation sum_d phi^d * sum_k u_{d k} e^{i k phi} on [0, 2 pi), per row.
 
     ``coeffs[..., r, d, i]`` is u_{d k} of row r at mode k = lo + i: each ket
@@ -228,15 +300,13 @@ class FourierKet:
     one band; L_z, phi and trigonometric multiplication act on each alike.
     """
 
-    __slots__ = ("coeffs", "lo", "hbar", "l", "memo")
+    __slots__ = ("lo", "hbar", "l")
 
     def __init__(self, coeffs, lo, hbar, l=None):
-        coeffs.setflags(write=False)
-        self.coeffs = coeffs  # shape (..., rows, depth, width), complex
+        super().__init__(coeffs)  # shape (..., rows, depth, width), complex
         self.lo = lo
         self.hbar = hbar
         self.l = l
-        self.memo = {}  # filled by Lifted
 
     @property
     def family(self):
@@ -309,22 +379,20 @@ def _check_space(x, y):
         raise _space_error(x, y)
 
 
-class LineKet:
+class LineKet(Ket):
     """Hermite-band vector with the pendulum's scale parameters attached.
 
     Leading axes, if any, stack kets of one band, as for ``FourierKet``.
     """
 
-    __slots__ = ("coeffs", "lam", "hbar", "inertia", "frequency", "memo")
+    __slots__ = ("lam", "hbar", "inertia", "frequency")
 
     def __init__(self, coeffs, lam, hbar, inertia, frequency):
-        coeffs.setflags(write=False)
-        self.coeffs = coeffs  # shape (..., K), complex
+        super().__init__(coeffs)  # shape (..., K), complex
         self.lam = lam
         self.hbar = hbar
         self.inertia = inertia
         self.frequency = frequency
-        self.memo = {}  # filled by Lifted
 
     @property
     def family(self):
@@ -426,49 +494,39 @@ def _trig_matrix(dim, lam, fourier):
     return out
 
 
-# One matrix per (lam, fourier), grown by ``_line_mult_matrix``, so no ``make``;
-# 64 MiB holds sin and cos at the band cap.
-_line_trig = specfun.BytesLRU(None, budget=2**26)
-
-
-def _line_mult_matrix(dim, lam, fourier):
-    """``_trig_matrix`` on h_0..h_{dim-1}: its entries do not depend on the
-    band, so this is a leading block of the one matrix kept per (lam,
-    fourier), rebuilt larger when a wider band asks for it."""
-    mat = _line_trig.get((lam, fourier), dim)
-    if mat is None:
-        mat = _line_trig.put((lam, fourier), _trig_matrix(dim, lam, fourier))
-    return mat[:dim, :dim]
-
-
-_line_mult_matrix.cache_info = _line_trig.cache_info  # hit counts, as lru_cache reports them
+# One matrix per (dim, lam, fourier); 64 MiB holds sin and cos at the band cap.
+_line_mult_matrix = specfun.BytesLRU(_trig_matrix, budget=2**26)
 
 
 # -- lifting and operator dispatch -------------------------------------------
 
 
 def lift(state):
-    """Coefficient-space ket for a state; kets pass through unchanged."""
-    if isinstance(state, (FourierKet, LineKet)):
+    """Coefficient-space ket for a state, with the state recorded in its
+    ``state`` slot; kets pass through unchanged."""
+    if isinstance(state, Ket):
         return state
     if isinstance(state, PeriodicState):
         lo = min(state.coefficients)
         coeffs = np.zeros((1, 1, max(state.coefficients) - lo + 1), dtype=complex)
         for m, a in state.coefficients.items():
             coeffs[0, 0, m - lo] = a
-        return FourierKet(coeffs, lo, state.hbar)
-    if isinstance(state, OscillatorState):
+        ket = FourierKet(coeffs, lo, state.hbar)
+    elif isinstance(state, OscillatorState):
         coeffs = np.zeros(line_band(max(state.coefficients), state.scale), dtype=complex)
         for n, b in state.coefficients.items():
             coeffs[n] = b
-        return LineKet(coeffs, state.scale, state.hbar, state.inertia, state.frequency)
-    if isinstance(state, SphereState):
+        ket = LineKet(coeffs, state.scale, state.hbar, state.inertia, state.frequency)
+    elif isinstance(state, SphereState):
         l = state.l
         c = np.array([state.coefficients.get(m, 0.0) for m in range(-l, l + 1)], dtype=complex)
         # row r holds sum_m root[r, m] c_m e^{i m phi}, on the band -l..l
         coeffs = (_theta_overlap_root(l) * c)[:, None, :]
-        return FourierKet(coeffs, -l, state.hbar, l)
-    raise TypeError(f"lift: unsupported state type {type(state)!r}")
+        ket = FourierKet(coeffs, -l, state.hbar, l)
+    else:
+        raise TypeError(f"lift: unsupported state type {type(state)!r}")
+    ket.state = state
+    return ket
 
 
 def apply(obs, state):
@@ -708,102 +766,29 @@ _BLOCKS = {FourierKet: _FourierBlock, LineKet: _LineBlock}
 @lru_cache(maxsize=256)
 def _block_key(obs):
     """The observables (objects or tags) ``obs`` of a read resolved into the
-    observables of the block that serves it, and the index of each in it."""
+    observables of the block that serves it, and the index of each in it.
+    Any read among the paper's four gets their block; the observables of any
+    other read are put in order of tag, so the reads (A, B) and (B, A) share
+    a block."""
     obs = tuple(map(resolve_observable, obs))
     key = tuple(dict.fromkeys(obs))
-    if all(a in _PAPER for a in key):
-        key = _PAPER
+    key = _PAPER if all(a in _PAPER for a in key) else tuple(sorted(key, key=lambda a: a.tag))
     return key, tuple(map(key.index, obs))
-
-
-class Lifted:
-    """A view of one state and its ket ``psi``.
-
-    Every read goes through a block memoized in ``psi.memo``, the ket's own
-    dict, so every ``Lifted`` of the same ket reads the values any of them
-    computed.  Reads among the paper's four observables share one block; a
-    read of any other observable uses a block of the observables it names,
-    so no value depends on what was read before.  ``pair`` gives a relation
-    all its entries at once; the other reads give one entry each.
-    """
-
-    __slots__ = ("state", "psi", "_memo")
-
-    def __init__(self, state):
-        self.state = state
-        self.psi = lift(state)
-        self._memo = self.psi.memo
-
-    def acted(self, a):
-        """A psi."""
-        a = resolve_observable(a)
-        val = self._memo.get(a)
-        if val is None:
-            val = self._memo[a] = apply(a, self.psi)
-        return val
-
-    def _block(self, *obs):
-        """The block for a read of ``obs`` and the index of each of them in it."""
-        key, index = _block_key(obs)
-        block = self._memo.get(key)
-        if block is None:
-            block = self._memo[key] = _BLOCKS[type(self.psi)](self.psi, key)
-        return block, index
-
-    def pair(self, a, b):
-        """The ``_Pair`` read of observables a and b, built once per block."""
-        block, (i, j) = self._block(a, b)
-        return block.pairs.get((i, j)) or block.pairs.setdefault((i, j), _Pair(block, i, j))
-
-    def mean(self, a):
-        """<A> = (psi, A psi); rejects non-Hermitian observables."""
-        block, (i,) = self._block(a)
-        return block.means[i]
-
-    def deviation(self, a):
-        """The deviation ket dA psi = A psi - <A> psi."""
-        block, (i,) = self._block(a)
-        return block.ket(block.deviations[i])
-
-    def std(self, a):
-        """Standard deviation, the norm of the deviation ket."""
-        block, (i,) = self._block(a)
-        return block.stds[i]
-
-    def cross(self, a, b):
-        """(dA psi, dB psi)."""
-        block, (i, j) = self._block(a, b)
-        return block.gram[i][j]
-
-    def expect2(self, a, b):
-        """(psi, A B psi)."""
-        block, (i, j) = self._block(a, b)
-        return block.second[0][i][j]
-
-    def mismatch(self, a, b):
-        """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
-        block, (i, j) = self._block(a, b)
-        return block.second[1][i][j]
-
-
-def lifted(state):
-    """``state`` itself if it is a ``Lifted``, else a new ``Lifted`` of it."""
-    return state if isinstance(state, Lifted) else Lifted(state)
 
 
 def mean(obs, state):
     """Expected value (psi, A psi); rejects non-Hermitian observables."""
-    return lifted(state).mean(obs)
+    return lift(state).mean(obs)
 
 
 def deviation_vector(obs, state):
     """The deviation ket delta_A psi = A psi - <A> psi."""
-    return lifted(state).deviation(obs)
+    return lift(state).deviation(obs)
 
 
 def std_dev(obs, state):
     """Standard deviation, the norm of the deviation vector."""
-    return lifted(state).std(obs)
+    return lift(state).std(obs)
 
 
 def sphere_variances(state):

@@ -37,7 +37,7 @@ from .operators import (
     PHI,
     SIN_PHI,
     UnsupportedObservable,
-    lifted,
+    lift,
     resolve_observable,
     trig_observable,
 )
@@ -126,14 +126,14 @@ class MismatchMatrix:
 
 def adjointness_mismatch(obs_a, obs_b, state):
     """Delta_jk = (A_j psi, A_k psi) - (psi, A_j A_k psi) over the pair."""
-    entries, max_modulus, _, _ = lifted(state).pair(obs_a, obs_b).mismatch
+    entries, max_modulus, _, _ = lift(state).pair(obs_a, obs_b).mismatch
     obs = [resolve_observable(obs_a), resolve_observable(obs_b)]
     return MismatchMatrix(np.array(entries, dtype=complex), obs, max_modulus)
 
 
 def csf(obs_a, obs_b, state):
     """Delta_A Delta_B >= |(delta_A psi, delta_B psi)| for any pair."""
-    mean_a, mean_b, std_a, std_b, cross = lifted(state).pair(obs_a, obs_b).moments
+    mean_a, mean_b, std_a, std_b, cross = lift(state).pair(obs_a, obs_b).moments
     details = {"std_a": std_a, "std_b": std_b, "mean_a": mean_a, "mean_b": mean_b, "cross": cross}
     return _inequality_report("csf", std_a * std_b, abs(cross), TOL_INEQUALITY, details)
 
@@ -144,7 +144,7 @@ def rsur(obs_a, obs_b, state):
     An unsatisfied report is data, not an error; the mismatch norm in the
     details says whether the relation was entitled to hold.
     """
-    read = lifted(state).pair(obs_a, obs_b)
+    read = lift(state).pair(obs_a, obs_b)
     _, _, std_a, std_b, cross = read.moments
     entries, mismatch_max, ab, ba = read.mismatch
     if mismatch_max < TOL_IDENTITY:
@@ -182,7 +182,7 @@ def covariance_decomposition(obs_a, obs_b, state):
     identity is only claimed when the adjointness mismatch is below
     TOL_IDENTITY; outside that the result is flagged not applicable.
     """
-    read = lifted(state).pair(obs_a, obs_b)
+    read = lift(state).pair(obs_a, obs_b)
     mean_a, mean_b, _, _, cross = read.moments
     _, mismatch_max, second_ab, second_ba = read.mismatch
     # <delta_A delta_B> = <A B> - <A><B>, and the same for <delta_B delta_A>
@@ -205,13 +205,13 @@ def covariance_decomposition(obs_a, obs_b, state):
 def boundary_bound(state, squared_density=True):
     """Circle bound (hbar/2)|1 - 2 pi B| on both the deviation inner
     product and, through Cauchy-Schwarz, the Delta product."""
-    lf = lifted(state)
-    if not isinstance(lf.state, PeriodicState):
+    ket = lift(state)
+    if not isinstance(ket.state, PeriodicState):
         raise UnsupportedObservable("boundary_bound: circle states only")
-    bval = boundary_value(lf.state)
+    bval = boundary_value(ket.state)
     density = abs(bval) ** 2 if squared_density else abs(bval)
-    rhs = 0.5 * lf.state.hbar * abs(1.0 - 2.0 * np.pi * density)
-    _, _, std_lz, std_phi, cross = lf.pair(LZ, PHI).moments
+    rhs = 0.5 * ket.hbar * abs(1.0 - 2.0 * np.pi * density)
+    _, _, std_lz, std_phi, cross = ket.pair(LZ, PHI).moments
     lhs = abs(cross)
     product_lhs = std_lz * std_phi
     product_slack = product_lhs - rhs
@@ -278,18 +278,18 @@ def adjusted_relation(rel, state):
             rel = ADJUSTED_PRESETS[rel]
         except KeyError:
             raise UnsupportedObservable(f"no adjusted-relation preset {rel!r}") from None
-    lf = lifted(state)
-    hbar = lf.psi.hbar
+    ket = lift(state)
+    hbar = ket.hbar
     if rel.form == "function-pair":
-        lhs = lf.std(LZ) * lf.std(rel.f)
-        rhs = hbar * abs(lf.mean(rel.g))
+        lhs = ket.std(LZ) * ket.std(rel.f)
+        rhs = hbar * abs(ket.mean(rel.g))
     elif rel.form == "quadratic":
-        lhs = lf.std(LZ) ** 2 + hbar**2 * lf.std(rel.u) ** 2
-        rhs = hbar**2 * lf.mean(rel.v) ** 2
+        lhs = ket.std(LZ) ** 2 + hbar**2 * ket.std(rel.u) ** 2
+        rhs = hbar**2 * ket.mean(rel.v) ** 2
     elif rel.form == "ratio":
-        d_phi = lf.std(PHI)
-        lhs = lf.std(LZ) * d_phi / rel.a(d_phi)
-        rhs = hbar * abs(lf.mean(rel.b))
+        d_phi = ket.std(PHI)
+        lhs = ket.std(LZ) * d_phi / rel.a(d_phi)
+        rhs = hbar * abs(ket.mean(rel.b))
     else:
         raise UnsupportedObservable(f"unknown adjusted-relation form {rel.form!r}")
     return _inequality_report(rel.label, lhs, rhs, TOL_IDENTITY, {"form": rel.form})
@@ -299,7 +299,7 @@ def gram_det(observables, state):
     """det[(delta_j psi, delta_k psi)] >= 0 and its minimum eigenvalue."""
     if len(observables) < 2:
         raise ValueError("gram_det: need at least two observables")
-    block, index = lifted(state)._block(*observables)
+    block, index = lift(state)._block(*observables)
     r, g = len(observables), block.gram
     gram = np.array([[g[i][j] for j in index] for i in index], dtype=complex)
     det = np.linalg.det(gram)
@@ -319,7 +319,7 @@ def gram_det(observables, state):
 
 def sphere_mismatch(state):
     """Direct (Lz psi, phi psi) - (psi, Lz phi psi) for a sphere state."""
-    return lifted(state).mismatch(LZ, PHI)
+    return lift(state).mismatch(LZ, PHI)
 
 
 def sphere_anomaly(state):
@@ -330,13 +330,13 @@ def sphere_anomaly(state):
     printed and reported alongside the direct value without asserting
     their equality.
     """
-    lf = lifted(state)
-    if not isinstance(lf.state, SphereState):
+    ket = lift(state)
+    if not isinstance(ket.state, SphereState):
         raise UnsupportedObservable("sphere_anomaly: sphere states only")
-    direct = sphere_mismatch(lf)
-    l, hbar = lf.state.l, lf.state.hbar
+    direct = sphere_mismatch(ket)
+    l, hbar = ket.l, ket.hbar
     c = np.zeros(2 * l + 1, dtype=complex)
-    for m, v in lf.state.coefficients.items():
+    for m, v in ket.state.coefficients.items():
         c[m + l] = v
     mvals = np.arange(-l, l + 1, dtype=float)
     phi1 = operators._theta_overlap(l) * operators._phi_power_block(1, l)

@@ -38,8 +38,7 @@ class BytesLRU:
 
     Each value counts its ``nbytes``.  A new value evicts the least recently
     used ones until it fits; a value larger than the whole budget is
-    returned and never kept.  ``get`` and ``put`` serve callers that grow
-    a kept array: ``get`` passes over one with too few rows.
+    returned and never kept.
     """
 
     def __init__(self, make, budget):
@@ -47,26 +46,14 @@ class BytesLRU:
         self.hits = self.misses = 0
 
     def __call__(self, *key):
-        value = self.get(key)
-        return self.put(key, self.make(*key)) if value is None else value
-
-    def get(self, key, rows=0):
-        """The value kept for ``key``, now the most recent, or None if there
-        is none with at least ``rows`` rows."""
-        value = self._items.get(key)
-        if value is None or (rows and len(value) < rows):
-            return None
-        self._items[key] = self._items.pop(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value):
-        """Keep ``value`` for ``key`` in place of any earlier one; return it."""
         items = self._items
+        value = items.pop(key, None)
+        if value is not None:
+            items[key] = value  # now the most recent
+            self.hits += 1
+            return value
         self.misses += 1
-        old = items.pop(key, None)
-        if old is not None:
-            self.nbytes -= old.nbytes
+        value = self.make(*key)
         if value.nbytes <= self.budget:
             self.nbytes += value.nbytes
             while self.nbytes > self.budget:

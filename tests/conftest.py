@@ -39,17 +39,17 @@ def actions(monkeypatch):
 @pytest.fixture
 def lookups(monkeypatch):
     """A list that grows by the observables of each block lookup, one entry
-    per ``operators.Lifted._block`` call."""
+    per ``operators.Ket._block`` call."""
     from angulab import operators
 
     calls = []
-    block = operators.Lifted._block
+    block = operators.Ket._block
 
     def counted(self, *obs):
         calls.append(obs)
         return block(self, *obs)
 
-    monkeypatch.setattr(operators.Lifted, "_block", counted)
+    monkeypatch.setattr(operators.Ket, "_block", counted)
     return calls
 
 

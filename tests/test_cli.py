@@ -311,6 +311,13 @@ class TestInputContract:
                 "sqrt(J omega / hbar) must be finite and > 0, got inf",
             ),
             (("sweep", "scr", "--random", "2", "--seed", "-1"), f"{SEED} -1"),
+            (("scenario", "scr", "--hbar", "abc"), "argument --hbar: invalid float value: 'abc'"),
+            (("sweep", "scr", "--random", "x"), "argument --random: invalid int value: 'x'"),
+            (("scenario", "scr", "--bogus"), "unrecognized arguments: --bogus"),
+            (("sweep", "nowhere"), "argument family: invalid choice: 'nowhere'"),
+            (("scenario", "scr", "--m", "2", "--format", "csv"), "unrecognized arguments: --format"),
+            (("scenario", "scr", "--seed", "3"), "unrecognized arguments: --seed 3"),
+            (("sweep", "scr", "--m=0..1", "--coeffs", "c.json"), "unrecognized arguments: --coeffs"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -325,7 +332,8 @@ class TestInputContract:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and message in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "usage:" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
 
     def test_resolution_in_config(self, tmp_path):
         """validate and scenario --config reject a coarse grid with the same text."""
@@ -360,6 +368,29 @@ class TestInputContract:
             scenario = run_cli("scenario", "--config", str(path), check=False)
             assert scenario.returncode == (1 if out else 0), seed
             assert scenario.stderr == (f"error: {out}" if out else ""), seed
+
+    def test_format_in_config(self, tmp_path):
+        """validate, scenario --config and the config schema reject a format
+        other than json: a scenario prints JSON only."""
+        jsonschema = pytest.importorskip("jsonschema")
+        from angulab.cli import emit_schema
+
+        schema = emit_schema()["config"]
+        path = tmp_path / "cfg.json"
+        out = "scenario reports are JSON only, got format 'csv'\n"
+        for fmt, want in (("json", ""), ("csv", out)):
+            cfg = {**SCR_CONFIG, "format": fmt}
+            if want:
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(cfg, schema)
+            else:
+                jsonschema.validate(cfg, schema)
+            path.write_text(json.dumps(cfg))
+            proc = run_cli("validate", str(path), check=False)
+            assert (proc.returncode, proc.stdout) == (1 if want else 0, want), fmt
+            scenario = run_cli("scenario", "--config", str(path), check=False)
+            assert scenario.returncode == (1 if want else 0), fmt
+            assert scenario.stderr == (f"error: {want}" if want else ""), fmt
 
     def test_resolution_cap_in_config(self, tmp_path):
         """validate and the config schema both stop at MAX_RESOLUTION."""
@@ -622,9 +653,9 @@ class TestRegistry:
 
 
 class TestSharedLifted:
-    """One ``operators.Lifted`` shared by every registry relation gives
-    exactly the entries of a fresh state per relation, whatever order the
-    relations read it in."""
+    """One lifted ket shared by every registry relation gives exactly the
+    entries of a fresh state per relation, whatever order the relations read
+    it in."""
 
     LABELS = ("scr m=2", "qtp n=1", "random periodic", "random oscillator", "random sphere l=2")
 
@@ -653,7 +684,7 @@ class TestSharedLifted:
         fresh = {name: evaluate_relation(name, state) for name in names}
         assert sum(entry.get("status") != "not-applicable" for entry in fresh.values()) >= 9
         for order in (names, names[::-1]):
-            shared = operators.Lifted(state)
+            shared = operators.lift(state)
             for name in order:
                 assert evaluate_relation(name, shared) == fresh[name], (label, name)
 
@@ -684,10 +715,10 @@ class TestSharedLifted:
         names = ("csf", "rsur", "condition19", "decomposition", "boundary", "gram", "eq22")
         names += ("eq23", "moments")
         for label, state in self._states().items():
-            lf = operators.Lifted(state)
+            ket = operators.lift(state)
             for name in names:
                 lookups.clear()
-                evaluate_relation(name, lf)
+                evaluate_relation(name, ket)
                 only = RELATIONS[name].only
                 applies = only is None or state.family in only[0]
                 extra = name == "moments" and state.family == "oscillator"
@@ -746,8 +777,8 @@ class TestExitCodes:
 
         gram = cli.RELATIONS["gram"]
 
-        def planted(lf):
-            entry = gram.evaluate(lf)
+        def planted(ket):
+            entry = gram.evaluate(ket)
             if key == "lhs":
                 entry["lhs"] = float("nan")
             else:

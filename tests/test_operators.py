@@ -434,18 +434,18 @@ class TestLineTrig:
     matrices sliced from one matrix per (lam, multiplier), on a band sized
     from the state."""
 
-    def test_one_matrix_per_lam_and_multiplier(self):
+    def test_one_matrix_per_dim_lam_and_multiplier(self):
         from angulab import operators
 
-        operators._line_trig.cache_clear()
+        cache = operators._line_mult_matrix
+        cache.cache_clear()
         lam, fourier = 0.37, SIN_PHI.fourier
-        small = operators._line_mult_matrix(20, lam, fourier)
-        assert np.shares_memory(operators._line_mult_matrix(12, lam, fourier), small)
-        big = operators._line_mult_matrix(50, lam, fourier)
+        small = cache(20, lam, fourier)
+        big = cache(50, lam, fourier)
         assert np.array_equal(big[:20, :20], small)  # entries do not depend on the band
-        assert np.shares_memory(operators._line_mult_matrix(20, lam, fourier), big)
-        assert list(operators._line_trig.keys()) == [(lam, fourier)]
-        assert operators._line_mult_matrix.cache_info()[:2] == (2, 2)  # (hits, misses)
+        assert cache(20, lam, fourier) is small
+        assert set(cache.keys()) == {(20, lam, fourier), (50, lam, fourier)}
+        assert cache.cache_info()[:2] == (1, 2)  # (hits, misses)
 
     def test_band_holds_the_trig_images(self):
         """Outside the band every h_n, n <= nmax, leaves less than eps of its
@@ -474,3 +474,14 @@ class TestLineTrig:
         psi = lift(qtp_eigenstate(0, inertia=J))
         total = apply(SIN_PHI, psi).norm() ** 2 + apply(COS_PHI, psi).norm() ** 2
         assert total == pytest.approx(1.0, abs=1e-14)
+
+
+class TestKetState:
+    def test_lift_records_the_state(self):
+        """``lift`` keeps the state on the ket it returns and passes a ket
+        through; a ket an operation returns has no state."""
+        for state in (scr_eigenstate(1), qtp_eigenstate(2), sphere_state(1, {0: 1.0})):
+            ket = lift(state)
+            assert ket.state is state and lift(ket) is ket
+            derived = (apply(LZ, ket), apply(SIN_PHI, ket), ket.plus(ket), ket.scaled(2.0))
+            assert all(other.state is None for other in derived)

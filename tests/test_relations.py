@@ -182,6 +182,15 @@ class TestBoundaryBound:
         with pytest.raises(UnsupportedObservable):
             boundary_bound(qtp_eigenstate(0))
 
+    def test_ket_reads_the_state_it_records(self):
+        """A lifted circle ket gives the report of its state; a ket an
+        operation returned has no state to take B from, and is refused."""
+        for state in (scr_eigenstate(1), periodic_superposition({0: 1, 1: 1j})):
+            ket = lift(state)
+            assert boundary_bound(ket).to_json() == boundary_bound(state).to_json()
+            with pytest.raises(UnsupportedObservable, match="circle states only"):
+                boundary_bound(ket.scaled(1.0))
+
 
 class TestAdjustedRelations:
     def test_eq8_sin_scr(self):
@@ -249,6 +258,13 @@ class TestSphereAnomaly:
     def test_single_m(self):
         info = sphere_anomaly(sphere_state(1, {0: 1.0}))
         assert info["direct_mismatch"] == pytest.approx(1j, abs=1e-10)
+
+    def test_ket_reads_the_state_it_records(self):
+        """A lifted sphere ket gives the anomaly of its state."""
+        state = sphere_state(2, {-1: 1.0, 0: 0.5j, 2: 1.0})
+        assert sphere_anomaly(lift(state)) == sphere_anomaly(state)
+        with pytest.raises(UnsupportedObservable, match="sphere states only"):
+            sphere_anomaly(lift(scr_eigenstate(1)))
 
     def test_uniform_triplet(self):
         # overlap of the outer theta rows is -1, so the bracket is 1 - 2/3
@@ -349,15 +365,15 @@ class TestSharedKet:
 
 
 class TestPairRead:
-    """A relation call takes one block lookup: ``Lifted.pair`` for a pair,
-    one ``Lifted._block`` over all its observables for gram_det."""
+    """A relation call takes one block lookup: ``Ket.pair`` for a pair, one
+    ``Ket._block`` over all its observables for gram_det."""
 
     CALLS = {
-        "csf": lambda lf: csf(LZ, PHI, lf),
-        "rsur": lambda lf: rsur(SIN_PHI, COS_PHI, lf),
-        "adjointness_mismatch": lambda lf: adjointness_mismatch(PHI, SIN_PHI, lf),
-        "covariance_decomposition": lambda lf: covariance_decomposition(LZ, COS_PHI, lf),
-        "gram_det": lambda lf: gram_det((LZ, PHI, SIN_PHI, COS_PHI), lf),
+        "csf": lambda ket: csf(LZ, PHI, ket),
+        "rsur": lambda ket: rsur(SIN_PHI, COS_PHI, ket),
+        "adjointness_mismatch": lambda ket: adjointness_mismatch(PHI, SIN_PHI, ket),
+        "covariance_decomposition": lambda ket: covariance_decomposition(LZ, COS_PHI, ket),
+        "gram_det": lambda ket: gram_det((LZ, PHI, SIN_PHI, COS_PHI), ket),
         "boundary_bound": boundary_bound,
     }
     RAISE = trig_observable("raise", {1: 1.0})
@@ -373,25 +389,37 @@ class TestPairRead:
         """One lookup on a fresh ket, whose block it builds, and one again
         once the block is built."""
         for state in self._states(circle_only=name == "boundary_bound"):
-            lf = operators.Lifted(state)
+            ket = operators.lift(state)
             for when in ("fresh", "warm"):
                 lookups.clear()
-                self.CALLS[name](lf)
+                self.CALLS[name](ket)
                 assert len(lookups) == 1, (state.family, when, lookups)
+
+    def test_read_order_shares_one_block(self):
+        """mismatch(L_z, raise) and mismatch(raise, L_z) read one block of a
+        ket whichever comes first, so both orders give the same bits."""
+        for state in self._states():
+            seen = []
+            for order in ((LZ, self.RAISE), (self.RAISE, LZ)):
+                ket = lift(state)
+                values = {(a.tag, b.tag): ket.mismatch(a, b) for a, b in (order, order[::-1])}
+                assert sum(isinstance(key, tuple) for key in ket.memo) == 1, state.family
+                seen.append(values)
+            assert seen[0] == seen[1], state.family
 
     def test_mismatch_of_non_hermitian_multiplier(self):
         """adjointness_mismatch reads the entries of a multiplier that is not
         Hermitian, before and after its mean is refused."""
         for state in self._states():
-            lf = operators.Lifted(state)
+            ket = operators.lift(state)
             obs = (LZ, self.RAISE)
             for _ in range(2):
-                mm = adjointness_mismatch(*obs, lf)
-                want = [[lf.mismatch(a, b) for b in obs] for a in obs]
+                mm = adjointness_mismatch(*obs, ket)
+                want = [[ket.mismatch(a, b) for b in obs] for a in obs]
                 assert mm.entries == pytest.approx(np.array(want), abs=1e-12), state.family
                 assert mm.max_modulus == float(np.abs(mm.entries).max()), state.family
                 assert mm.max_modulus > 0.1, state.family  # (raise psi, raise psi) != (psi, raise^2 psi)
                 with pytest.raises(UnsupportedObservable):
-                    lf.mean(self.RAISE)
+                    ket.mean(self.RAISE)
                 with pytest.raises(UnsupportedObservable):
-                    csf(*obs, lf)
+                    csf(*obs, ket)
