@@ -21,31 +21,52 @@ cache per process of read-only rows, keyed on (node count, m >= 1) and
 bounded by bytes, least recently used rows out first.  A negative m
 takes the conjugate of its positive row, which equals the direct
 exponential bit for bit, and m = 0 adds its coefficient as a scalar.
-Circle states sum their modes in coefficient order, and every product
-multiplies a fresh copy of the row, so numpy forms it as it forms
-``a * np.exp(...)``: array-first (``E *= a``) once the temporary is large
-enough to elide (at the default 32768 nodes), scalar-first below that.
-The two orders differ in the last bit, so the samples, the sphere's phi
-rows and the trigonometric multipliers of ``act`` all equal the direct
-formulas exactly.  ``states.evaluate`` stays the pointwise reference; it
-still samples line states and any grid that is not a ``circle_grid``.
+Circle states sum their modes in coefficient order.  Each product
+a e^{i m phi} is formed in one scratch array, straight from the cached
+row, in the operand order numpy gives ``a * np.exp(...)``: numpy
+multiplies into a temporary in place once it holds ``ELIDE_BYTES``
+(256 KiB, 16384 complex values), so the product runs array-first from
+that size on (the default 32768 nodes) and scalar-first below it.  L_z
+scales its differences by -i hbar by the same rule, and the sphere's
+rows are scaled c-first at every size, as the broadcast
+``c[:, None] * rows`` is.  The two orders differ in the last bit, so the
+samples, the sphere's phi rows and the actions all equal the plain
+expressions exactly.  ``states.evaluate`` stays the pointwise reference;
+it still samples line states and any grid that is not a ``circle_grid``.
 
-The hot kernels allocate only the arrays they return.  ``quad_inner`` is
-one BLAS dot (``np.vdot``) per inner product, after ``G @ g`` on the
-sphere.  ``numeric_derivative`` writes the stencil sum into its result
-through one scratch array, adding the four terms in the order of the
-plain expression, so its bits are that expression's.  A deviation ket
-A psi - <A> psi is built in the buffer of <A> psi.  ``circle_grid`` is
-memoized per n with read-only points, so a grid from ``default_grid`` is
-recognized as a midpoint grid by identity.  Only the inner products'
-round-off differs from sum conj(f) g: OpenBLAS splits a long dot across
-its threads, so the last bits of an oracle value follow the BLAS thread
-count (about 1e-14 relative between 1 and 2 threads at 32768 nodes),
-and runs at one thread count print the same bytes.
+The kernels write in place: ``act`` and ``numeric_derivative`` fill an
+``out`` array and overwrite a ``scratch`` one when given them.
+``numeric_derivative`` adds the four stencil terms in the order of the
+plain expression and scales by 1 / h.  numpy divides a complex x + i y by
+a real h as ((x + 0 y) (1 / h), (y - 0 x) (1 / h)), so multiplying both
+parts by 1 / h gives the same bits in a fraction of the time, except that
+an exact zero may keep a sign the division flips.  ``quad_inner`` is one
+BLAS dot (``np.vdot``) per inner product, after ``G @ g`` on the sphere.
+A deviation ket A psi - <A> psi is built in the buffer of <A> psi.
+``circle_grid`` is memoized per n with read-only points, so a grid from
+``default_grid`` is recognized as a midpoint grid by identity.  Only the
+inner products' round-off differs from sum conj(f) g: OpenBLAS splits a
+long dot across its threads, so the last bits of an oracle value follow
+the BLAS thread count (about 1e-14 relative between 1 and 2 threads at
+32768 nodes), and runs at one thread count print the same bytes.
+
+A ``Sampled`` acts into one work block, allocated with ``np.empty`` on
+its first action: a row of the samples' shape for each first-order
+action, one for a second-order product and one scratch row (3 MiB at
+32768 nodes); the last two also hold the first two deviation kets of a
+reduction.  The block is there for glibc's malloc, which maps any
+allocation above its mmap threshold fresh, faulting it in page by page,
+and raises that threshold to the size of a mapping when it is freed,
+with the heap's trim threshold at twice that.  Separate 512 KiB arrays
+held them near 512 KiB and 1 MiB, so the heap top went back to the
+kernel after every state and came back as minor page faults: about 700
+per circle op and 340-530 per sphere op.  Once one block has been freed,
+the next block and every smaller array come from a heap that stays
+mapped, and a warm op takes no fault.
 
 ``relation_values`` reads a registry relation, looked up by name in
 ``RELATION_VALUES``, from a ``Sampled``: one state sampled once, keeping
-the samples, the first-order actions and scalars only; every registry
+the samples, the work block and scalars only; every registry
 relation has an entry.  Observable tags resolve through
 ``operators.resolve_observable``, which also gives the Fourier
 coefficients of the trigonometric multipliers; nothing comes from
@@ -64,6 +85,10 @@ DEFAULT_CIRCLE_N = 32768
 DEFAULT_LINE_N = 4096
 DEFAULT_SPHERE_THETA = 128
 DEFAULT_SPHERE_PHI = 4096
+
+# numpy multiplies into a temporary operand in place (elides it) from this
+# size on, which sets the operand order of ``a * <temporary>``
+ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -154,27 +179,32 @@ def _midpoint_count(grid):
     return n if grid.points is nodes or np.array_equal(grid.points, nodes) else None
 
 
-def _wave(n, m):
-    """A new array e^{i m phi_j} on ``circle_grid(n)``, equal bit for bit to
-    ``np.exp(1j * m * phi)``: a cached row, its conjugate for m < 0, ones for m = 0."""
-    if m == 0:
-        return np.ones(n, dtype=complex)
-    row = phase_rows(n, abs(m))
-    return row.copy() if m > 0 else np.conj(row)
+def _scale(a, arr, out):
+    """a * arr into ``out`` in the operand order numpy gives ``a * <fresh arr>``:
+    array-first once it elides the temporary, scalar-first below that."""
+    if arr.nbytes >= ELIDE_BYTES:
+        return np.multiply(arr, a, out=out)
+    return np.multiply(a, arr, out=out)
 
 
-def _series(terms, phi, n):
-    """sum a e^{i m phi} over (m, a) in ``terms``, added in that order as
-    ``states.evaluate`` adds a circle state's modes: from ``_wave`` when
-    ``phi`` are the nodes of ``circle_grid(n)``, directly when n is None.
-    Each product takes a fresh array inline, never a cached row or a named
-    one, so numpy picks the loop it picks for ``a * np.exp(...)``."""
-    out = np.zeros(phi.shape, dtype=complex)
+def _series(terms, phi, n, out, scratch):
+    """sum a e^{i m phi} over (m, a) in ``terms`` into ``out``, added in that
+    order as ``states.evaluate`` adds a circle state's modes: each phase a
+    cached row (its conjugate for m < 0) when ``phi`` are the nodes of
+    ``circle_grid(n)``, ``np.exp`` when n is None.  Each product is formed
+    in ``scratch``, in the operand order numpy gives ``a * np.exp(...)``."""
+    out.fill(0.0)
     for m, a in terms:
         if m == 0:
             out += a
+            continue
+        if n is None:
+            wave = np.exp(np.multiply(1j * m, phi, out=scratch), out=scratch)
+        elif m > 0:
+            wave = phase_rows(n, m)
         else:
-            out += a * (np.exp(1j * m * phi) if n is None else _wave(n, m))
+            wave = np.conjugate(phase_rows(n, -m), out=scratch)
+        out += _scale(a, wave, scratch)
     return out
 
 
@@ -187,15 +217,25 @@ def sample(state, grid):
         n = _midpoint_count(grid) if isinstance(state, states.PeriodicState) else None
         if n is None:
             return states.evaluate(state, grid.points)
-        return _series(state.coefficients.items(), grid.points, n) / np.sqrt(TWO_PI)
-    phi = grid.phi_grid.points
-    n = _midpoint_count(grid.phi_grid)
-    m = np.arange(-state.l, state.l + 1)
-    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
-    if n is None:
-        return c[:, None] * np.exp(1j * m[:, None] * phi) / np.sqrt(TWO_PI)
-    # the product takes a fresh array, as in _series
-    return c[:, None] * np.stack([_wave(n, k) for k in m.tolist()]) / np.sqrt(TWO_PI)
+        psi = np.empty(n, dtype=complex)
+        _series(state.coefficients.items(), grid.points, n, psi, np.empty_like(psi))
+    else:
+        phi = grid.phi_grid.points
+        n = _midpoint_count(grid.phi_grid)
+        m = np.arange(-state.l, state.l + 1)
+        c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
+        if n is None:
+            psi = np.exp(1j * m[:, None] * phi)
+        else:
+            psi = np.empty((m.size, n), dtype=complex)
+            for row, k in zip(psi, m.tolist()):
+                if k < 0:
+                    np.conjugate(phase_rows(n, -k), out=row)
+                else:
+                    row[...] = phase_rows(n, k) if k else 1.0
+        np.multiply(c[:, None], psi, out=psi)  # c-first at every size: a broadcast never elides
+    psi /= np.sqrt(TWO_PI)
+    return psi
 
 
 def quad_inner(f, g, grid):
@@ -220,18 +260,21 @@ _FD_FORWARD = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _FD_OFFSET = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
-def numeric_derivative(samples, grid):
+def numeric_derivative(samples, grid, out=None, scratch=None):
     """Fourth-order differences along the last axis, on the spacing of the
-    Grid1D ``grid``; one-sided at the ends, no wrap-around."""
+    Grid1D ``grid``; one-sided at the ends, no wrap-around.  The result is
+    written to ``out`` and ``scratch`` is overwritten, each an array of the
+    samples' shape, allocated when not given."""
     arr = np.asarray(samples)
     if arr.shape[-1] < 5:
         raise ValueError("numeric_derivative: need at least 5 samples")
-    out = np.empty_like(arr, dtype=complex if np.iscomplexobj(arr) else float)
+    if out is None:
+        out = np.empty_like(arr, dtype=complex if np.iscomplexobj(arr) else float)
     # c0 a0 + c1 a1 + c3 a3 + c4 a4 in that order, as the plain expression sums
     # it (so the bits match), with one scratch array for the products
     interior, n = out[..., 2:-2], arr.shape[-1]
     np.multiply(_FD_INTERIOR[0], arr[..., :-4], out=interior)
-    term = np.empty_like(interior)
+    term = np.empty_like(interior) if scratch is None else scratch[..., 2:-2]
     for k in (1, 3, 4):
         interior += np.multiply(_FD_INTERIOR[k], arr[..., k : n - 4 + k], out=term)
     head = arr[..., :5]
@@ -240,7 +283,11 @@ def numeric_derivative(samples, grid):
     out[..., 1] = head @ _FD_OFFSET
     out[..., -1] = -(tail[..., ::-1] @ _FD_FORWARD)
     out[..., -2] = -(tail[..., ::-1] @ _FD_OFFSET)
-    out /= grid.spacing
+    if np.iscomplexobj(out):
+        parts = out.view(float)  # numpy divides by a real h as (x + y 0) (1 / h)
+        parts *= 1.0 / grid.spacing
+    else:
+        out /= grid.spacing
     return out
 
 
@@ -259,19 +306,31 @@ def boundary_density(samples, grid):
 # -- pointwise observable actions ---------------------------------------------
 
 
-def act(obs, psi, state, grid):
+def act(obs, psi, state, grid, out=None, scratch=None):
     """Apply an observable (or its tag) to samples: derivatives by
-    differencing, multiplications pointwise."""
+    differencing, multiplications pointwise.  The result is written to
+    ``out`` and ``scratch`` is overwritten, each a contiguous array of the
+    samples' shape, allocated when not given."""
     obs = operators.resolve_observable(obs)
     line = grid if isinstance(grid, Grid1D) else grid.phi_grid  # the sphere's phi axis is last
+    if out is None:
+        out = np.empty(np.shape(psi), dtype=complex)
     if obs.tag == "Lz":
-        return -1j * state.hbar * numeric_derivative(psi, line)
+        return _scale(-1j * state.hbar, numeric_derivative(psi, line, out, scratch), out)
     phi = line.points
     if obs.tag == "Phi":
-        return phi * psi
+        return np.multiply(phi, psi, out=out)
     if obs.fourier is not None:
-        return _series(obs.fourier, phi, _midpoint_count(line)) * psi
+        # the multiplier goes to the scratch, its products through the result
+        f = np.empty(phi.shape, dtype=complex) if scratch is None else _first_line(scratch)
+        _series(obs.fourier, phi, _midpoint_count(line), f, _first_line(out))
+        return np.multiply(f, psi, out=out)
     raise ValueError(f"oracle act: unsupported observable {obs.tag!r}")
+
+
+def _first_line(arr):
+    """The view of ``arr``'s first line along its last axis."""
+    return arr[(0,) * (arr.ndim - 1)]
 
 
 def default_grid(state, resolution=None):
@@ -285,20 +344,31 @@ def default_grid(state, resolution=None):
     raise ValueError(f"default_grid: unknown family {fam!r}")
 
 
+# Rows of a Sampled's work block: the first-order actions by tag, then one
+# second-order product and one scratch row
+_ACTED_ROW = {tag: row for row, tag in enumerate(("Lz", "Phi", "SinPhi", "CosPhi"))}
+_SECOND_ROW = len(_ACTED_ROW)
+_SCRATCH_ROW = _SECOND_ROW + 1
+
+
 class Sampled:
     """One state sampled once on one grid, shared by every relation on it.
 
-    Keeps ``psi``, its norm and the first-order actions ``A psi``.  Means,
-    ``(dA psi, dB psi)`` with ``dA = A - <A>``, ``(A psi, B psi)`` and
-    ``(psi, A B psi)`` are memoized as scalars; deviation and second-order
-    arrays are dropped once reduced.  Observables are named by tag, and
-    nothing is sampled until a value is asked for.
+    Keeps ``psi``, its norm and one work block, allocated on the first
+    action, with a row of ``psi``'s shape for each first-order action
+    ``A psi`` (Lz, Phi, SinPhi, CosPhi), one for a second-order product
+    ``A B psi`` and one scratch row.  Means, ``(dA psi, dB psi)`` with
+    ``dA = A - <A>``, ``(A psi, B psi)`` and ``(psi, A B psi)`` are memoized
+    as scalars; each second-order product overwrites the last, and the
+    deviation arrays of one reduction take the second-order and scratch
+    rows first.  Observables are named by tag, and nothing is sampled
+    until a value is asked for.
     """
 
     def __init__(self, state, grid=None):
         self.state = state
         self.grid = default_grid(state) if grid is None else grid
-        self._psi, self._acted, self._scalars = None, {}, {}
+        self._psi, self._work, self._acted, self._scalars = None, None, {}, {}
 
     @property
     def psi(self):
@@ -310,9 +380,15 @@ class Sampled:
     def norm2(self):
         return self._inner(("norm",), lambda: (self.psi, self.psi)).real
 
+    def _act(self, tag, psi, row):
+        """act(tag, psi) written to row ``row`` of the work block."""
+        if self._work is None:
+            self._work = np.empty((_SCRATCH_ROW + 1,) + self.psi.shape, dtype=complex)
+        return act(tag, psi, self.state, self.grid, self._work[row], self._work[_SCRATCH_ROW])
+
     def acted(self, tag):
         if tag not in self._acted:
-            self._acted[tag] = act(tag, self.psi, self.state, self.grid)
+            self._acted[tag] = self._act(tag, self.psi, _ACTED_ROW[tag])
         return self._acted[tag]
 
     def _inner(self, key, arrays):
@@ -328,7 +404,7 @@ class Sampled:
     def expect2(self, a, b):
         """(psi, A B psi), unnormalized."""
         return self._inner(
-            ("AB", a, b), lambda: (self.psi, act(a, self.acted(b), self.state, self.grid))
+            ("AB", a, b), lambda: (self.psi, self._act(a, self.acted(b), _SECOND_ROW))
         )
 
     def mismatch(self, a, b):
@@ -338,16 +414,21 @@ class Sampled:
 
     def dev_inners(self, pairs):
         """(dA psi, dB psi) per (A, B) in ``pairs``, unnormalized; each
-        deviation array is built once per call and dropped with it."""
+        deviation array is built once per call, the first two in the work
+        block's second-order and scratch rows, the rest as new arrays."""
         todo = [pair for pair in pairs if ("dA,dB", *pair) not in self._scalars]
-        devs = {t: self._deviation(t) for t in {t for p in todo for t in p}}
+        tags = list(dict.fromkeys(t for p in todo for t in p))
+        for tag in tags:  # act first: an action overwrites the rows the deviations take
+            self.mean(tag)
+        rows = [self._work[_SECOND_ROW], self._work[_SCRATCH_ROW]] if tags else []
+        devs = {t: self._deviation(t, rows.pop() if rows else None) for t in tags}
         for a, b in todo:
             self._scalars["dA,dB", a, b] = quad_inner(devs[a], devs[b], self.grid)
         return [self._scalars["dA,dB", a, b] for a, b in pairs]
 
-    def _deviation(self, tag):
-        """A psi - <A> psi, built in the buffer of <A> psi."""
-        dev = self.mean(tag) * self.psi
+    def _deviation(self, tag, out=None):
+        """A psi - <A> psi, built in ``out`` (a new array if None) through <A> psi."""
+        dev = np.multiply(self.mean(tag), self.psi, out=out)
         return np.subtract(self.acted(tag), dev, out=dev)
 
     def std(self, tag):

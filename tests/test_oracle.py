@@ -1,10 +1,15 @@
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from angulab import cli, oracle, specfun
+from angulab import cli, oracle, specfun, states
 from angulab.oracle import (
     Grid1D,
     circle_grid,
@@ -18,6 +23,7 @@ from angulab.oracle import (
 from angulab.states import (
     periodic_superposition,
     qtp_eigenstate,
+    random_oscillator,
     random_periodic,
     random_sphere,
     scr_eigenstate,
@@ -157,6 +163,23 @@ def _four_term_derivative(samples, grid):
     return out / grid.spacing
 
 
+def _random_samples(n, rows, dtype):
+    rng = np.random.default_rng(n + (rows or 0))
+    shape = (n,) if rows is None else (rows, n)
+    arr = rng.standard_normal(shape)
+    return arr + 1j * rng.standard_normal(shape) if dtype is complex else arr
+
+
+def _assert_same_bits(got, want):
+    """Bit for bit, except the sign of an exact zero: ``numeric_derivative``
+    scales by 1 / h, which keeps a -0.0 that the complex division x / h
+    turns into +0.0 (the derivative of a constant row is all zeros)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    nonzero = want.view(float) != 0.0
+    assert np.array_equal(got.view(np.uint64)[nonzero], want.view(np.uint64)[nonzero])
+
+
 def _peak_bytes(fn):
     """Peak bytes traced while ``fn()`` runs, above what was live before it;
     numpy reports its array buffers to tracemalloc."""
@@ -179,15 +202,69 @@ class TestInPlaceKernels:
     @pytest.mark.parametrize("rows", [None, 3])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_derivative_equals_four_term_expression(self, n, rows, dtype):
-        rng = np.random.default_rng(n + (rows or 0))
-        shape = (n,) if rows is None else (rows, n)
-        arr = rng.standard_normal(shape)
-        if dtype is complex:
-            arr = arr + 1j * rng.standard_normal(shape)
-        grid = circle_grid(n)
+        arr, grid = _random_samples(n, rows, dtype), circle_grid(n)
         got, want = numeric_derivative(arr, grid), _four_term_derivative(arr, grid)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    @pytest.mark.parametrize("n", [8192, 16384, 32768])
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_derivative_into_buffers_equals_four_term_expression(self, n, rows, dtype):
+        """Written into caller buffers that hold garbage, the same bytes."""
+        arr, grid = _random_samples(n, rows, dtype), circle_grid(n)
+        out, scratch = np.full_like(arr, np.nan), np.full_like(arr, np.nan)
+        got, want = numeric_derivative(arr, grid, out, scratch), _four_term_derivative(arr, grid)
+        assert got is out
+        assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    # complex rows of 8192, 16384 and 32768 nodes, 3, 5 and 7 rows of 4096 (192,
+    # 320 and 448 KiB) and 4096 line nodes: both sides of oracle.ELIDE_BYTES
+    KERNEL_CASES = [("circle", 8192), ("circle", 16384), ("circle", 32768)]
+    KERNEL_CASES += [("sphere", 1), ("sphere", 2), ("sphere", 3), ("line", 8)]
+
+    @staticmethod
+    def _kernel_case(family, size):
+        """A sampled state: a band-8 circle state on ``size`` nodes, an l =
+        ``size`` sphere state, or a line state up to n = ``size``."""
+        rng = np.random.default_rng(size)
+        if family == "circle":
+            state, grid = random_periodic(rng, band=8), circle_grid(size)
+        elif family == "sphere":
+            state, grid = random_sphere(rng, size), sphere_grid(n_phi=4096)
+        else:
+            state = random_oscillator(rng, nmax=size)
+            grid = line_grid_for(state)
+        return state, grid, sample(state, grid)
+
+    @staticmethod
+    def _plain_action(tag, psi, state, grid):
+        """The action as a plain expression over fresh temporaries, each
+        phase from np.exp: the operand order numpy picks for it is the one
+        the in-place kernels must reproduce."""
+        line = grid if isinstance(grid, Grid1D) else grid.phi_grid
+        if tag == "Lz":
+            return -1j * state.hbar * _four_term_derivative(psi, line)
+        if tag == "Phi":
+            return line.points * psi
+        fvals = np.zeros(line.points.shape, dtype=complex)
+        for k, coef in oracle.operators.resolve_observable(tag).fourier:
+            fvals = fvals + coef * np.exp(1j * k * line.points)
+        return fvals * psi
+
+    @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+    @pytest.mark.parametrize("tag", ["Lz", "Phi", "SinPhi", "CosPhi"])
+    def test_act_into_buffers_is_bit_identical(self, case, tag):
+        """act into caller buffers equals a fresh act byte for byte, and
+        both equal the plain expression; only an exact zero may carry the
+        other sign there (see ``_assert_same_bits``)."""
+        state, grid, psi = self._kernel_case(*case)
+        fresh = oracle.act(tag, psi, state, grid)
+        out, scratch = np.full_like(psi, np.nan), np.full_like(psi, np.nan)
+        into = oracle.act(tag, psi, state, grid, out=out, scratch=scratch)
+        assert into is out
+        assert np.array_equal(into.view(np.uint8), fresh.view(np.uint8))
+        _assert_same_bits(into, self._plain_action(tag, psi, state, grid))
 
     @staticmethod
     def _sampled(family):
@@ -226,7 +303,8 @@ class TestInPlaceKernels:
 
 class TestAllocations:
     """On a 32768-node grid each full-grid array is 512 KiB; the kernels
-    allocate only the arrays they return or must hold at once."""
+    allocate only the arrays they return or must hold at once, and a
+    ``Sampled`` acts into its work block."""
 
     SLACK = 16384  # bytes of small Python objects, far below one grid array
 
@@ -250,10 +328,26 @@ class TestAllocations:
 
     @pytest.mark.parametrize("count", [1, 2, 4])
     def test_dev_inners_allocates_one_array_per_tag(self, warm, count):
+        """One array per tag past the two that take the work block's rows."""
         s, tags, size = warm
         pairs = [(a, b) for a in tags[:count] for b in tags[:count]]
         peak = _peak_bytes(lambda: s.dev_inners(pairs))
-        assert count * size - self.SLACK < peak < count * size + self.SLACK
+        new = max(count - 2, 0) * size
+        assert new - self.SLACK < peak < new + self.SLACK
+
+    def test_warm_sampled_acts_without_allocating(self, warm):
+        """Once a Sampled holds its work block, first- and second-order
+        actions allocate no grid array; Phi takes one ufunc buffer to cast
+        the real nodes to complex."""
+        s, _, _ = warm
+        cast_buffer = np.getbufsize() * np.dtype(complex).itemsize
+        fresh = oracle.Sampled(s.state, s.grid)
+        fresh.acted("Lz")  # samples psi and allocates the block
+        for tag in ("Phi", "SinPhi", "CosPhi"):
+            assert _peak_bytes(lambda: fresh.acted(tag)) < cast_buffer + self.SLACK
+        for a in ("Lz", "Phi"):
+            for b in ("Lz", "Phi"):
+                assert _peak_bytes(lambda: s.expect2(a, b)) < cast_buffer + self.SLACK
 
     def test_second_circle_grid_allocates_nothing(self):
         first = circle_grid(32768)
@@ -261,6 +355,50 @@ class TestAllocations:
         assert circle_grid(32768) is first
         with pytest.raises(ValueError):
             first.points[0] = 0.0
+
+
+# One in-process scenario op, run three times; prints the exit code and the
+# minor page faults of the last run.
+FAULT_SCRIPT = """
+import contextlib, io, resource, sys
+from angulab import cli
+
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["scenario", "custom", "--coeffs", sys.argv[1], "--oracle"])
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(code, faults)
+"""
+
+
+@pytest.mark.skipif(
+    platform.system() != "Linux" or platform.libc_ver()[0] != "glibc",
+    reason="counts the page faults of glibc's malloc thresholds",
+)
+@pytest.mark.parametrize("family", ["circle", "sphere"])
+def test_warm_scenario_takes_no_page_faults(tmp_path, family):
+    """A warm circle (band 8) or sphere (l = 3) op reuses heap pages.
+
+    The first op's work block is above glibc's mmap threshold, and freeing
+    it raises that threshold and the trim threshold; the second op grows
+    the heap to its peak once, and from the third on no grid array maps
+    fresh pages (separate arrays per action took 481 and 1308 faults on
+    the third op here).  A fresh process, because an earlier test that
+    frees a large array has already raised the thresholds of this one."""
+    rng = np.random.default_rng(31)
+    state = random_periodic(rng, band=8) if family == "circle" else random_sphere(rng, 3)
+    path = tmp_path / "state.json"
+    states.save(state, str(path))
+    src = str(Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", FAULT_SCRIPT, str(path)],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, faults = map(int, proc.stdout.split())
+    assert code == 0
+    assert faults < 64
 
 
 class TestNumericDerivative:
