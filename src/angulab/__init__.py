@@ -11,15 +11,10 @@ from .operators import (
     Observable,
     UnsupportedObservable,
     apply,
-    apply_lz,
-    apply_phi,
     commutator_residual,
     deviation_vector,
-    inner_product,
     lift,
     mean,
-    phi2_matrix,
-    phi_matrix,
     qtp_energy_mean,
     sphere_variances,
     std_dev,
@@ -47,10 +42,6 @@ from .specfun import (
     QuadratureRule,
     gauss_hermite,
     gauss_legendre,
-    hermite_function,
-    hermite_polynomial,
-    periodic_trapezoid,
-    spherical_harmonic,
     theta_lm,
 )
 from .states import (

@@ -54,11 +54,13 @@ def _make_state(family, params):
     hbar = float(params.get("hbar", 1.0))
     if family == "scr":
         return states.scr_eigenstate(
-            int(params.get("m", 0)), truncation=int(params.get("truncation", 64)), hbar=hbar
+            states.mode_index(params.get("m", 0)),
+            truncation=int(params.get("truncation", 64)),
+            hbar=hbar,
         )
     if family == "qtp":
         return states.qtp_eigenstate(
-            int(params.get("n", 0)),
+            states.mode_index(params.get("n", 0)),
             inertia=float(params.get("J", 1.0)),
             frequency=float(params.get("omega", 1.0)),
             truncation=int(params.get("truncation", 64)),
@@ -72,8 +74,8 @@ def _make_state(family, params):
                 states.mode_index(k): complex(v[0], v[1]) for k, v in params["coefficients"].items()
             }
         else:
-            coeffs = {int(params.get("m", 0)): 1.0}
-        return states.sphere_state(int(params["l"]), coeffs, hbar=hbar)
+            coeffs = {states.mode_index(params.get("m", 0)): 1.0}
+        return states.sphere_state(states.mode_index(params["l"]), coeffs, hbar=hbar)
     if family == "custom":
         path = params.get("coeffs")
         if not path:

@@ -96,10 +96,6 @@ class Observable:
     hermitian: bool = True
     fourier: tuple = None
 
-    @property
-    def label(self):
-        return self.tag
-
 
 LZ = Observable("Lz")
 PHI = Observable("Phi")
@@ -175,16 +171,6 @@ def _metric(da, wa, db, wb, shift):
     out = table[power[:, None, :, None], diff[None, :, None, :]].reshape(da * wa, db * wb)
     out.setflags(write=False)
     return out
-
-
-def phi_matrix(truncation):
-    """Matrix of phi on the circle basis, indices m in [-truncation, truncation]."""
-    return _phi_power_block(1, truncation).copy()
-
-
-def phi2_matrix(truncation):
-    """Matrix of phi^2 on the circle basis."""
-    return _phi_power_block(2, truncation).copy()
 
 
 @lru_cache(maxsize=None)
@@ -548,19 +534,6 @@ def apply(obs, state):
     raise UnsupportedObservable(f"observable {obs.tag!r} has no action")
 
 
-def apply_lz(state):
-    return apply(LZ, state)
-
-
-def apply_phi(state):
-    return apply(PHI, state)
-
-
-def inner_product(x, y):
-    """(x, y), conjugate-linear in the first slot."""
-    return lift(x).inner(lift(y))
-
-
 # The observables whose reads share one block: the four of the paper.  A read
 # that involves any other observable gets a block of its own observables.
 _PAPER = (LZ, PHI, SIN_PHI, COS_PHI)
@@ -635,11 +608,11 @@ class _Block:
         for a, val in zip(self.obs, self.p[0, 1:].tolist()):
             if not a.hermitian:
                 raise UnsupportedObservable(
-                    f"mean: observable {a.label!r} is not Hermitian; expectation undefined"
+                    f"mean: observable {a.tag!r} is not Hermitian; expectation undefined"
                 )
             if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
                 raise ArithmeticError(
-                    f"mean of {a.label}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
+                    f"mean of {a.tag}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
                 )
             out.append(val.real)
         return out

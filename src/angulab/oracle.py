@@ -138,12 +138,6 @@ def sphere_grid(n_theta=DEFAULT_SPHERE_THETA, n_phi=DEFAULT_SPHERE_PHI):
     return Grid2D(theta_rule=specfun.gauss_legendre(n_theta), phi_grid=circle_grid(n_phi))
 
 
-def total_weight(grid):
-    if isinstance(grid, Grid1D):
-        return grid.spacing * grid.points.size
-    return float(np.sum(grid.theta_rule.weights) * grid.phi_grid.spacing * grid.phi_grid.points.size)
-
-
 @lru_cache(maxsize=16)
 def theta_gram(l, n_theta):
     """G[m, m'] = sum_i w_i theta_lm(theta_i) theta_lm'(theta_i) over the
@@ -533,9 +527,13 @@ def _mismatch_target(target):
 
 
 def _commutator(s):
-    """max |[L_z, phi] psi + i hbar psi| over the nodes of central stencils."""
-    comm = act("Lz", s.acted("Phi"), s.state, s.grid) - act("Phi", s.acted("Lz"), s.state, s.grid)
-    return {"residual": float(np.max(np.abs(comm + 1j * s.state.hbar * s.psi)[..., 2:-2]))}
+    """max |[L_z, phi] psi + i hbar psi| over the nodes of central stencils,
+    formed in the work block's second-order and scratch rows."""
+    comm = s._act("Lz", s.acted("Phi"), _SECOND_ROW)
+    term = s._act("Phi", s.acted("Lz"), _SCRATCH_ROW)
+    comm -= term
+    comm += np.multiply(1j * s.state.hbar, s.psi, out=term)
+    return {"residual": float(np.max(np.abs(comm[..., 2:-2])))}
 
 
 # The grid derivation of every registry relation, by name: Sampled -> values.

@@ -17,9 +17,7 @@ Central objects:
   Im (delta_Lz psi, delta_phi psi) = -(hbar/2) (1 - 2 pi B) makes it an
   unconditional consequence of Cauchy-Schwarz.  (With a single modulus
   instead of the density the bound is violated by every sharp-rotation
-  eigenstate; the squared form is the consistent reading.  Set
-  ``squared_density=False`` to evaluate the single-modulus variant for
-  comparison.)
+  eigenstate; the squared form is the consistent reading.)
 * ``gram_det``: determinant (and minimum eigenvalue) of the deviation
   Gram matrix, nonnegative because the matrix is Hermitian PSD.
 * ``adjusted_relation``: the pluggable evaluator for the literature's
@@ -118,7 +116,7 @@ class MismatchMatrix:
 
     def to_json(self):
         return {
-            "observables": [o.label for o in self.observables],
+            "observables": [o.tag for o in self.observables],
             "entries": [[_cnum(z) for z in row] for row in self.entries],
             "max_modulus": self.max_modulus,
         }
@@ -202,14 +200,14 @@ def covariance_decomposition(obs_a, obs_b, state):
     )
 
 
-def boundary_bound(state, squared_density=True):
+def boundary_bound(state):
     """Circle bound (hbar/2)|1 - 2 pi B| on both the deviation inner
     product and, through Cauchy-Schwarz, the Delta product."""
     ket = lift(state)
     if not isinstance(ket.state, PeriodicState):
         raise UnsupportedObservable("boundary_bound: circle states only")
     bval = boundary_value(ket.state)
-    density = abs(bval) ** 2 if squared_density else abs(bval)
+    density = abs(bval) ** 2
     rhs = 0.5 * ket.hbar * abs(1.0 - 2.0 * np.pi * density)
     _, _, std_lz, std_phi, cross = ket.pair(LZ, PHI).moments
     lhs = abs(cross)
@@ -221,7 +219,7 @@ def boundary_bound(state, squared_density=True):
         "cross": complex(cross),
         "product_lhs": float(product_lhs),
         "product_slack": float(product_slack),
-        "squared_density": bool(squared_density),
+        "squared_density": True,
     }
     report = _inequality_report("boundary", lhs, rhs, TOL_IDENTITY, details)
     report.satisfied = report.satisfied and product_slack >= -TOL_IDENTITY
@@ -237,12 +235,10 @@ class AdjustedRelation:
 
     form "function-pair":  Delta_Lz * Delta_f >= hbar |<g>|
     form "quadratic":      (Delta_Lz)^2 + hbar^2 (Delta_u)^2 >= hbar^2 <v>^2
-    form "ratio":          Delta_Lz * Delta_phi / a(Delta_phi) >= hbar |<b>|
 
     The trig presets pair f = sin phi with g = cos(phi)/2 (and the cosine
     mirror), which reproduces the commutator right-hand side
-    (hbar/2)|<cos phi>|; no preset is shipped for the "ratio" form since
-    its scaling functions are a free choice of the caller.
+    (hbar/2)|<cos phi>|.
     """
 
     label: str
@@ -251,8 +247,6 @@ class AdjustedRelation:
     g: object = None
     u: object = None
     v: object = None
-    a: object = None
-    b: object = None
 
 
 EQ8_SIN = AdjustedRelation(
@@ -286,10 +280,6 @@ def adjusted_relation(rel, state):
     elif rel.form == "quadratic":
         lhs = ket.std(LZ) ** 2 + hbar**2 * ket.std(rel.u) ** 2
         rhs = hbar**2 * ket.mean(rel.v) ** 2
-    elif rel.form == "ratio":
-        d_phi = ket.std(PHI)
-        lhs = ket.std(LZ) * d_phi / rel.a(d_phi)
-        rhs = hbar * abs(ket.mean(rel.b))
     else:
         raise UnsupportedObservable(f"unknown adjusted-relation form {rel.form!r}")
     return _inequality_report(rel.label, lhs, rhs, TOL_IDENTITY, {"form": rel.form})

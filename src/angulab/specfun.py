@@ -2,11 +2,12 @@
 
 Conventions
 -----------
-* Hermite polynomials H_n are the physicists' family,
-  H_{n+1}(xi) = 2 xi H_n(xi) - 2 n H_{n-1}(xi).
-* Hermite functions h_n(xi) = (2^n n! sqrt(pi))^(-1/2) exp(-xi^2/2) H_n(xi)
-  form an orthonormal set on the real line.  They are generated by a
-  recurrence directly on h_n so that no factorial ever overflows.
+* Hermite functions h_n(xi) = (2^n n! sqrt(pi))^(-1/2) exp(-xi^2/2) H_n(xi),
+  with H_n the physicists' Hermite polynomials, form an orthonormal set on
+  the real line.  They are generated by the normalized recurrence
+      h_0 = pi^(-1/4) exp(-xi^2/2),
+      h_n = xi sqrt(2/n) h_{n-1} - sqrt((n-1)/n) h_{n-2},
+  which keeps every intermediate O(1), so no factorial ever overflows.
 * theta_lm is the polar factor of the spherical harmonic,
   Y_lm(theta, phi) = theta_lm(theta) * exp(i m phi) / sqrt(2 pi),
   normalized so that integral over [0, pi] of theta_lm^2 sin(theta) equals 1.
@@ -24,9 +25,7 @@ from numpy.polynomial.hermite import hermgauss
 
 TWO_PI = 2.0 * np.pi
 
-# float64 overflows the polynomial recurrence far beyond these; the function
-# recurrence is normalized and stays O(1), the cap just bounds work.
-_HERMITE_POLY_MAX = 250
+# the Hermite-function recurrence stays O(1); the cap just bounds work
 _HERMITE_FUNC_MAX = 600
 _THETA_MAX_L = 64
 
@@ -75,53 +74,10 @@ class BytesLRU:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights over one of the three supported domains."""
+    """Nodes and weights of a quadrature rule."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str  # "periodic-circle" | "finite-interval" | "real-line"
-
-
-def hermite_polynomial(n, xi):
-    """H_n(xi), physicists' convention, by the three-term recurrence."""
-    if n < 0:
-        raise ValueError("hermite_polynomial: n must be nonnegative")
-    if n > _HERMITE_POLY_MAX:
-        raise ValueError(
-            f"hermite_polynomial: n={n} outside supported range (max {_HERMITE_POLY_MAX})"
-        )
-    xi = np.asarray(xi, dtype=float)
-    h_prev = np.ones_like(xi)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = 2.0 * xi
-    for k in range(1, n):
-        h_prev, h_cur = h_cur, 2.0 * xi * h_cur - 2.0 * k * h_prev
-    return h_cur if h_cur.ndim else float(h_cur)
-
-
-def hermite_function(n, xi):
-    """Orthonormal oscillator eigenfunction h_n(xi).
-
-    Uses the normalized recurrence
-        h_0 = pi^(-1/4) exp(-xi^2/2),
-        h_n = xi sqrt(2/n) h_{n-1} - sqrt((n-1)/n) h_{n-2},
-    which keeps every intermediate O(1).
-    """
-    if n < 0:
-        raise ValueError("hermite_function: n must be nonnegative")
-    if n > _HERMITE_FUNC_MAX:
-        raise ValueError(
-            f"hermite_function: n={n} outside supported range (max {_HERMITE_FUNC_MAX})"
-        )
-    xi = np.asarray(xi, dtype=float)
-    h_prev = np.pi ** (-0.25) * np.exp(-0.5 * xi * xi)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h_cur = xi * np.sqrt(2.0) * h_prev
-    for k in range(2, n + 1):
-        h_prev, h_cur = h_cur, xi * np.sqrt(2.0 / k) * h_cur - np.sqrt((k - 1.0) / k) * h_prev
-    return h_cur if h_cur.ndim else float(h_cur)
 
 
 def hermite_function_table(nmax, xi):
@@ -225,7 +181,7 @@ def gauss_legendre(n):
     order = np.argsort(x)
     nodes, weights = x[order], w[order]
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, domain="finite-interval")
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def gauss_hermite(n):
@@ -233,16 +189,7 @@ def gauss_hermite(n):
     if n < 2:
         raise ValueError("gauss_hermite: need n >= 2")
     x, w = hermgauss(n)
-    return QuadratureRule(nodes=x, weights=w, domain="real-line")
-
-
-def periodic_trapezoid(n):
-    """n equispaced nodes on [0, 2 pi), weight 2 pi / n each."""
-    if n < 2:
-        raise ValueError("periodic_trapezoid: need n >= 2")
-    nodes = TWO_PI * np.arange(n) / n
-    weights = np.full(n, TWO_PI / n)
-    return QuadratureRule(nodes=nodes, weights=weights, domain="periodic-circle")
+    return QuadratureRule(nodes=x, weights=w)
 
 
 def _theta_rows(l, x, sx):
@@ -294,12 +241,3 @@ def theta_lm_table(l, theta):
         out[m + l] = sign * rows[abs(m)]
     return out
 
-
-def spherical_harmonic(l, m, theta, phi):
-    """Y_lm(theta, phi), orthonormal over sin(theta) d(theta) d(phi)."""
-    if abs(m) > l:
-        raise ValueError(f"spherical_harmonic: |m|={abs(m)} exceeds l={l}")
-    th = theta_lm(l, m, theta)
-    phase = np.exp(1j * m * np.asarray(phi, dtype=float))
-    val = th * phase / np.sqrt(TWO_PI)
-    return complex(val) if np.ndim(val) == 0 else val

@@ -460,6 +460,27 @@ class TestInputContract:
             reports = json.loads(run_cli("scenario", "--config", str(path)).stdout)["reports"]
             assert [r["relation"] for r in reports] == ["csf", "rsur", "condition19", "moments"]
 
+    @pytest.mark.parametrize(
+        "family, params, index",
+        [
+            ("scr", {"m": 1.5, "hbar": 1}, "1.5"),
+            ("qtp", {"n": 2.7, "J": 1, "omega": 1, "hbar": 1}, "2.7"),
+            ("sphere", {"l": 2.5, "hbar": 1}, "2.5"),
+            ("sphere", {"l": 2, "m": True, "hbar": 1}, "True"),
+        ],
+        ids=["scr-m", "qtp-n", "sphere-l", "sphere-m-bool"],
+    )
+    def test_fractional_index_in_config(self, tmp_path, family, params, index):
+        """validate and scenario --config reject a fractional or boolean
+        index with the same text, where int() would have truncated it."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"family": family, "parameters": params}))
+        out = f"mode index must be an integer, got {index}\n"
+        proc = run_cli("validate", str(path), check=False)
+        assert (proc.returncode, proc.stdout) == (1, out)
+        scenario = run_cli("scenario", "--config", str(path), check=False)
+        assert (scenario.returncode, scenario.stdout, scenario.stderr) == (1, "", f"error: {out}")
+
 
     @pytest.mark.parametrize(
         "coeffs, message",

@@ -17,15 +17,10 @@ from angulab.operators import (
     _theta_overlap,
     _theta_overlap_root,
     apply,
-    apply_lz,
-    apply_phi,
     commutator_residual,
     deviation_vector,
-    inner_product,
     lift,
     mean,
-    phi2_matrix,
-    phi_matrix,
     qtp_energy_mean,
     sphere_variances,
     std_dev,
@@ -48,21 +43,21 @@ ALL_OBS = (LZ, PHI, SIN_PHI, COS_PHI)
 
 class TestPhiMatrices:
     def test_diagonals(self):
-        m1 = phi_matrix(6)
-        m2 = phi2_matrix(6)
+        m1 = _phi_power_block(1, 6)
+        m2 = _phi_power_block(2, 6)
         assert np.allclose(np.diag(m1), PI, atol=0)
         assert np.allclose(np.diag(m2), 4 * PI**2 / 3, atol=1e-14)
 
     def test_off_diagonal_entries(self):
-        m1 = phi_matrix(3)
+        m1 = _phi_power_block(1, 3)
         # basis row/col order is m = -3..3, so (m=0, r=1) sits at [3, 4]
         assert m1[3, 4] == pytest.approx(-1j, abs=1e-14)
         assert m1[4, 3] == pytest.approx(1j, abs=1e-14)
-        m2 = phi2_matrix(3)
+        m2 = _phi_power_block(2, 3)
         assert m2[3, 4] == pytest.approx(-2 * PI * 1j + 2.0, rel=1e-14)
 
     def test_exact_hermiticity(self):
-        for mat in (phi_matrix(12), phi2_matrix(12)):
+        for mat in (_phi_power_block(1, 12), _phi_power_block(2, 12)):
             assert np.array_equal(mat, mat.conj().T)
 
     def test_entries_match_quadrature(self):
@@ -80,20 +75,20 @@ class TestApplyLz:
     def test_scr_eigenvector(self):
         s = scr_eigenstate(2)
         ket = lift(s)
-        out = apply_lz(s)
+        out = apply(LZ, s)
         diff = out.plus(ket.scaled(-2.0))
         assert diff.norm() < 1e-14
 
     @pytest.mark.parametrize("m", range(-12, 13))
     def test_eigen_relation(self, m):
         s = scr_eigenstate(m, truncation=12)
-        out = apply_lz(s)
+        out = apply(LZ, s)
         diff = out.plus(lift(s).scaled(-float(m)))
         assert diff.norm() < 1e-13
 
     def test_qtp_ground(self):
         q = qtp_eigenstate(0, inertia=2.0, frequency=2.0)
-        out = apply_lz(q)
+        out = apply(LZ, q)
         lam = q.scale
         coeffs = out.coeffs
         assert abs(coeffs[1]) == pytest.approx(lam / np.sqrt(2), rel=1e-13)
@@ -101,7 +96,7 @@ class TestApplyLz:
 
     def test_sphere_eigenvalue(self):
         s = sphere_state(1, {-1: 1.0})
-        out = apply_lz(s)
+        out = apply(LZ, s)
         diff = out.plus(lift(s).scaled(1.0))  # eigenvalue -hbar
         assert diff.norm() < 1e-14
 
@@ -109,7 +104,7 @@ class TestApplyLz:
 class TestApplyPhi:
     def test_qtp_ground(self):
         q = qtp_eigenstate(0)
-        out = apply_phi(q)
+        out = apply(PHI, q)
         assert out.coeffs[1] == pytest.approx(1 / np.sqrt(2), rel=1e-13)
 
     def test_scr_mean(self):
@@ -145,8 +140,8 @@ class TestInnerProductAndMean:
     def test_inner_product_of_states(self):
         a = scr_eigenstate(1)
         b = scr_eigenstate(2)
-        assert inner_product(a, b) == pytest.approx(0.0, abs=1e-15)
-        assert inner_product(a, a) == pytest.approx(1.0, abs=1e-15)
+        assert lift(a).inner(lift(b)) == pytest.approx(0.0, abs=1e-15)
+        assert lift(a).inner(lift(a)) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize(
         "x, y, names",
@@ -159,7 +154,7 @@ class TestInnerProductAndMean:
     )
     def test_kets_from_different_spaces_rejected(self, x, y, names):
         with pytest.raises(ValueError, match=re.escape(names)):
-            inner_product(x, y)
+            lift(x).inner(lift(y))
         with pytest.raises(ValueError, match=re.escape(names)):
             lift(x).plus(lift(y))
 

@@ -60,7 +60,8 @@ class TestGrids:
 
     def test_sphere_grid_measure(self):
         g = sphere_grid(64, 512)
-        assert oracle.total_weight(g) == pytest.approx(4 * PI, abs=1e-10)
+        total = np.sum(g.theta_rule.weights) * g.phi_grid.spacing * g.phi_grid.points.size
+        assert total == pytest.approx(4 * PI, abs=1e-10)
 
     def test_line_grid_for_scales(self):
         q = qtp_eigenstate(1)

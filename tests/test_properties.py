@@ -44,7 +44,7 @@ def random_states(draw, families=("periodic", "oscillator", "sphere")):
 def test_csf_holds_on_every_pair(state):
     ket = operators.lift(state)
     for a, b in itertools.combinations((LZ, PHI, SIN_PHI, COS_PHI), 2):
-        assert csf(a, b, ket).slack >= -TOL_INEQUALITY, (a.label, b.label)
+        assert csf(a, b, ket).slack >= -TOL_INEQUALITY, (a.tag, b.tag)
 
 
 @PROPERTY

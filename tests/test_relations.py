@@ -173,11 +173,6 @@ class TestBoundaryBound:
             assert r.slack >= -1e-8
             assert r.details["product_slack"] >= -1e-8
 
-    def test_single_modulus_variant_fails_on_scr(self):
-        r = boundary_bound(scr_eigenstate(0), squared_density=False)
-        assert not r.satisfied
-        assert r.rhs == pytest.approx(0.5 * (np.sqrt(2 * PI) - 1), abs=1e-12)
-
     def test_family_guard(self):
         with pytest.raises(UnsupportedObservable):
             boundary_bound(qtp_eigenstate(0))
@@ -212,11 +207,6 @@ class TestAdjustedRelations:
         assert r.lhs == pytest.approx(0.5, abs=1e-8)
         assert r.rhs == pytest.approx(0.0, abs=1e-12)
         assert r.satisfied
-
-    def test_ratio_form_caller_supplied(self):
-        rel = AdjustedRelation("ratio-demo", "ratio", a=lambda d: 1.0 + d, b=COS_PHI)
-        r = adjusted_relation(rel, scr_eigenstate(1))
-        assert r.satisfied  # lhs 0, rhs 0
 
     def test_unknown_preset(self):
         with pytest.raises(UnsupportedObservable):

@@ -4,15 +4,9 @@ import numpy as np
 import pytest
 
 from angulab import specfun
-from angulab.specfun import (
-    gauss_hermite,
-    gauss_legendre,
-    hermite_function,
-    hermite_polynomial,
-    periodic_trapezoid,
-    spherical_harmonic,
-    theta_lm,
-)
+from angulab.oracle import circle_grid
+from angulab.specfun import gauss_hermite, gauss_legendre, theta_lm
+from angulab.states import evaluate, sphere_state
 
 
 def hermite_by_series(n, x):
@@ -27,44 +21,50 @@ def hermite_by_series(n, x):
     return math.factorial(n) * total
 
 
+def hermite_from_table(n, x):
+    """H_n(x) read back from row n of ``hermite_function_table``:
+    h_n(x) sqrt(2^n n! sqrt(pi)) exp(x^2 / 2)."""
+    h = specfun.hermite_function_table(n, x)[n, 0]
+    scale = math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi)) * math.exp(0.5 * x * x)
+    return float(h * scale)
+
+
 class TestHermitePolynomial:
+    """The physicists' H_n inside the Hermite-function table rows."""
+
     def test_low_orders(self):
-        assert hermite_polynomial(0, 0.7) == 1.0
-        assert hermite_polynomial(1, 0.5) == 1.0
+        assert hermite_from_table(0, 0.7) == pytest.approx(1.0, rel=1e-14)
+        assert hermite_from_table(1, 0.5) == pytest.approx(1.0, rel=1e-14)
         # H_3(x) = 8 x^3 - 12 x
-        assert hermite_polynomial(3, 1.0) == pytest.approx(-4.0, abs=1e-12)
+        assert hermite_from_table(3, 1.0) == pytest.approx(-4.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", range(11))
     def test_recurrence_matches_series(self, n):
         for x in np.linspace(-5.0, 5.0, 21):
             ref = hermite_by_series(n, x)
-            got = hermite_polynomial(n, x)
+            got = hermite_from_table(n, x)
             assert got == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
     def test_supports_n_50(self):
-        val = hermite_polynomial(50, 1.3)
-        assert np.isfinite(val)
+        val = hermite_from_table(50, 1.3)
+        assert val == pytest.approx(hermite_by_series(50, 1.3), rel=1e-9)
 
     def test_range_error(self):
         with pytest.raises(ValueError):
-            hermite_polynomial(1000, 0.1)
+            specfun.hermite_function_table(1000, 0.1)
         with pytest.raises(ValueError):
-            hermite_polynomial(-1, 0.1)
+            specfun.hermite_function_table(-1, 0.1)
 
 
 class TestHermiteFunction:
     def test_ground_state_origin(self):
         # normalization integral of exp(-xi^2) is sqrt(pi)
-        assert hermite_function(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-12)
+        h0 = specfun.hermite_function_table(0, 0.0)[0, 0]
+        assert h0 == pytest.approx(np.pi ** -0.25, abs=1e-12)
 
     def test_odd_function_origin(self):
-        assert hermite_function(1, 0.0) == 0.0
-
-    def test_orthogonality_h2_h3(self):
-        rule = gauss_hermite(64)
-        wt = rule.weights * np.exp(rule.nodes**2)
-        val = np.sum(wt * hermite_function(2, rule.nodes) * hermite_function(3, rule.nodes))
-        assert abs(val) < 1e-10
+        table = specfun.hermite_function_table(9, 0.0)
+        assert np.all(table[1::2, 0] == 0.0)
 
     def test_orthonormal_gram(self):
         rule = gauss_hermite(64)
@@ -74,7 +74,9 @@ class TestHermiteFunction:
         assert np.max(np.abs(gram - np.eye(9))) < 1e-9
 
     def test_large_n_stays_finite(self):
-        assert np.isfinite(hermite_function(120, 3.0))
+        table = specfun.hermite_function_table(120, [0.0, 3.0, 15.0])
+        assert np.all(np.isfinite(table))
+        assert abs(table[120, 1]) > 0.0
 
 
 class TestTheta:
@@ -120,32 +122,34 @@ class TestTheta:
 
 
 class TestSphericalHarmonic:
+    """Y_lm(theta, phi) = theta_lm(theta) e^{i m phi} / sqrt(2 pi) as
+    ``states.evaluate`` gives it for a one-mode sphere state."""
+
     def test_y00(self):
-        assert spherical_harmonic(0, 0, 0.4, 1.1) == pytest.approx(
+        assert evaluate(sphere_state(0, {0: 1}), (0.4, 1.1)) == pytest.approx(
             1 / np.sqrt(4 * np.pi), abs=1e-12
         )
 
     def test_azimuthal_phase(self):
-        a = spherical_harmonic(1, 1, np.pi / 2, 0.0)
-        b = spherical_harmonic(1, 1, np.pi / 2, np.pi)
+        y11 = sphere_state(1, {1: 1})
+        a = evaluate(y11, (np.pi / 2, 0.0))
+        b = evaluate(y11, (np.pi / 2, np.pi))
         assert b == pytest.approx(-a, rel=1e-12)
 
     def test_unit_norm_y21(self):
         theta_rule = gauss_legendre(64)
-        phi_rule = periodic_trapezoid(256)
+        phi_grid = circle_grid(256)
         theta = np.arccos(theta_rule.nodes)
-        vals = spherical_harmonic(2, 1, theta[:, None], phi_rule.nodes[None, :])
-        total = np.sum(
-            theta_rule.weights[:, None] * phi_rule.weights[None, :] * np.abs(vals) ** 2
-        )
+        vals = evaluate(sphere_state(2, {1: 1}), (theta[:, None], phi_grid.points[None, :]))
+        total = phi_grid.spacing * np.sum(theta_rule.weights[:, None] * np.abs(vals) ** 2)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_fourier_orthonormality(self):
-        rule = periodic_trapezoid(256)
-        modes = np.exp(1j * np.arange(-8, 9)[:, None] * rule.nodes[None, :]) / np.sqrt(
+        grid = circle_grid(256)
+        modes = np.exp(1j * np.arange(-8, 9)[:, None] * grid.points[None, :]) / np.sqrt(
             2 * np.pi
         )
-        gram = (modes * rule.weights) @ modes.conj().T
+        gram = (modes * grid.spacing) @ modes.conj().T
         assert np.max(np.abs(gram - np.eye(17))) < 1e-9
 
 
@@ -168,11 +172,6 @@ class TestQuadratureRules:
         val = np.sum(rule.weights * rule.nodes**2)
         assert val == pytest.approx(np.sqrt(np.pi) / 2, abs=1e-12)
 
-    def test_periodic_trapezoid_measure(self):
-        rule = periodic_trapezoid(4)
-        assert np.sum(rule.weights) == pytest.approx(2 * np.pi, rel=1e-14)
-        assert np.all(rule.weights > 0)
-
     def test_gauss_legendre_cached_read_only(self):
         rule = gauss_legendre(128)
         fresh = gauss_legendre.__wrapped__(128)
@@ -184,7 +183,7 @@ class TestQuadratureRules:
                 arr[0] = 0.0
 
     def test_degenerate_rejected(self):
-        for ctor in (gauss_legendre, gauss_hermite, periodic_trapezoid):
+        for ctor in (gauss_legendre, gauss_hermite):
             with pytest.raises(ValueError):
                 ctor(1)
 
