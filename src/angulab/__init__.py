@@ -3,7 +3,6 @@ uncertainty relations across circle, pendulum, and sphere state families."""
 
 from .operators import (
     COS_PHI,
-    HAMILTONIAN,
     LZ,
     PHI,
     PHI2,

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import operators, oracle, relations, states
-from .operators import COS_PHI, HAMILTONIAN, LZ, PHI, SIN_PHI
+from .operators import COS_PHI, LZ, PHI, SIN_PHI
 from .relations import TOL_COMMUTATOR, TOL_IDENTITY, identity_report
 
 SCHEMA_VERSION = 1
@@ -51,19 +51,18 @@ class ConfigError(Exception):
 
 
 def _make_state(family, params):
-    hbar = float(params.get("hbar", 1.0))
+    hbar = states.real_parameter("hbar", params.get("hbar", 1.0))
+    truncation = states.mode_index(params.get("truncation", 64))
     if family == "scr":
         return states.scr_eigenstate(
-            states.mode_index(params.get("m", 0)),
-            truncation=int(params.get("truncation", 64)),
-            hbar=hbar,
+            states.mode_index(params.get("m", 0)), truncation=truncation, hbar=hbar
         )
     if family == "qtp":
         return states.qtp_eigenstate(
             states.mode_index(params.get("n", 0)),
-            inertia=float(params.get("J", 1.0)),
-            frequency=float(params.get("omega", 1.0)),
-            truncation=int(params.get("truncation", 64)),
+            inertia=states.real_parameter("J", params.get("J", 1.0)),
+            frequency=states.real_parameter("omega", params.get("omega", 1.0)),
+            truncation=truncation,
             hbar=hbar,
         )
     if family == "sphere":
@@ -88,19 +87,11 @@ def _make_state(family, params):
 
 
 def _checked(make, *args):
-    """The state ``make(*args)`` builds, held to the input contract.
-
-    A ValueError from the constructor becomes a ConfigError, and so does an
-    hbar that is not finite and positive (line states check hbar, J and
-    omega themselves, with the same text).
-    """
+    """``make(*args)``, with a ValueError or TypeError from it as a ConfigError."""
     try:
-        state = make(*args)
+        return make(*args)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
-    if not (math.isfinite(state.hbar) and state.hbar > 0):
-        raise ConfigError(f"hbar must be finite and > 0, got {state.hbar!r}")
-    return state
 
 
 def _build_state(family, params):
@@ -179,7 +170,7 @@ def _moments(ket):
     mean_lz, mean_phi, std_lz, std_phi, _ = ket.pair(LZ, PHI).moments
     details = {"mean_Lz": mean_lz, "std_Lz": std_lz, "mean_Phi": mean_phi, "std_Phi": std_phi}
     if ket.family == "oscillator":
-        details["mean_energy"] = ket.mean(HAMILTONIAN)
+        details["mean_energy"] = operators.qtp_energy_mean(ket)
     return _record("moments", details)
 
 
@@ -604,12 +595,13 @@ def _sweep_items(args):
             raise ConfigError(f"--random needs at least one state, got {args.random}")
         if args.family == "sphere" and args.l is None:
             raise ConfigError("random sphere sweeps need --l")
+        hbar = _checked(states.real_parameter, "hbar", args.hbar)
         draw = {
-            "scr": lambda rng: states.random_periodic(rng, hbar=args.hbar),
+            "scr": lambda rng: states.random_periodic(rng, hbar=hbar),
             "qtp": lambda rng: states.random_oscillator(
-                rng, inertia=args.J, frequency=args.omega, hbar=args.hbar
+                rng, inertia=args.J, frequency=args.omega, hbar=hbar
             ),
-            "sphere": lambda rng: states.random_sphere(rng, args.l, hbar=args.hbar),
+            "sphere": lambda rng: states.random_sphere(rng, args.l, hbar=hbar),
         }.get(args.family)
         if draw is None:
             raise ConfigError("random sweeps support scr, qtp, and sphere")

@@ -62,8 +62,10 @@ holds the means, standard deviations and cross term, and apart from them the
 mismatches, their largest modulus and the second-order products.  Reads
 among L_z, phi, sin phi and cos phi share one block; any other read gets a
 block of its own observables, in order of tag, so every value depends on the
-ket and the observables read only.  Ket coefficients are read-only so that
-the memo cannot go stale.
+ket and the observables read only.  A psi is a row of the block's stack and
+the pendulum energy comes from its second-order products, so the paper's
+relations need no other block.  Ket coefficients are read-only so that the
+memo cannot go stale.
 """
 
 import math
@@ -102,9 +104,8 @@ PHI = Observable("Phi")
 PHI2 = Observable("Phi2")
 SIN_PHI = Observable("SinPhi", fourier=((1, -0.5j), (-1, 0.5j)))
 COS_PHI = Observable("CosPhi", fourier=((1, 0.5 + 0.0j), (-1, 0.5 + 0.0j)))
-HAMILTONIAN = Observable("Hamiltonian")
 
-_BY_TAG = {o.tag: o for o in (LZ, PHI, PHI2, SIN_PHI, COS_PHI, HAMILTONIAN)}
+_BY_TAG = {o.tag: o for o in (LZ, PHI, PHI2, SIN_PHI, COS_PHI)}
 
 
 def trig_observable(label, coeffs):
@@ -224,12 +225,9 @@ class Ket:
         self.state = None
 
     def acted(self, a):
-        """A psi."""
-        a = resolve_observable(a)
-        val = self.memo.get(a)
-        if val is None:
-            val = self.memo[a] = apply(a, self)
-        return val
+        """A psi, a row of the block's stack."""
+        block, (i,) = self._block(a)
+        return block.ket(block.stack[i + 1])
 
     def _block(self, *obs):
         """The block for a read of ``obs`` and the index of each of them in it."""
@@ -425,11 +423,6 @@ class LineKet(Ket):
         mat = _line_mult_matrix(self.coeffs.shape[-1], float(self.lam), fourier)
         return self._like(self.coeffs @ mat.T)
 
-    def hamiltonian(self):
-        kin = self.lz().lz().scaled(1.0 / (2.0 * self.inertia))
-        pot = self.mul_phi().mul_phi().scaled(0.5 * self.inertia * self.frequency**2)
-        return kin.plus(pot)
-
     def inner(self, other):
         a, b = _align_line(self, other)
         return complex(np.vdot(a, b))
@@ -527,10 +520,6 @@ def apply(obs, state):
         return ket.mul_phi()
     if obs.tag == "Phi2":
         return ket.mul_phi().mul_phi()
-    if obs.tag == "Hamiltonian":
-        if not isinstance(ket, LineKet):
-            raise UnsupportedObservable("Hamiltonian acts on the oscillator family only")
-        return ket.hamiltonian()
     raise UnsupportedObservable(f"observable {obs.tag!r} has no action")
 
 
@@ -610,11 +599,7 @@ class _Block:
                 raise UnsupportedObservable(
                     f"mean: observable {a.tag!r} is not Hermitian; expectation undefined"
                 )
-            if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
-                raise ArithmeticError(
-                    f"mean of {a.tag}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
-                )
-            out.append(val.real)
+            out.append(_real_mean(a.tag, val))
         return out
 
     @cached_property
@@ -644,6 +629,16 @@ class _Block:
         mod = np.abs(entries)
         top = np.maximum(np.maximum(mod, mod.T), np.maximum.outer(mod.diagonal(), mod.diagonal()))
         return products.tolist(), entries.tolist(), top.tolist()
+
+
+def _real_mean(tag, val):
+    """The real part of the mean ``val`` of ``tag``; ArithmeticError when its
+    imaginary residue exceeds _MEAN_IMAG_TOL relative to it."""
+    if abs(val.imag) > _MEAN_IMAG_TOL * max(1.0, abs(val.real)):
+        raise ArithmeticError(
+            f"mean of {tag}: imaginary residue {val.imag:.3e} exceeds {_MEAN_IMAG_TOL}"
+        )
+    return val.real
 
 
 class _Pair:
@@ -788,10 +783,16 @@ def sphere_variances(state):
 
 
 def qtp_energy_mean(state):
-    """<H> for the torsion pendulum; hbar omega (n + 1/2) on eigenstates."""
-    if not isinstance(state, (OscillatorState, LineKet)):
+    """<H> = <L_z^2> / 2J + J omega^2 <phi^2> / 2 for the torsion pendulum,
+    from the second-order products of its (L_z, phi) block; hbar omega (n +
+    1/2) on eigenstates."""
+    ket = lift(state)
+    if not isinstance(ket, LineKet):
         raise TypeError("qtp_energy_mean: need an oscillator state")
-    return mean(HAMILTONIAN, state)
+    block, (i, j) = ket._block(LZ, PHI)
+    s = block.second[0]  # (psi, A B psi)
+    energy = s[i][i] / (2.0 * ket.inertia) + 0.5 * ket.inertia * ket.frequency**2 * s[j][j]
+    return _real_mean("Hamiltonian", energy)
 
 
 def commutator_residual(state, resolution=1024):

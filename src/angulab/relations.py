@@ -37,7 +37,6 @@ from .operators import (
     UnsupportedObservable,
     lift,
     resolve_observable,
-    trig_observable,
 )
 from .states import PeriodicState, SphereState, boundary_value, sphere_state
 
@@ -233,12 +232,13 @@ def boundary_bound(state):
 class AdjustedRelation:
     """Caller-specified substitute relation.
 
-    form "function-pair":  Delta_Lz * Delta_f >= hbar |<g>|
+    form "function-pair":  Delta_Lz * Delta_f >= (hbar/2) |<g>|
     form "quadratic":      (Delta_Lz)^2 + hbar^2 (Delta_u)^2 >= hbar^2 <v>^2
 
-    The trig presets pair f = sin phi with g = cos(phi)/2 (and the cosine
-    mirror), which reproduces the commutator right-hand side
-    (hbar/2)|<cos phi>|.
+    The trig presets pair f = sin phi with g = cos phi (and the cosine
+    mirror), the commutator right-hand side (hbar/2)|<cos phi>|; every
+    observable they read is one of the paper's four, so each preset reads
+    the ket's shared block.
     """
 
     label: str
@@ -249,18 +249,8 @@ class AdjustedRelation:
     v: object = None
 
 
-EQ8_SIN = AdjustedRelation(
-    "eq8-sin",
-    "function-pair",
-    f=SIN_PHI,
-    g=trig_observable("HalfCosPhi", {1: 0.25, -1: 0.25}),
-)
-EQ8_COS = AdjustedRelation(
-    "eq8-cos",
-    "function-pair",
-    f=COS_PHI,
-    g=trig_observable("HalfSinPhi", {1: -0.25j, -1: 0.25j}),
-)
+EQ8_SIN = AdjustedRelation("eq8-sin", "function-pair", f=SIN_PHI, g=COS_PHI)
+EQ8_COS = AdjustedRelation("eq8-cos", "function-pair", f=COS_PHI, g=SIN_PHI)
 EQ9_TRIG = AdjustedRelation("eq9-trig", "quadratic", u=SIN_PHI, v=COS_PHI)
 
 ADJUSTED_PRESETS = {rel.label: rel for rel in (EQ8_SIN, EQ8_COS, EQ9_TRIG)}
@@ -276,7 +266,7 @@ def adjusted_relation(rel, state):
     hbar = ket.hbar
     if rel.form == "function-pair":
         lhs = ket.std(LZ) * ket.std(rel.f)
-        rhs = hbar * abs(ket.mean(rel.g))
+        rhs = 0.5 * hbar * abs(ket.mean(rel.g))
     elif rel.form == "quadratic":
         lhs = ket.std(LZ) ** 2 + hbar**2 * ket.std(rel.u) ** 2
         rhs = hbar**2 * ket.mean(rel.v) ** 2

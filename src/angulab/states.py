@@ -15,6 +15,7 @@ by the (real) norm only so the global phase of the input survives.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -109,6 +110,17 @@ def mode_index(k):
     if isinstance(k, bool) or (isinstance(k, float) and not k.is_integer()):
         raise ValueError(f"mode index must be an integer, got {k!r}")
     return int(k)
+
+
+def real_parameter(name, x):
+    """``x`` as the value of the positive real parameter ``name``; ValueError
+    for a boolean or a string, which ``float`` would accept, and for a value
+    that is not finite and > 0."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+    return float(x)
 
 
 def _normalized(coeffs):
@@ -262,20 +274,21 @@ def from_json(doc):
     family = doc.get("family")
     params = doc.get("params", {})
     coeffs = {mode_index(k): complex(re, im) for k, re, im in doc.get("coefficients", [])}
+    hbar = real_parameter("hbar", params.get("hbar", 1.0))
+    truncation = params.get("truncation")
+    truncation = None if truncation is None else mode_index(truncation)
     if family == "periodic":
-        return periodic_superposition(
-            coeffs, truncation=params.get("truncation"), hbar=params.get("hbar", 1.0)
-        )
+        return periodic_superposition(coeffs, truncation=truncation, hbar=hbar)
     if family == "oscillator":
         return oscillator_superposition(
             coeffs,
-            inertia=params.get("inertia", 1.0),
-            frequency=params.get("frequency", 1.0),
-            truncation=params.get("truncation"),
-            hbar=params.get("hbar", 1.0),
+            inertia=real_parameter("inertia", params.get("inertia", 1.0)),
+            frequency=real_parameter("frequency", params.get("frequency", 1.0)),
+            truncation=truncation,
+            hbar=hbar,
         )
     if family == "sphere":
-        return sphere_state(params["l"], coeffs, hbar=params.get("hbar", 1.0))
+        return sphere_state(mode_index(params["l"]), coeffs, hbar=hbar)
     raise ValueError(f"from_json: unknown family {family!r}")
 
 

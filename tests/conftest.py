@@ -6,8 +6,8 @@ def actions(monkeypatch):
     """A list that grows by one per operator action: each ``operators.apply``
     call, counted in every angulab namespace that binds ``apply``, and each
     ``LineKet.fill`` of a line stack.  An action taken inside a counted one
-    (a line ket's ``apply`` fills, a fill of phi^2 or the Hamiltonian
-    applies) is not counted again."""
+    (a line ket's ``apply`` fills, a fill of phi^2 applies) is not counted
+    again."""
     import angulab
     from angulab import cli, operators, oracle, relations
 

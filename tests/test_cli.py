@@ -196,6 +196,7 @@ RELATION_LIST = "relations must be a list of relation names"
 SPHERE_COEFFS = ("scenario", "sphere", "--l", "1", "--coeffs")
 CUSTOM = ("scenario", "custom", "--coeffs")
 PERIODIC = '{"family": "periodic", "coefficients": %s}'
+PERIODIC_PARAMS = '{"family": "periodic", "params": %s, "coefficients": [[0, 1, 0]]}'
 SCR_CONFIG = {"family": "scr", "parameters": {"m": 1, "hbar": 1.0}}
 # J = 0.001 puts lam at 0.0316, where these indices need more than the band cap
 OSCILLATOR = (
@@ -318,6 +319,17 @@ class TestInputContract:
             (("scenario", "scr", "--m", "2", "--format", "csv"), "unrecognized arguments: --format"),
             (("scenario", "scr", "--seed", "3"), "unrecognized arguments: --seed 3"),
             (("sweep", "scr", "--m=0..1", "--coeffs", "c.json"), "unrecognized arguments: --coeffs"),
+            (CUSTOM + (File(PERIODIC_PARAMS % '{"hbar": "2"}'),), "hbar must be a number, got '2'"),
+            (CUSTOM + (File(PERIODIC_PARAMS % '{"hbar": true}'),), "hbar must be a number, got True"),
+            (
+                CUSTOM + (File(PERIODIC_PARAMS % '{"truncation": 64.7}'),),
+                "mode index must be an integer, got 64.7",
+            ),
+            (
+                CUSTOM
+                + (File('{"family": "sphere", "params": {"l": 1.5}, "coefficients": [[0, 1, 0]]}'),),
+                "mode index must be an integer, got 1.5",
+            ),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -461,25 +473,32 @@ class TestInputContract:
             assert [r["relation"] for r in reports] == ["csf", "rsur", "condition19", "moments"]
 
     @pytest.mark.parametrize(
-        "family, params, index",
+        "family, params, out",
         [
-            ("scr", {"m": 1.5, "hbar": 1}, "1.5"),
-            ("qtp", {"n": 2.7, "J": 1, "omega": 1, "hbar": 1}, "2.7"),
-            ("sphere", {"l": 2.5, "hbar": 1}, "2.5"),
-            ("sphere", {"l": 2, "m": True, "hbar": 1}, "True"),
+            ("scr", {"m": 1.5, "hbar": 1}, "mode index must be an integer, got 1.5"),
+            ("qtp", {"n": 2.7, "J": 1, "omega": 1, "hbar": 1}, "mode index must be an integer, got 2.7"),
+            ("sphere", {"l": 2.5, "hbar": 1}, "mode index must be an integer, got 2.5"),
+            ("sphere", {"l": 2, "m": True, "hbar": 1}, "mode index must be an integer, got True"),
+            ("scr", {"m": 1, "hbar": 1, "truncation": 64.7}, "mode index must be an integer, got 64.7"),
+            ("scr", {"m": 1, "hbar": 1, "truncation": True}, "mode index must be an integer, got True"),
+            ("scr", {"m": 1, "hbar": True}, "hbar must be a number, got True"),
+            ("qtp", {"n": 1, "J": "2", "omega": 1, "hbar": 1}, "J must be a number, got '2'"),
         ],
-        ids=["scr-m", "qtp-n", "sphere-l", "sphere-m-bool"],
+        ids=[
+            "scr-m", "qtp-n", "sphere-l", "sphere-m-bool",
+            "truncation-fractional", "truncation-bool", "hbar-bool", "J-str",
+        ],
     )
-    def test_fractional_index_in_config(self, tmp_path, family, params, index):
+    def test_fractional_index_in_config(self, tmp_path, family, params, out):
         """validate and scenario --config reject a fractional or boolean
-        index with the same text, where int() would have truncated it."""
+        index or truncation, and a boolean or string real parameter, with the
+        same text, where int() and float() would have taken them."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"family": family, "parameters": params}))
-        out = f"mode index must be an integer, got {index}\n"
         proc = run_cli("validate", str(path), check=False)
-        assert (proc.returncode, proc.stdout) == (1, out)
+        assert (proc.returncode, proc.stdout) == (1, out + "\n")
         scenario = run_cli("scenario", "--config", str(path), check=False)
-        assert (scenario.returncode, scenario.stdout, scenario.stderr) == (1, "", f"error: {out}")
+        assert (scenario.returncode, scenario.stdout, scenario.stderr) == (1, "", f"error: {out}\n")
 
 
     @pytest.mark.parametrize(
@@ -711,11 +730,11 @@ class TestSharedLifted:
 
     def test_apply_calls_per_state(self, actions):
         """The 13 spectral relations on one state act with an operator at
-        most 11 times: every relation reads the same ``A psi`` and pair
-        products.  Actions are ``apply`` calls, counted in every namespace
-        that binds it, and line-stack fills; circle and sphere kets are
-        counted on an emptied band-map cache, where each map is built from
-        one ``apply`` per observable."""
+        most 8 times: every relation reads the same ``A psi`` and pair
+        products of one block.  Actions are ``apply`` calls, counted in
+        every namespace that binds it, and line-stack fills; circle and
+        sphere kets are counted on an emptied band-map cache, where each map
+        is built from one ``apply`` per observable."""
         from angulab import cli, operators
 
         names = [name for name in cli.RELATIONS if name != "commutator"]
@@ -724,12 +743,24 @@ class TestSharedLifted:
             operators._band_map.cache_clear()
             actions.clear()
             cli._evaluate_state(state, names, False, None)
-            assert 0 < len(actions) <= 11, (label, len(actions))
+            assert 0 < len(actions) <= 8, (label, len(actions))
+
+    def test_one_block_per_ket(self):
+        """All 14 registry relations on one lifted ket leave one memo entry:
+        the block of L_z, phi, sin phi and cos phi, which also serves the
+        commutator's A psi, the eq8 right-hand sides and the energy."""
+        from angulab import cli, operators
+
+        for label, state in self._states().items():
+            ket = operators.lift(state)
+            cli._evaluate_state(ket, list(cli.RELATIONS), False, None)
+            assert list(ket.memo) == [operators._PAPER], label
 
 
     def test_block_lookups_per_relation(self, lookups):
         """Each registry relation that reads pairs takes one block lookup per
-        state; moments takes a second one on the line, for the energy."""
+        state; moments takes a second one on the line, for the energy, which
+        lands on the same block."""
         from angulab import operators
         from angulab.cli import RELATIONS, evaluate_relation
 

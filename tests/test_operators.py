@@ -413,8 +413,8 @@ class TestEnergy:
         assert qtp_energy_mean(q) == pytest.approx(1.0, abs=1e-12)
 
     def test_hamiltonian_family_guard(self):
-        with pytest.raises(UnsupportedObservable):
-            apply("Hamiltonian", scr_eigenstate(0))
+        with pytest.raises(TypeError):
+            qtp_energy_mean(scr_eigenstate(0))
 
     def test_phi2_consistency(self):
         # <phi^2> through the squared operator equals variance + mean^2

@@ -262,7 +262,6 @@ def test_stacked_reads_on_wide_bands(state):
 
 ONE_SIDED = operators.trig_observable("OneSided", {3: 0.4, 1: -0.2j})  # moves the band up
 FOURIER_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI, ONE_SIDED)
-LINE_OBS = FOURIER_OBS + (operators.HAMILTONIAN,)
 
 
 def observable_sets(obs):
@@ -305,7 +304,7 @@ def test_band_map_equals_apply_on_every_basis_ket(band, obs, with_psi, hbar):
 
 
 @PROPERTY
-@given(st.integers(0, 20), HBARS, LINE_CONSTANTS, LINE_CONSTANTS, observable_sets(LINE_OBS))
+@given(st.integers(0, 20), HBARS, LINE_CONSTANTS, LINE_CONSTANTS, observable_sets(FOURIER_OBS))
 def test_line_fill_equals_apply_on_every_basis_ket(n, hbar, inertia, frequency, obs):
     ket = operators.lift(states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar))
     basis = np.eye(ket.coeffs.size, dtype=complex)
@@ -486,7 +485,7 @@ def _entry_reports(ket):
     out["gram"] = _inequality("gram", float(np.linalg.det(gram).real), 0.0, TOL_GRAM, details)
     hbar = ket.hbar
     for rel, f, g in EQ8:
-        lhs, rhs = ket.std(LZ) * ket.std(f), hbar * abs(ket.mean(g))
+        lhs, rhs = ket.std(LZ) * ket.std(f), 0.5 * hbar * abs(ket.mean(g))
         out[rel] = _inequality(rel, lhs, rhs, TOL_IDENTITY, {"form": "function-pair"})
     if ket.family == "periodic":
         bval = states.boundary_value(ket.state)

@@ -6,11 +6,11 @@ import pytest
 from angulab import operators
 from angulab.operators import (
     COS_PHI,
-    HAMILTONIAN,
     LZ,
     PHI,
     SIN_PHI,
     LineKet,
+    Observable,
     UnsupportedObservable,
     lift,
     trig_observable,
@@ -213,7 +213,7 @@ class TestAdjustedRelations:
             adjusted_relation("eq8-tan", scr_eigenstate(0))
 
     def test_unrepresentable_function_rejected(self):
-        rel = AdjustedRelation("bad", "function-pair", f=HAMILTONIAN, g=COS_PHI)
+        rel = AdjustedRelation("bad", "function-pair", f=Observable("NoAction"), g=COS_PHI)
         with pytest.raises(UnsupportedObservable):
             adjusted_relation(rel, scr_eigenstate(0))
 
