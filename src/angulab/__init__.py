@@ -13,6 +13,7 @@ from .operators import (
     commutator_residual,
     deviation_vector,
     lift,
+    lift_all,
     mean,
     qtp_energy_mean,
     sphere_variances,

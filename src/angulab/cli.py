@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -69,9 +70,7 @@ def _make_state(family, params):
         if "l" not in params:
             raise ConfigError("missing parameter 'l' for the sphere family")
         if "coefficients" in params:
-            coeffs = {
-                states.mode_index(k): complex(v[0], v[1]) for k, v in params["coefficients"].items()
-            }
+            coeffs = _coefficient_table(params["coefficients"])
         else:
             coeffs = {states.mode_index(params.get("m", 0)): 1.0}
         return states.sphere_state(states.mode_index(params["l"]), coeffs, hbar=hbar)
@@ -84,6 +83,20 @@ def _make_state(family, params):
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"cannot load state from {path}: {exc}") from None
     raise ConfigError(f"unknown family {family!r}")
+
+
+def _coefficient_table(table):
+    """A sphere config's ``coefficients``, {"m": [re, im]}, as {m: complex}.
+    JSON object keys are strings, so each key is read here as a plain
+    integer, where ``states.mode_index`` takes numbers only."""
+    if not isinstance(table, dict):
+        raise ValueError(f"coefficients must be an object of \"m\": [re, im], got {table!r}")
+    out = {}
+    for key, (real, imag) in table.items():
+        if not (isinstance(key, str) and re.fullmatch("-?[0-9]+", key)):
+            raise ValueError(f"coefficient index must be an integer, got {key!r}")
+        out[int(key)] = complex(real, imag)
+    return out
 
 
 def _checked(make, *args):
@@ -308,14 +321,14 @@ def _oracle_annotate(entry, sampled, name):
 
 
 def _evaluate_state(state, names, with_oracle, resolution):
-    """The named relations' reports on one state, and the (Lz, Phi) mismatch
-    matrix if condition19 is among them; all read one lifted ket and, under
-    --oracle, one ``oracle.Sampled``."""
+    """The named relations' reports on one state or its lifted ket, and the
+    (Lz, Phi) mismatch matrix if condition19 is among them; all read one
+    lifted ket and, under --oracle, one ``oracle.Sampled``."""
     ket = operators.lift(state)
     sampled = None
     if with_oracle:
-        _check_sphere_rows(state, resolution)
-        sampled = oracle.Sampled(state, oracle.default_grid(state, resolution))
+        _check_sphere_rows(ket.state, resolution)
+        sampled = oracle.Sampled(ket.state, oracle.default_grid(ket.state, resolution))
     reports = []
     for name in names:
         entry = evaluate_relation(name, ket)
@@ -325,6 +338,17 @@ def _evaluate_state(state, names, with_oracle, resolution):
     if "condition19" not in names:
         return reports, None
     return reports, relations.adjointness_mismatch(LZ, PHI, ket).to_json()
+
+
+def _evaluate_states(states, names, with_oracle, resolution):
+    """``_evaluate_state`` of each state, in input order.  States on one band
+    with the same parameters share a block (``operators.lift_all``); each
+    ket is dropped once evaluated, so a batch's block lives until its last
+    state is done."""
+    kets = operators.lift_all(states)
+    for i, ket in enumerate(kets):
+        kets[i] = None
+        yield _evaluate_state(ket, names, with_oracle, resolution)
 
 
 def run_scenario(config):
@@ -627,10 +651,12 @@ def run_sweep(args):
     names = _check_relations(_split_names(args.relations))
     resolution = _check_resolution(args.resolution)
     _check_seed(args.seed)
-    entries = []
-    for index, (params, state) in enumerate(_sweep_items(args)):
-        reports, mismatch = _evaluate_state(state, names, args.oracle, resolution)
-        entries.append({"index": index, "params": params, "reports": reports, "mismatch": mismatch})
+    items = _sweep_items(args)
+    results = _evaluate_states([state for _, state in items], names, args.oracle, resolution)
+    entries = [
+        {"index": index, "params": params, "reports": reports, "mismatch": mismatch}
+        for index, ((params, _), (reports, mismatch)) in enumerate(zip(items, results))
+    ]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",

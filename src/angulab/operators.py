@@ -44,33 +44,48 @@ difference j - i, never on an absolute mode.
 
 Kets may carry leading axes that stack several kets on one band; every
 operator acts on each alike.  ``lift`` records the state a ket came from in
-its ``state`` slot, and the ket answers every relation's reads from one
-stacked block per set of observables, kept in its memo dict: psi and A psi
-for each observable on their common band, then A B psi for every ordered
-pair, each filled by one action of the ket's class on the whole stack, and
-three contractions against the metric (a plain conj . x on the line) for the
-Gram matrix P = (A psi, B psi), the deviation Gram G = (dA psi, dB psi) from
-explicit deviation kets, and E = (psi, A B psi).  A Fourier ket acts through
-a band map: the images of its band's basis kets under every observable of
-the block, on their common band, built once per (depth, width, lo,
-observables) from ``apply`` itself and cached within a byte budget.  Its L_z
-slots are built at hbar = 1 and scaled in place, so no hbar enters the key,
-and one matmul acts on every row of a sphere ket.  A line ket's band never
-grows, so each action writes in place into one preallocated stack.  A
-relation reads its entries in one lookup: a pair read kept on the block
-holds the means, standard deviations and cross term, and apart from them the
-mismatches, their largest modulus and the second-order products.  Reads
-among L_z, phi, sin phi and cos phi share one block; any other read gets a
-block of its own observables, in order of tag, so every value depends on the
-ket and the observables read only.  A psi is a row of the block's stack and
-the pendulum energy comes from its second-order products, so the paper's
-relations need no other block.  Ket coefficients are read-only so that the
-memo cannot go stale.
+its ``state`` slot, and the ket answers every relation's reads from its row
+of one stacked block per set of observables, kept in its memo dict: psi and
+A psi for each observable on their common band, then A B psi for every
+ordered pair, each filled by one action of the ket's class on the whole
+stack, and three contractions against the metric (a plain conj . x on the
+line) for the Gram matrix P = (A psi, B psi), the deviation Gram G = (dA
+psi, dB psi) from explicit deviation kets, and E = (psi, A B psi).  A
+Fourier ket acts through a band map: the images of its band's basis kets
+under every observable of the block, on their common band, built once per
+(depth, width, lo, observables) from ``apply`` itself and cached within a
+byte budget.  Its L_z slots are built at hbar = 1 and scaled in place, so no
+hbar enters the key, and one matmul acts on every row of a sphere ket.  A
+line ket's band never grows, so each action writes in place into one
+preallocated stack.  A relation reads its entries in one lookup: a pair read
+kept on the ket holds the means, standard deviations and cross term, and
+apart from them the mismatches, their largest modulus and the second-order
+products.  Reads among L_z, phi, sin phi and cos phi share one block; any
+other read gets a block of its own observables, in order of tag, so every
+value depends on the ket and the observables read only.  A psi is a row of
+the block's stack and the pendulum energy comes from its second-order
+products, so the paper's relations need no other block.  Ket coefficients
+are read-only so that the memo cannot go stale.
+
+A block serves a batch of kets.  ``lift_all`` stacks the kets of a sweep
+that share a class, band and parameters (lo, depth, width, l and hbar on
+the circle and sphere; band size, lam, hbar, J and omega on the line) on a
+leading state axis, and the first read of any of them builds the block for
+all.  Every array of the block leads with the batch's axes: one state axis
+for a batch, none for a ket read alone, which is a batch of one and runs the
+same code.  Each contraction is a stacked ``np.matmul`` (or a stacked
+``np.linalg`` call for the Gram determinant and least eigenvalue) that
+keeps the gemm shape of a ket alone and sums over no state, so a ket's
+entries are the same bits in any batch; ``einsum`` and contractions across
+states are not used, as they reorder sums.  The means a block computes are
+checked per ket, when that ket reads an entry that depends on them.  Kets,
+rows and blocks form no reference cycle, so a block is freed with the last
+ket that reads it.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,6 +94,25 @@ from .specfun import TWO_PI
 from .states import OscillatorState, PeriodicState, SphereState, line_band
 
 _MEAN_IMAG_TOL = 1e-10
+
+
+class _lazy:
+    """An attribute computed on first read and kept in the instance dict:
+    ``functools.cached_property`` without the lock it takes on every first
+    read before Python 3.12, about 1 us, which every block and row pays per
+    state."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class UnsupportedObservable(ValueError):
@@ -207,70 +241,80 @@ def _theta_overlap_root(l):
 class Ket:
     """The reads shared by both ket classes.
 
-    Every read goes through a block memoized in ``memo``, the ket's own
-    dict; the coefficients are read-only, so the memo cannot go stale.
-    Reads among the paper's four observables share one block; a read of any
-    other observable uses a block of the observables it names, so no value
-    depends on what was read before.  ``pair`` gives a relation all its
-    entries at once; the other reads give one entry each.  ``state`` is the
-    state ``lift`` made the ket from, or None on a ket an operation returned.
+    Every read goes through this ket's row of a block, memoized in ``memo``,
+    the ket's own dict; the coefficients are read-only, so the memo cannot
+    go stale.  Reads among the paper's four observables share one block; a
+    read of any other observable uses a block of the observables it names,
+    so no value depends on what was read before.  ``pair`` gives a relation
+    all its entries at once; the other reads give one entry each.  ``state``
+    is the state ``lift`` made the ket from, or None on a ket an operation
+    returned.  ``batch`` is the ``_Batch`` the ket is stacked in and its
+    position there: ``lift_all`` sets it, and the first read of a ket
+    without one makes it a batch of one, with no state axis.
     """
 
-    __slots__ = ("coeffs", "memo", "state")
+    __slots__ = ("coeffs", "memo", "pairs", "state", "batch")
 
     def __init__(self, coeffs):
         coeffs.setflags(write=False)
         self.coeffs = coeffs
         self.memo = {}
+        self.pairs = {}  # (row, i, j) -> _Pair, kept apart from the row so no cycle forms
         self.state = None
+        self.batch = None
 
     def acted(self, a):
         """A psi, a row of the block's stack."""
-        block, (i,) = self._block(a)
-        return block.ket(block.stack[i + 1])
+        row, (i,) = self._block(a)
+        return row.acted(i)
 
     def _block(self, *obs):
-        """The block for a read of ``obs`` and the index of each of them in it."""
+        """This ket's row of the block for a read of ``obs``, and the index
+        of each of them in it."""
         key, index = _block_key(obs)
-        block = self.memo.get(key)
-        if block is None:
-            block = self.memo[key] = _BLOCKS[type(self)](self, key)
-        return block, index
+        row = self.memo.get(key)
+        if row is None:
+            if self.batch is None:  # alone: a batch of one, with no state axis
+                self.batch = _Batch(self.coeffs, self._like(self.coeffs)), ()
+            batch, k = self.batch
+            row = self.memo[key] = _Row(batch.block(key), k)
+        return row, index
 
     def pair(self, a, b):
-        """The ``_Pair`` read of observables a and b, built once per block."""
-        block, (i, j) = self._block(a, b)
-        return block.pairs.get((i, j)) or block.pairs.setdefault((i, j), _Pair(block, i, j))
+        """The ``_Pair`` read of observables a and b, built once per row."""
+        row, (i, j) = self._block(a, b)
+        key = row, i, j
+        return self.pairs.get(key) or self.pairs.setdefault(key, _Pair(row, i, j))
 
     def mean(self, a):
         """<A> = (psi, A psi); rejects non-Hermitian observables."""
-        block, (i,) = self._block(a)
-        return block.means[i]
+        row, (i,) = self._block(a)
+        return row.means[i]
 
     def deviation(self, a):
         """The deviation ket dA psi = A psi - <A> psi."""
-        block, (i,) = self._block(a)
-        return block.ket(block.deviations[i])
+        row, (i,) = self._block(a)
+        return row.deviation(i)
 
     def std(self, a):
         """Standard deviation, the norm of the deviation ket."""
-        block, (i,) = self._block(a)
-        return block.stds[i]
+        row, (i,) = self._block(a)
+        return row.stds[i]
 
     def cross(self, a, b):
         """(dA psi, dB psi)."""
-        block, (i, j) = self._block(a, b)
-        return block.gram[i][j]
+        row, (i, j) = self._block(a, b)
+        return row.gram[i][j]
 
     def expect2(self, a, b):
         """(psi, A B psi)."""
-        block, (i, j) = self._block(a, b)
-        return block.second[0][i][j]
+        row, (i, j) = self._block(a, b)
+        return row.second[0][i][j]
 
     def mismatch(self, a, b):
         """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
-        block, (i, j) = self._block(a, b)
-        return block.second[1][i][j]
+        row, (i, j) = self._block(a, b)
+        return row.second[1][i][j]
 
 
 class FourierKet(Ket):
@@ -298,6 +342,10 @@ class FourierKet(Ket):
 
     def _like(self, coeffs, lo=None):
         return FourierKet(coeffs, self.lo if lo is None else lo, self.hbar, self.l)
+
+    def _batch_key(self):
+        """What kets must share to be stacked in one batch."""
+        return FourierKet, self.coeffs.shape, self.lo, self.hbar, self.l
 
     def scaled(self, z):
         return self._like(z * self.coeffs)
@@ -385,6 +433,10 @@ class LineKet(Ket):
     def _like(self, coeffs):
         return LineKet(coeffs, self.lam, self.hbar, self.inertia, self.frequency)
 
+    def _batch_key(self):
+        """What kets must share to be stacked in one batch."""
+        return LineKet, self.coeffs.shape, self.lam, self.hbar, self.inertia, self.frequency
+
     def scaled(self, z):
         return self._like(z * self.coeffs)
 
@@ -432,19 +484,19 @@ class LineKet(Ket):
 
 
 @lru_cache(maxsize=None)
-def _ladder_roots(dim):
-    """sqrt(n/2) for n = 1 .. dim - 1, the weights of both Hermite ladders."""
-    out = np.sqrt(np.arange(1, dim) / 2.0)
+def _ladder_roots(dim, sign=1.0):
+    """sign * sqrt(n/2) for n = 1 .. dim - 1, the weights of both Hermite ladders."""
+    out = sign * np.sqrt(np.arange(1, dim) / 2.0)
     out.setflags(write=False)
     return out
 
 
 def _ladder(c, sign, out):
     """out_n = sqrt(n/2) c_{n-1} + sign * sqrt((n+1)/2) c_{n+1}, in place."""
-    roots = _ladder_roots(c.shape[-1])
+    dim = c.shape[-1]
     out[..., 0] = 0.0
-    np.multiply(roots, c[..., :-1], out=out[..., 1:])
-    out[..., :-1] += sign * roots * c[..., 1:]
+    np.multiply(_ladder_roots(dim), c[..., :-1], out=out[..., 1:])
+    out[..., :-1] += _ladder_roots(dim, sign) * c[..., 1:]
 
 
 def _align_line(x, y):
@@ -508,6 +560,34 @@ def lift(state):
     return ket
 
 
+# A batch holds at most this many bytes of ket coefficients, so that its
+# block's arrays stay within a few MiB; a wide sphere ket reads alone.
+_BATCH_BYTES = 2**16
+
+
+def lift_all(states):
+    """``lift`` of each of ``states``, in their order.  Kets of one class,
+    band and set of parameters (``_batch_key``) are stacked in batches, and
+    the first read of any ket of a batch builds its block for all of them;
+    each ket's entries are the bits it gives when read alone.  A ket already
+    in a batch keeps it."""
+    kets = [lift(state) for state in states]
+    groups = {}
+    for ket in kets:
+        if ket.batch is None:
+            groups.setdefault(ket._batch_key(), []).append(ket)
+    for group in groups.values():
+        size = max(1, _BATCH_BYTES // group[0].coeffs.nbytes)
+        for start in range(0, len(group), size):
+            chunk = group[start : start + size]
+            if len(chunk) > 1:  # a ket on its own reads alone
+                like = chunk[0]._like(chunk[0].coeffs)
+                batch = _Batch(np.array([ket.coeffs for ket in chunk]), like)
+                for k, ket in enumerate(chunk):
+                    ket.batch = batch, (k,)
+    return kets
+
+
 def apply(obs, state):
     """Act with an observable on a state or ket, returning a ket."""
     obs = resolve_observable(obs)
@@ -556,10 +636,12 @@ class _BandMap:
         self._lz = [s for s, a in enumerate(obs, first) if a.fourier is None and a.tag == "Lz"]
 
     def act(self, x, hbar):
-        """The images ``[slot, ket, band]`` of the kets ``x[ket, band]`` at ``hbar``."""
-        out = np.matmul(x, self.matrix)
+        """The images ``[..., slot, ket, band]`` of the kets ``x[..., ket,
+        band]`` at ``hbar``: one matmul per leading index and slot, each of
+        the gemm shape of ``x[..., ket, band]`` alone."""
+        out = np.matmul(x[..., None, :, :], self.matrix)
         for s in self._lz:
-            out[s] *= hbar
+            out[..., s, :, :] *= hbar
         return out
 
 
@@ -568,33 +650,101 @@ class _BandMap:
 _band_map = specfun.BytesLRU(_BandMap, budget=2**24)
 
 
-class _Block:
-    """psi and A psi for the observables ``obs`` of one ket, on one band.
+class _Batch:
+    """Kets of one class, band and set of parameters: ``coeffs`` stacks their
+    coefficients on the batch's leading axes, one state axis for a batch
+    from ``lift_all`` and none for a ket read alone.  Each set of observables
+    gets one ``_Block`` over all of them, built on the first read of any;
+    ``like`` is a ket with their parameters and no reads of its own, so a
+    ket and its batch form no reference cycle."""
 
-    ``stack`` holds psi, then A psi for each observable in order, filled by
-    one action of the ket's class on the whole stack, and ``p`` their Gram
-    matrix (X psi, Y psi).  The rest is computed on first use, as nested
-    lists read by index: the checked means, the deviation Gram (dA psi, dB
-    psi) from explicit deviation kets and its standard deviations, and the
-    second-order products (psi, A B psi), from one more action of the class
-    on the stack of A psi, with the mismatches; ``pairs`` keeps the
-    ``_Pair`` reads.  Every entry depends on the ket and ``obs`` only.  Each
-    ket class has a subclass that supplies the stack (``_fill``), the
-    contraction on its band (``_gram``), the second-order products
-    (``_second``) and a row of a stack as a ket (``ket``).
+    __slots__ = ("coeffs", "like", "blocks")
+
+    def __init__(self, coeffs, like):
+        self.coeffs, self.like, self.blocks = coeffs, like, {}
+
+    def block(self, obs):
+        block = self.blocks.get(obs)
+        if block is None:
+            block = self.blocks[obs] = _BLOCKS[type(self.like)](self.coeffs, self.like, obs)
+        return block
+
+
+class _Block:
+    """psi and A psi for the observables ``obs`` of a batch of kets on one
+    band; every array leads with the batch's axes (``...``).
+
+    ``stack[..., s, r, :]`` holds row r of psi (slot 0), then of A psi for
+    each observable in order (a line ket has one row), filled by one action
+    of the kets' class on the whole stack, and ``p`` their Gram matrices
+    (X psi, Y psi).  The rest is computed on first use for every state at
+    once: the deviation kets dA psi, explicit, from the unchecked real parts
+    of the means, their Gram matrices, and the second-order products (psi, A
+    B psi), from one more action of the class on the stack of A psi, with
+    the mismatches.  Each contraction is a stacked ``np.matmul`` or linalg
+    call that keeps the gemm shape of a ket alone and sums over no state, so
+    a state's entries are the bits it gives alone.  A ket reads its own row
+    through a ``_Row``, which checks its means.  Each ket class has a
+    subclass that supplies the stack (``_fill``), the contraction on its
+    band (``_gram``), the second-order products (``_second``) and a row of
+    a stack as a ket (``ket``).
     """
 
-    def __init__(self, psi, obs):
-        self.psi, self.obs = psi, obs
-        self.stack = self._fill()
+    def __init__(self, coeffs, like, obs):
+        self.like, self.obs = like, obs
+        self.stack = self._fill(coeffs)
         self.p = self._gram(self.stack, self.stack)
-        self.pairs = {}
+        self.linalg = {}
 
-    @cached_property
+    @_lazy
+    def deviations(self):
+        """dA psi = A psi - <A> psi per state and observable."""
+        s = self.stack
+        return s[..., 1:, :, :] - self.p[..., 0, 1:].real[..., None, None] * s[..., :1, :, :]
+
+    @_lazy
+    def gram(self):
+        """(dA psi, dB psi) per state and pair of observables."""
+        return self._gram(self.deviations, self.deviations)
+
+    @_lazy
+    def second(self):
+        """(psi, A B psi), the mismatch (A psi, B psi) - (psi, A B psi), and
+        the largest modulus of the 2 x 2 mismatches over (A, B), from one
+        ``np.abs``, per state and pair of observables."""
+        products = self._second()
+        entries = self.p[..., 1:, 1:] - products
+        mod = np.abs(entries)
+        diag = mod.diagonal(axis1=-2, axis2=-1)
+        both = np.maximum(mod, mod.swapaxes(-1, -2))
+        return products, entries, np.maximum(both, np.maximum(diag[..., :, None], diag[..., None, :]))
+
+    def gram_linalg(self, index):
+        """The Gram matrices of the observables at ``index``, their
+        determinants and least eigenvalues, each from one stacked call over
+        every state."""
+        out = self.linalg.get(index)
+        if out is None:
+            g = self.gram.take(index, -2).take(index, -1)
+            herm = 0.5 * (g + g.conj().swapaxes(-1, -2))
+            out = self.linalg[index] = g, np.linalg.det(g), np.linalg.eigvalsh(herm)[..., 0]
+        return out
+
+
+class _Row:
+    """One ket's entries of a block, at position ``k`` (a tuple) of the
+    batch's axes, read on first use as nested lists.  Every deviation entry
+    waits for this ket's means, which are checked here, so a mean that fails
+    its check raises only when this ket reads an entry that depends on it."""
+
+    def __init__(self, block, k):
+        self.block, self.k = block, k
+
+    @_lazy
     def means(self):
         """<A> = (psi, A psi) per observable; rejects non-Hermitian observables."""
         out = []
-        for a, val in zip(self.obs, self.p[0, 1:].tolist()):
+        for a, val in zip(self.block.obs, self.block.p[self.k][0, 1:].tolist()):
             if not a.hermitian:
                 raise UnsupportedObservable(
                     f"mean: observable {a.tag!r} is not Hermitian; expectation undefined"
@@ -602,33 +752,43 @@ class _Block:
             out.append(_real_mean(a.tag, val))
         return out
 
-    @cached_property
-    def deviations(self):
-        """The stack of dA psi = A psi - <A> psi, one per observable."""
-        s = self.stack
-        means = np.array(self.means).reshape((-1,) + (1,) * (s.ndim - 1))
-        return s[1:] - means * s[0]
+    def _checked(self):
+        """The block, once this ket's means pass their checks: every
+        deviation entry depends on them."""
+        self.means
+        return self.block
 
-    @cached_property
+    @_lazy
     def gram(self):
         """(dA psi, dB psi) per pair of observables."""
-        return self._gram(self.deviations, self.deviations).tolist()
+        return self._checked().gram[self.k].tolist()
 
-    @cached_property
+    @_lazy
     def stds(self):
         """The norm of each deviation ket."""
         return [math.sqrt(max(row[i].real, 0.0)) for i, row in enumerate(self.gram)]
 
-    @cached_property
+    @_lazy
     def second(self):
-        """(psi, A B psi), the mismatch (A psi, B psi) - (psi, A B psi), and
-        the largest modulus of the 2 x 2 mismatches over (A, B), from one
-        ``np.abs``, per pair of observables."""
-        products = self._second()
-        entries = self.p[1:, 1:] - products
-        mod = np.abs(entries)
-        top = np.maximum(np.maximum(mod, mod.T), np.maximum.outer(mod.diagonal(), mod.diagonal()))
-        return products.tolist(), entries.tolist(), top.tolist()
+        """(psi, A B psi), the mismatches and their largest 2 x 2 moduli."""
+        products, entries, top = self.block.second
+        k = self.k
+        return products[k].tolist(), entries[k].tolist(), top[k].tolist()
+
+    def acted(self, i):
+        """A psi for observable i, as a ket."""
+        return self.block.ket(self.block.stack[self.k][i + 1])
+
+    def deviation(self, i):
+        """dA psi for observable i, as a ket."""
+        block = self._checked()
+        return block.ket(block.deviations[self.k][i])
+
+    def gram_linalg(self, index):
+        """This ket's part of ``_Block.gram_linalg``."""
+        gram, det, min_eig = self._checked().gram_linalg(index)
+        k = self.k
+        return gram[k], det[k], min_eig[k]
 
 
 def _real_mean(tag, val):
@@ -642,21 +802,21 @@ def _real_mean(tag, val):
 
 
 class _Pair:
-    """A relation's entries for A = obs[i], B = obs[j] of a block, each part
-    read on first use; the mismatch part never reads the means, so it also
-    serves observables that are not Hermitian."""
+    """A relation's entries for A = obs[i], B = obs[j] of a ket's row, each
+    part read on first use; the mismatch part never reads the means, so it
+    also serves observables that are not Hermitian."""
 
-    __slots__ = ("block", "i", "j", "_moments", "_mismatch")
+    __slots__ = ("row", "i", "j", "_moments", "_mismatch")
 
-    def __init__(self, block, i, j):
-        self.block, self.i, self.j, self._moments, self._mismatch = block, i, j, None, None
+    def __init__(self, row, i, j):
+        self.row, self.i, self.j, self._moments, self._mismatch = row, i, j, None, None
 
     @property
     def moments(self):
         """(<A>, <B>, Delta A, Delta B, (dA psi, dB psi))."""
         if self._moments is None:
-            b, i, j = self.block, self.i, self.j
-            self._moments = b.means[i], b.means[j], b.stds[i], b.stds[j], b.gram[i][j]
+            r, i, j = self.row, self.i, self.j
+            self._moments = r.means[i], r.means[j], r.stds[i], r.stds[j], r.gram[i][j]
         return self._moments
 
     @property
@@ -664,68 +824,77 @@ class _Pair:
         """(the 2 x 2 mismatches over (A, B), their largest modulus, (psi, A B
         psi), (psi, B A psi))."""
         if self._mismatch is None:
-            (s, e, top), i, j = self.block.second, self.i, self.j
+            (s, e, top), i, j = self.row.second, self.i, self.j
             self._mismatch = [[e[i][i], e[i][j]], [e[j][i], e[j][j]]], top[i][j], s[i][j], s[j][i]
         return self._mismatch
 
 
 class _FourierBlock(_Block):
-    """A circle or sphere block: the stack is ``(slot, rows, depth * width)``,
-    filled through cached band maps, each one matmul over every row."""
+    """A circle or sphere block: the stack is ``(..., slot, rows, depth *
+    width)``, filled through cached band maps, one matmul per state and
+    slot over every row."""
 
-    def _fill(self):
-        psi = self.psi
-        depth, width = psi.coeffs.shape[-2:]
-        self._x = psi.coeffs.reshape(-1, depth * width)  # (rows, band)
-        self._map = _band_map(depth, width, psi.lo, self.obs, True)
-        return self._map.act(self._x, psi.hbar)
+    def _fill(self, coeffs):
+        like = self.like
+        depth, width = coeffs.shape[-2:]
+        self._x = coeffs.reshape(coeffs.shape[:-2] + (depth * width,))  # (..., rows, band)
+        self._map = _band_map(depth, width, like.lo, self.obs, True)
+        return self._map.act(self._x, like.hbar)
 
     def _gram(self, x, y):
-        """(x_i, y_j) over the block's band: one metric matmul, one contraction."""
+        """(x_i, y_j) per state over the block's band: one metric matmul, one
+        contraction."""
         band = self._map
         metric = _metric(band.depth, band.width, band.depth, band.width, 0)
-        my = y.reshape(-1, metric.shape[0]) @ metric.T
-        return x.reshape(len(x), -1).conj() @ my.reshape(len(y), -1).T
+        my = y.reshape(y.shape[:-3] + (-1, metric.shape[0])) @ metric.T
+        return x.reshape(x.shape[:-2] + (-1,)).conj() @ my.reshape(y.shape[:-2] + (-1,)).swapaxes(-1, -2)
 
     def _second(self):
-        band, psi = self._map, self.psi
+        band, like = self._map, self.like
         top = _band_map(band.depth, band.width, band.lo, self.obs, False)
-        acted = self.stack[1:].reshape(-1, band.depth * band.width)
-        twice = top.act(acted, psi.hbar)  # [k, (j, rows), band]: A_k A_j psi
-        depth, width = psi.coeffs.shape[-2:]
-        metric = _metric(depth, width, top.depth, top.width, top.lo - psi.lo)
+        acted = self.stack[..., 1:, :, :]
+        acted = acted.reshape(acted.shape[:-3] + (-1, acted.shape[-1]))
+        twice = top.act(acted, like.hbar)  # [..., k, (j, rows), band]: A_k A_j psi
+        depth, width = like.coeffs.shape[-2:]
+        metric = _metric(depth, width, top.depth, top.width, top.lo - like.lo)
+        bra = self._x.conj() @ metric
         n = len(self.obs)
-        return twice.reshape(n, n, -1) @ (self._x.conj() @ metric).reshape(-1)
+        return (twice.reshape(twice.shape[:-3] + (n, n, -1)) @ bra.reshape(bra.shape[:-2] + (1, -1, 1)))[..., 0]
 
     def ket(self, row):
-        band, psi = self._map, self.psi
-        return FourierKet(row.reshape(-1, band.depth, band.width), band.lo, psi.hbar, psi.l)
+        band, like = self._map, self.like
+        return FourierKet(row.reshape(-1, band.depth, band.width), band.lo, like.hbar, like.l)
 
 
 class _LineBlock(_Block):
-    """An oscillator block: the Hermite band never grows, so each action
-    writes in place into one preallocated stack."""
+    """An oscillator block: a line ket is one row of its Hermite band, which
+    never grows, so each action writes in place into one preallocated
+    stack, one gemv per state for a multiplier as for a ket alone."""
 
-    def _fill(self):
-        c = self.psi.coeffs
-        out = np.empty((len(self.obs) + 1,) + c.shape, dtype=complex)
-        out[0] = c
-        for a, row in zip(self.obs, out[1:]):
-            self.psi.fill(a, c, row)
+    def _fill(self, coeffs):
+        x = self._x = coeffs[..., None, :]  # (..., 1, band)
+        out = np.empty(x.shape[:-2] + (len(self.obs) + 1,) + x.shape[-2:], dtype=complex)
+        out[..., 0, :, :] = x
+        for i, a in enumerate(self.obs, 1):
+            if a.fourier is None:  # elementwise: any layout gives the same bits
+                self.like.fill(a, coeffs, out[..., i, 0, :])
+            else:  # one gemv per state, as for a ket alone
+                self.like.fill(a, x, out[..., i, :, :])
         return out
 
     def _gram(self, x, y):
-        return x.conj() @ y.T
+        return x[..., 0, :].conj() @ y[..., 0, :].swapaxes(-1, -2)
 
     def _second(self):
-        acted = self.stack[1:]
-        out = np.empty((len(self.obs),) + acted.shape, dtype=complex)
-        for a, part in zip(self.obs, out):
-            self.psi.fill(a, acted, part)  # part[j] = A_k A_j psi
-        return out @ self.psi.coeffs.conj()
+        acted = self.stack[..., 1:, 0, :]
+        n = len(self.obs)
+        out = np.empty(acted.shape[:-2] + (n,) + acted.shape[-2:], dtype=complex)
+        for k, a in enumerate(self.obs):
+            self.like.fill(a, acted, out[..., k, :, :])  # [..., k, j]: A_k A_j psi
+        return (out @ self._x.conj().swapaxes(-1, -2)[..., None, :, :])[..., 0]
 
     def ket(self, row):
-        return self.psi._like(row)
+        return self.like._like(row.reshape(-1))
 
 
 _BLOCKS = {FourierKet: _FourierBlock, LineKet: _LineBlock}

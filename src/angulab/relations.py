@@ -276,18 +276,16 @@ def adjusted_relation(rel, state):
 
 
 def gram_det(observables, state):
-    """det[(delta_j psi, delta_k psi)] >= 0 and its minimum eigenvalue."""
+    """det[(delta_j psi, delta_k psi)] >= 0 and its minimum eigenvalue, read
+    from one stacked determinant and eigenvalue call over the ket's batch."""
     if len(observables) < 2:
         raise ValueError("gram_det: need at least two observables")
-    block, index = lift(state)._block(*observables)
-    r, g = len(observables), block.gram
-    gram = np.array([[g[i][j] for j in index] for i in index], dtype=complex)
-    det = np.linalg.det(gram)
+    row, index = lift(state)._block(*observables)
+    r = len(observables)
+    gram, det, min_eig = row.gram_linalg(index)
     if abs(det.imag) > 1e-10 * max(1.0, abs(det.real)):
         raise ArithmeticError(f"gram_det: determinant imaginary residue {det.imag:.3e}")
-    herm = 0.5 * (gram + gram.conj().T)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    details = {"min_eigenvalue": min_eig, "order": r}
+    details = {"min_eigenvalue": float(min_eig), "order": r}
     for j in range(r):
         for k in range(r):
             details[f"gram_{j}{k}"] = complex(gram[j, k])

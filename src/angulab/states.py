@@ -105,9 +105,9 @@ class SphereState:
 
 
 def mode_index(k):
-    """``k`` as an integer mode index; ValueError for a fractional, non-finite
-    or boolean one, which ``int`` would truncate or accept."""
-    if isinstance(k, bool) or (isinstance(k, float) and not k.is_integer()):
+    """``k`` as an integer mode index; ValueError for a fractional, non-finite,
+    boolean or string one, which ``int`` would truncate, accept or parse."""
+    if isinstance(k, (bool, str)) or (isinstance(k, float) and not k.is_integer()):
         raise ValueError(f"mode index must be an integer, got {k!r}")
     return int(k)
 
@@ -273,6 +273,8 @@ def from_json(doc):
         raise ValueError(f"from_json: expected a JSON object, got {type(doc).__name__}")
     family = doc.get("family")
     params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError(f"from_json: params must be a JSON object, got {type(params).__name__}")
     coeffs = {mode_index(k): complex(re, im) for k, re, im in doc.get("coefficients", [])}
     hbar = real_parameter("hbar", params.get("hbar", 1.0))
     truncation = params.get("truncation")

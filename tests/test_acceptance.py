@@ -22,6 +22,7 @@ from angulab.operators import (
     SIN_PHI,
     commutator_residual,
     lift,
+    lift_all,
     qtp_energy_mean,
     sphere_variances,
     std_dev,
@@ -155,7 +156,8 @@ def test_c08_sphere_mismatch_tuning():
 
 @pytest.fixture(scope="module")
 def pair_sweep():
-    """1000 seeded random states per family, all pairs; csf timed alone."""
+    """1000 seeded random states per family, all pairs, each family's states
+    lifted as one sweep (one block per band); csf timed alone."""
     states_by_family = {}
     rng = np.random.default_rng(909)
     states_by_family["periodic"] = [random_periodic(rng) for _ in range(1000)]
@@ -165,8 +167,7 @@ def pair_sweep():
     records = []
     csf_elapsed = 0.0
     for family, bunch in states_by_family.items():
-        for state in bunch:
-            ket = lift(state)
+        for ket in lift_all(bunch):
             for obs_a, obs_b in PAIRS:
                 t0 = time.perf_counter()
                 c = csf(obs_a, obs_b, ket)

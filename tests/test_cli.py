@@ -138,6 +138,18 @@ class TestValidate:
         assert proc.returncode == 1
         assert "missing parameter" in proc.stdout
 
+    def test_sphere_coefficient_keys(self, tmp_path):
+        """A sphere config's coefficient keys are JSON strings, read as integers."""
+        cfg = {
+            "family": "sphere",
+            "parameters": {"l": 1, "hbar": 1.0, "coefficients": {"1": [1.0, 0.0], "-1": [0.0, 1.0]}},
+        }
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps(cfg))
+        assert run_cli("validate", str(path)).stdout == ""
+        state = json.loads(run_cli("scenario", "--config", str(path)).stdout)["state"]
+        assert [row[0] for row in state["coefficients"]] == [-1, 1]
+
     def test_sphere_mode_out_of_range(self, tmp_path):
         cfg = {
             "family": "sphere",
@@ -330,6 +342,7 @@ class TestInputContract:
                 + (File('{"family": "sphere", "params": {"l": 1.5}, "coefficients": [[0, 1, 0]]}'),),
                 "mode index must be an integer, got 1.5",
             ),
+            (CUSTOM + (File(PERIODIC_PARAMS % "[1]"),), "params must be a JSON object, got list"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -483,16 +496,31 @@ class TestInputContract:
             ("scr", {"m": 1, "hbar": 1, "truncation": True}, "mode index must be an integer, got True"),
             ("scr", {"m": 1, "hbar": True}, "hbar must be a number, got True"),
             ("qtp", {"n": 1, "J": "2", "omega": 1, "hbar": 1}, "J must be a number, got '2'"),
+            ("scr", {"m": "2", "hbar": 1}, "mode index must be an integer, got '2'"),
+            ("scr", {"m": 1, "hbar": 1, "truncation": "64"}, "mode index must be an integer, got '64'"),
+            ("sphere", {"l": "1", "hbar": 1}, "mode index must be an integer, got '1'"),
+            (
+                "sphere",
+                {"l": 1, "hbar": 1, "coefficients": {"1.0": [1, 0]}},
+                "coefficient index must be an integer, got '1.0'",
+            ),
+            (
+                "sphere",
+                {"l": 1, "hbar": 1, "coefficients": {"1": [1]}},
+                "not enough values to unpack (expected 2, got 1)",
+            ),
         ],
         ids=[
             "scr-m", "qtp-n", "sphere-l", "sphere-m-bool",
             "truncation-fractional", "truncation-bool", "hbar-bool", "J-str",
+            "scr-m-str", "truncation-str", "sphere-l-str", "coefficient-key-fractional",
+            "coefficient-short-pair",
         ],
     )
     def test_fractional_index_in_config(self, tmp_path, family, params, out):
-        """validate and scenario --config reject a fractional or boolean
-        index or truncation, and a boolean or string real parameter, with the
-        same text, where int() and float() would have taken them."""
+        """validate and scenario --config reject a fractional, boolean or
+        string index or truncation, and a boolean or string real parameter,
+        with the same text, where int() and float() would have taken them."""
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"family": family, "parameters": params}))
         proc = run_cli("validate", str(path), check=False)

@@ -480,3 +480,45 @@ class TestKetState:
             assert ket.state is state and lift(ket) is ket
             derived = (apply(LZ, ket), apply(SIN_PHI, ket), ket.plus(ket), ket.scaled(2.0))
             assert all(other.state is None for other in derived)
+
+
+class TestBatch:
+    """``lift_all`` stacks kets of one band in a batch that shares its
+    blocks; each ket reads its own row, checked on its own."""
+
+    @staticmethod
+    def _phi_kets():
+        """phi psi on one band: psi(0) = 0 keeps <L_z> real on the first and
+        last, psi(0) != 0 gives the middle one an imaginary residue."""
+        return [
+            apply(PHI, lift(periodic_superposition(coeffs)))
+            for coeffs in ({1: 1, -1: -1}, {1: 1, -1: 1}, {1: 1j, -1: -1j})
+        ]
+
+    def test_lift_all_keeps_order_and_groups_by_band(self):
+        from angulab.operators import lift_all
+
+        rng = np.random.default_rng(7)
+        drawn = [random_periodic(rng), scr_eigenstate(2), random_periodic(rng), random_sphere(rng, 2)]
+        kets = lift_all(drawn)
+        assert [ket.state for ket in kets] == drawn
+        assert kets[0].batch[0] is kets[2].batch[0]
+        assert [kets[0].batch[1], kets[2].batch[1]] == [(0,), (1,)]
+        assert kets[1].batch is None and kets[3].batch is None  # alone on their bands
+
+    def test_failed_mean_raises_for_its_own_ket_only(self):
+        from angulab.operators import lift_all
+
+        alone = self._phi_kets()
+        with pytest.raises(ArithmeticError) as want:
+            alone[1].mean(LZ)
+        kets = lift_all(self._phi_kets())
+        assert len({id(ket.batch[0]) for ket in kets}) == 1
+        assert kets[0].mean(LZ) == alone[0].mean(LZ)
+        assert kets[0].std(PHI) == alone[0].std(PHI)
+        assert kets[1].mismatch(LZ, PHI) == alone[1].mismatch(LZ, PHI)
+        for read in (lambda ket: ket.mean(LZ), lambda ket: ket.std(PHI), lambda ket: ket.cross(LZ, PHI)):
+            with pytest.raises(ArithmeticError) as got:
+                read(kets[1])
+            assert str(got.value) == str(want.value)
+        assert kets[2].cross(LZ, PHI) == alone[2].cross(LZ, PHI)

@@ -13,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from angulab import operators, oracle, relations, states  # noqa: E402
+from angulab import cli, operators, oracle, relations, states  # noqa: E402
 from angulab.cli import GRAM_SET, RELATIONS, evaluate_relation  # noqa: E402
 from angulab.operators import COS_PHI, LZ, PHI, PHI2, SIN_PHI  # noqa: E402
 from angulab.relations import TOL_GRAM, TOL_IDENTITY, TOL_INEQUALITY, csf, gram_det  # noqa: E402
@@ -537,3 +537,62 @@ def test_pair_reads_equal_one_entry_reads(state):
         report = first(ket)
         assert report == (want[key] if name is None else want[key][name]), label
         assert _reports(ket) == want, label
+
+
+# -- batches: a state's report does not depend on the states it shares a block with
+
+
+@st.composite
+def one_band_sweeps(draw):
+    """1 to 9 seeded random states of one family on one band (a quarter of
+    the draws peaked), and whether to mix in an eigenstate range, which puts
+    every eigenstate on a band of its own."""
+    family = draw(st.sampled_from(("periodic", "oscillator", "sphere")))
+    rng = np.random.default_rng(draw(SEEDS))
+    hbar = draw(HBARS)
+    count = draw(st.integers(1, 9))
+    low = draw(st.integers(0, 4))
+    if family == "periodic":
+        drawn = [states.random_periodic(rng, hbar=hbar) for _ in range(count)]
+        eigen = [states.scr_eigenstate(m, hbar=hbar) for m in range(low - 2, low + 3)]
+    elif family == "oscillator":
+        inertia, frequency = draw(LINE_CONSTANTS), draw(LINE_CONSTANTS)
+        drawn = [
+            states.random_oscillator(rng, inertia=inertia, frequency=frequency, hbar=hbar)
+            for _ in range(count)
+        ]
+        eigen = [
+            states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar)
+            for n in range(low, low + 5)
+        ]
+    else:
+        l = draw(st.integers(low // 2 + 1, 4))
+        drawn = [states.random_sphere(rng, l, hbar=hbar) for _ in range(count)]
+        eigen = [states.sphere_state(l, {m: 1.0}, hbar=hbar) for m in range(-l, l + 1)]
+    if draw(st.booleans()):
+        return drawn, draw(st.permutations(drawn + eigen))
+    return drawn, drawn
+
+
+SPECTRAL = [name for name in RELATIONS if name != "commutator"]
+
+
+def _report_bytes(result):
+    reports, mismatch = result
+    return cli._dumps({"reports": reports, "mismatch": mismatch})
+
+
+@PROPERTY
+@given(one_band_sweeps())
+def test_batched_states_report_as_alone(sweep):
+    """Each state's 13 spectral entries and its condition19 mismatch are the
+    same bytes whether it is evaluated alone or among the states of a sweep,
+    whose random states on one band share one block, and the reports come
+    out in input order."""
+    drawn, sweep_states = sweep
+    assert len(SPECTRAL) == 13
+    kets = operators.lift_all(drawn)
+    assert len({id(ket.batch[0]) if ket.batch else id(ket) for ket in kets}) == 1
+    alone = [_report_bytes(cli._evaluate_state(s, SPECTRAL, False, None)) for s in sweep_states]
+    batched = [_report_bytes(r) for r in cli._evaluate_states(sweep_states, SPECTRAL, False, None)]
+    assert batched == alone

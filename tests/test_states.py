@@ -235,10 +235,10 @@ class TestJsonRoundTrip:
         with pytest.raises(ValueError, match="must be finite"):
             sphere_state(1, {0: complex(0, part)})
 
-    @pytest.mark.parametrize("index", [1.5, -0.5, float("inf"), float("nan"), True])
+    @pytest.mark.parametrize("index", [1.5, -0.5, float("inf"), float("nan"), True, "1"])
     def test_non_integer_mode_index(self, index):
-        """A mode index that ``int`` would truncate or accept is rejected,
-        an integral float is not."""
+        """A mode index that ``int`` would truncate, accept or parse is
+        rejected, an integral float is not."""
         doc = {"family": "sphere", "params": {"l": 1}, "coefficients": [[index, 1, 0]]}
         with pytest.raises(ValueError, match="mode index must be an integer"):
             from_json(doc)
