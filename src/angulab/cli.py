@@ -95,7 +95,7 @@ def _coefficient_table(table):
     for key, (real, imag) in table.items():
         if not (isinstance(key, str) and re.fullmatch("-?[0-9]+", key)):
             raise ValueError(f"coefficient index must be an integer, got {key!r}")
-        out[int(key)] = complex(real, imag)
+        out[int(key)] = states.coefficient(real, imag)
     return out
 
 
@@ -496,7 +496,10 @@ def _read_coeff_file(path):
             doc = json.load(fh)
         if isinstance(doc, dict) and "coefficients" in doc:
             doc = doc["coefficients"]
-        coeffs = {str(states.mode_index(k)): [float(re), float(im)] for k, re, im in doc}
+        coeffs = {}
+        for k, real, imag in doc:
+            m, c = states.mode_index(k), states.coefficient(real, imag)
+            coeffs[str(m)] = [c.real, c.imag]
         if not all(math.isfinite(x) for pair in coeffs.values() for x in pair):
             raise ValueError("coefficients must be finite")
     except (OSError, ValueError, TypeError) as exc:

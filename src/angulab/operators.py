@@ -46,21 +46,25 @@ Kets may carry leading axes that stack several kets on one band; every
 operator acts on each alike.  ``lift`` records the state a ket came from in
 its ``state`` slot, and the ket answers every relation's reads from its row
 of one stacked block per set of observables, kept in its memo dict: psi and
-A psi for each observable on their common band, then A B psi for every
-ordered pair, each filled by one action of the ket's class on the whole
-stack, and three contractions against the metric (a plain conj . x on the
-line) for the Gram matrix P = (A psi, B psi), the deviation Gram G = (dA
-psi, dB psi) from explicit deviation kets, and E = (psi, A B psi).  A
+A psi for each observable on their common band, filled by one action of the
+ket's class on the whole stack, and contractions against the metric (a
+plain conj . x on the line) for the Gram matrix P = (A psi, B psi) and the
+deviation Gram G = (dA psi, dB psi) from explicit deviation kets.  E = (psi,
+A B psi) needs no A B psi: psi's bra is pulled back through A, psi^* F_A,
+by a form F_A cached per band with (x, A y) = x^* F_A y for x on psi's band
+and y on that of the B psi rows, and contracted with the stack of B psi.  A
 Fourier ket acts through a band map: the images of its band's basis kets
 under every observable of the block, on their common band, built once per
 (depth, width, lo, observables) from ``apply`` itself and cached within a
-byte budget.  Its L_z slots are built at hbar = 1 and scaled in place, so no
-hbar enters the key, and one matmul acts on every row of a sphere ket.  A
-line ket's band never grows, so each action writes in place into one
-preallocated stack.  A relation reads its entries in one lookup: a pair read
-kept on the ket holds the means, standard deviations and cross term, and
-apart from them the mismatches, their largest modulus and the second-order
-products.  Reads among L_z, phi, sin phi and cos phi share one block; any
+byte budget; its forms are the metric times the map of the second images.
+A line ket's forms are the dense matrices of its observables.  Maps and
+forms hold L_z at hbar = 1, and hbar scales its slots and rows after each
+product, so no hbar enters a key; one matmul acts on every row of a sphere
+ket.  A line ket's band never grows, so each action writes in place into
+one preallocated stack.  A relation reads its entries in one lookup: a pair
+read kept on the ket holds the means, standard deviations and cross term,
+and apart from them the mismatches, their largest modulus and the
+second-order products.  Reads among L_z, phi, sin phi and cos phi share one block; any
 other read gets a block of its own observables, in order of tag, so every
 value depends on the ket and the observables read only.  A psi is a row of
 the block's stack and the pendulum energy comes from its second-order
@@ -633,7 +637,7 @@ class _BandMap:
         self.matrix.setflags(write=False)
         self.nbytes = self.matrix.nbytes
         first = len(images) - len(obs)
-        self._lz = [s for s, a in enumerate(obs, first) if a.fourier is None and a.tag == "Lz"]
+        self._lz = [first + k for k in _lz_slots(obs)]
 
     def act(self, x, hbar):
         """The images ``[..., slot, ket, band]`` of the kets ``x[..., ket,
@@ -645,9 +649,59 @@ class _BandMap:
         return out
 
 
-# One map per (depth, width, lo, observables, with_psi); 16 MiB holds both
-# maps of an l = 64 sphere block (9.4 MB).
+# One map per (depth, width, lo, observables, with_psi); a block keeps only
+# the map that leads with psi, and 16 MiB holds several of an l = 64 sphere
+# block (2.7 MB each).
 _band_map = specfun.BytesLRU(_BandMap, budget=2**24)
+
+
+@lru_cache(maxsize=256)
+def _lz_slots(obs):
+    """The positions of L_z among ``obs``: the slots that carry one hbar."""
+    return tuple(k for k, a in enumerate(obs) if a.fourier is None and a.tag == "Lz")
+
+
+def _fourier_form(depth, width, lo, obs):
+    """The forms F_k of ``obs`` on the band of ``depth`` and ``width`` at
+    ``lo``, at hbar = 1: (x, A_k y) = x^* F_k y for a row x on that band and
+    y on the common band of its A psi rows.  F_k is the metric of the first
+    band against the second images times the transpose of A_k's map onto
+    them; that map is built here and not kept."""
+    first = _band_map(depth, width, lo, obs, True)
+    top = _BandMap(first.depth, first.width, first.lo, obs, False)
+    metric = _metric(depth, width, top.depth, top.width, top.lo - lo)
+    out = metric @ top.matrix.swapaxes(-1, -2)  # (k, band, common band)
+    out.setflags(write=False)
+    return out
+
+
+def _line_form(dim, lam, obs):
+    """The forms F_k of ``obs`` on h_0..h_{dim-1} at scale ``lam`` and hbar
+    = 1: their matrices, (A_k c)_n = sum_m F_k[n, m] c_m, so (x, A_k y) = x^*
+    F_k y.  A multiplier is its cached matrix and L_z and phi are their two
+    ladder diagonals, sqrt(n/2) below and sign * sqrt((n+1)/2) above, so no
+    form costs dim^3; any other observable is its images of the basis kets."""
+    out = np.zeros((len(obs), dim, dim), dtype=complex)
+    i = np.arange(dim - 1)
+    for mat, a in zip(out, obs):
+        if a.fourier is not None:
+            mat[...] = _line_mult_matrix(dim, lam, a.fourier)
+        elif a.tag in ("Lz", "Phi"):
+            sign, scale = (-1.0, 1j * lam) if a.tag == "Lz" else (1.0, 1.0 / lam)
+            roots = scale * _ladder_roots(dim)
+            mat[i + 1, i] = roots
+            mat[i, i + 1] = sign * roots
+        else:
+            basis = np.eye(dim, dtype=complex)
+            LineKet(basis, lam, 1.0, 1.0, 1.0).fill(a, basis, mat.T)
+    out.setflags(write=False)
+    return out
+
+
+# The forms of one block per (builder, band, observables); 64 MiB holds those
+# of a line block at the band cap (four of 1,024 x 1,024) or many of an l = 64
+# sphere block (2.2 MB).
+_bra_form = specfun.BytesLRU(lambda make, *key: make(*key), budget=2**26)
 
 
 class _Batch:
@@ -680,14 +734,14 @@ class _Block:
     (X psi, Y psi).  The rest is computed on first use for every state at
     once: the deviation kets dA psi, explicit, from the unchecked real parts
     of the means, their Gram matrices, and the second-order products (psi, A
-    B psi), from one more action of the class on the stack of A psi, with
-    the mismatches.  Each contraction is a stacked ``np.matmul`` or linalg
-    call that keeps the gemm shape of a ket alone and sums over no state, so
-    a state's entries are the bits it gives alone.  A ket reads its own row
-    through a ``_Row``, which checks its means.  Each ket class has a
-    subclass that supplies the stack (``_fill``), the contraction on its
-    band (``_gram``), the second-order products (``_second``) and a row of
-    a stack as a ket (``ket``).
+    B psi), from psi's bra pulled back through A, with the mismatches.  Each
+    contraction is a stacked ``np.matmul`` or linalg call that keeps the
+    gemm shape of a ket alone and sums over no state, so a state's entries
+    are the bits it gives alone.  A ket reads its own row through a
+    ``_Row``, which checks its means.  Each ket class has a subclass that
+    supplies the stack (``_fill``), the contraction on its band (``_gram``),
+    the cached forms that pull a bra back through each observable
+    (``_form``) and a row of a stack as a ket (``ket``).
     """
 
     def __init__(self, coeffs, like, obs):
@@ -711,8 +765,17 @@ class _Block:
     def second(self):
         """(psi, A B psi), the mismatch (A psi, B psi) - (psi, A B psi), and
         the largest modulus of the 2 x 2 mismatches over (A, B), from one
-        ``np.abs``, per state and pair of observables."""
-        products = self._second()
+        ``np.abs``, per state and pair of observables.  (psi, A_k A_j psi)
+        = (psi^* F_k) . A_j psi, with psi's bra pulled back through A_k by
+        the class's cached form F_k at hbar = 1: one stacked product for the
+        bras, one for their contraction with the stack of A psi, and hbar
+        on the L_z rows after it."""
+        acted = self.stack[..., 1:, :, :]
+        bras = self._x.conj()[..., None, :, :] @ self._form()  # [..., k, row, band]
+        acted = acted.reshape(acted.shape[:-2] + (-1,))
+        products = bras.reshape(bras.shape[:-2] + (-1,)) @ acted.swapaxes(-1, -2)
+        for k in _lz_slots(self.obs):
+            products[..., k, :] *= self.like.hbar
         entries = self.p[..., 1:, 1:] - products
         mod = np.abs(entries)
         diag = mod.diagonal(axis1=-2, axis2=-1)
@@ -841,6 +904,10 @@ class _FourierBlock(_Block):
         self._map = _band_map(depth, width, like.lo, self.obs, True)
         return self._map.act(self._x, like.hbar)
 
+    def _form(self):
+        like = self.like
+        return _bra_form(_fourier_form, *like.coeffs.shape[-2:], like.lo, self.obs)
+
     def _gram(self, x, y):
         """(x_i, y_j) per state over the block's band: one metric matmul, one
         contraction."""
@@ -848,18 +915,6 @@ class _FourierBlock(_Block):
         metric = _metric(band.depth, band.width, band.depth, band.width, 0)
         my = y.reshape(y.shape[:-3] + (-1, metric.shape[0])) @ metric.T
         return x.reshape(x.shape[:-2] + (-1,)).conj() @ my.reshape(y.shape[:-2] + (-1,)).swapaxes(-1, -2)
-
-    def _second(self):
-        band, like = self._map, self.like
-        top = _band_map(band.depth, band.width, band.lo, self.obs, False)
-        acted = self.stack[..., 1:, :, :]
-        acted = acted.reshape(acted.shape[:-3] + (-1, acted.shape[-1]))
-        twice = top.act(acted, like.hbar)  # [..., k, (j, rows), band]: A_k A_j psi
-        depth, width = like.coeffs.shape[-2:]
-        metric = _metric(depth, width, top.depth, top.width, top.lo - like.lo)
-        bra = self._x.conj() @ metric
-        n = len(self.obs)
-        return (twice.reshape(twice.shape[:-3] + (n, n, -1)) @ bra.reshape(bra.shape[:-2] + (1, -1, 1)))[..., 0]
 
     def ket(self, row):
         band, like = self._map, self.like
@@ -885,13 +940,8 @@ class _LineBlock(_Block):
     def _gram(self, x, y):
         return x[..., 0, :].conj() @ y[..., 0, :].swapaxes(-1, -2)
 
-    def _second(self):
-        acted = self.stack[..., 1:, 0, :]
-        n = len(self.obs)
-        out = np.empty(acted.shape[:-2] + (n,) + acted.shape[-2:], dtype=complex)
-        for k, a in enumerate(self.obs):
-            self.like.fill(a, acted, out[..., k, :, :])  # [..., k, j]: A_k A_j psi
-        return (out @ self._x.conj().swapaxes(-1, -2)[..., None, :, :])[..., 0]
+    def _form(self):
+        return _bra_form(_line_form, self.stack.shape[-1], float(self.like.lam), self.obs)
 
     def ket(self, row):
         return self.like._like(row.reshape(-1))

@@ -112,15 +112,27 @@ def mode_index(k):
     return int(k)
 
 
+def _real(name, x):
+    """``x`` if it is a real number; ValueError for a boolean or a string,
+    which ``float`` and ``complex`` would accept."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    return x
+
+
 def real_parameter(name, x):
     """``x`` as the value of the positive real parameter ``name``; ValueError
     for a boolean or a string, which ``float`` would accept, and for a value
     that is not finite and > 0."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {x!r}")
-    if not (math.isfinite(x) and x > 0):
+    if not (math.isfinite(_real(name, x)) and x > 0):
         raise ValueError(f"{name} must be finite and > 0, got {x!r}")
     return float(x)
+
+
+def coefficient(re, im):
+    """re + i im as a state coefficient; ValueError unless both parts are
+    real numbers."""
+    return complex(_real("coefficient part", re), _real("coefficient part", im))
 
 
 def _normalized(coeffs):
@@ -275,7 +287,7 @@ def from_json(doc):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise ValueError(f"from_json: params must be a JSON object, got {type(params).__name__}")
-    coeffs = {mode_index(k): complex(re, im) for k, re, im in doc.get("coefficients", [])}
+    coeffs = {mode_index(k): coefficient(re, im) for k, re, im in doc.get("coefficients", [])}
     hbar = real_parameter("hbar", params.get("hbar", 1.0))
     truncation = params.get("truncation")
     truncation = None if truncation is None else mode_index(truncation)

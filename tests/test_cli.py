@@ -343,6 +343,10 @@ class TestInputContract:
                 "mode index must be an integer, got 1.5",
             ),
             (CUSTOM + (File(PERIODIC_PARAMS % "[1]"),), "params must be a JSON object, got list"),
+            (CUSTOM + (File(PERIODIC % "[[0, true, 0]]"),), "coefficient part must be a number, got True"),
+            (CUSTOM + (File(PERIODIC % '[[0, 1, "0"]]'),), "coefficient part must be a number, got '0'"),
+            (SPHERE_COEFFS + (File('[[0, "1", "0"]]'),), "coefficient part must be a number, got '1'"),
+            (SPHERE_COEFFS + (File("[[0, 1, false]]"),), "coefficient part must be a number, got False"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -509,12 +513,22 @@ class TestInputContract:
                 {"l": 1, "hbar": 1, "coefficients": {"1": [1]}},
                 "not enough values to unpack (expected 2, got 1)",
             ),
+            (
+                "sphere",
+                {"l": 1, "hbar": 1, "coefficients": {"0": [True, 0]}},
+                "coefficient part must be a number, got True",
+            ),
+            (
+                "sphere",
+                {"l": 1, "hbar": 1, "coefficients": {"0": [1, "0"]}},
+                "coefficient part must be a number, got '0'",
+            ),
         ],
         ids=[
             "scr-m", "qtp-n", "sphere-l", "sphere-m-bool",
             "truncation-fractional", "truncation-bool", "hbar-bool", "J-str",
             "scr-m-str", "truncation-str", "sphere-l-str", "coefficient-key-fractional",
-            "coefficient-short-pair",
+            "coefficient-short-pair", "coefficient-part-bool", "coefficient-part-str",
         ],
     )
     def test_fractional_index_in_config(self, tmp_path, family, params, out):
@@ -761,14 +775,15 @@ class TestSharedLifted:
         most 8 times: every relation reads the same ``A psi`` and pair
         products of one block.  Actions are ``apply`` calls, counted in
         every namespace that binds it, and line-stack fills; circle and
-        sphere kets are counted on an emptied band-map cache, where each map
-        is built from one ``apply`` per observable."""
+        sphere kets are counted on emptied band-map and form caches, where
+        each map is built from one ``apply`` per observable."""
         from angulab import cli, operators
 
         names = [name for name in cli.RELATIONS if name != "commutator"]
         assert len(names) == 13
         for label, state in self._states().items():
             operators._band_map.cache_clear()
+            operators._bra_form.cache_clear()
             actions.clear()
             cli._evaluate_state(state, names, False, None)
             assert 0 < len(actions) <= 8, (label, len(actions))

@@ -149,6 +149,28 @@ class TestQuadInner:
         with pytest.raises(ValueError):
             quad_inner(np.ones(shape), np.ones(shape), g)
 
+    @pytest.mark.parametrize("n_phi", [1024, 4096, 8192])
+    @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 8, 12])
+    def test_sphere_gram_on_float_view_is_bit_identical(self, l, n_phi):
+        """The real theta Gram applied to the float view of complex samples
+        gives the bytes of the complex product ``G @ g``, so the sphere
+        ``quad_inner`` gives those of its plain expression; a real g takes
+        the plain product."""
+        grid = sphere_grid(64, n_phi)
+        gram = oracle.theta_gram(l, 64)
+        rng = np.random.default_rng(1000 * l + n_phi)
+        f, g = (
+            rng.standard_normal((2 * l + 1, n_phi)) + 1j * rng.standard_normal((2 * l + 1, n_phi))
+            for _ in range(2)
+        )
+        product = (gram @ g.view(float)).view(complex)
+        assert np.array_equal(product.view(np.uint8), (gram @ g).view(np.uint8))
+        h = grid.phi_grid.spacing
+        for a, b in ((f, g), (f, g.real.copy()), (g.real.copy(), f)):
+            want = np.array([complex(h * np.vdot(a, gram @ b))])
+            got = np.array([quad_inner(a, b, grid)])
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+
 
 def _four_term_derivative(samples, grid):
     """Reference: the four-term interior expression with full-array temporaries."""

@@ -314,22 +314,122 @@ def test_line_fill_equals_apply_on_every_basis_ket(n, hbar, inertia, frequency, 
             assert np.array_equal(images[b], operators.apply(a, ket._like(row)).coeffs), (b, a)
 
 
+# -- second-order products from the pulled-back bra ---------------------------
+#
+# A block reads (psi, A B psi) as (K_A^T psi^*) . B psi, with K_A the cached
+# form of A pulled back onto psi's bra, not as the inner product of psi with
+# A applied to B psi.  The two associate the sums differently, so they agree
+# to rounding of the terms they are made of.
+
+
+def _summed_moduli(x, y):
+    """sum |x_i| |M_ij| |y_j| over the terms of ``x.inner(y)``, with M the
+    metric of the two bands (the identity on the line)."""
+    if isinstance(x, operators.LineKet):
+        return float(np.abs(x.coeffs) @ np.abs(y.coeffs))
+    a, b = x.coeffs, y.coeffs
+    rows, da, wa = a.shape
+    _, db, wb = b.shape
+    metric = np.abs(operators._metric(da, wa, db, wb, y.lo - x.lo))
+    return float(np.sum((np.abs(a).reshape(rows, -1) @ metric) * np.abs(b).reshape(rows, -1)))
+
+
+def _term_moduli(x, a, y):
+    """The summed moduli of the terms of (x, A y) written out over the basis
+    kets e_b of y's band, sum |x_i| |M_ic| |(A e_b)_c| |y_b|, with M the
+    metric (the identity on the line): both ways of reading (psi, A B psi)
+    sum these terms, in different orders."""
+    size = y.coeffs.shape[-2:]
+    if isinstance(x, operators.LineKet):
+        basis = np.eye(y.coeffs.size, dtype=complex)
+        images = y.fill(a, basis, np.empty_like(basis))  # row b: A e_b
+        return float(np.abs(y.coeffs) @ np.abs(images) @ np.abs(x.coeffs))
+    rows, depth, width = x.coeffs.shape
+    images = operators._BandMap(*size, y.lo, (a,), False)  # built here, not cached
+    metric = operators._metric(depth, width, images.depth, images.width, images.lo - x.lo)
+    acted = np.abs(images.act(np.eye(size[0] * size[1], dtype=complex), y.hbar)[0])
+    bra = np.abs(x.coeffs).reshape(rows, -1) @ np.abs(metric)
+    return float(np.sum(bra * (np.abs(y.coeffs).reshape(rows, -1) @ acted)))
+
+
+def _fourier_ket(rng, depth, width, lo, hbar, l=None):
+    """A unit ket of random coefficients on a band of ``depth`` and
+    ``width`` at ``lo``, with 2l + 1 rows for a sphere band."""
+    shape = (1 if l is None else 2 * l + 1, depth, width)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return operators.FourierKet(c / np.linalg.norm(c), lo, hbar, l)
+
+
+@st.composite
+def block_kets(draw):
+    """A circle ket of depth 1..3 and width 1..129, a sphere ket of depth
+    1..3 with l <= 12, or a lifted line ket with J = 0.01 or J drawn."""
+    kind = draw(st.sampled_from(("circle", "sphere", "line")))
+    rng = np.random.default_rng(draw(SEEDS))
+    hbar = draw(HBARS)
+    if kind == "line":
+        inertia, frequency = draw(st.one_of(st.just(0.01), LINE_CONSTANTS)), draw(LINE_CONSTANTS)
+        try:
+            state = states.random_oscillator(rng, inertia=inertia, frequency=frequency, hbar=hbar)
+        except ValueError:  # lam past the band cap
+            assume(False)
+        return operators.lift(state)
+    depth = draw(st.integers(1, 3))
+    if kind == "circle":
+        return _fourier_ket(rng, depth, draw(st.integers(1, 129)), draw(st.integers(-64, 64)), hbar)
+    l = draw(st.integers(0, 12))
+    return _fourier_ket(rng, depth, 2 * l + 1, -l, hbar, l)
+
+
+READ_PAIRS = st.lists(st.tuples(st.sampled_from(FOURIER_OBS), st.sampled_from(FOURIER_OBS)), min_size=1, max_size=6)
+J_001 = states.random_oscillator(np.random.default_rng(7), inertia=0.01)
+
+
+@PROPERTY
+@given(block_kets(), READ_PAIRS)
+@example(_fourier_ket(np.random.default_rng(1), 3, 129, -64, 1.7), [(LZ, PHI), (COS_PHI, LZ)])
+@example(_fourier_ket(np.random.default_rng(2), 3, 25, -12, 0.4, 12), [(PHI2, ONE_SIDED), (LZ, LZ)])
+@example(operators.lift(J_001), [(LZ, SIN_PHI), (PHI, LZ), (PHI2, ONE_SIDED), (COS_PHI, COS_PHI)])
+def test_second_order_reads_equal_composed_apply(ket, pairs):
+    """expect2 and mismatch of every read pair, in the paper's block or a
+    block of its own (phi^2, a one-sided multiplier), equal the inner
+    products of composed ``apply`` calls within rel 1e-12 of the summed
+    moduli of their terms.  Where the band drops most of A B psi, (psi, A B
+    psi) is rounding noise on both sides, so the terms are taken before A
+    acts: the moduli of psi, the metric, A and B psi."""
+    for a, b in pairs:
+        acted_a, acted_b = operators.apply(a, ket), operators.apply(b, ket)
+        second = operators.apply(a, acted_b)
+        expect2, scale = ket.inner(second), _term_moduli(ket, a, acted_b)
+        assert _close(ket.expect2(a, b), expect2, scale), ("expect2", a.tag, b.tag)
+        mismatch = acted_a.inner(acted_b) - expect2
+        scale += _summed_moduli(acted_a, acted_b)
+        assert _close(ket.mismatch(a, b), mismatch, scale), ("mismatch", a.tag, b.tag)
+
+
 @settings(max_examples=10, deadline=None)
 @given(st.lists(HBARS, min_size=20, max_size=20), SEEDS)
 def test_band_maps_hold_no_hbar(hbars, seed):
-    """States that differ only in hbar share their band maps: over 20 drawn
-    hbar values the map cache gains no entry after the first, and it stays
-    within its byte budget."""
-    cache = operators._band_map
+    """States that differ only in hbar share their band maps and pulled-back
+    forms: over 20 drawn hbar values neither cache gains an entry after the
+    first, and each stays within its byte budget.  On the line, where lam =
+    sqrt(J omega / hbar), J scales with hbar to keep the band.  The map cache
+    keeps only maps that lead with psi; the map onto the second images is
+    built for a form and not kept."""
+    caches = operators._band_map, operators._bra_form
+    operators._band_map.cache_clear()
 
     def read(hbar):
         for state in (
             states.random_periodic(np.random.default_rng(seed), hbar=hbar),
             states.random_sphere(np.random.default_rng(seed), 3, hbar=hbar),
+            states.random_oscillator(np.random.default_rng(seed), inertia=hbar, hbar=hbar),
         ):
             operators.lift(state).mismatch(LZ, PHI)
-        assert cache.nbytes <= cache.budget
-        return set(cache.keys())
+        for cache in caches:
+            assert cache.nbytes <= cache.budget
+        assert all(with_psi for *_, with_psi in operators._band_map.keys())
+        return [set(cache.keys()) for cache in caches]
 
     keys = read(hbars[0])
     for hbar in hbars[1:]:

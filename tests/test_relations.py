@@ -331,14 +331,18 @@ class TestSharedKet:
 
     def test_apply_calls_per_ket(self, actions):
         """The 12 pair-sweep calls on one ket act at most 8 times: A psi for
-        the 4 observables, then each of them once on the stack of A psi,
-        which gives A B psi for all 16 ordered pairs.  A line ket fills its
-        stacks in place.  A circle or sphere ket acts through band maps, each
-        built from one ``apply`` per observable on a stack of basis kets, so
-        it is counted on an emptied map cache; once the maps are built, a
-        new ket on the same band does not act through ``apply`` at all."""
+        the 4 observables, and (psi, A B psi) for all 16 ordered pairs from
+        psi's bra pulled back through each A by a cached form, with no A B
+        psi formed.  A line ket fills its stack in place, and its forms are
+        its observables' matrices, built without an action.  A circle or
+        sphere ket acts through a band map, and its forms come from one more
+        map; each map is built from one ``apply`` per observable on a stack
+        of basis kets, so it is counted on emptied map and form caches; once
+        they are built, a new ket on the same band does not act through
+        ``apply`` at all."""
         for label, state in self._states().items():
             operators._band_map.cache_clear()
+            operators._bra_form.cache_clear()
             ket = lift(state)
             actions.clear()
             for a, b in self.PAIRS:
