@@ -431,6 +431,7 @@ def build_parser():
     sc.add_argument("--l", type=int, default=None, help="orbital number")
     sc.add_argument("--coeffs", help="state coefficient file (JSON)")
     _add_common(sc)
+    sc.set_defaults(hbar=None, J=None, omega=None)  # a flag given is told from none
 
     sw = subs.add_parser("sweep", help="run relations across a parameter range or random states")
     sw.add_argument("family", choices=FAMILIES)
@@ -449,8 +450,23 @@ def build_parser():
     return parser
 
 
+# The state flags each scenario family reads; any other, and any with
+# --config, is rejected rather than ignored.
+_FAMILY_FLAGS = {
+    "scr": ("m", "hbar"), "qtp": ("n", "hbar", "J", "omega"),
+    "sphere": ("m", "l", "coeffs", "hbar"), "custom": ("coeffs",),
+}
+
+
 def _config_from_args(args):
-    if getattr(args, "config", None):
+    verb = "scenario --config" if args.config else f"scenario {args.family}"
+    if args.config and args.family:
+        raise ConfigError(f"{verb} takes no family: the config names it")
+    reads = () if args.config else _FAMILY_FLAGS.get(args.family, ())
+    for name in ("m", "n", "l", "coeffs", "hbar", "J", "omega"):
+        if getattr(args, name) is not None and name not in reads:
+            raise ConfigError(f"{verb} does not take --{name}")
+    if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -462,18 +478,20 @@ def _config_from_args(args):
         return config
     if args.family is None:
         raise ConfigError("scenario needs a family or --config")
-    params = {"hbar": args.hbar}
+    params = {"hbar": 1.0 if args.hbar is None else args.hbar}
     if args.family == "scr":
         params["m"] = _index(args.m, "--m")
     elif args.family == "qtp":
         params["n"] = _index(args.n, "--n")
-        params["J"] = args.J
-        params["omega"] = args.omega
+        params["J"] = 1.0 if args.J is None else args.J
+        params["omega"] = 1.0 if args.omega is None else args.omega
     elif args.family == "sphere":
         if args.l is None:
             raise ConfigError("sphere scenarios need --l")
         params["l"] = args.l
         if args.coeffs:
+            if args.m is not None:
+                raise ConfigError(f"{verb} takes --m or --coeffs, not both")
             params["coefficients"] = _read_coeff_file(args.coeffs)
         else:
             params["m"] = _index(args.m, "--m")

@@ -25,7 +25,8 @@ and multiplication by e^{i k phi}, phi = xi / lam, is the displacement
 D(i k / (lam sqrt 2)), whose matrix elements come from a stable Laguerre
 recurrence (``specfun.displacement_matrix``).  A line ket holds the band
 ``states.line_band`` sizes from its top index and lam, so that the images
-under sin phi and cos phi lose less than eps outside it.
+under sin phi and cos phi lose less than eps outside it; a multiplier mode
+beyond +-1 would lose more, so it raises.
 
 Circle and sphere kets share one type with a leading row axis: one row on
 the circle, one per polar function theta_lm (m = -l..l) on the sphere at
@@ -45,31 +46,25 @@ difference j - i, never on an absolute mode.
 Kets may carry leading axes that stack several kets on one band; every
 operator acts on each alike.  ``lift`` records the state a ket came from in
 its ``state`` slot, and the ket answers every relation's reads from its row
-of one stacked block per set of observables, kept in its memo dict: psi and
-A psi for each observable on their common band, filled by one action of the
-ket's class on the whole stack, and contractions against the metric (a
-plain conj . x on the line) for the Gram matrix P = (A psi, B psi) and the
-deviation Gram G = (dA psi, dB psi) from explicit deviation kets.  E = (psi,
-A B psi) needs no A B psi: psi's bra is pulled back through A, psi^* F_A,
-by a form F_A cached per band with (x, A y) = x^* F_A y for x on psi's band
-and y on that of the B psi rows, and contracted with the stack of B psi.  A
-Fourier ket acts through a band map: the images of its band's basis kets
-under every observable of the block, on their common band, built once per
-(depth, width, lo, observables) from ``apply`` itself and cached within a
-byte budget; its forms are the metric times the map of the second images.
-A line ket's forms are the dense matrices of its observables.  Maps and
-forms hold L_z at hbar = 1, and hbar scales its slots and rows after each
-product, so no hbar enters a key; one matmul acts on every row of a sphere
-ket.  A line ket's band never grows, so each action writes in place into
-one preallocated stack.  A relation reads its entries in one lookup: a pair
-read kept on the ket holds the means, standard deviations and cross term,
-and apart from them the mismatches, their largest modulus and the
-second-order products.  Reads among L_z, phi, sin phi and cos phi share one block; any
-other read gets a block of its own observables, in order of tag, so every
-value depends on the ket and the observables read only.  A psi is a row of
-the block's stack and the pendulum energy comes from its second-order
-products, so the paper's relations need no other block.  Ket coefficients
-are read-only so that the memo cannot go stale.
+of one stacked block per set of observables, kept in its memo dict.  One
+block class serves both ket classes.  Its stack holds psi and A psi on
+their common band, from one matmul through a band map, the images of the
+band's basis kets under the observables, cached per ket class, band and
+observables: built by ``apply`` on a Fourier band, and the observables'
+matrices on a line band, which never grows.  P = (A psi, B psi) and G =
+(dA psi, dB psi) are contractions against the band's metric (the identity
+on the line).  E = (psi, A B psi) needs no A B psi: psi's bra is pulled
+back through A by a form F_A, (x, A y) = x^* F_A y, the metric times the
+transposed map of the second images (a view of the block's own map on the
+line), and contracted with the stack of B psi.  Maps and forms hold L_z at
+hbar = 1, and hbar scales its slots and rows after each product, so no hbar
+enters a key.  A relation reads its entries in one lookup: a pair read kept
+on the ket holds the means, standard deviations and cross term, and apart
+from them the mismatches, their largest modulus and the second-order
+products.  Reads among L_z, phi, sin phi and cos phi share one block, which
+also gives the pendulum energy; any other read gets a block of its own
+observables, in order of tag, so every value depends on the ket and the
+observables read only.  Ket coefficients are read-only.
 
 A block serves a batch of kets.  ``lift_all`` stacks the kets of a sweep
 that share a class, band and parameters (lo, depth, width, l and hbar on
@@ -267,6 +262,14 @@ class Ket:
         self.state = None
         self.batch = None
 
+    def _batch_key(self):
+        """What kets must share to be stacked in one batch: class, shape and
+        every parameter."""
+        return (type(self), self.coeffs.shape) + tuple(getattr(self, k) for k in self.__slots__)
+
+    def scaled(self, z):
+        return self._like(z * self.coeffs)
+
     def acted(self, a):
         """A psi, a row of the block's stack."""
         row, (i,) = self._block(a)
@@ -347,13 +350,6 @@ class FourierKet(Ket):
     def _like(self, coeffs, lo=None):
         return FourierKet(coeffs, self.lo if lo is None else lo, self.hbar, self.l)
 
-    def _batch_key(self):
-        """What kets must share to be stacked in one batch."""
-        return FourierKet, self.coeffs.shape, self.lo, self.hbar, self.l
-
-    def scaled(self, z):
-        return self._like(z * self.coeffs)
-
     def plus(self, other):
         _check_space(self, other)
         a, b = self.coeffs, other.coeffs
@@ -402,6 +398,40 @@ class FourierKet(Ket):
     def norm(self):
         return float(np.sqrt(max(self.inner(self).real, 0.0)))
 
+    @property
+    def band(self):
+        """(depth, width, lo), what this ket's band map depends on."""
+        return self.coeffs.shape[-2:] + (self.lo,)
+
+    @staticmethod
+    def images(band, obs):
+        """The common band of ``band`` and its basis kets' images under
+        ``obs`` at hbar = 1, one ``apply`` each, the positions of the basis
+        kets on it, and the images on it, [observable, basis ket, (d, i)]."""
+        depth, width, lo = band
+        size = depth * width
+        basis = FourierKet(np.eye(size, dtype=complex).reshape(size, 1, depth, width), lo, 1.0)
+        images = [basis] + [apply(a, basis) for a in obs]
+        lo = min(ket.lo for ket in images)
+        width = max(ket.lo + ket.coeffs.shape[-1] for ket in images) - lo
+        depth = max(ket.coeffs.shape[-2] for ket in images)
+        out = np.zeros((len(images), size, depth, width), dtype=complex)
+        for slot, ket in zip(out, images):
+            c = ket.coeffs[:, 0]  # (basis ket, depth, width)
+            off = ket.lo - lo
+            slot[:, : c.shape[1], off : off + c.shape[2]] = c
+        psi = np.flatnonzero(out[0].any(0))  # where the basis kets sit
+        return (depth, width, lo), psi, out[1:].reshape(len(obs), size, -1)
+
+    @staticmethod
+    def metric(band, other):
+        """The Gram matrix of ``band``'s basis kets against ``other``'s."""
+        return _metric(*band[:2], *other[:2], other[2] - band[2])
+
+    def from_row(self, row, band):
+        """A ket with this ket's parameters from coefficients on ``band``."""
+        return self._like(row.reshape((-1,) + band[:2]), band[2])
+
 
 def _space_error(x, y):
     return ValueError(
@@ -437,43 +467,16 @@ class LineKet(Ket):
     def _like(self, coeffs):
         return LineKet(coeffs, self.lam, self.hbar, self.inertia, self.frequency)
 
-    def _batch_key(self):
-        """What kets must share to be stacked in one batch."""
-        return LineKet, self.coeffs.shape, self.lam, self.hbar, self.inertia, self.frequency
-
-    def scaled(self, z):
-        return self._like(z * self.coeffs)
-
     def plus(self, other):
         a, b = _align_line(self, other)
         return self._like(a + b)
 
-    def fill(self, obs, c, out):
-        """Write A c into ``out`` for coefficients ``c`` on this ket's band.
-
-        L_z, phi and trigonometric multiplication write in place; any other
-        observable acts through ``apply``.  The band never grows, so ``c``
-        may be any stack of kets and ``out`` any array of its shape.
-        """
-        if obs.fourier is not None:
-            mat = _line_mult_matrix(c.shape[-1], float(self.lam), obs.fourier)
-            np.matmul(c, mat.T, out=out)
-        elif obs.tag == "Lz":
-            # -i hbar lam d/dxi; the derivative matrix is minus the odd ladder
-            _ladder(c, -1.0, out)
-            out *= 1j * self.hbar * self.lam
-        elif obs.tag == "Phi":
-            _ladder(c, +1.0, out)
-            out /= self.lam
-        else:
-            out[...] = apply(obs, self._like(c)).coeffs
-        return out
-
     def lz(self):
-        return self._like(self.fill(LZ, self.coeffs, np.empty_like(self.coeffs)))
+        # hbar last, as the band map scales its L_z slot
+        return self._like(self.hbar * _ladder(self.coeffs, "Lz", float(self.lam)))
 
     def mul_phi(self):
-        return self._like(self.fill(PHI, self.coeffs, np.empty_like(self.coeffs)))
+        return self._like(_ladder(self.coeffs, "Phi", float(self.lam)))
 
     def mul_trig(self, fourier):
         mat = _line_mult_matrix(self.coeffs.shape[-1], float(self.lam), fourier)
@@ -486,21 +489,55 @@ class LineKet(Ket):
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
+    @property
+    def band(self):
+        """(dim, lam), what this ket's band map depends on."""
+        return self.coeffs.shape[-1], float(self.lam)
 
-@lru_cache(maxsize=None)
-def _ladder_roots(dim, sign=1.0):
-    """sign * sqrt(n/2) for n = 1 .. dim - 1, the weights of both Hermite ladders."""
-    out = sign * np.sqrt(np.arange(1, dim) / 2.0)
-    out.setflags(write=False)
-    return out
+    @staticmethod
+    def images(band, obs):
+        """``band``, which never grows, the positions of its basis kets (all),
+        and their images under ``obs`` at hbar = 1, with no product: a
+        multiplier's transposed matrix, the two diagonals of L_z and phi, and
+        ``apply`` for any other observable."""
+        dim, lam = band
+        out = np.zeros((len(obs), dim, dim), dtype=complex)
+        i = np.arange(dim - 1)
+        for mat, a in zip(out, obs):
+            if a.fourier is not None:
+                mat[...] = _line_mult_matrix(dim, lam, a.fourier).T
+            elif a.tag in ("Lz", "Phi"):
+                mat[i, i + 1], mat[i + 1, i] = _ladder_diagonals(dim, a.tag, lam)
+            else:
+                mat[...] = apply(a, LineKet(np.eye(dim, dtype=complex), lam, 1.0, 1.0, 1.0)).coeffs
+        return band, slice(None), out
+
+    metric = staticmethod(lambda band, other: None)  # the Hermite functions are orthonormal
+
+    def from_row(self, row, band):
+        return self._like(row.reshape(-1))
 
 
-def _ladder(c, sign, out):
-    """out_n = sqrt(n/2) c_{n-1} + sign * sqrt((n+1)/2) c_{n+1}, in place."""
-    dim = c.shape[-1]
+def _ladder_diagonals(dim, tag, lam):
+    """The diagonals below and above the main one of L_z at hbar = 1 (tag
+    "Lz") or phi on h_0..h_{dim-1}: i lam times sqrt(n/2) and -sqrt(n/2),
+    as -i lam d/dxi, the derivative matrix being minus the odd ladder; or
+    sqrt(n/2) over lam on both."""
+    roots = np.sqrt(np.arange(1, dim) / 2.0) + 0j
+    if tag == "Lz":
+        return roots * (1j * lam), roots * (-1j * lam)
+    return roots / lam, roots / lam
+
+
+def _ladder(c, tag, lam):
+    """L_z at hbar = 1 or phi on line coefficients ``c``, from the two
+    diagonals: out_n = below_{n-1} c_{n-1} + above_n c_{n+1}."""
+    below, above = _ladder_diagonals(c.shape[-1], tag, lam)
+    out = np.empty(c.shape, dtype=complex)
     out[..., 0] = 0.0
-    np.multiply(_ladder_roots(dim), c[..., :-1], out=out[..., 1:])
-    out[..., :-1] += _ladder_roots(dim, sign) * c[..., 1:]
+    np.multiply(below, c[..., :-1], out=out[..., 1:])
+    out[..., :-1] += above * c[..., 1:]
+    return out
 
 
 def _align_line(x, y):
@@ -521,9 +558,12 @@ def _pad_line(c, size):
 
 def _trig_matrix(dim, lam, fourier):
     """Matrix of f(phi) = sum_k f_k e^{i k phi} on h_0..h_{dim-1}, phi = xi/lam:
-    e^{i k xi / lam} is the displacement D(i k / (lam sqrt 2))."""
+    e^{i k xi / lam} is the displacement D(i k / (lam sqrt 2)).  A line band
+    holds the images of modes -1..1 only; any other raises."""
     out = np.zeros((dim, dim), dtype=complex)
     for k, coef in fourier:
+        if abs(k) > 1:
+            raise UnsupportedObservable(f"multiplier mode {k}: a line band holds modes -1..1 only")
         out += coef * specfun.displacement_matrix(1j * k / (lam * math.sqrt(2.0)), dim)
     out.setflags(write=False)
     return out
@@ -613,46 +653,39 @@ _PAPER = (LZ, PHI, SIN_PHI, COS_PHI)
 
 
 class _BandMap:
-    """The images of one band's basis kets under a tuple of slots, on their
-    common band: ``matrix[s, b, (d, i)]`` is coefficient (d, i) of slot s
-    acting on basis ket b.  A slot is an observable, or psi itself (the
-    identity) when the map leads with it.  L_z slots are built at hbar = 1
-    and scaled in place by ``act``, so no hbar enters the key."""
+    """The images of one band's basis kets under a tuple of observables, for
+    either ket class: ``matrix[k, b, :]`` is observable k acting on basis
+    ket b on the common band ``band``, where the basis kets sit at ``psi``,
+    as the class's ``images`` writes it.  L_z is built at hbar = 1 and
+    scaled in place by ``act``, so no hbar enters the key."""
 
-    __slots__ = ("matrix", "lo", "depth", "width", "_lz", "nbytes")
+    __slots__ = ("matrix", "band", "psi", "_lz", "nbytes")
 
-    def __init__(self, depth, width, lo, obs, with_psi):
-        size = depth * width
-        basis = FourierKet(np.eye(size, dtype=complex).reshape(size, 1, depth, width), lo, 1.0)
-        images = ([basis] if with_psi else []) + [apply(a, basis) for a in obs]
-        self.lo = min(ket.lo for ket in images)
-        self.width = max(ket.lo + ket.coeffs.shape[-1] for ket in images) - self.lo
-        self.depth = max(ket.coeffs.shape[-2] for ket in images)
-        out = np.zeros((len(images), size, self.depth, self.width), dtype=complex)
-        for slot, ket in zip(out, images):
-            c = ket.coeffs[:, 0]  # (basis ket, depth, width)
-            off = ket.lo - self.lo
-            slot[:, : c.shape[1], off : off + c.shape[2]] = c
-        self.matrix = out.reshape(len(images), size, -1)
+    def __init__(self, cls, band, obs):
+        self.band, self.psi, self.matrix = cls.images(band, obs)
         self.matrix.setflags(write=False)
         self.nbytes = self.matrix.nbytes
-        first = len(images) - len(obs)
-        self._lz = [first + k for k in _lz_slots(obs)]
+        self._lz = [1 + k for k in _lz_slots(obs)]
 
     def act(self, x, hbar):
-        """The images ``[..., slot, ket, band]`` of the kets ``x[..., ket,
-        band]`` at ``hbar``: one matmul per leading index and slot, each of
-        the gemm shape of ``x[..., ket, band]`` alone."""
-        out = np.matmul(x[..., None, :, :], self.matrix)
+        """The kets ``x[..., ket, band]`` and their images at ``hbar``, as
+        ``[..., slot, ket, common band]``: slot 0 is x placed on the common
+        band, then one matmul per leading index and observable, each of the
+        gemm shape of ``x[..., ket, band]`` alone."""
+        slots = 1 + len(self.matrix), x.shape[-2], self.matrix.shape[-1]
+        out = np.zeros(x.shape[:-2] + slots, dtype=complex)
+        psi = out[..., 0, :, :]
+        psi[..., self.psi] = x
+        np.matmul(x[..., None, :, :], self.matrix, out=out[..., 1:, :, :])
         for s in self._lz:
             out[..., s, :, :] *= hbar
         return out
 
 
-# One map per (depth, width, lo, observables, with_psi); a block keeps only
-# the map that leads with psi, and 16 MiB holds several of an l = 64 sphere
-# block (2.7 MB each).
-_band_map = specfun.BytesLRU(_BandMap, budget=2**24)
+# One map per (ket class, band, observables): a block's own.  64 MiB holds a
+# line block's map at the 1,024-row band cap (four observables of 16 MiB) or
+# many of an l = 64 sphere block (2.2 MB).
+_band_map = specfun.BytesLRU(_BandMap, budget=2**26)
 
 
 @lru_cache(maxsize=256)
@@ -661,47 +694,27 @@ def _lz_slots(obs):
     return tuple(k for k, a in enumerate(obs) if a.fourier is None and a.tag == "Lz")
 
 
-def _fourier_form(depth, width, lo, obs):
-    """The forms F_k of ``obs`` on the band of ``depth`` and ``width`` at
-    ``lo``, at hbar = 1: (x, A_k y) = x^* F_k y for a row x on that band and
-    y on the common band of its A psi rows.  F_k is the metric of the first
-    band against the second images times the transpose of A_k's map onto
-    them; that map is built here and not kept."""
-    first = _band_map(depth, width, lo, obs, True)
-    top = _BandMap(first.depth, first.width, first.lo, obs, False)
-    metric = _metric(depth, width, top.depth, top.width, top.lo - lo)
-    out = metric @ top.matrix.swapaxes(-1, -2)  # (k, band, common band)
+def _forms(cls, band, obs):
+    """The forms F_k of ``obs`` on ``band`` of ket class ``cls`` at hbar = 1,
+    (x, A_k y) = x^* F_k y for x on that band and y on the band of its A psi
+    rows: the metric of the two bands times the transposed map of A_k onto
+    the second images.  Where the band does not grow, that map is the
+    block's own one, else it is built here and not kept; with no metric
+    (the line), F_k is a view of it."""
+    first = _band_map(cls, band, obs)
+    second = first if first.band == band else _BandMap(cls, first.band, obs)
+    forms = second.matrix.swapaxes(-1, -2)
+    metric = cls.metric(band, second.band)
+    if metric is None:
+        return forms
+    out = metric @ forms  # (k, band, common band)
     out.setflags(write=False)
     return out
 
 
-def _line_form(dim, lam, obs):
-    """The forms F_k of ``obs`` on h_0..h_{dim-1} at scale ``lam`` and hbar
-    = 1: their matrices, (A_k c)_n = sum_m F_k[n, m] c_m, so (x, A_k y) = x^*
-    F_k y.  A multiplier is its cached matrix and L_z and phi are their two
-    ladder diagonals, sqrt(n/2) below and sign * sqrt((n+1)/2) above, so no
-    form costs dim^3; any other observable is its images of the basis kets."""
-    out = np.zeros((len(obs), dim, dim), dtype=complex)
-    i = np.arange(dim - 1)
-    for mat, a in zip(out, obs):
-        if a.fourier is not None:
-            mat[...] = _line_mult_matrix(dim, lam, a.fourier)
-        elif a.tag in ("Lz", "Phi"):
-            sign, scale = (-1.0, 1j * lam) if a.tag == "Lz" else (1.0, 1.0 / lam)
-            roots = scale * _ladder_roots(dim)
-            mat[i + 1, i] = roots
-            mat[i, i + 1] = sign * roots
-        else:
-            basis = np.eye(dim, dtype=complex)
-            LineKet(basis, lam, 1.0, 1.0, 1.0).fill(a, basis, mat.T)
-    out.setflags(write=False)
-    return out
-
-
-# The forms of one block per (builder, band, observables); 64 MiB holds those
-# of a line block at the band cap (four of 1,024 x 1,024) or many of an l = 64
-# sphere block (2.2 MB).
-_bra_form = specfun.BytesLRU(lambda make, *key: make(*key), budget=2**26)
+# The forms with a metric, per (ket class, band, observables): none of the
+# line's.  16 MiB holds many of an l = 64 sphere block (2.2 MB).
+_bra_form = specfun.BytesLRU(_forms, budget=2**24)
 
 
 class _Batch:
@@ -720,35 +733,47 @@ class _Batch:
     def block(self, obs):
         block = self.blocks.get(obs)
         if block is None:
-            block = self.blocks[obs] = _BLOCKS[type(self.like)](self.coeffs, self.like, obs)
+            block = self.blocks[obs] = _Block(self.coeffs, self.like, obs)
         return block
 
 
 class _Block:
-    """psi and A psi for the observables ``obs`` of a batch of kets on one
-    band; every array leads with the batch's axes (``...``).
+    """psi and A psi for the observables ``obs`` of a batch of kets of
+    either class on one band; every array leads with the batch's axes.
 
     ``stack[..., s, r, :]`` holds row r of psi (slot 0), then of A psi for
-    each observable in order (a line ket has one row), filled by one action
-    of the kets' class on the whole stack, and ``p`` their Gram matrices
-    (X psi, Y psi).  The rest is computed on first use for every state at
-    once: the deviation kets dA psi, explicit, from the unchecked real parts
-    of the means, their Gram matrices, and the second-order products (psi, A
-    B psi), from psi's bra pulled back through A, with the mismatches.  Each
-    contraction is a stacked ``np.matmul`` or linalg call that keeps the
-    gemm shape of a ket alone and sums over no state, so a state's entries
-    are the bits it gives alone.  A ket reads its own row through a
-    ``_Row``, which checks its means.  Each ket class has a subclass that
-    supplies the stack (``_fill``), the contraction on its band (``_gram``),
-    the cached forms that pull a bra back through each observable
-    (``_form``) and a row of a stack as a ket (``ket``).
+    each observable in order, from the kets' band map, and ``p`` their Gram
+    matrices (X psi, Y psi).  The rest is computed on first use for every
+    state at once: the deviation kets dA psi, explicit, from the unchecked
+    real parts of the means, their Gram matrices, and the second-order
+    products (psi, A B psi) with the mismatches.  Each contraction is a
+    stacked ``np.matmul`` or linalg call that keeps the gemm shape of a ket
+    alone and sums over no state, so a state's entries are the bits it
+    gives alone.  A ket reads its own row through a ``_Row``, which checks
+    its means.  The ket class supplies its ``band``, the ``images`` of the
+    band's basis kets, its ``metric`` and a row as a ket (``from_row``).
     """
 
     def __init__(self, coeffs, like, obs):
         self.like, self.obs = like, obs
-        self.stack = self._fill(coeffs)
+        self._map = _band_map(type(like), like.band, obs)
+        lead = coeffs.shape[: coeffs.ndim - like.coeffs.ndim]
+        self._x = coeffs.reshape(lead + (-1, self._map.matrix.shape[1]))  # (..., rows, band)
+        self.stack = self._map.act(self._x, like.hbar)
+        self._metric = like.metric(self._map.band, self._map.band)
         self.p = self._gram(self.stack, self.stack)
         self.linalg = {}
+
+    def _gram(self, x, y):
+        """(x_i, y_j) per state over the block's common band: one metric
+        matmul (none on the line), one contraction."""
+        lead, metric = y.shape[:-2], self._metric
+        if metric is not None:
+            y = y.reshape(y.shape[:-3] + (-1, metric.shape[0])) @ metric.T
+        return x.reshape(x.shape[:-2] + (-1,)).conj() @ y.reshape(lead + (-1,)).swapaxes(-1, -2)
+
+    def ket(self, row):
+        return self.like.from_row(row, self._map.band)
 
     @_lazy
     def deviations(self):
@@ -767,11 +792,14 @@ class _Block:
         the largest modulus of the 2 x 2 mismatches over (A, B), from one
         ``np.abs``, per state and pair of observables.  (psi, A_k A_j psi)
         = (psi^* F_k) . A_j psi, with psi's bra pulled back through A_k by
-        the class's cached form F_k at hbar = 1: one stacked product for the
+        the form F_k of ``_forms`` at hbar = 1: one stacked product for the
         bras, one for their contraction with the stack of A psi, and hbar
-        on the L_z rows after it."""
+        on the L_z rows after it.  A form with a metric is cached in
+        ``_bra_form``; a line form is a view of the block's own map."""
         acted = self.stack[..., 1:, :, :]
-        bras = self._x.conj()[..., None, :, :] @ self._form()  # [..., k, row, band]
+        key = type(self.like), self.like.band, self.obs
+        forms = (_forms if self._metric is None else _bra_form)(*key)
+        bras = self._x.conj()[..., None, :, :] @ forms  # [..., k, row, band]
         acted = acted.reshape(acted.shape[:-2] + (-1,))
         products = bras.reshape(bras.shape[:-2] + (-1,)) @ acted.swapaxes(-1, -2)
         for k in _lz_slots(self.obs):
@@ -890,64 +918,6 @@ class _Pair:
             (s, e, top), i, j = self.row.second, self.i, self.j
             self._mismatch = [[e[i][i], e[i][j]], [e[j][i], e[j][j]]], top[i][j], s[i][j], s[j][i]
         return self._mismatch
-
-
-class _FourierBlock(_Block):
-    """A circle or sphere block: the stack is ``(..., slot, rows, depth *
-    width)``, filled through cached band maps, one matmul per state and
-    slot over every row."""
-
-    def _fill(self, coeffs):
-        like = self.like
-        depth, width = coeffs.shape[-2:]
-        self._x = coeffs.reshape(coeffs.shape[:-2] + (depth * width,))  # (..., rows, band)
-        self._map = _band_map(depth, width, like.lo, self.obs, True)
-        return self._map.act(self._x, like.hbar)
-
-    def _form(self):
-        like = self.like
-        return _bra_form(_fourier_form, *like.coeffs.shape[-2:], like.lo, self.obs)
-
-    def _gram(self, x, y):
-        """(x_i, y_j) per state over the block's band: one metric matmul, one
-        contraction."""
-        band = self._map
-        metric = _metric(band.depth, band.width, band.depth, band.width, 0)
-        my = y.reshape(y.shape[:-3] + (-1, metric.shape[0])) @ metric.T
-        return x.reshape(x.shape[:-2] + (-1,)).conj() @ my.reshape(y.shape[:-2] + (-1,)).swapaxes(-1, -2)
-
-    def ket(self, row):
-        band, like = self._map, self.like
-        return FourierKet(row.reshape(-1, band.depth, band.width), band.lo, like.hbar, like.l)
-
-
-class _LineBlock(_Block):
-    """An oscillator block: a line ket is one row of its Hermite band, which
-    never grows, so each action writes in place into one preallocated
-    stack, one gemv per state for a multiplier as for a ket alone."""
-
-    def _fill(self, coeffs):
-        x = self._x = coeffs[..., None, :]  # (..., 1, band)
-        out = np.empty(x.shape[:-2] + (len(self.obs) + 1,) + x.shape[-2:], dtype=complex)
-        out[..., 0, :, :] = x
-        for i, a in enumerate(self.obs, 1):
-            if a.fourier is None:  # elementwise: any layout gives the same bits
-                self.like.fill(a, coeffs, out[..., i, 0, :])
-            else:  # one gemv per state, as for a ket alone
-                self.like.fill(a, x, out[..., i, :, :])
-        return out
-
-    def _gram(self, x, y):
-        return x[..., 0, :].conj() @ y[..., 0, :].swapaxes(-1, -2)
-
-    def _form(self):
-        return _bra_form(_line_form, self.stack.shape[-1], float(self.like.lam), self.obs)
-
-    def ket(self, row):
-        return self.like._like(row.reshape(-1))
-
-
-_BLOCKS = {FourierKet: _FourierBlock, LineKet: _LineBlock}
 
 
 @lru_cache(maxsize=256)

@@ -4,10 +4,9 @@ import pytest
 @pytest.fixture
 def actions(monkeypatch):
     """A list that grows by one per operator action: each ``operators.apply``
-    call, counted in every angulab namespace that binds ``apply``, and each
-    ``LineKet.fill`` of a line stack.  An action taken inside a counted one
-    (a line ket's ``apply`` fills, a fill of phi^2 applies) is not counted
-    again."""
+    call, counted in every angulab namespace that binds ``apply``.  An
+    action taken inside a counted one (phi^2 applies phi twice) is not
+    counted again."""
     import angulab
     from angulab import cli, operators, oracle, relations
 
@@ -32,7 +31,6 @@ def actions(monkeypatch):
         for key, value in list(vars(ns).items()):
             if value is apply:
                 monkeypatch.setattr(ns, key, counted_apply)
-    monkeypatch.setattr(operators.LineKet, "fill", counted(operators.LineKet.fill))
     return calls
 
 

@@ -347,6 +347,18 @@ class TestInputContract:
             (CUSTOM + (File(PERIODIC % '[[0, 1, "0"]]'),), "coefficient part must be a number, got '0'"),
             (SPHERE_COEFFS + (File('[[0, "1", "0"]]'),), "coefficient part must be a number, got '1'"),
             (SPHERE_COEFFS + (File("[[0, 1, false]]"),), "coefficient part must be a number, got False"),
+            # a state flag the family does not read, or any with --config
+            (("scenario", "qtp", "--coeffs", "nothere.json"), "scenario qtp does not take --coeffs"),
+            (("scenario", "scr", "--n", "5"), "scenario scr does not take --n"),
+            (("scenario", "scr", "--l", "3"), "scenario scr does not take --l"),
+            (("scenario", "qtp", "--m", "4"), "scenario qtp does not take --m"),
+            (("scenario", "scr", "--J", "3"), "scenario scr does not take --J"),
+            (("scenario", "sphere", "--l", "1", "--omega", "2"), "scenario sphere does not take --omega"),
+            (CUSTOM + (File(PERIODIC % "[[0, 1, 0]]"), "--hbar", "2"), "scenario custom does not take --hbar"),
+            (SPHERE_COEFFS + (File("[[0, 1, 0]]"), "--m", "1"), "scenario sphere takes --m or --coeffs, not both"),
+            (("scenario", "--config", File(json.dumps(SCR_CONFIG)), "--m", "2"), "scenario --config does not take --m"),
+            (("scenario", "--config", File(json.dumps(SCR_CONFIG)), "--hbar", "2"), "does not take --hbar"),
+            (("scenario", "qtp", "--config", File(json.dumps(SCR_CONFIG))), "scenario --config takes no family"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -774,19 +786,25 @@ class TestSharedLifted:
         """The 13 spectral relations on one state act with an operator at
         most 8 times: every relation reads the same ``A psi`` and pair
         products of one block.  Actions are ``apply`` calls, counted in
-        every namespace that binds it, and line-stack fills; circle and
-        sphere kets are counted on emptied band-map and form caches, where
-        each map is built from one ``apply`` per observable."""
-        from angulab import cli, operators
+        every namespace that binds it.  Circle and sphere states are counted
+        on emptied band-map and form caches, where each map is built from one
+        ``apply`` per observable; a line map holds its observables' matrices,
+        so a line state acts zero times.  A second state on the same band
+        acts zero times in every family."""
+        from angulab import cli, operators, states
 
         names = [name for name in cli.RELATIONS if name != "commutator"]
         assert len(names) == 13
         for label, state in self._states().items():
             operators._band_map.cache_clear()
             operators._bra_form.cache_clear()
-            actions.clear()
-            cli._evaluate_state(state, names, False, None)
-            assert 0 < len(actions) <= 8, (label, len(actions))
+            for first in (True, False):
+                actions.clear()
+                cli._evaluate_state(state, names, False, None)
+                if first and not isinstance(state, states.OscillatorState):
+                    assert 0 < len(actions) <= 8, (label, len(actions))
+                else:
+                    assert actions == [], (label, first)
 
     def test_one_block_per_ket(self):
         """All 14 registry relations on one lifted ket leave one memo entry:

@@ -470,6 +470,21 @@ class TestLineTrig:
         total = apply(SIN_PHI, psi).norm() ** 2 + apply(COS_PHI, psi).norm() ** 2
         assert total == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("J", [0.01, 0.1, 1.0])
+    def test_wide_multiplier_rejected(self, J):
+        """A line band holds the sin/cos images only, so a multiplier mode
+        beyond +-1 raises, by ``apply`` and by a block read alike, where it
+        would lose part of its image outside the band: |cos 2 phi psi|^2 +
+        |sin 2 phi psi|^2 would read 1 - 4.7e-3 at J = 0.1."""
+        psi = lift(qtp_eigenstate(0, inertia=J))
+        for fourier in ({2: 0.5, -2: 0.5}, {-2: -0.5j, 2: 0.5j}, {1: 0.5, -3: 0.5}):
+            obs = trig_observable("wide", fourier)
+            with pytest.raises(UnsupportedObservable, match="modes -1..1 only"):
+                apply(obs, psi)
+            with pytest.raises(UnsupportedObservable, match="modes -1..1 only"):
+                psi.mismatch(obs, LZ)
+        assert apply(trig_observable("edge", {1: 0.4, 0: -0.2j}), psi).norm() > 0
+
 
 class TestKetState:
     def test_lift_records_the_state(self):

@@ -255,13 +255,16 @@ def test_stacked_reads_on_wide_bands(state):
 
 # -- the stacked action of each ket class ------------------------------------
 #
-# A block acts once per ket class on a whole stack: circle and sphere kets
-# through cached band maps built from ``apply``, line kets by in-place fills.
-# On each basis ket of a band that action must give exactly what ``apply``
-# gives.
+# A block acts on a whole stack through the cached band map of its ket class:
+# circle and sphere maps built from ``apply``, line maps written from the
+# observables' matrices.  On each basis ket of a band that action must give
+# exactly what ``apply`` gives.
 
 ONE_SIDED = operators.trig_observable("OneSided", {3: 0.4, 1: -0.2j})  # moves the band up
 FOURIER_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI, ONE_SIDED)
+# a line band holds the images of modes -1..1 only
+LINE_ONE_SIDED = operators.trig_observable("LineOneSided", {1: 0.4, 0: -0.2j})
+LINE_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI, LINE_ONE_SIDED)
 
 
 def observable_sets(obs):
@@ -269,49 +272,56 @@ def observable_sets(obs):
 
 
 @st.composite
-def fourier_bands(draw):
-    """(depth, width, lo, l) of a circle band or of a sphere band with l <= 12."""
-    depth = draw(st.integers(1, 3))
-    if draw(st.booleans()):
-        return depth, draw(st.integers(1, 24)), draw(st.integers(-64, 64)), None
-    l = draw(st.integers(0, 12))
-    return depth, 2 * l + 1, -l, l
+def basis_bands(draw):
+    """A zero ket on a band and observables to act on its basis kets: a
+    circle band of depth 1..3, a sphere band with l <= 12 (one row), or the
+    band of a lifted qtp eigenstate n <= 20 with J and omega drawn, each at
+    drawn hbar."""
+    kind = draw(st.sampled_from(("circle", "sphere", "line")))
+    hbar = draw(HBARS)
+    if kind == "line":
+        n, inertia, frequency = draw(st.integers(0, 20)), draw(LINE_CONSTANTS), draw(LINE_CONSTANTS)
+        ket = operators.lift(states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar))
+        return ket._like(np.zeros_like(ket.coeffs)), draw(observable_sets(LINE_OBS))
+    depth, l = draw(st.integers(1, 3)), None
+    if kind == "circle":
+        width, lo = draw(st.integers(1, 24)), draw(st.integers(-64, 64))
+    else:
+        l = draw(st.integers(0, 12))
+        width, lo = 2 * l + 1, -l
+    ket = operators.FourierKet(np.zeros((1, depth, width), dtype=complex), lo, hbar, l)
+    return ket, draw(observable_sets(FOURIER_OBS))
 
 
-def _on_band(ket, lo, depth, width):
-    """A single-row ket's coefficients placed on a wider band."""
-    out = np.zeros((depth, width), dtype=complex)
+def _on_band(ket, band):
+    """A ket's coefficients placed on a band; a line band never grows."""
+    if isinstance(ket, operators.LineKet):
+        return ket.coeffs
+    depth, width, lo = band
+    out = np.zeros(ket.coeffs.shape[:-2] + (depth, width), dtype=complex)
     d, w = ket.coeffs.shape[-2:]
-    out[:d, ket.lo - lo : ket.lo - lo + w] = ket.coeffs[0]
+    out[..., :d, ket.lo - lo : ket.lo - lo + w] = ket.coeffs
     return out
 
 
 @PROPERTY
-@given(fourier_bands(), observable_sets(FOURIER_OBS), st.booleans(), HBARS)
-def test_band_map_equals_apply_on_every_basis_ket(band, obs, with_psi, hbar):
-    depth, width, lo, l = band
-    size = depth * width
-    bmap = operators._band_map(depth, width, lo, obs, with_psi)
-    images = bmap.act(np.eye(size, dtype=complex), hbar)  # (slot, basis ket, band)
+@given(basis_bands())
+def test_band_map_equals_apply_on_every_basis_ket(case):
+    """Slot 0 of a band map's action is psi placed on the common band, and
+    slot k its image under observable k, bit for bit as ``apply`` gives it,
+    at drawn hbar."""
+    like, obs = case
+    bmap = operators._band_map(type(like), like.band, obs)
+    size = like.coeffs.size
+    images = bmap.act(np.eye(size, dtype=complex), like.hbar)  # (slot, basis ket, band)
     for b in range(size):
-        coeffs = np.zeros((1, depth, width), dtype=complex)
+        coeffs = np.zeros(like.coeffs.shape, dtype=complex)
         coeffs.flat[b] = 1.0
-        e = operators.FourierKet(coeffs, lo, hbar, l)
-        want = ([e] if with_psi else []) + [operators.apply(a, e) for a in obs]
-        for slot, ket, a in zip(images, want, ("psi",) * with_psi + obs):
-            got = slot[b].reshape(bmap.depth, bmap.width)
-            assert np.array_equal(got, _on_band(ket, bmap.lo, bmap.depth, bmap.width)), (b, a)
-
-
-@PROPERTY
-@given(st.integers(0, 20), HBARS, LINE_CONSTANTS, LINE_CONSTANTS, observable_sets(FOURIER_OBS))
-def test_line_fill_equals_apply_on_every_basis_ket(n, hbar, inertia, frequency, obs):
-    ket = operators.lift(states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar))
-    basis = np.eye(ket.coeffs.size, dtype=complex)
-    for a in obs:
-        images = ket.fill(a, basis, np.empty_like(basis))
-        for b, row in enumerate(basis):
-            assert np.array_equal(images[b], operators.apply(a, ket._like(row)).coeffs), (b, a)
+        e = like._like(coeffs)
+        want = [e] + [operators.apply(a, e) for a in obs]
+        for slot, ket, a in zip(images, want, ("psi",) + obs):
+            got = like.from_row(slot[b], bmap.band).coeffs
+            assert np.array_equal(got, _on_band(ket, bmap.band)), (b, a)
 
 
 # -- second-order products from the pulled-back bra ---------------------------
@@ -339,16 +349,13 @@ def _term_moduli(x, a, y):
     kets e_b of y's band, sum |x_i| |M_ic| |(A e_b)_c| |y_b|, with M the
     metric (the identity on the line): both ways of reading (psi, A B psi)
     sum these terms, in different orders."""
-    size = y.coeffs.shape[-2:]
-    if isinstance(x, operators.LineKet):
-        basis = np.eye(y.coeffs.size, dtype=complex)
-        images = y.fill(a, basis, np.empty_like(basis))  # row b: A e_b
-        return float(np.abs(y.coeffs) @ np.abs(images) @ np.abs(x.coeffs))
-    rows, depth, width = x.coeffs.shape
-    images = operators._BandMap(*size, y.lo, (a,), False)  # built here, not cached
-    metric = operators._metric(depth, width, images.depth, images.width, images.lo - x.lo)
-    acted = np.abs(images.act(np.eye(size[0] * size[1], dtype=complex), y.hbar)[0])
-    bra = np.abs(x.coeffs).reshape(rows, -1) @ np.abs(metric)
+    images = operators._BandMap(type(y), y.band, (a,))  # built here, not cached
+    acted = np.abs(images.act(np.eye(images.matrix.shape[1], dtype=complex), y.hbar)[1])
+    rows = 1 if isinstance(x, operators.LineKet) else x.coeffs.shape[0]
+    bra = np.abs(x.coeffs).reshape(rows, -1)
+    metric = type(x).metric(x.band, images.band)
+    if metric is not None:
+        bra = bra @ np.abs(metric)
     return float(np.sum(bra * (np.abs(y.coeffs).reshape(rows, -1) @ acted)))
 
 
@@ -389,14 +396,17 @@ J_001 = states.random_oscillator(np.random.default_rng(7), inertia=0.01)
 @given(block_kets(), READ_PAIRS)
 @example(_fourier_ket(np.random.default_rng(1), 3, 129, -64, 1.7), [(LZ, PHI), (COS_PHI, LZ)])
 @example(_fourier_ket(np.random.default_rng(2), 3, 25, -12, 0.4, 12), [(PHI2, ONE_SIDED), (LZ, LZ)])
-@example(operators.lift(J_001), [(LZ, SIN_PHI), (PHI, LZ), (PHI2, ONE_SIDED), (COS_PHI, COS_PHI)])
+@example(operators.lift(J_001), [(LZ, SIN_PHI), (PHI, LZ), (PHI2, LINE_ONE_SIDED), (COS_PHI, COS_PHI)])
 def test_second_order_reads_equal_composed_apply(ket, pairs):
     """expect2 and mismatch of every read pair, in the paper's block or a
     block of its own (phi^2, a one-sided multiplier), equal the inner
     products of composed ``apply`` calls within rel 1e-12 of the summed
     moduli of their terms.  Where the band drops most of A B psi, (psi, A B
     psi) is rounding noise on both sides, so the terms are taken before A
-    acts: the moduli of psi, the metric, A and B psi."""
+    acts: the moduli of psi, the metric, A and B psi.  A line ket reads the
+    one-sided multiplier within its band's modes in place of ``ONE_SIDED``."""
+    if isinstance(ket, operators.LineKet):
+        pairs = [tuple(LINE_ONE_SIDED if o is ONE_SIDED else o for o in pair) for pair in pairs]
     for a, b in pairs:
         acted_a, acted_b = operators.apply(a, ket), operators.apply(b, ket)
         second = operators.apply(a, acted_b)
@@ -414,8 +424,10 @@ def test_band_maps_hold_no_hbar(hbars, seed):
     forms: over 20 drawn hbar values neither cache gains an entry after the
     first, and each stays within its byte budget.  On the line, where lam =
     sqrt(J omega / hbar), J scales with hbar to keep the band.  The map cache
-    keeps only maps that lead with psi; the map onto the second images is
-    built for a form and not kept."""
+    keeps only the blocks' own maps, one per family, the line's among them;
+    the map onto the second images is built for a form and not kept, and
+    the form cache holds no line entry, as a line form is a view of its
+    map."""
     caches = operators._band_map, operators._bra_form
     operators._band_map.cache_clear()
 
@@ -428,7 +440,9 @@ def test_band_maps_hold_no_hbar(hbars, seed):
             operators.lift(state).mismatch(LZ, PHI)
         for cache in caches:
             assert cache.nbytes <= cache.budget
-        assert all(with_psi for *_, with_psi in operators._band_map.keys())
+        assert len(operators._band_map.keys()) == 3
+        assert operators.LineKet in {cls for cls, *_ in operators._band_map.keys()}
+        assert operators.LineKet not in {cls for cls, *_ in operators._bra_form.keys()}
         return [set(cache.keys()) for cache in caches]
 
     keys = read(hbars[0])
