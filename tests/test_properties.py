@@ -324,6 +324,22 @@ def test_band_map_equals_apply_on_every_basis_ket(case):
             assert np.array_equal(got, _on_band(ket, bmap.band)), (b, a)
 
 
+@PROPERTY
+@given(st.integers(0, 20), HBARS, LINE_CONSTANTS, LINE_CONSTANTS, observable_sets(LINE_OBS))
+def test_line_fill_equals_apply_on_every_basis_ket(n, hbar, inertia, frequency, obs):
+    """The line band map of each observable alone fills the images of the
+    basis kets of a lifted qtp eigenstate's band, bit for bit as ``apply``
+    gives them, with J, omega and hbar drawn."""
+    ket = operators.lift(states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar))
+    basis = np.eye(ket.coeffs.size, dtype=complex)
+    for a in obs:
+        bmap = operators._band_map(operators.LineKet, ket.band, (a,))
+        images = bmap.act(basis, hbar)[1]  # slot 1: the image under a
+        for b, row in enumerate(basis):
+            got = ket.from_row(images[b], bmap.band).coeffs
+            assert np.array_equal(got, operators.apply(a, ket._like(row)).coeffs), (b, a)
+
+
 # -- second-order products from the pulled-back bra ---------------------------
 #
 # A block reads (psi, A B psi) as (K_A^T psi^*) . B psi, with K_A the cached
