@@ -37,8 +37,6 @@ from .relations import TOL_COMMUTATOR, TOL_IDENTITY, identity_report
 
 SCHEMA_VERSION = 1
 
-FAMILIES = ("scr", "qtp", "sphere", "custom")
-
 DEFAULT_RELATIONS = ("csf", "rsur", "condition19", "moments")
 
 GRAM_SET = (LZ, PHI, SIN_PHI, COS_PHI)
@@ -48,41 +46,11 @@ class ConfigError(Exception):
     pass
 
 
-# -- state construction --------------------------------------------------------
-
-
-def _make_state(family, params):
-    hbar = states.real_parameter("hbar", params.get("hbar", 1.0))
-    truncation = states.mode_index(params.get("truncation", 64))
-    if family == "scr":
-        return states.scr_eigenstate(
-            states.mode_index(params.get("m", 0)), truncation=truncation, hbar=hbar
-        )
-    if family == "qtp":
-        return states.qtp_eigenstate(
-            states.mode_index(params.get("n", 0)),
-            inertia=states.real_parameter("J", params.get("J", 1.0)),
-            frequency=states.real_parameter("omega", params.get("omega", 1.0)),
-            truncation=truncation,
-            hbar=hbar,
-        )
-    if family == "sphere":
-        if "l" not in params:
-            raise ConfigError("missing parameter 'l' for the sphere family")
-        if "coefficients" in params:
-            coeffs = _coefficient_table(params["coefficients"])
-        else:
-            coeffs = {states.mode_index(params.get("m", 0)): 1.0}
-        return states.sphere_state(states.mode_index(params["l"]), coeffs, hbar=hbar)
-    if family == "custom":
-        path = params.get("coeffs")
-        if not path:
-            raise ConfigError("custom family needs --coeffs <json-file>")
-        try:
-            return states.load(path)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"cannot load state from {path}: {exc}") from None
-    raise ConfigError(f"unknown family {family!r}")
+# -- the families' parameters ----------------------------------------------------
+#
+# FAMILY_PARAMS is the one statement of what each family reads.  The state
+# flags of scenario and sweep and their rejection, config validation and the
+# config schema, state construction, sweep ranges and random draws all read it.
 
 
 def _coefficient_table(table):
@@ -99,16 +67,121 @@ def _coefficient_table(table):
     return out
 
 
-def _checked(make, *args):
-    """``make(*args)``, with a ValueError or TypeError from it as a ConfigError."""
+def _load_state(path):
+    """The state in the state file at ``path``, for the custom family; a path
+    that is not a string, which ``open`` would take as a file descriptor, is
+    a ConfigError."""
+    if not isinstance(path, str):
+        raise ConfigError(f"coeffs must be a file path, got {path!r}")
     try:
-        return make(*args)
+        return states.load(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot load state from {path}: {exc}") from None
+
+
+_INDEX, _REAL = {"type": "integer"}, {"type": "number", "exclusiveMinimum": 0}
+_PARTS = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}  # [re, im]
+_COEFFICIENTS = {
+    "type": "object", "propertyNames": {"pattern": "^-?[0-9]+$"}, "additionalProperties": _PARTS
+}
+
+
+class Param(NamedTuple):
+    """One parameter a family reads, under its config key.  ``read`` takes
+    the config value, which ``schema`` describes; a flag or library call
+    that leaves it out gets ``default`` (None: there is none).  Its flag,
+    ``--flag`` or ``--key``, is on each of ``verbs`` (none: config only), and
+    a sweep ranges over a ``ranged`` one.  ``excludes`` names the other key of
+    an either-or pair; a config may leave out either, and give one."""
+
+    read: Callable = states.mode_index
+    schema: dict = _INDEX
+    default: object = None
+    verbs: tuple = ("scenario", "sweep")
+    ranged: bool = False
+    flag: str = None
+    excludes: str = None
+
+
+def _real(name):
+    return Param(functools.partial(states.real_parameter, name), _REAL, 1.0)
+
+
+_HBAR, _TRUNCATION = _real("hbar"), Param(default=64, verbs=())
+
+FAMILY_PARAMS = {
+    "scr": {"m": Param(default=0, ranged=True), "hbar": _HBAR, "truncation": _TRUNCATION},
+    "qtp": {
+        "n": Param(default=0, ranged=True),
+        "J": _real("J"),
+        "omega": _real("omega"),
+        "hbar": _HBAR,
+        "truncation": _TRUNCATION,
+    },
+    "sphere": {
+        "l": Param(),
+        "m": Param(default=0, ranged=True, excludes="coefficients"),
+        "coefficients": Param(
+            _coefficient_table, _COEFFICIENTS, verbs=("scenario",), flag="coeffs", excludes="m"
+        ),
+        "hbar": _HBAR,
+    },
+    # the state file carries its own hbar
+    "custom": {"coeffs": Param(_load_state, {"type": "string"}, verbs=("scenario",))},
+}
+
+# A family's state from the values its rows read (sphere coefficients stand in
+# for m), and a random sweep's state from the values of the unranged rows.
+_CONSTRUCT = {
+    "scr": states.scr_eigenstate,
+    "qtp": lambda n, J, omega, hbar, truncation: states.qtp_eigenstate(
+        n, J, omega, truncation, hbar
+    ),
+    "sphere": lambda l, m, hbar, coefficients=None: states.sphere_state(
+        l, {m: 1.0} if coefficients is None else coefficients, hbar
+    ),
+    "custom": lambda coeffs: coeffs,
+}
+_DRAW = {
+    "scr": states.random_periodic,
+    "qtp": lambda rng, J, omega, hbar: states.random_oscillator(
+        rng, inertia=J, frequency=omega, hbar=hbar
+    ),
+    "sphere": states.random_sphere,
+}
+
+
+def _checked(make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError or TypeError from it as a
+    ConfigError."""
+    try:
+        return make(*args, **kwargs)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _build_state(family, params):
-    return _checked(_make_state, family, params)
+def _both(rows, given):
+    """The first either-or pair of ``rows`` whose keys are both in ``given``."""
+    return next(((k, r.excludes) for k, r in rows.items() if {k, r.excludes} <= set(given)), None)
+
+
+def _make_state(family, params):
+    """The family's state from config-form ``params``: each key through its
+    row's reader, a key left out at the row's default."""
+    if family not in FAMILY_PARAMS:
+        raise ConfigError(f"unknown family {family!r}")
+    pair = _both(FAMILY_PARAMS[family], params)
+    if pair:
+        raise ConfigError(f"family {family!r} takes {pair[0]!r} or {pair[1]!r}, not both")
+    values = {}
+    for key, row in FAMILY_PARAMS[family].items():
+        if key in params:
+            values[key] = _checked(row.read, params[key])
+        elif row.default is not None:
+            values[key] = row.default
+        elif row.excludes is None:
+            raise ConfigError(f"missing parameter {key!r} for family {family!r}")
+    return _checked(_CONSTRUCT[family], **values)
 
 
 # -- relation registry -----------------------------------------------------------
@@ -358,7 +431,7 @@ def run_scenario(config):
     names = config.get("relations")
     names = _check_relations(DEFAULT_RELATIONS if names is None else names)
     resolution = _check_resolution(config.get("resolution"))
-    state = _build_state(family, params)
+    state = _make_state(family, params)
     reports, mismatch = _evaluate_state(state, names, config.get("oracle"), resolution)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -387,19 +460,37 @@ def _parse_range(text):
 
 def _index(text, flag):
     try:
-        return int(text) if text is not None else 0
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{flag} needs an integer, got {text!r}") from None
+        raise ConfigError(f"--{flag} needs an integer, got {text!r}") from None
 
 
 def _split_names(text):
     return [r.strip() for r in text.split(",") if r.strip()]
 
 
-def _add_common(sub):
-    sub.add_argument("--hbar", type=float, default=1.0)
-    sub.add_argument("--J", dest="J", type=float, default=1.0, help="moment of inertia")
-    sub.add_argument("--omega", type=float, default=1.0, help="oscillation frequency")
+def _state_flags(verb):
+    """{flag: argparse type} of ``verb``'s state flags, in table order.  An
+    index flag reads as an integer, or on a sweep's range as a..b, and a bad
+    one raises ConfigError from the parse."""
+    flags = {}
+    for rows in FAMILY_PARAMS.values():
+        for key, row in rows.items():
+            flag = row.flag or key
+            if verb not in row.verbs:
+                continue
+            if row.schema is _INDEX:
+                ranged = row.ranged and verb == "sweep"
+                flags[flag] = _parse_range if ranged else functools.partial(_index, flag=flag)
+            else:
+                flags[flag] = float if row.schema is _REAL else str
+    return flags
+
+
+def _add_common(sub, verb):
+    # a flag left out is None, so that a flag given is told from its default
+    for flag, kind in _state_flags(verb).items():
+        sub.add_argument(f"--{flag}", type=kind)
     sub.add_argument("--relations", default=",".join(DEFAULT_RELATIONS))
     sub.add_argument("--oracle", action="store_true", help="attach grid-oracle cross checks")
     sub.add_argument("--resolution", type=int, default=None, help="oracle grid resolution, 8 to 2**20")
@@ -424,24 +515,16 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sc = subs.add_parser("scenario", help="run the named relations on one state")
-    sc.add_argument("family", nargs="?", choices=FAMILIES)
+    sc.add_argument("family", nargs="?", choices=FAMILY_PARAMS)
     sc.add_argument("--config", help="scenario config file (JSON)")
-    sc.add_argument("--m", type=str, default=None, help="circle mode index / sphere mode")
-    sc.add_argument("--n", type=str, default=None, help="pendulum quantum number")
-    sc.add_argument("--l", type=int, default=None, help="orbital number")
-    sc.add_argument("--coeffs", help="state coefficient file (JSON)")
-    _add_common(sc)
-    sc.set_defaults(hbar=None, J=None, omega=None)  # a flag given is told from none
+    _add_common(sc, "scenario")
 
     sw = subs.add_parser("sweep", help="run relations across a parameter range or random states")
-    sw.add_argument("family", choices=FAMILIES)
-    sw.add_argument("--m", type=str, default=None, help="range a..b of circle modes")
-    sw.add_argument("--n", type=str, default=None, help="range a..b of pendulum numbers")
-    sw.add_argument("--l", type=int, default=None)
+    sw.add_argument("family", choices=FAMILY_PARAMS)
     sw.add_argument("--random", type=int, default=None, help="number of seeded random states")
-    sw.add_argument("--seed", type=int, default=0, help="PCG64 seed for random states")
+    sw.add_argument("--seed", type=int, default=None, help="PCG64 seed for random states")
     sw.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(sw)
+    _add_common(sw, "sweep")
 
     va = subs.add_parser("validate", help="check a scenario config file")
     va.add_argument("path")
@@ -450,23 +533,40 @@ def build_parser():
     return parser
 
 
-# The state flags each scenario family reads; any other, and any with
-# --config, is rejected rather than ignored.
-_FAMILY_FLAGS = {
-    "scr": ("m", "hbar"), "qtp": ("n", "hbar", "J", "omega"),
-    "sphere": ("m", "l", "coeffs", "hbar"), "custom": ("coeffs",),
-}
+def _flag_params(args, verb, rows, also=()):
+    """The config-form parameters that the state flags in ``args`` give
+    ``rows``, a flag left out at its row's default.  ConfigError, led by
+    ``verb``, for a flag given that no row reads (--seed among them, unless
+    ``also`` names it), for both flags of an either-or pair, and for one left
+    out that has no default or is the sweep's range."""
+    flags = {row.flag or key: key for key, row in rows.items() if args.command in row.verbs}
+    for flag in [*_state_flags(args.command), "seed"]:
+        if getattr(args, flag, None) is not None and flag not in (*flags, *also):
+            raise ConfigError(f"{verb} does not take --{flag}")
+    given = {flags[flag]: getattr(args, flag) for flag in flags if getattr(args, flag) is not None}
+    pair = _both(rows, given)
+    if pair:
+        first, second = (rows[key].flag or key for key in pair)
+        raise ConfigError(f"{verb} takes --{first} or --{second}, not both")
+    params = {}
+    for flag, key in flags.items():
+        row, value = rows[key], given.get(key)
+        if value is not None:
+            params[key] = _read_coeff_file(value) if row.schema is _COEFFICIENTS else value
+        elif row.ranged and args.command == "sweep":
+            raise ConfigError(f"{verb} needs --{flag} a..b")
+        elif row.default is not None and row.excludes not in given:
+            params[key] = row.default
+        elif row.default is None and row.excludes is None:
+            raise ConfigError(f"{verb} needs --{flag}")
+    return params
 
 
 def _config_from_args(args):
-    verb = "scenario --config" if args.config else f"scenario {args.family}"
-    if args.config and args.family:
-        raise ConfigError(f"{verb} takes no family: the config names it")
-    reads = () if args.config else _FAMILY_FLAGS.get(args.family, ())
-    for name in ("m", "n", "l", "coeffs", "hbar", "J", "omega"):
-        if getattr(args, name) is not None and name not in reads:
-            raise ConfigError(f"{verb} does not take --{name}")
     if args.config:
+        if args.family:
+            raise ConfigError("scenario --config takes no family: the config names it")
+        _flag_params(args, "scenario --config", {})
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
@@ -478,28 +578,11 @@ def _config_from_args(args):
         return config
     if args.family is None:
         raise ConfigError("scenario needs a family or --config")
-    params = {"hbar": 1.0 if args.hbar is None else args.hbar}
-    if args.family == "scr":
-        params["m"] = _index(args.m, "--m")
-    elif args.family == "qtp":
-        params["n"] = _index(args.n, "--n")
-        params["J"] = 1.0 if args.J is None else args.J
-        params["omega"] = 1.0 if args.omega is None else args.omega
-    elif args.family == "sphere":
-        if args.l is None:
-            raise ConfigError("sphere scenarios need --l")
-        params["l"] = args.l
-        if args.coeffs:
-            if args.m is not None:
-                raise ConfigError(f"{verb} takes --m or --coeffs, not both")
-            params["coefficients"] = _read_coeff_file(args.coeffs)
-        else:
-            params["m"] = _index(args.m, "--m")
-    elif args.family == "custom":
-        params["coeffs"] = args.coeffs
+    params = _flag_params(args, f"scenario {args.family}", FAMILY_PARAMS[args.family])
     return {
         "family": args.family,
-        "parameters": params,
+        # custom reports have always shown hbar 1.0; every other family sets its own
+        "parameters": {"hbar": 1.0, **params},
         "relations": _split_names(args.relations),
         "oracle": bool(args.oracle),
         "resolution": args.resolution,
@@ -514,15 +597,10 @@ def _read_coeff_file(path):
             doc = json.load(fh)
         if isinstance(doc, dict) and "coefficients" in doc:
             doc = doc["coefficients"]
-        coeffs = {}
-        for k, real, imag in doc:
-            m, c = states.mode_index(k), states.coefficient(real, imag)
-            coeffs[str(m)] = [c.real, c.imag]
-        if not all(math.isfinite(x) for pair in coeffs.values() for x in pair):
-            raise ValueError("coefficients must be finite")
+        # the config reader and the state check each part and its finiteness
+        return {str(states.mode_index(k)): [real, imag] for k, real, imag in doc}
     except (OSError, ValueError, TypeError) as exc:
         raise ConfigError(f"cannot read coefficients {path}: {exc}") from None
-    return coeffs
 
 
 def validate_config(path):
@@ -541,26 +619,26 @@ def validate_config_doc(config):
     if not isinstance(config, dict):
         return ["config must be a JSON object"]
     family = config.get("family")
-    if family not in FAMILIES:
+    if family not in FAMILY_PARAMS:
         diags.append(f"unknown family {family!r}")
         return diags
     params = config.get("parameters")
     if not isinstance(params, dict):
         diags.append("missing parameter block")
         return diags
-    required = {
-        "scr": ("m", "hbar"),
-        "qtp": ("n", "J", "omega", "hbar"),
-        "sphere": ("l", "hbar"),
-        "custom": ("coeffs",),
-    }[family]
-    for key in required:
-        if key not in params:
-            diags.append(f"missing parameter {key!r} for family {family!r}")
+    rows = FAMILY_PARAMS[family]
+    diags += [
+        f"missing parameter {key!r} for family {family!r}"
+        for key in _parameters_schema(rows)["required"]
+        if key not in params
+    ]
+    diags += [
+        f"family {family!r} does not read parameter {key!r}" for key in params if key not in rows
+    ]
     state = None
     if not diags:
         try:
-            state = _build_state(family, params)
+            state = _make_state(family, params)
         except ConfigError as exc:
             diags.append(str(exc))
     if config.get("relations") is not None:
@@ -579,6 +657,20 @@ def validate_config_doc(config):
     if fmt != "json":
         diags.append(f"scenario reports are JSON only, got format {fmt!r}")
     return diags
+
+
+def _parameters_schema(rows):
+    """The JSON schema of a family's config ``parameters``: a config names
+    every parameter that has a flag, save an either-or pair, of which it
+    names one at most."""
+    pairs = {k: {"not": {"required": [r.excludes]}} for k, r in rows.items() if r.excludes}
+    return {
+        "type": "object",
+        "properties": {key: row.schema for key, row in rows.items()},
+        "required": [key for key, row in rows.items() if row.verbs and not row.excludes],
+        "additionalProperties": False,
+        "dependentSchemas": pairs,
+    }
 
 
 def emit_schema():
@@ -608,15 +700,22 @@ def emit_schema():
     config = {
         "type": "object",
         "properties": {
-            "family": {"type": "string", "enum": list(FAMILIES)},
+            "family": {"type": "string", "enum": list(FAMILY_PARAMS)},
             "parameters": {"type": "object"},
-            "relations": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+            "relations": {"type": ["array", "null"], "items": {"type": "string"}, "minItems": 1},
             "oracle": {"type": "boolean"},
             "resolution": {"type": ["integer", "null"], "minimum": 8, "maximum": MAX_RESOLUTION},
             "format": {"type": "string", "enum": ["json"]},
             "seed": {"type": "integer", "minimum": 0},
         },
         "required": ["family", "parameters"],
+        "allOf": [
+            {
+                "if": {"properties": {"family": {"const": family}}},
+                "then": {"properties": {"parameters": _parameters_schema(rows)}},
+            }
+            for family, rows in FAMILY_PARAMS.items()
+        ],
     }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -626,53 +725,37 @@ def emit_schema():
     }
 
 
-_RANGE_NEEDED = {
-    "scr": "scr sweeps need --m a..b or --random",
-    "qtp": "qtp sweeps need --n a..b or --random",
-    "sphere": "sphere sweeps need --l and --m a..b, or --random",
-}
-
-
-def _sweep_items(args):
-    """(params, state) pairs in deterministic order."""
-    if args.random is not None:
-        if args.random < 1:
-            raise ConfigError(f"--random needs at least one state, got {args.random}")
-        if args.family == "sphere" and args.l is None:
-            raise ConfigError("random sphere sweeps need --l")
-        hbar = _checked(states.real_parameter, "hbar", args.hbar)
-        draw = {
-            "scr": lambda rng: states.random_periodic(rng, hbar=hbar),
-            "qtp": lambda rng: states.random_oscillator(
-                rng, inertia=args.J, frequency=args.omega, hbar=hbar
-            ),
-            "sphere": lambda rng: states.random_sphere(rng, args.l, hbar=hbar),
-        }.get(args.family)
-        if draw is None:
-            raise ConfigError("random sweeps support scr, qtp, and sphere")
-        rng = np.random.default_rng(args.seed)
+def _sweep_items(args, seed):
+    """(params, state) pairs in deterministic order.  A range sweep's item
+    shows its range value and the parameters with no default."""
+    family, rows = args.family, FAMILY_PARAMS[args.family]
+    ranged = next((key for key, row in rows.items() if row.ranged), None)
+    if ranged is None:
+        raise ConfigError(f"{family} states are for scenario runs")
+    if args.random is None:
+        params = _flag_params(args, f"sweep {family} without --random", rows)
+        shown = {key: value for key, value in params.items() if rows[key].default is None}
         return [
-            ({"random": i, "seed": args.seed}, _checked(draw, rng)) for i in range(args.random)
+            ({**shown, ranged: v}, _make_state(family, {**params, ranged: v}))
+            for v in params[ranged]
         ]
-    if args.family == "custom":
-        raise ConfigError("custom states are for scenario runs")
-    key = "n" if args.family == "qtp" else "m"
-    text = getattr(args, key)
-    if text is None or (args.family == "sphere" and args.l is None):
-        raise ConfigError(_RANGE_NEEDED[args.family])
-    shown = {"l": args.l} if args.family == "sphere" else {}
-    fixed = {"hbar": args.hbar, "J": args.J, "omega": args.omega, "l": args.l}
+    if args.random < 1:
+        raise ConfigError(f"--random needs at least one state, got {args.random}")
+    fixed = {key: row for key, row in rows.items() if not row.ranged}
+    params = _flag_params(args, f"sweep {family} --random", fixed, also=("seed",))
+    values = {key: _checked(fixed[key].read, value) for key, value in params.items()}
+    rng = np.random.default_rng(seed)
     return [
-        ({**shown, key: v}, _build_state(args.family, {**fixed, key: v}))
-        for v in _parse_range(text)
+        ({"random": i, "seed": seed}, _checked(_DRAW[family], rng, **values))
+        for i in range(args.random)
     ]
 
 
 def run_sweep(args):
     names = _check_relations(_split_names(args.relations))
     resolution = _check_resolution(args.resolution)
-    _check_seed(args.seed)
-    items = _sweep_items(args)
+    seed = _check_seed(0 if args.seed is None else args.seed)
+    items = _sweep_items(args, seed)
     results = _evaluate_states([state for _, state in items], names, args.oracle, resolution)
     entries = [
         {"index": index, "params": params, "reports": reports, "mismatch": mismatch}
@@ -682,7 +765,7 @@ def run_sweep(args):
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
         "family": args.family,
-        "seed": args.seed,
+        "seed": seed,
         "count": len(entries),
         "items": entries,
     }

@@ -7,6 +7,11 @@ from pathlib import Path
 
 import pytest
 
+try:
+    import jsonschema
+except ImportError:
+    jsonschema = None
+
 GOLDEN = Path(__file__).parent / "golden"
 
 ALL = (
@@ -16,6 +21,8 @@ ALL = (
 
 
 def run_cli(*args, check=True):
+    """The CLI's completed process.  A config that ``validate`` accepts is
+    also held to the config schema, where jsonschema is installed."""
     proc = subprocess.run(
         [sys.executable, "-m", "angulab.cli", *args],
         capture_output=True,
@@ -23,6 +30,10 @@ def run_cli(*args, check=True):
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
+    if args[0] == "validate" and proc.returncode == 0 and jsonschema is not None:
+        from angulab.cli import emit_schema
+
+        jsonschema.validate(json.loads(Path(args[1]).read_text()), emit_schema()["config"])
     return proc
 
 
@@ -183,12 +194,34 @@ class TestValidate:
             ("qtp", {"n": 1, "J": -1, "omega": 1.0, "hbar": 1.0}, "J must be finite and > 0"),
             ("scr", {"m": [1], "hbar": 1.0}, "not 'list'"),
             ("scr", {"m": 1, "hbar": 1.0}, None),
+            ("scr", {"m": 1, "hbar": 1, "J": 5}, "family 'scr' does not read parameter 'J'"),
+            ("scr", {"m": 1, "hbar": 1, "bogus": 3}, "family 'scr' does not read parameter 'bogus'"),
+            (
+                "sphere",
+                {"l": 1, "m": 0, "hbar": 1, "truncation": 64},
+                "family 'sphere' does not read parameter 'truncation'",
+            ),
+            (
+                "sphere",
+                {"l": 1, "m": 0, "hbar": 1, "coefficients": {"1": [1, 0]}},
+                "family 'sphere' takes 'm' or 'coefficients', not both",
+            ),
+            ("scr", {"m": 1, "hbar": 1, "truncation": 8}, None),
+            ("qtp", {"n": 1, "J": 1, "omega": 1, "hbar": 1, "truncation": 8}, None),
+            # open() would take a number as a file descriptor, and True as stdout
+            ("custom", {"coeffs": True}, "coeffs must be a file path, got True"),
+            ("custom", {"coeffs": 5}, "coeffs must be a file path, got 5"),
         ],
     )
     def test_parameter_values(self, tmp_path, family, params, message):
-        """validate rejects what scenario --config would reject, with the same text."""
+        """validate rejects what scenario --config would reject, with the same
+        text, and the config schema rejects it too."""
+        jsonschema = pytest.importorskip("jsonschema")
+        from angulab.cli import emit_schema
+
+        cfg = {"family": family, "parameters": params}
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"family": family, "parameters": params}))
+        path.write_text(json.dumps(cfg))
         proc = run_cli("validate", str(path), check=False)
         scenario = run_cli("scenario", "--config", str(path), check=False)
         if message is None:
@@ -196,6 +229,8 @@ class TestValidate:
         else:
             assert proc.returncode == 1 and message in proc.stdout
             assert scenario.returncode == 1 and message in scenario.stderr
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(cfg, emit_schema()["config"])
 
 
 RESOLUTION = "resolution must be an integer >= 8, got"
@@ -359,6 +394,17 @@ class TestInputContract:
             (("scenario", "--config", File(json.dumps(SCR_CONFIG)), "--m", "2"), "scenario --config does not take --m"),
             (("scenario", "--config", File(json.dumps(SCR_CONFIG)), "--hbar", "2"), "does not take --hbar"),
             (("scenario", "qtp", "--config", File(json.dumps(SCR_CONFIG))), "scenario --config takes no family"),
+            # a sweep flag that the family, or the sweep's mode, does not read
+            (("sweep", "scr", "--random", "1", "--J", "5"), "sweep scr --random does not take --J"),
+            (("sweep", "scr", "--m", "0..1", "--n", "3"), "sweep scr without --random does not take --n"),
+            (("sweep", "qtp", "--n", "0..1", "--l", "3"), "sweep qtp without --random does not take --l"),
+            (("sweep", "scr", "--random", "1", "--m", "0..3"), "sweep scr --random does not take --m"),
+            (
+                ("sweep", "sphere", "--l", "1", "--m", "0..1", "--J", "4"),
+                "sweep sphere without --random does not take --J",
+            ),
+            (("sweep", "scr", "--m", "0..1", "--seed", "5"), "sweep scr without --random does not take --seed"),
+            (("sweep", "qtp", "--random", "2", "--n", "0..3"), "sweep qtp --random does not take --n"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
@@ -375,6 +421,45 @@ class TestInputContract:
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr and "usage:" not in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    # The state flags each verb reads on each family, as README.md states
+    # them; written out here rather than taken from cli, so that the table is
+    # checked against an independent statement.
+    READS = {
+        "scenario": {"scr": "m hbar", "qtp": "n J omega hbar", "sphere": "l m coeffs hbar", "custom": "coeffs"},
+        "sweep": {"scr": "m hbar", "qtp": "n J omega hbar", "sphere": "l m hbar", "custom": ""},
+        "sweep --random": {"scr": "hbar", "qtp": "J omega hbar", "sphere": "l hbar", "custom": ""},
+    }
+    # the flags a run of the verb on the family needs, beside the one under test
+    NEEDS = {"sphere": ["l"], "custom": ["coeffs"]}
+    RANGE_NEEDS = {"scr": ["m"], "qtp": ["n"], "sphere": ["l", "m"], "custom": []}
+
+    @pytest.mark.parametrize("verb", list(READS))
+    @pytest.mark.parametrize("family", ["scr", "qtp", "sphere", "custom"])
+    def test_state_flag_reads(self, capsys, tmp_path, verb, family):
+        """Each state flag, on each family and verb, is read (exit 0) or
+        rejected (exit 1 with one ``error:`` line); none is ignored."""
+        from angulab import cli, states
+
+        rows, circle = tmp_path / "rows.json", tmp_path / "circle.json"
+        rows.write_text("[[0, 1, 0]]")
+        states.save(states.scr_eigenstate(1), circle)
+        index = "0..1" if verb == "sweep" else "1"
+        values = {"m": index, "n": index, "l": "1", "J": "2", "omega": "2", "hbar": "2"}
+        values["coeffs"] = str(circle if family == "custom" else rows)
+        needs = self.RANGE_NEEDS[family] if verb == "sweep" else self.NEEDS.get(family, [])
+        for flag in ("m", "n", "l", "J", "omega", "hbar", "coeffs"):
+            argv = [verb.split()[0], family, "--relations", "csf"]
+            argv += ["--random", "1"] if verb == "sweep --random" else []
+            for name in dict.fromkeys([*needs, flag]):
+                argv += [f"--{name}", values[name]]
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            if flag in self.READS[verb][family].split():
+                assert (code, err) == (0, ""), (argv, err)
+            else:
+                assert (code, out) == (1, ""), argv
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     def test_resolution_in_config(self, tmp_path):
         """validate and scenario --config reject a coarse grid with the same text."""
