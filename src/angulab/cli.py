@@ -75,7 +75,7 @@ def _load_state(path):
         raise ConfigError(f"coeffs must be a file path, got {path!r}")
     try:
         return states.load(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot load state from {path}: {exc}") from None
 
 
@@ -303,58 +303,57 @@ RELATIONS = {
 RELATION_REGISTRY = tuple(RELATIONS)
 
 
-def _relation_diags(names):
-    """Diagnostics for a list of relation names: not a list, empty, or naming
-    unknown ones."""
-    if not isinstance(names, (list, tuple)):
-        return [f"relations must be a list of relation names, got {names!r}"]
-    if not names:
-        return ["--relations names no relation"]
-    return [f"unknown relation {name!r}" for name in names if name not in RELATIONS]
-
-
-def _check_relations(names):
-    """Return ``names``; raise ConfigError if the list is empty or names an
-    unknown relation."""
-    diags = _relation_diags(names)
-    if diags:
-        raise ConfigError(diags[0])
-    return names
-
-
 # 2**20 nodes: 16 MiB per complex sample array, of which the oracle holds several
 MAX_RESOLUTION = 2**20
 
 
-def _check_resolution(resolution):
-    """Return ``resolution``; raise ConfigError unless it is None or an
-    integer from 8 to MAX_RESOLUTION."""
-    if resolution is not None and (type(resolution) is not int or resolution < 8):
-        raise ConfigError(f"resolution must be an integer >= 8, got {resolution!r}")
-    if resolution is not None and resolution > MAX_RESOLUTION:
-        raise ConfigError(f"resolution must be at most {MAX_RESOLUTION}, got {resolution!r}")
-    return resolution
-
-
-def _check_seed(seed):
-    """Return ``seed``; raise ConfigError unless it is None or an integer >= 0,
-    which numpy's ``default_rng`` takes."""
-    if seed is not None and (type(seed) is not int or seed < 0):
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
-def _check_sphere_rows(state, resolution):
-    """Raise ConfigError if the oracle would sample a sphere state on more
-    than MAX_RESOLUTION values per array: it keeps 2l + 1 phi rows of
+def _run_diags(run, state=None):
+    """Diagnostics for the fields of a run, each of which it may leave out:
+    ``relations`` (None: the defaults), ``oracle``, ``resolution`` (from 8 to
+    MAX_RESOLUTION), ``seed`` (an integer >= 0, which numpy's ``default_rng``
+    takes) and ``format``.  Under the oracle a sphere ``state`` is held to
+    MAX_RESOLUTION values per array: the oracle keeps 2l + 1 phi rows of
     ``resolution`` nodes each."""
-    if state.family == "sphere" and resolution is not None:
+    diags = []
+    names = run.get("relations")
+    if names is None:
+        pass
+    elif not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
+        diags.append(f"relations must be a list of relation names, got {names!r}")
+    elif not names:
+        diags.append("--relations names no relation")
+    else:
+        diags += [f"unknown relation {name!r}" for name in names if name not in RELATIONS]
+    with_oracle = run.get("oracle", False)
+    if type(with_oracle) is not bool:
+        diags.append(f"oracle must be true or false, got {with_oracle!r}")
+    resolution = run.get("resolution")
+    if resolution is None:
+        pass
+    elif type(resolution) is not int or resolution < 8:
+        diags.append(f"resolution must be an integer >= 8, got {resolution!r}")
+    elif resolution > MAX_RESOLUTION:
+        diags.append(f"resolution must be at most {MAX_RESOLUTION}, got {resolution!r}")
+    elif with_oracle is True and state is not None and state.family == "sphere":
         rows = 2 * state.l + 1
         if rows * resolution > MAX_RESOLUTION:
-            raise ConfigError(
+            diags.append(
                 f"sphere oracle rows x resolution must be at most {MAX_RESOLUTION}, "
                 f"got {rows} x {resolution}"
             )
+    seed = run.get("seed")
+    if seed is not None and (type(seed) is not int or seed < 0):
+        diags.append(f"seed must be a non-negative integer, got {seed!r}")
+    fmt = run.get("format", "json")
+    if fmt != "json":
+        diags.append(f"scenario reports are JSON only, got format {fmt!r}")
+    return diags
+
+
+def _raise_diags(diags):
+    """ConfigError with ``diags`` on one line, if there are any."""
+    if diags:
+        raise ConfigError("; ".join(diags))
 
 
 def evaluate_relation(name, state):
@@ -400,7 +399,6 @@ def _evaluate_state(state, names, with_oracle, resolution):
     ket = operators.lift(state)
     sampled = None
     if with_oracle:
-        _check_sphere_rows(ket.state, resolution)
         sampled = oracle.Sampled(ket.state, oracle.default_grid(ket.state, resolution))
     reports = []
     for name in names:
@@ -425,14 +423,15 @@ def _evaluate_states(states, names, with_oracle, resolution):
 
 
 def run_scenario(config):
-    """Evaluate one configured scenario into a report document."""
-    family = config["family"]
-    params = config.get("parameters", {})
-    names = config.get("relations")
-    names = _check_relations(DEFAULT_RELATIONS if names is None else names)
-    resolution = _check_resolution(config.get("resolution"))
+    """Evaluate one configured scenario into a report document; ConfigError
+    for a state or run field outside the contract."""
+    family, params = config["family"], config.get("parameters", {})
     state = _make_state(family, params)
-    reports, mismatch = _evaluate_state(state, names, config.get("oracle"), resolution)
+    _raise_diags(_run_diags(config, state))
+    names = config.get("relations")
+    names = DEFAULT_RELATIONS if names is None else names
+    with_oracle, resolution = config.get("oracle", False), config.get("resolution")
+    reports, mismatch = _evaluate_state(state, names, with_oracle, resolution)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "scenario",
@@ -567,14 +566,8 @@ def _config_from_args(args):
         if args.family:
             raise ConfigError("scenario --config takes no family: the config names it")
         _flag_params(args, "scenario --config", {})
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from None
-        diags = validate_config_doc(config)
-        if diags:
-            raise ConfigError("; ".join(diags))
+        config = _read_config(args.config)
+        _raise_diags(_config_diags(config))
         return config
     if args.family is None:
         raise ConfigError("scenario needs a family or --config")
@@ -599,64 +592,60 @@ def _read_coeff_file(path):
             doc = doc["coefficients"]
         # the config reader and the state check each part and its finiteness
         return {str(states.mode_index(k)): [real, imag] for k, real, imag in doc}
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot read coefficients {path}: {exc}") from None
+
+
+def _read_config(path):
+    """The JSON document in the config file at ``path``; ConfigError if the
+    file cannot be read as UTF-8 JSON (UnicodeDecodeError and JSONDecodeError
+    are ValueErrors, and nesting too deep for the parser a RecursionError)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
+
+
+def _config_diags(config):
+    """Diagnostics for a scenario config's family and parameter keys."""
+    if not isinstance(config, dict):
+        return ["config must be a JSON object"]
+    family, params = config.get("family"), config.get("parameters")
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
+        return [f"unknown family {family!r}"]
+    if not isinstance(params, dict):
+        return ["missing parameter block"]
+    rows = FAMILY_PARAMS[family]
+    missing = [key for key in _parameters_schema(rows)["required"] if key not in params]
+    return [f"missing parameter {key!r} for family {family!r}" for key in missing] + [
+        f"family {family!r} does not read parameter {key!r}" for key in params if key not in rows
+    ]
 
 
 def validate_config(path):
     """Diagnostics for a config file; an empty list means well-formed."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable config: {exc}"]
+        config = _read_config(path)
+    except ConfigError as exc:
+        return [str(exc)]
     return validate_config_doc(config)
 
 
 def validate_config_doc(config):
-    """Human-readable diagnostics for a scenario config document."""
-    diags = []
+    """Human-readable diagnostics for a scenario config document: those of
+    its family and parameter keys, of the state it builds, and of its run
+    fields, as ``scenario --config`` gives them."""
+    diags = _config_diags(config)
     if not isinstance(config, dict):
-        return ["config must be a JSON object"]
-    family = config.get("family")
-    if family not in FAMILY_PARAMS:
-        diags.append(f"unknown family {family!r}")
         return diags
-    params = config.get("parameters")
-    if not isinstance(params, dict):
-        diags.append("missing parameter block")
-        return diags
-    rows = FAMILY_PARAMS[family]
-    diags += [
-        f"missing parameter {key!r} for family {family!r}"
-        for key in _parameters_schema(rows)["required"]
-        if key not in params
-    ]
-    diags += [
-        f"family {family!r} does not read parameter {key!r}" for key in params if key not in rows
-    ]
     state = None
     if not diags:
         try:
-            state = _make_state(family, params)
+            state = _make_state(config["family"], config["parameters"])
         except ConfigError as exc:
             diags.append(str(exc))
-    if config.get("relations") is not None:
-        diags += _relation_diags(config["relations"])
-    try:
-        resolution = _check_resolution(config.get("resolution"))
-        if state is not None and config.get("oracle"):
-            _check_sphere_rows(state, resolution)
-    except ConfigError as exc:
-        diags.append(str(exc))
-    try:
-        _check_seed(config.get("seed"))
-    except ConfigError as exc:
-        diags.append(str(exc))
-    fmt = config.get("format", "json")
-    if fmt != "json":
-        diags.append(f"scenario reports are JSON only, got format {fmt!r}")
-    return diags
+    return diags + _run_diags(config, state)
 
 
 def _parameters_schema(rows):
@@ -752,11 +741,14 @@ def _sweep_items(args, seed):
 
 
 def run_sweep(args):
-    names = _check_relations(_split_names(args.relations))
-    resolution = _check_resolution(args.resolution)
-    seed = _check_seed(0 if args.seed is None else args.seed)
+    names = _split_names(args.relations)
+    # the seed is checked before any state is drawn with it
+    _raise_diags(_run_diags({"relations": names, "resolution": args.resolution, "seed": args.seed}))
+    seed = 0 if args.seed is None else args.seed
     items = _sweep_items(args, seed)
-    results = _evaluate_states([state for _, state in items], names, args.oracle, resolution)
+    # a sweep's states share their family and sphere l, so the first stands for all
+    _raise_diags(_run_diags({"oracle": args.oracle, "resolution": args.resolution}, items[0][1]))
+    results = _evaluate_states([state for _, state in items], names, args.oracle, args.resolution)
     entries = [
         {"index": index, "params": params, "reports": reports, "mismatch": mismatch}
         for index, ((params, _), (reports, mismatch)) in enumerate(zip(items, results))

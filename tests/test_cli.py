@@ -259,6 +259,20 @@ class File(str):
     """A ``test_rejected`` argument that stands for a file holding this text."""
 
 
+class RawFile(bytes):
+    """A ``test_rejected`` argument that stands for a file holding these bytes."""
+
+
+# configs with a relation name or a family that is not a string, one that is not UTF-8
+# and one nested too deep to parse
+MALFORMED_CONFIGS = {
+    "nested-relations": (File(json.dumps({**SCR_CONFIG, "relations": [["csf"]]})), RELATION_LIST),
+    "list-family": (File(json.dumps({**SCR_CONFIG, "family": ["scr"]})), "unknown family ['scr']"),
+    "not-utf-8": (RawFile(b'{"family": "scr\xe9"}'), "cannot read config"),
+    "deeply-nested": (File("[" * 100000), "cannot read config"),
+}
+
+
 class TestInputContract:
     """Inputs outside the contract exit 1 with one ``error:`` line, never a
     traceback, a numerical failure or an empty report."""
@@ -405,14 +419,17 @@ class TestInputContract:
             ),
             (("sweep", "scr", "--m", "0..1", "--seed", "5"), "sweep scr without --random does not take --seed"),
             (("sweep", "qtp", "--random", "2", "--n", "0..3"), "sweep qtp --random does not take --n"),
+            *((("scenario", "--config", config), message) for config, message in MALFORMED_CONFIGS.values()),
+            (CUSTOM + (File("[" * 100000),), "cannot load state from"),
+            (SPHERE_COEFFS + (File("[" * 100000),), "cannot read coefficients"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):
         argv = []
         for i, arg in enumerate(args):
-            if isinstance(arg, File):
+            if isinstance(arg, (File, RawFile)):
                 path = tmp_path / f"arg{i}.json"
-                path.write_text(arg)
+                path.write_bytes(arg if isinstance(arg, bytes) else arg.encode())
                 arg = str(path)
             argv.append(arg)
         proc = run_cli(*argv, check=False)
@@ -421,6 +438,18 @@ class TestInputContract:
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert "Traceback" not in proc.stderr and "usage:" not in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("config, message", MALFORMED_CONFIGS.values(), ids=list(MALFORMED_CONFIGS))
+    def test_malformed_config_validate(self, tmp_path, config, message):
+        """validate prints the one line that scenario --config gives for each
+        malformed config of ``test_rejected``."""
+        path = tmp_path / "cfg.json"
+        path.write_bytes(config if isinstance(config, bytes) else config.encode())
+        proc = run_cli("validate", str(path), check=False)
+        assert (proc.returncode, proc.stderr, proc.stdout.count("\n")) == (1, "", 1)
+        assert message in proc.stdout
+        scenario = run_cli("scenario", "--config", str(path), check=False)
+        assert scenario.stderr == f"error: {proc.stdout}"
 
     # The state flags each verb reads on each family, as README.md states
     # them; written out here rather than taken from cli, so that the table is
@@ -494,6 +523,52 @@ class TestInputContract:
             scenario = run_cli("scenario", "--config", str(path), check=False)
             assert scenario.returncode == (1 if out else 0), seed
             assert scenario.stderr == (f"error: {out}" if out else ""), seed
+
+    def test_oracle_in_config(self, tmp_path):
+        """validate, scenario --config and the config schema take a boolean
+        oracle only, and scenario --config runs the oracle on true alone."""
+        jsonschema = pytest.importorskip("jsonschema")
+        from angulab.cli import emit_schema
+
+        schema = emit_schema()["config"]
+        path = tmp_path / "cfg.json"
+        for value, out in ((True, ""), (False, ""), ("no", "'no'"), (1, "1"), (None, "None")):
+            cfg = {**SCR_CONFIG, "relations": ["csf"], "oracle": value}
+            want = f"oracle must be true or false, got {out}\n" if out else ""
+            if want:
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate(cfg, schema)
+            else:
+                jsonschema.validate(cfg, schema)
+            path.write_text(json.dumps(cfg))
+            proc = run_cli("validate", str(path), check=False)
+            assert (proc.returncode, proc.stdout) == (1 if want else 0, want), value
+            scenario = run_cli("scenario", "--config", str(path), check=False)
+            assert scenario.returncode == (1 if want else 0), value
+            assert scenario.stderr == (f"error: {want}" if want else ""), value
+            if not want:
+                report = json.loads(scenario.stdout)["reports"][0]
+                assert ("oracle_delta" in report) is value, value
+
+    @pytest.mark.parametrize("family", ["qtp", "custom"])
+    def test_config_state_built_once(self, monkeypatch, capsys, tmp_path, family):
+        """scenario --config builds its state once, and loads a custom state
+        file once."""
+        from angulab import cli, states
+
+        state_path, path = tmp_path / "state.json", tmp_path / "cfg.json"
+        states.save(states.scr_eigenstate(1), state_path)
+        params = {"n": 1, "J": 1.0, "omega": 1.0, "hbar": 1.0}
+        if family == "custom":
+            params = {"coeffs": str(state_path)}
+        path.write_text(json.dumps({"family": family, "parameters": params, "relations": ["csf"]}))
+        made, loaded = [], []
+        make_state, load = cli._make_state, states.load
+        monkeypatch.setattr(cli, "_make_state", lambda *args: made.append(1) or make_state(*args))
+        monkeypatch.setattr(states, "load", lambda *args: loaded.append(1) or load(*args))
+        assert cli.main(["scenario", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (len(made), len(loaded)) == (1, int(family == "custom"))
 
     def test_format_in_config(self, tmp_path):
         """validate, scenario --config and the config schema reject a format
