@@ -5,7 +5,6 @@ from .operators import (
     COS_PHI,
     LZ,
     PHI,
-    PHI2,
     SIN_PHI,
     Observable,
     UnsupportedObservable,
@@ -18,7 +17,6 @@ from .operators import (
     qtp_energy_mean,
     sphere_variances,
     std_dev,
-    trig_observable,
 )
 from .relations import (
     EQ8_COS,

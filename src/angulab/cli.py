@@ -168,7 +168,7 @@ def _both(rows, given):
 def _make_state(family, params):
     """The family's state from config-form ``params``: each key through its
     row's reader, a key left out at the row's default."""
-    if family not in FAMILY_PARAMS:
+    if not isinstance(family, str) or family not in FAMILY_PARAMS:
         raise ConfigError(f"unknown family {family!r}")
     pair = _both(FAMILY_PARAMS[family], params)
     if pair:

@@ -26,7 +26,7 @@ D(i k / (lam sqrt 2)), whose matrix elements come from a stable Laguerre
 recurrence (``specfun.displacement_matrix``).  A line ket holds the band
 ``states.line_band`` sizes from its top index and lam, so that the images
 under sin phi and cos phi lose less than eps outside it; a multiplier mode
-beyond +-1 would lose more, so it raises.
+beyond +-1 would lose more, so ``LineKet.mul_trig`` raises on one.
 
 Circle and sphere kets share one type with a leading row axis: one row on
 the circle, one per polar function theta_lm (m = -l..l) on the sphere at
@@ -46,25 +46,25 @@ difference j - i, never on an absolute mode.
 Kets may carry leading axes that stack several kets on one band; every
 operator acts on each alike.  ``lift`` records the state a ket came from in
 its ``state`` slot, and the ket answers every relation's reads from its row
-of one stacked block per set of observables, kept in its memo dict.  One
-block class serves both ket classes.  Its stack holds psi and A psi on
-their common band, from one matmul through a band map, the images of the
-band's basis kets under the observables, cached per ket class, band and
-observables: built by ``apply`` on a Fourier band, and the observables'
-matrices on a line band, which never grows.  P = (A psi, B psi) and G =
-(dA psi, dB psi) are contractions against the band's metric (the identity
-on the line).  E = (psi, A B psi) needs no A B psi: psi's bra is pulled
-back through A by a form F_A, (x, A y) = x^* F_A y, the metric times the
-transposed map of the second images (a view of the block's own map on the
-line), and contracted with the stack of B psi.  Maps and forms hold L_z at
-hbar = 1, and hbar scales its slots and rows after each product, so no hbar
-enters a key.  A relation reads its entries in one lookup: a pair read kept
-on the ket holds the means, standard deviations and cross term, and apart
-from them the mismatches, their largest modulus and the second-order
-products.  Reads among L_z, phi, sin phi and cos phi share one block, which
-also gives the pendulum energy; any other read gets a block of its own
-observables, in order of tag, so every value depends on the ket and the
-observables read only.  Ket coefficients are read-only.
+of one stacked block, kept in its ``row`` slot.  The block holds the paper's
+four observables, L_z, phi, sin phi and cos phi (``_PAPER``), in fixed
+slots, and ``resolve_observable`` refuses any other, so every value depends
+on the ket and the observables read only.  One block class serves both ket
+classes.  Its stack holds psi and A psi on their common band, from one
+matmul through a band map, the images of the band's basis kets under the
+four, cached per ket class and band: built by ``apply`` on a Fourier band,
+and the observables' matrices on a line band, which never grows.  P = (A
+psi, B psi) and G = (dA psi, dB psi) are contractions against the band's
+metric (the identity on the line).  E = (psi, A B psi) needs no A B psi:
+psi's bra is pulled back through A by a form F_A, (x, A y) = x^* F_A y, the
+metric times the transposed map of the second images (a view of the
+block's own map on the line), and contracted with the stack of B psi.
+Maps and forms hold L_z at hbar = 1, and hbar scales its slot and row after
+each product, so no hbar enters a key.  A relation reads its entries in one
+lookup: a pair read kept on the ket holds the means, standard deviations
+and cross term, and apart from them the mismatches, their largest modulus
+and the second-order products.  The same block gives the pendulum energy.
+Ket coefficients are read-only.
 
 A block serves a batch of kets.  ``lift_all`` stacks the kets of a sweep
 that share a class, band and parameters (lo, depth, width, l and hbar on
@@ -115,49 +115,45 @@ class _lazy:
 
 
 class UnsupportedObservable(ValueError):
-    """Raised when an observable does not act on the given family."""
+    """Raised for an observable outside the paper's four or a read a family lacks."""
 
 
 @dataclass(frozen=True, eq=False)
 class Observable:
     """A named operator.
 
-    ``fourier`` marks multiplication by sum_k f_k e^{i k phi}.  ``hermitian``
-    gates the mean / standard-deviation paths.  Observables compare and hash
-    by identity, so memo lookups keyed on them stay cheap.
+    ``fourier`` marks multiplication by sum_k f_k e^{i k phi}.  Observables
+    compare and hash by identity, so lookups keyed on them stay cheap.
     """
 
     tag: str
-    hermitian: bool = True
     fourier: tuple = None
 
 
 LZ = Observable("Lz")
 PHI = Observable("Phi")
-PHI2 = Observable("Phi2")
 SIN_PHI = Observable("SinPhi", fourier=((1, -0.5j), (-1, 0.5j)))
 COS_PHI = Observable("CosPhi", fourier=((1, 0.5 + 0.0j), (-1, 0.5 + 0.0j)))
 
-_BY_TAG = {o.tag: o for o in (LZ, PHI, PHI2, SIN_PHI, COS_PHI)}
-
-
-def trig_observable(label, coeffs):
-    """Multiplication by f(phi) = sum_k f_k e^{i k phi} (k integer)."""
-    items = tuple(sorted((int(k), complex(v)) for k, v in coeffs.items() if v != 0))
-    if not items:
-        raise ValueError("trig_observable: empty coefficient set")
-    table = dict(items)
-    hermitian = all(abs(table.get(-k, 0.0) - np.conj(v)) < 1e-14 for k, v in items)
-    return Observable(label, hermitian=hermitian, fourier=items)
+# The paper's four observables, in the order of their slots in every block.
+_PAPER = (LZ, PHI, SIN_PHI, COS_PHI)
+_RESOLVE = {key: a for a in _PAPER for key in (a, a.tag)}
 
 
 def resolve_observable(obs):
-    if isinstance(obs, Observable):
-        return obs
+    """One of the paper's four observables, given as itself or by tag;
+    UnsupportedObservable for any other observable or tag."""
     try:
-        return _BY_TAG[obs]
+        return _RESOLVE[obs]
     except KeyError:
-        raise UnsupportedObservable(f"unknown observable tag {obs!r}") from None
+        tag = getattr(obs, "tag", obs)
+        raise UnsupportedObservable(f"observable {tag!r}: not Lz, Phi, SinPhi or CosPhi") from None
+
+
+@lru_cache(maxsize=256)
+def _slots(obs):
+    """The block slot of each of the observables (objects or tags) ``obs``."""
+    return tuple(_PAPER.index(resolve_observable(a)) for a in obs)
 
 
 # -- circle matrix elements ---------------------------------------------------
@@ -240,25 +236,24 @@ def _theta_overlap_root(l):
 class Ket:
     """The reads shared by both ket classes.
 
-    Every read goes through this ket's row of a block, memoized in ``memo``,
-    the ket's own dict; the coefficients are read-only, so the memo cannot
-    go stale.  Reads among the paper's four observables share one block; a
-    read of any other observable uses a block of the observables it names,
-    so no value depends on what was read before.  ``pair`` gives a relation
-    all its entries at once; the other reads give one entry each.  ``state``
-    is the state ``lift`` made the ket from, or None on a ket an operation
-    returned.  ``batch`` is the ``_Batch`` the ket is stacked in and its
-    position there: ``lift_all`` sets it, and the first read of a ket
-    without one makes it a batch of one, with no state axis.
+    Every read goes through this ket's row of its block, kept in ``row`` on
+    first read; the coefficients are read-only, so the row cannot go stale.
+    The block holds the paper's four observables, so no value depends on
+    what was read before.  ``pair`` gives a relation all its entries at
+    once; the other reads give one entry each.  ``state`` is the state
+    ``lift`` made the ket from, or None on a ket an operation returned.
+    ``batch`` is the ``_Batch`` the ket is stacked in and its position
+    there: ``lift_all`` sets it, and the first read of a ket without one
+    makes it a batch of one, with no state axis.
     """
 
-    __slots__ = ("coeffs", "memo", "pairs", "state", "batch")
+    __slots__ = ("coeffs", "row", "pairs", "state", "batch")
 
     def __init__(self, coeffs):
         coeffs.setflags(write=False)
         self.coeffs = coeffs
-        self.memo = {}
-        self.pairs = {}  # (row, i, j) -> _Pair, kept apart from the row so no cycle forms
+        self.row = None
+        self.pairs = {}  # (i, j) -> _Pair, kept apart from the row so no cycle forms
         self.state = None
         self.batch = None
 
@@ -276,25 +271,24 @@ class Ket:
         return row.acted(i)
 
     def _block(self, *obs):
-        """This ket's row of the block for a read of ``obs``, and the index
-        of each of them in it."""
-        key, index = _block_key(obs)
-        row = self.memo.get(key)
+        """This ket's row of its block and the slot of each of ``obs`` in it;
+        any other observable raises before the block is built."""
+        index = _slots(obs)
+        row = self.row
         if row is None:
             if self.batch is None:  # alone: a batch of one, with no state axis
                 self.batch = _Batch(self.coeffs, self._like(self.coeffs)), ()
             batch, k = self.batch
-            row = self.memo[key] = _Row(batch.block(key), k)
+            row = self.row = _Row(batch.block, k)
         return row, index
 
     def pair(self, a, b):
         """The ``_Pair`` read of observables a and b, built once per row."""
-        row, (i, j) = self._block(a, b)
-        key = row, i, j
-        return self.pairs.get(key) or self.pairs.setdefault(key, _Pair(row, i, j))
+        row, key = self._block(a, b)
+        return self.pairs.get(key) or self.pairs.setdefault(key, _Pair(row, *key))
 
     def mean(self, a):
-        """<A> = (psi, A psi); rejects non-Hermitian observables."""
+        """<A> = (psi, A psi)."""
         row, (i,) = self._block(a)
         return row.means[i]
 
@@ -404,14 +398,15 @@ class FourierKet(Ket):
         return self.coeffs.shape[-2:] + (self.lo,)
 
     @staticmethod
-    def images(band, obs):
-        """The common band of ``band`` and its basis kets' images under
-        ``obs`` at hbar = 1, one ``apply`` each, the positions of the basis
-        kets on it, and the images on it, [observable, basis ket, (d, i)]."""
+    def images(band):
+        """The common band of ``band`` and its basis kets' images under the
+        four observables at hbar = 1, one ``apply`` each, the positions of
+        the basis kets on it, and the images on it, [observable, basis ket,
+        (d, i)]."""
         depth, width, lo = band
         size = depth * width
         basis = FourierKet(np.eye(size, dtype=complex).reshape(size, 1, depth, width), lo, 1.0)
-        images = [basis] + [apply(a, basis) for a in obs]
+        images = [basis] + [apply(a, basis) for a in _PAPER]
         lo = min(ket.lo for ket in images)
         width = max(ket.lo + ket.coeffs.shape[-1] for ket in images) - lo
         depth = max(ket.coeffs.shape[-2] for ket in images)
@@ -421,7 +416,7 @@ class FourierKet(Ket):
             off = ket.lo - lo
             slot[:, : c.shape[1], off : off + c.shape[2]] = c
         psi = np.flatnonzero(out[0].any(0))  # where the basis kets sit
-        return (depth, width, lo), psi, out[1:].reshape(len(obs), size, -1)
+        return (depth, width, lo), psi, out[1:].reshape(len(_PAPER), size, -1)
 
     @staticmethod
     def metric(band, other):
@@ -495,21 +490,19 @@ class LineKet(Ket):
         return self.coeffs.shape[-1], float(self.lam)
 
     @staticmethod
-    def images(band, obs):
+    def images(band):
         """``band``, which never grows, the positions of its basis kets (all),
-        and their images under ``obs`` at hbar = 1, with no product: a
-        multiplier's transposed matrix, the two diagonals of L_z and phi, and
-        ``apply`` for any other observable."""
+        and their images under the four observables at hbar = 1, with no
+        product: the two diagonals of L_z and phi, and the multipliers'
+        transposed matrices."""
         dim, lam = band
-        out = np.zeros((len(obs), dim, dim), dtype=complex)
+        out = np.zeros((len(_PAPER), dim, dim), dtype=complex)
         i = np.arange(dim - 1)
-        for mat, a in zip(out, obs):
-            if a.fourier is not None:
-                mat[...] = _line_mult_matrix(dim, lam, a.fourier).T
-            elif a.tag in ("Lz", "Phi"):
+        for mat, a in zip(out, _PAPER):
+            if a.fourier is None:
                 mat[i, i + 1], mat[i + 1, i] = _ladder_diagonals(dim, a.tag, lam)
             else:
-                mat[...] = apply(a, LineKet(np.eye(dim, dtype=complex), lam, 1.0, 1.0, 1.0)).coeffs
+                mat[...] = _line_mult_matrix(dim, lam, a.fourier).T
         return band, slice(None), out
 
     metric = staticmethod(lambda band, other: None)  # the Hermite functions are orthonormal
@@ -638,34 +631,23 @@ def apply(obs, state):
     ket = lift(state)
     if obs.fourier is not None:
         return ket.mul_trig(obs.fourier)
-    if obs.tag == "Lz":
-        return ket.lz()
-    if obs.tag == "Phi":
-        return ket.mul_phi()
-    if obs.tag == "Phi2":
-        return ket.mul_phi().mul_phi()
-    raise UnsupportedObservable(f"observable {obs.tag!r} has no action")
-
-
-# The observables whose reads share one block: the four of the paper.  A read
-# that involves any other observable gets a block of its own observables.
-_PAPER = (LZ, PHI, SIN_PHI, COS_PHI)
+    return ket.lz() if obs is LZ else ket.mul_phi()
 
 
 class _BandMap:
-    """The images of one band's basis kets under a tuple of observables, for
+    """The images of one band's basis kets under the four observables, for
     either ket class: ``matrix[k, b, :]`` is observable k acting on basis
     ket b on the common band ``band``, where the basis kets sit at ``psi``,
-    as the class's ``images`` writes it.  L_z is built at hbar = 1 and
-    scaled in place by ``act``, so no hbar enters the key."""
+    as the class's ``images`` writes it.  L_z, in slot 1 of ``act``'s
+    output, is built at hbar = 1 and scaled in place by ``act``, so no hbar
+    enters the key."""
 
-    __slots__ = ("matrix", "band", "psi", "_lz", "nbytes")
+    __slots__ = ("matrix", "band", "psi", "nbytes")
 
-    def __init__(self, cls, band, obs):
-        self.band, self.psi, self.matrix = cls.images(band, obs)
+    def __init__(self, cls, band):
+        self.band, self.psi, self.matrix = cls.images(band)
         self.matrix.setflags(write=False)
         self.nbytes = self.matrix.nbytes
-        self._lz = [1 + k for k in _lz_slots(obs)]
 
     def act(self, x, hbar):
         """The kets ``x[..., ket, band]`` and their images at ``hbar``, as
@@ -677,32 +659,25 @@ class _BandMap:
         psi = out[..., 0, :, :]
         psi[..., self.psi] = x
         np.matmul(x[..., None, :, :], self.matrix, out=out[..., 1:, :, :])
-        for s in self._lz:
-            out[..., s, :, :] *= hbar
+        out[..., 1, :, :] *= hbar
         return out
 
 
-# One map per (ket class, band, observables): a block's own.  64 MiB holds a
-# line block's map at the 1,024-row band cap (four observables of 16 MiB) or
-# many of an l = 64 sphere block (2.2 MB).
+# One map per (ket class, band): a block's own.  64 MiB holds a line block's
+# map at the 1,024-row band cap (four observables of 16 MiB) or many of an
+# l = 64 sphere block (2.2 MB).
 _band_map = specfun.BytesLRU(_BandMap, budget=2**26)
 
 
-@lru_cache(maxsize=256)
-def _lz_slots(obs):
-    """The positions of L_z among ``obs``: the slots that carry one hbar."""
-    return tuple(k for k, a in enumerate(obs) if a.fourier is None and a.tag == "Lz")
-
-
-def _forms(cls, band, obs):
-    """The forms F_k of ``obs`` on ``band`` of ket class ``cls`` at hbar = 1,
-    (x, A_k y) = x^* F_k y for x on that band and y on the band of its A psi
-    rows: the metric of the two bands times the transposed map of A_k onto
-    the second images.  Where the band does not grow, that map is the
-    block's own one, else it is built here and not kept; with no metric
-    (the line), F_k is a view of it."""
-    first = _band_map(cls, band, obs)
-    second = first if first.band == band else _BandMap(cls, first.band, obs)
+def _forms(cls, band):
+    """The forms F_k of the four observables on ``band`` of ket class ``cls``
+    at hbar = 1, (x, A_k y) = x^* F_k y for x on that band and y on the band
+    of its A psi rows: the metric of the two bands times the transposed map
+    of A_k onto the second images.  Where the band does not grow, that map
+    is the block's own one, else it is built here and not kept; with no
+    metric (the line), F_k is a view of it."""
+    first = _band_map(cls, band)
+    second = first if first.band == band else _BandMap(cls, first.band)
     forms = second.matrix.swapaxes(-1, -2)
     metric = cls.metric(band, second.band)
     if metric is None:
@@ -712,51 +687,47 @@ def _forms(cls, band, obs):
     return out
 
 
-# The forms with a metric, per (ket class, band, observables): none of the
-# line's.  16 MiB holds many of an l = 64 sphere block (2.2 MB).
+# The forms with a metric, per (ket class, band): none of the line's.  16 MiB
+# holds many of an l = 64 sphere block (2.2 MB).
 _bra_form = specfun.BytesLRU(_forms, budget=2**24)
 
 
 class _Batch:
     """Kets of one class, band and set of parameters: ``coeffs`` stacks their
     coefficients on the batch's leading axes, one state axis for a batch
-    from ``lift_all`` and none for a ket read alone.  Each set of observables
-    gets one ``_Block`` over all of them, built on the first read of any;
-    ``like`` is a ket with their parameters and no reads of its own, so a
-    ket and its batch form no reference cycle."""
-
-    __slots__ = ("coeffs", "like", "blocks")
+    from ``lift_all`` and none for a ket read alone.  ``block`` is the one
+    ``_Block`` over all of them, built on the first read of any; ``like`` is
+    a ket with their parameters and no reads of its own, so a ket and its
+    batch form no reference cycle."""
 
     def __init__(self, coeffs, like):
-        self.coeffs, self.like, self.blocks = coeffs, like, {}
+        self.coeffs, self.like = coeffs, like
 
-    def block(self, obs):
-        block = self.blocks.get(obs)
-        if block is None:
-            block = self.blocks[obs] = _Block(self.coeffs, self.like, obs)
-        return block
+    @_lazy
+    def block(self):
+        return _Block(self.coeffs, self.like)
 
 
 class _Block:
-    """psi and A psi for the observables ``obs`` of a batch of kets of
-    either class on one band; every array leads with the batch's axes.
+    """psi and A psi for the four observables of a batch of kets of either
+    class on one band; every array leads with the batch's axes.
 
     ``stack[..., s, r, :]`` holds row r of psi (slot 0), then of A psi for
-    each observable in order, from the kets' band map, and ``p`` their Gram
-    matrices (X psi, Y psi).  The rest is computed on first use for every
-    state at once: the deviation kets dA psi, explicit, from the unchecked
-    real parts of the means, their Gram matrices, and the second-order
-    products (psi, A B psi) with the mismatches.  Each contraction is a
-    stacked ``np.matmul`` or linalg call that keeps the gemm shape of a ket
-    alone and sums over no state, so a state's entries are the bits it
-    gives alone.  A ket reads its own row through a ``_Row``, which checks
+    L_z, phi, sin phi and cos phi (slots 1 to 4), from the kets' band map,
+    and ``p`` their Gram matrices (X psi, Y psi).  The rest is computed on
+    first use for every state at once: the deviation kets dA psi, explicit,
+    from the unchecked real parts of the means, their Gram matrices, and
+    the second-order products (psi, A B psi) with the mismatches.  Each
+    contraction is a stacked ``np.matmul`` or linalg call that keeps the
+    gemm shape of a ket alone and sums over no state, so a state's entries
+    are the bits it gives alone.  A ket reads its own row through a ``_Row``, which checks
     its means.  The ket class supplies its ``band``, the ``images`` of the
     band's basis kets, its ``metric`` and a row as a ket (``from_row``).
     """
 
-    def __init__(self, coeffs, like, obs):
-        self.like, self.obs = like, obs
-        self._map = _band_map(type(like), like.band, obs)
+    def __init__(self, coeffs, like):
+        self.like = like
+        self._map = _band_map(type(like), like.band)
         lead = coeffs.shape[: coeffs.ndim - like.coeffs.ndim]
         self._x = coeffs.reshape(lead + (-1, self._map.matrix.shape[1]))  # (..., rows, band)
         self.stack = self._map.act(self._x, like.hbar)
@@ -794,16 +765,14 @@ class _Block:
         = (psi^* F_k) . A_j psi, with psi's bra pulled back through A_k by
         the form F_k of ``_forms`` at hbar = 1: one stacked product for the
         bras, one for their contraction with the stack of A psi, and hbar
-        on the L_z rows after it.  A form with a metric is cached in
+        on the L_z row (0) after it.  A form with a metric is cached in
         ``_bra_form``; a line form is a view of the block's own map."""
         acted = self.stack[..., 1:, :, :]
-        key = type(self.like), self.like.band, self.obs
-        forms = (_forms if self._metric is None else _bra_form)(*key)
+        forms = (_forms if self._metric is None else _bra_form)(type(self.like), self.like.band)
         bras = self._x.conj()[..., None, :, :] @ forms  # [..., k, row, band]
         acted = acted.reshape(acted.shape[:-2] + (-1,))
         products = bras.reshape(bras.shape[:-2] + (-1,)) @ acted.swapaxes(-1, -2)
-        for k in _lz_slots(self.obs):
-            products[..., k, :] *= self.like.hbar
+        products[..., 0, :] *= self.like.hbar
         entries = self.p[..., 1:, 1:] - products
         mod = np.abs(entries)
         diag = mod.diagonal(axis1=-2, axis2=-1)
@@ -833,15 +802,9 @@ class _Row:
 
     @_lazy
     def means(self):
-        """<A> = (psi, A psi) per observable; rejects non-Hermitian observables."""
-        out = []
-        for a, val in zip(self.block.obs, self.block.p[self.k][0, 1:].tolist()):
-            if not a.hermitian:
-                raise UnsupportedObservable(
-                    f"mean: observable {a.tag!r} is not Hermitian; expectation undefined"
-                )
-            out.append(_real_mean(a.tag, val))
-        return out
+        """<A> = (psi, A psi) per observable."""
+        vals = self.block.p[self.k][0, 1:].tolist()
+        return [_real_mean(a.tag, val) for a, val in zip(_PAPER, vals)]
 
     def _checked(self):
         """The block, once this ket's means pass their checks: every
@@ -893,9 +856,9 @@ def _real_mean(tag, val):
 
 
 class _Pair:
-    """A relation's entries for A = obs[i], B = obs[j] of a ket's row, each
-    part read on first use; the mismatch part never reads the means, so it
-    also serves observables that are not Hermitian."""
+    """A relation's entries for the observables in slots i and j of a ket's
+    row, each part read on first use; the mismatch part never reads the
+    means."""
 
     __slots__ = ("row", "i", "j", "_moments", "_mismatch")
 
@@ -920,21 +883,8 @@ class _Pair:
         return self._mismatch
 
 
-@lru_cache(maxsize=256)
-def _block_key(obs):
-    """The observables (objects or tags) ``obs`` of a read resolved into the
-    observables of the block that serves it, and the index of each in it.
-    Any read among the paper's four gets their block; the observables of any
-    other read are put in order of tag, so the reads (A, B) and (B, A) share
-    a block."""
-    obs = tuple(map(resolve_observable, obs))
-    key = tuple(dict.fromkeys(obs))
-    key = _PAPER if all(a in _PAPER for a in key) else tuple(sorted(key, key=lambda a: a.tag))
-    return key, tuple(map(key.index, obs))
-
-
 def mean(obs, state):
-    """Expected value (psi, A psi); rejects non-Hermitian observables."""
+    """Expected value (psi, A psi)."""
     return lift(state).mean(obs)
 
 

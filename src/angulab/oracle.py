@@ -319,14 +319,12 @@ def act(obs, psi, state, grid, out=None, scratch=None):
     if obs.tag == "Lz":
         return _scale(-1j * state.hbar, numeric_derivative(psi, line, out, scratch), out)
     phi = line.points
-    if obs.tag == "Phi":
+    if obs.fourier is None:  # phi
         return np.multiply(phi, psi, out=out)
-    if obs.fourier is not None:
-        # the multiplier goes to the scratch, its products through the result
-        f = np.empty(phi.shape, dtype=complex) if scratch is None else _first_line(scratch)
-        _series(obs.fourier, phi, _midpoint_count(line), f, _first_line(out))
-        return np.multiply(f, psi, out=out)
-    raise ValueError(f"oracle act: unsupported observable {obs.tag!r}")
+    # the multiplier goes to the scratch, its products through the result
+    f = np.empty(phi.shape, dtype=complex) if scratch is None else _first_line(scratch)
+    _series(obs.fourier, phi, _midpoint_count(line), f, _first_line(out))
+    return np.multiply(f, psi, out=out)
 
 
 def _first_line(arr):

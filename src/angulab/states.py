@@ -324,23 +324,26 @@ def load(path):
 # noise, so sweeps also visit the near-eigenstate corner of state space.
 
 
+def _peaked_amplitudes(rng, size):
+    """Complex normal amplitudes; one draw in four scales them by 0.01 and
+    adds 1 at one drawn position, a peaked state."""
+    amps = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    if rng.uniform() < 0.25:
+        spike = int(rng.integers(0, size))
+        amps = 0.01 * amps
+        amps[spike] += 1.0
+    return amps
+
+
 def random_periodic(rng, band=8, hbar=1.0):
     m = np.arange(-band, band + 1)
-    amps = rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size)
-    if rng.uniform() < 0.25:
-        spike = int(rng.integers(-band, band + 1))
-        amps = 0.01 * amps
-        amps[spike + band] += 1.0
+    amps = _peaked_amplitudes(rng, m.size)
     return periodic_superposition(dict(zip(m, amps)), truncation=band, hbar=hbar)
 
 
 def random_oscillator(rng, nmax=10, inertia=1.0, frequency=1.0, hbar=1.0):
     n = np.arange(nmax + 1)
-    amps = rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)
-    if rng.uniform() < 0.25:
-        spike = int(rng.integers(0, nmax + 1))
-        amps = 0.01 * amps
-        amps[spike] += 1.0
+    amps = _peaked_amplitudes(rng, n.size)
     return oscillator_superposition(
         dict(zip(n, amps)), inertia=inertia, frequency=frequency, hbar=hbar
     )
@@ -349,9 +352,5 @@ def random_oscillator(rng, nmax=10, inertia=1.0, frequency=1.0, hbar=1.0):
 def random_sphere(rng, l, hbar=1.0):
     _check_orbital(l)
     m = np.arange(-l, l + 1)
-    amps = rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size)
-    if rng.uniform() < 0.25:
-        spike = int(rng.integers(-l, l + 1))
-        amps = 0.01 * amps
-        amps[spike + l] += 1.0
+    amps = _peaked_amplitudes(rng, m.size)
     return sphere_state(l, dict(zip(m, amps)), hbar=hbar)

@@ -5,8 +5,7 @@ import pytest
 def actions(monkeypatch):
     """A list that grows by one per operator action: each ``operators.apply``
     call, counted in every angulab namespace that binds ``apply``.  An
-    action taken inside a counted one (phi^2 applies phi twice) is not
-    counted again."""
+    action taken inside a counted one is not counted again."""
     import angulab
     from angulab import cli, operators, oracle, relations
 

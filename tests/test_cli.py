@@ -967,15 +967,15 @@ class TestSharedLifted:
                     assert actions == [], (label, first)
 
     def test_one_block_per_ket(self):
-        """All 14 registry relations on one lifted ket leave one memo entry:
-        the block of L_z, phi, sin phi and cos phi, which also serves the
-        commutator's A psi, the eq8 right-hand sides and the energy."""
+        """All 14 registry relations on one lifted ket read one row of one
+        block: the block of L_z, phi, sin phi and cos phi, which also serves
+        the commutator's A psi, the eq8 right-hand sides and the energy."""
         from angulab import cli, operators
 
         for label, state in self._states().items():
             ket = operators.lift(state)
             cli._evaluate_state(ket, list(cli.RELATIONS), False, None)
-            assert list(ket.memo) == [operators._PAPER], label
+            assert ket.row is not None and ket.row.block is ket.batch[0].block, label
 
 
     def test_block_lookups_per_relation(self, lookups):
@@ -1095,12 +1095,18 @@ class TestExitCodes:
         assert (out, err) == (fresh.stdout, fresh.stderr)
 
     def test_validate_config_helper(self, tmp_path):
-        from angulab.cli import validate_config
+        """The library calls: ``validate_config`` on a file, and
+        ``run_scenario`` on a config whose family is not a string, which is
+        an unknown family, not a crash."""
+        from angulab.cli import ConfigError, run_scenario, validate_config
 
         assert validate_config(tmp_path / "missing.json")
         path = tmp_path / "ok.json"
         path.write_text(json.dumps({"family": "scr", "parameters": {"m": 0, "hbar": 1.0}}))
         assert validate_config(path) == []
+        for family in (["scr"], {"scr": 1}):
+            with pytest.raises(ConfigError, match="unknown family"):
+                run_scenario({"family": family, "parameters": {}})
 
 
 class TestGoldenFiles:

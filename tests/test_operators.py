@@ -8,7 +8,6 @@ from angulab.operators import (
     COS_PHI,
     LZ,
     PHI,
-    PHI2,
     SIN_PHI,
     FourierKet,
     UnsupportedObservable,
@@ -24,7 +23,6 @@ from angulab.operators import (
     qtp_energy_mean,
     sphere_variances,
     std_dev,
-    trig_observable,
 )
 from angulab.states import (
     oscillator_superposition,
@@ -122,12 +120,6 @@ class TestInnerProductAndMean:
         b = ket.inner(ket)
         assert a == pytest.approx(-1j * b, abs=1e-14)
 
-    def test_non_hermitian_rejected(self):
-        lop = trig_observable("raise", {1: 1.0})
-        assert not lop.hermitian
-        with pytest.raises(UnsupportedObservable):
-            mean(lop, scr_eigenstate(0))
-
     def test_deviation_orthogonality(self):
         rng = np.random.default_rng(17)
         families = [random_periodic(rng), random_oscillator(rng), random_sphere(rng, 2)]
@@ -215,15 +207,13 @@ class TestReadOnlyCoeffs:
 
 
 class TestFourierInnerKernel:
-    WIDE = trig_observable("wide", {2: 0.3 - 0.1j, -1: 0.5j, 0: 0.2})
-    RAISE = trig_observable("raise", {3: 0.4, 1: -0.2j})  # positive modes only
     CHAINS = (
         (),
         (LZ,),
         (PHI, SIN_PHI),
         (PHI, LZ, PHI, COS_PHI),
-        (SIN_PHI, PHI, WIDE, PHI, PHI, LZ),
-        (WIDE, COS_PHI, PHI2, LZ, PHI),
+        (SIN_PHI, PHI, COS_PHI, PHI, PHI, LZ),
+        (COS_PHI, COS_PHI, PHI, PHI, LZ, PHI),
     )
 
     @staticmethod
@@ -269,25 +259,11 @@ class TestFourierInnerKernel:
         for got, want in self._pairs(ket, ket):
             assert got == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("l", (1, 3))
-    def test_sphere_one_sided_multiplier(self, l):
-        state = random_sphere(np.random.default_rng(70 + l), l)
-        folded, unfolded = lift(state), _unfolded_sphere_ket(state)
-        up = self.RAISE
-        raised = apply(up, folded)  # the band -l..l grows to -l+1..l+3
-        assert (raised.lo, raised.coeffs.shape[2]) == (1 - l, 2 * l + 3)
-        chains = ((up,), (PHI, up), (up, LZ, SIN_PHI), (up, PHI, self.WIDE))
-        for ca in chains:
-            for cb in self.CHAINS + chains:
-                got = self._chain(folded, ca).inner(self._chain(folded, cb))
-                want = _reference_inner(self._chain(unfolded, ca), self._chain(unfolded, cb))
-                assert got == pytest.approx(want, rel=1e-12)
-
     def test_chains_reach_depth_three_and_grow_band(self):
         ket = self._chain(lift(sphere_state(2, {1: 1.0})), self.CHAINS[4])
         assert ket.coeffs.shape[1] == 4
-        # SIN_PHI widens [-2, 2] by one mode each side; WIDE by one below, two above
-        assert (ket.lo, ket.coeffs.shape[2]) == (-4, 10)
+        # SIN_PHI and COS_PHI each widen [-2, 2] by one mode each side
+        assert (ket.lo, ket.coeffs.shape[2]) == (-4, 9)
 
     def test_metric_cache_holds_no_absolute_mode(self, capsys):
         from angulab import cli
@@ -417,10 +393,10 @@ class TestEnergy:
             qtp_energy_mean(scr_eigenstate(0))
 
     def test_phi2_consistency(self):
-        # <phi^2> through the squared operator equals variance + mean^2
+        # <phi^2> = (psi, phi phi psi) equals variance + mean^2
         rng = np.random.default_rng(2)
         s = random_periodic(rng)
-        m2 = mean(PHI2, s)
+        m2 = lift(s).expect2(PHI, PHI)
         assert m2 == pytest.approx(std_dev(PHI, s) ** 2 + mean(PHI, s) ** 2, abs=1e-10)
 
 
@@ -472,18 +448,15 @@ class TestLineTrig:
 
     @pytest.mark.parametrize("J", [0.01, 0.1, 1.0])
     def test_wide_multiplier_rejected(self, J):
-        """A line band holds the sin/cos images only, so a multiplier mode
-        beyond +-1 raises, by ``apply`` and by a block read alike, where it
+        """A line band holds the sin/cos images only, so a direct
+        ``mul_trig`` call with a multiplier mode beyond +-1 raises, where it
         would lose part of its image outside the band: |cos 2 phi psi|^2 +
         |sin 2 phi psi|^2 would read 1 - 4.7e-3 at J = 0.1."""
         psi = lift(qtp_eigenstate(0, inertia=J))
-        for fourier in ({2: 0.5, -2: 0.5}, {-2: -0.5j, 2: 0.5j}, {1: 0.5, -3: 0.5}):
-            obs = trig_observable("wide", fourier)
+        for fourier in (((2, 0.5), (-2, 0.5)), ((-2, -0.5j), (2, 0.5j)), ((1, 0.5), (-3, 0.5))):
             with pytest.raises(UnsupportedObservable, match="modes -1..1 only"):
-                apply(obs, psi)
-            with pytest.raises(UnsupportedObservable, match="modes -1..1 only"):
-                psi.mismatch(obs, LZ)
-        assert apply(trig_observable("edge", {1: 0.4, 0: -0.2j}), psi).norm() > 0
+                psi.mul_trig(fourier)
+        assert psi.mul_trig(((1, 0.4), (0, -0.2j))).norm() > 0
 
 
 class TestKetState:

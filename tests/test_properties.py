@@ -15,7 +15,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from angulab import cli, operators, oracle, relations, states  # noqa: E402
 from angulab.cli import GRAM_SET, RELATIONS, evaluate_relation  # noqa: E402
-from angulab.operators import COS_PHI, LZ, PHI, PHI2, SIN_PHI  # noqa: E402
+from angulab.operators import COS_PHI, LZ, PHI, SIN_PHI  # noqa: E402
 from angulab.relations import TOL_GRAM, TOL_IDENTITY, TOL_INEQUALITY, csf, gram_det  # noqa: E402
 
 PROPERTY = settings(max_examples=40, deadline=None)
@@ -131,7 +131,7 @@ def _value(ket, read, obs):
     st.lists(
         st.tuples(
             st.sampled_from(sorted(READS)),
-            st.lists(st.sampled_from((LZ, PHI, PHI2, SIN_PHI, COS_PHI)), min_size=2, max_size=2),
+            st.lists(st.sampled_from((LZ, PHI, SIN_PHI, COS_PHI)), min_size=2, max_size=2),
         ),
         min_size=1,
         max_size=30,
@@ -160,7 +160,6 @@ def eigenstates(draw):
     return states.sphere_state(l, {draw(st.integers(-l, l)): 1.0}, hbar=hbar)
 
 
-STACKED_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI)
 PAPER_OBS = (LZ, PHI, SIN_PHI, COS_PHI)
 REL = 1e-12
 
@@ -190,14 +189,14 @@ def test_stacked_reads_equal_ket_definitions(state):
     to rounding; one taken from <A^2> - <A>^2 would not."""
     psi = operators.lift(state)
     ket = operators.lift(state)
-    acted = {a: operators.apply(a, psi) for a in STACKED_OBS}
-    size = {a: acted[a].norm() for a in STACKED_OBS}
-    means = {a: psi.inner(acted[a]).real for a in STACKED_OBS}
-    devs = {a: acted[a].plus(psi.scaled(-means[a])) for a in STACKED_OBS}
-    for a in STACKED_OBS:
+    acted = {a: operators.apply(a, psi) for a in PAPER_OBS}
+    size = {a: acted[a].norm() for a in PAPER_OBS}
+    means = {a: psi.inner(acted[a]).real for a in PAPER_OBS}
+    devs = {a: acted[a].plus(psi.scaled(-means[a])) for a in PAPER_OBS}
+    for a in PAPER_OBS:
         assert _close(ket.mean(a), means[a], size[a]), ("mean", a.tag)
         assert _close(ket.std(a), devs[a].norm(), size[a]), ("std", a.tag)
-    for a, b in itertools.product(STACKED_OBS, repeat=2):
+    for a, b in itertools.product(PAPER_OBS, repeat=2):
         pair = size[a] * size[b]
         second = operators.apply(a, acted[b])
         expect2 = psi.inner(second)
@@ -260,37 +259,25 @@ def test_stacked_reads_on_wide_bands(state):
 # observables' matrices.  On each basis ket of a band that action must give
 # exactly what ``apply`` gives.
 
-ONE_SIDED = operators.trig_observable("OneSided", {3: 0.4, 1: -0.2j})  # moves the band up
-FOURIER_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI, ONE_SIDED)
-# a line band holds the images of modes -1..1 only
-LINE_ONE_SIDED = operators.trig_observable("LineOneSided", {1: 0.4, 0: -0.2j})
-LINE_OBS = (LZ, PHI, PHI2, SIN_PHI, COS_PHI, LINE_ONE_SIDED)
-
-
-def observable_sets(obs):
-    return st.lists(st.sampled_from(obs), min_size=1, max_size=len(obs), unique=True).map(tuple)
-
-
 @st.composite
 def basis_bands(draw):
-    """A zero ket on a band and observables to act on its basis kets: a
-    circle band of depth 1..3, a sphere band with l <= 12 (one row), or the
-    band of a lifted qtp eigenstate n <= 20 with J and omega drawn, each at
-    drawn hbar."""
+    """A zero ket on a band, to act on its basis kets: a circle band of
+    depth 1..3, a sphere band with l <= 12 (one row), or the band of a
+    lifted qtp eigenstate n <= 20 with J and omega drawn, each at drawn
+    hbar."""
     kind = draw(st.sampled_from(("circle", "sphere", "line")))
     hbar = draw(HBARS)
     if kind == "line":
         n, inertia, frequency = draw(st.integers(0, 20)), draw(LINE_CONSTANTS), draw(LINE_CONSTANTS)
         ket = operators.lift(states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar))
-        return ket._like(np.zeros_like(ket.coeffs)), draw(observable_sets(LINE_OBS))
+        return ket._like(np.zeros_like(ket.coeffs))
     depth, l = draw(st.integers(1, 3)), None
     if kind == "circle":
         width, lo = draw(st.integers(1, 24)), draw(st.integers(-64, 64))
     else:
         l = draw(st.integers(0, 12))
         width, lo = 2 * l + 1, -l
-    ket = operators.FourierKet(np.zeros((1, depth, width), dtype=complex), lo, hbar, l)
-    return ket, draw(observable_sets(FOURIER_OBS))
+    return operators.FourierKet(np.zeros((1, depth, width), dtype=complex), lo, hbar, l)
 
 
 def _on_band(ket, band):
@@ -306,35 +293,33 @@ def _on_band(ket, band):
 
 @PROPERTY
 @given(basis_bands())
-def test_band_map_equals_apply_on_every_basis_ket(case):
+def test_band_map_equals_apply_on_every_basis_ket(like):
     """Slot 0 of a band map's action is psi placed on the common band, and
     slot k its image under observable k, bit for bit as ``apply`` gives it,
     at drawn hbar."""
-    like, obs = case
-    bmap = operators._band_map(type(like), like.band, obs)
+    bmap = operators._band_map(type(like), like.band)
     size = like.coeffs.size
     images = bmap.act(np.eye(size, dtype=complex), like.hbar)  # (slot, basis ket, band)
     for b in range(size):
         coeffs = np.zeros(like.coeffs.shape, dtype=complex)
         coeffs.flat[b] = 1.0
         e = like._like(coeffs)
-        want = [e] + [operators.apply(a, e) for a in obs]
-        for slot, ket, a in zip(images, want, ("psi",) + obs):
+        want = [e] + [operators.apply(a, e) for a in PAPER_OBS]
+        for slot, ket, a in zip(images, want, ("psi",) + PAPER_OBS):
             got = like.from_row(slot[b], bmap.band).coeffs
             assert np.array_equal(got, _on_band(ket, bmap.band)), (b, a)
 
 
 @PROPERTY
-@given(st.integers(0, 20), HBARS, LINE_CONSTANTS, LINE_CONSTANTS, observable_sets(LINE_OBS))
-def test_line_fill_equals_apply_on_every_basis_ket(n, hbar, inertia, frequency, obs):
-    """The line band map of each observable alone fills the images of the
-    basis kets of a lifted qtp eigenstate's band, bit for bit as ``apply``
-    gives them, with J, omega and hbar drawn."""
+@given(st.integers(0, 20), HBARS, LINE_CONSTANTS, LINE_CONSTANTS)
+def test_line_fill_equals_apply_on_every_basis_ket(n, hbar, inertia, frequency):
+    """The line band map fills each observable's images of the basis kets of
+    a lifted qtp eigenstate's band, bit for bit as ``apply`` gives them,
+    with J, omega and hbar drawn."""
     ket = operators.lift(states.qtp_eigenstate(n, inertia=inertia, frequency=frequency, hbar=hbar))
     basis = np.eye(ket.coeffs.size, dtype=complex)
-    for a in obs:
-        bmap = operators._band_map(operators.LineKet, ket.band, (a,))
-        images = bmap.act(basis, hbar)[1]  # slot 1: the image under a
+    bmap = operators._band_map(operators.LineKet, ket.band)
+    for a, images in zip(PAPER_OBS, bmap.act(basis, hbar)[1:]):
         for b, row in enumerate(basis):
             got = ket.from_row(images[b], bmap.band).coeffs
             assert np.array_equal(got, operators.apply(a, ket._like(row)).coeffs), (b, a)
@@ -365,8 +350,9 @@ def _term_moduli(x, a, y):
     kets e_b of y's band, sum |x_i| |M_ic| |(A e_b)_c| |y_b|, with M the
     metric (the identity on the line): both ways of reading (psi, A B psi)
     sum these terms, in different orders."""
-    images = operators._BandMap(type(y), y.band, (a,))  # built here, not cached
-    acted = np.abs(images.act(np.eye(images.matrix.shape[1], dtype=complex), y.hbar)[1])
+    images = operators._BandMap(type(y), y.band)  # built here, not cached
+    basis = np.eye(images.matrix.shape[1], dtype=complex)
+    acted = np.abs(images.act(basis, y.hbar)[1 + PAPER_OBS.index(a)])
     rows = 1 if isinstance(x, operators.LineKet) else x.coeffs.shape[0]
     bra = np.abs(x.coeffs).reshape(rows, -1)
     metric = type(x).metric(x.band, images.band)
@@ -404,25 +390,21 @@ def block_kets(draw):
     return _fourier_ket(rng, depth, 2 * l + 1, -l, hbar, l)
 
 
-READ_PAIRS = st.lists(st.tuples(st.sampled_from(FOURIER_OBS), st.sampled_from(FOURIER_OBS)), min_size=1, max_size=6)
+READ_PAIRS = st.lists(st.tuples(st.sampled_from(PAPER_OBS), st.sampled_from(PAPER_OBS)), min_size=1, max_size=6)
 J_001 = states.random_oscillator(np.random.default_rng(7), inertia=0.01)
 
 
 @PROPERTY
 @given(block_kets(), READ_PAIRS)
 @example(_fourier_ket(np.random.default_rng(1), 3, 129, -64, 1.7), [(LZ, PHI), (COS_PHI, LZ)])
-@example(_fourier_ket(np.random.default_rng(2), 3, 25, -12, 0.4, 12), [(PHI2, ONE_SIDED), (LZ, LZ)])
-@example(operators.lift(J_001), [(LZ, SIN_PHI), (PHI, LZ), (PHI2, LINE_ONE_SIDED), (COS_PHI, COS_PHI)])
+@example(_fourier_ket(np.random.default_rng(2), 3, 25, -12, 0.4, 12), [(LZ, LZ)])
+@example(operators.lift(J_001), [(LZ, SIN_PHI), (PHI, LZ), (COS_PHI, COS_PHI)])
 def test_second_order_reads_equal_composed_apply(ket, pairs):
-    """expect2 and mismatch of every read pair, in the paper's block or a
-    block of its own (phi^2, a one-sided multiplier), equal the inner
-    products of composed ``apply`` calls within rel 1e-12 of the summed
-    moduli of their terms.  Where the band drops most of A B psi, (psi, A B
-    psi) is rounding noise on both sides, so the terms are taken before A
-    acts: the moduli of psi, the metric, A and B psi.  A line ket reads the
-    one-sided multiplier within its band's modes in place of ``ONE_SIDED``."""
-    if isinstance(ket, operators.LineKet):
-        pairs = [tuple(LINE_ONE_SIDED if o is ONE_SIDED else o for o in pair) for pair in pairs]
+    """expect2 and mismatch of every read pair equal the inner products of
+    composed ``apply`` calls within rel 1e-12 of the summed moduli of their
+    terms.  Where the band drops most of A B psi, (psi, A B psi) is rounding
+    noise on both sides, so the terms are taken before A acts: the moduli of
+    psi, the metric, A and B psi."""
     for a, b in pairs:
         acted_a, acted_b = operators.apply(a, ket), operators.apply(b, ket)
         second = operators.apply(a, acted_b)
@@ -717,12 +699,14 @@ def _report_bytes(result):
 def test_batched_states_report_as_alone(sweep):
     """Each state's 13 spectral entries and its condition19 mismatch are the
     same bytes whether it is evaluated alone or among the states of a sweep,
-    whose random states on one band share one block, and the reports come
-    out in input order."""
+    whose random states on one band share one block per ``_BATCH_BYTES`` of
+    coefficients, and the reports come out in input order."""
     drawn, sweep_states = sweep
     assert len(SPECTRAL) == 13
     kets = operators.lift_all(drawn)
-    assert len({id(ket.batch[0]) if ket.batch else id(ket) for ket in kets}) == 1
+    per_batch = max(1, operators._BATCH_BYTES // kets[0].coeffs.nbytes)
+    batches = {id(ket.batch[0]) if ket.batch else id(ket) for ket in kets}
+    assert len(batches) == -(-len(kets) // per_batch)
     alone = [_report_bytes(cli._evaluate_state(s, SPECTRAL, False, None)) for s in sweep_states]
     batched = [_report_bytes(r) for r in cli._evaluate_states(sweep_states, SPECTRAL, False, None)]
     assert batched == alone

@@ -13,7 +13,6 @@ from angulab.operators import (
     Observable,
     UnsupportedObservable,
     lift,
-    trig_observable,
 )
 from angulab.relations import (
     EQ8_SIN,
@@ -367,7 +366,6 @@ class TestPairRead:
         "gram_det": lambda ket: gram_det((LZ, PHI, SIN_PHI, COS_PHI), ket),
         "boundary_bound": boundary_bound,
     }
-    RAISE = trig_observable("raise", {1: 1.0})
 
     @staticmethod
     def _states(circle_only=False):
@@ -387,30 +385,31 @@ class TestPairRead:
                 assert len(lookups) == 1, (state.family, when, lookups)
 
     def test_read_order_shares_one_block(self):
-        """mismatch(L_z, raise) and mismatch(raise, L_z) read one block of a
-        ket whichever comes first, so both orders give the same bits."""
+        """mismatch(L_z, sin phi) and mismatch(sin phi, L_z) read one block
+        of a ket whichever comes first, so both orders give the same bits."""
         for state in self._states():
             seen = []
-            for order in ((LZ, self.RAISE), (self.RAISE, LZ)):
+            for order in ((LZ, SIN_PHI), (SIN_PHI, LZ)):
                 ket = lift(state)
                 values = {(a.tag, b.tag): ket.mismatch(a, b) for a, b in (order, order[::-1])}
-                assert sum(isinstance(key, tuple) for key in ket.memo) == 1, state.family
                 seen.append(values)
             assert seen[0] == seen[1], state.family
 
-    def test_mismatch_of_non_hermitian_multiplier(self):
-        """adjointness_mismatch reads the entries of a multiplier that is not
-        Hermitian, before and after its mean is refused."""
+    def test_observables_outside_the_four_rejected(self):
+        """A read of anything but L_z, phi, sin phi and cos phi, given as an
+        observable or by tag, raises before the ket builds its block."""
+        others = (Observable("raise", fourier=((1, 1.0),)), Observable("Phi2"), "Phi2")
         for state in self._states():
-            ket = operators.lift(state)
-            obs = (LZ, self.RAISE)
-            for _ in range(2):
-                mm = adjointness_mismatch(*obs, ket)
-                want = [[ket.mismatch(a, b) for b in obs] for a in obs]
-                assert mm.entries == pytest.approx(np.array(want), abs=1e-12), state.family
-                assert mm.max_modulus == float(np.abs(mm.entries).max()), state.family
-                assert mm.max_modulus > 0.1, state.family  # (raise psi, raise psi) != (psi, raise^2 psi)
-                with pytest.raises(UnsupportedObservable):
-                    ket.mean(self.RAISE)
-                with pytest.raises(UnsupportedObservable):
-                    csf(*obs, ket)
+            ket = lift(state)
+            for other in others:
+                reads = (
+                    lambda: operators.apply(other, ket),
+                    lambda: ket.mean(other),
+                    lambda: ket.mismatch(other, LZ),
+                    lambda: csf(LZ, other, ket),
+                    lambda: adjointness_mismatch(other, LZ, ket),
+                )
+                for read in reads:
+                    with pytest.raises(UnsupportedObservable):
+                        read()
+            assert ket.row is None, state.family
