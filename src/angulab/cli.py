@@ -312,8 +312,8 @@ def _run_diags(run, state=None):
     ``relations`` (None: the defaults), ``oracle``, ``resolution`` (from 8 to
     MAX_RESOLUTION), ``seed`` (an integer >= 0, which numpy's ``default_rng``
     takes) and ``format``.  Under the oracle a sphere ``state`` is held to
-    MAX_RESOLUTION values per array: the oracle keeps 2l + 1 phi rows of
-    ``resolution`` nodes each."""
+    MAX_RESOLUTION values per array: the oracle builds 2l + 1 phi rows of
+    ``resolution`` nodes each before it folds them onto l + 1."""
     diags = []
     names = run.get("relations")
     if names is None:
@@ -432,11 +432,14 @@ def run_scenario(config):
     names = DEFAULT_RELATIONS if names is None else names
     with_oracle, resolution = config.get("oracle", False), config.get("resolution")
     reports, mismatch = _evaluate_state(state, names, with_oracle, resolution)
+    shown = {k: v for k, v in params.items() if k != "coefficients"}
+    if family == "custom":  # the state file carries its own hbar
+        shown["hbar"] = state.hbar
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "scenario",
         "family": family,
-        "params": {k: v for k, v in sorted(params.items()) if k != "coefficients"},
+        "params": dict(sorted(shown.items())),
         "state": states.to_json(state),
         "reports": reports,
         "mismatch": mismatch,
@@ -574,8 +577,7 @@ def _config_from_args(args):
     params = _flag_params(args, f"scenario {args.family}", FAMILY_PARAMS[args.family])
     return {
         "family": args.family,
-        # custom reports have always shown hbar 1.0; every other family sets its own
-        "parameters": {"hbar": 1.0, **params},
+        "parameters": params,
         "relations": _split_names(args.relations),
         "oracle": bool(args.oracle),
         "resolution": args.resolution,

@@ -13,8 +13,12 @@ the integrands have Gaussian tails, and Gauss-Legendre in cos(theta).
 Every observable acts along phi alone, so a sphere state
 sum_m theta_lm(theta) c_m e^{i m phi} / sqrt(2 pi) is kept as its phi
 factor, one row c_m e^{i m phi} / sqrt(2 pi) per m, and theta is
-integrated through the Gram matrix of the sampled theta_lm under the
-oracle's own Gauss-Legendre rule (``theta_gram``).
+integrated through the Gram matrix G of the sampled theta_lm under the
+oracle's own Gauss-Legendre rule (``theta_gram``).  Row -m of the theta
+table is (-1)^m times row m, so G has rank l + 1 and a real factor F,
+(2l + 1) x (l + 1), with F F^T = G (``theta_factor``).  ``sample`` folds
+the 2l + 1 rows to the l + 1 rows F^T psi, and from there every action,
+deviation and inner product runs on those: (f, G g) = (F^T f, F^T g).
 
 On a ``circle_grid`` the phases e^{i m phi} come from ``phase_rows``: one
 cache per process of read-only rows, keyed on (node count, m >= 1) and
@@ -30,9 +34,10 @@ that size on (the default 32768 nodes) and scalar-first below it.  L_z
 scales its differences by -i hbar by the same rule, and the sphere's
 rows are scaled c-first at every size, as the broadcast
 ``c[:, None] * rows`` is.  The two orders differ in the last bit, so the
-samples, the sphere's phi rows and the actions all equal the plain
-expressions exactly.  ``states.evaluate`` stays the pointwise reference;
-it still samples line states and any grid that is not a ``circle_grid``.
+samples, the sphere's phi rows before the fold and the actions all equal
+the plain expressions exactly.  ``states.evaluate`` stays the pointwise
+reference; it still samples line states and any grid that is not a
+``circle_grid``.
 
 The kernels write in place: ``act`` and ``numeric_derivative`` fill an
 ``out`` array and overwrite a ``scratch`` one when given them.
@@ -41,10 +46,10 @@ plain expression and scales by 1 / h.  numpy divides a complex x + i y by
 a real h as ((x + 0 y) (1 / h), (y - 0 x) (1 / h)), so multiplying both
 parts by 1 / h gives the same bits in a fraction of the time, except that
 an exact zero may keep a sign the division flips.  ``quad_inner`` is one
-BLAS dot (``np.vdot``) per inner product, after ``G @ g`` on the sphere.
-There the real Gram G multiplies the float view of complex samples, one
-real gemm over both parts, with the bits of ``G @ g``, where numpy would
-cast G to complex and run a complex gemm at about three times the cost.
+BLAS dot (``np.vdot``) per inner product on every grid.  The fold
+multiplies the float view of the complex rows by the real F^T, one real
+gemm over both parts, with the values of ``F.T @ rows``, where numpy would
+cast F to complex and run a complex gemm at about three times the cost.
 A deviation ket A psi - <A> psi is built in the buffer of <A> psi.
 ``circle_grid`` is memoized per n with read-only points, so a grid from
 ``default_grid`` is recognized as a midpoint grid by identity.  Only the
@@ -153,6 +158,22 @@ def theta_gram(l, n_theta):
     return gram
 
 
+@lru_cache(maxsize=16)
+def theta_factor(l, n_theta):
+    """F, (2l + 1) x (l + 1), with F F^T = ``theta_gram(l, n_theta)``.  Row -m
+    of the theta table is (-1)^m times row m, so row -m of F is (-1)^m times
+    row m, and rows m = 0..l are the Cholesky factor of the Gram's m >= 0
+    block, which is positive definite once there are l + 1 nodes; memoized
+    per (l, n_theta) and shared, so it is read-only."""
+    if n_theta <= l:
+        raise ValueError(f"theta_factor: l = {l} needs at least l + 1 theta nodes, got {n_theta}")
+    m = np.arange(-l, l + 1)
+    chol = np.linalg.cholesky(theta_gram(l, n_theta)[l:, l:])
+    factor = (-1.0) ** np.minimum(m, 0)[:, None] * chol[np.abs(m)]
+    factor.flags.writeable = False
+    return factor
+
+
 def _phase_row(n, m):
     """The read-only row e^{i m phi_j}, m >= 1, over the nodes of ``circle_grid(n)``."""
     row = np.exp(1j * m * circle_grid(n).points)
@@ -206,54 +227,55 @@ def _series(terms, phi, n, out, scratch):
 
 
 def sample(state, grid):
-    """Wave-function samples on the grid; on the sphere the phi factor
-    only, a (2l + 1, n_phi) array with row m = -l..l holding
-    c_m e^{i m phi} / sqrt(2 pi).  Circle states on a ``circle_grid`` sum
-    cached rows; any other grid falls back to ``states.evaluate``."""
+    """Wave-function samples on the grid.  On the sphere, the phi factor
+    folded through the theta factor: ``theta_factor(l, n_theta)^T`` times
+    the rows of ``sphere_rows``, a (l + 1, n_phi) array.  Circle states on a
+    ``circle_grid`` sum cached rows; any other grid falls back to
+    ``states.evaluate``."""
     if isinstance(grid, Grid1D):
         n = _midpoint_count(grid) if isinstance(state, states.PeriodicState) else None
         if n is None:
             return states.evaluate(state, grid.points)
         psi = np.empty(n, dtype=complex)
         _series(state.coefficients.items(), grid.points, n, psi, np.empty_like(psi))
+        psi /= np.sqrt(TWO_PI)
+        return psi
+    factor = theta_factor(state.l, grid.theta_rule.nodes.size)
+    # the real factor on the float view: one real gemm over both parts
+    return (factor.T @ sphere_rows(state, grid.phi_grid).view(float)).view(complex)
+
+
+def sphere_rows(state, phi_grid):
+    """The phi factor of a sphere state, a (2l + 1, n_phi) array with row
+    m = -l..l holding c_m e^{i m phi} / sqrt(2 pi)."""
+    phi = phi_grid.points
+    n = _midpoint_count(phi_grid)
+    m = np.arange(-state.l, state.l + 1)
+    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
+    if n is None:
+        rows = np.exp(1j * m[:, None] * phi)
     else:
-        phi = grid.phi_grid.points
-        n = _midpoint_count(grid.phi_grid)
-        m = np.arange(-state.l, state.l + 1)
-        c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
-        if n is None:
-            psi = np.exp(1j * m[:, None] * phi)
-        else:
-            psi = np.empty((m.size, n), dtype=complex)
-            for row, k in zip(psi, m.tolist()):
-                if k < 0:
-                    np.conjugate(phase_rows(n, -k), out=row)
-                else:
-                    row[...] = phase_rows(n, k) if k else 1.0
-        np.multiply(c[:, None], psi, out=psi)  # c-first at every size: a broadcast never elides
-    psi /= np.sqrt(TWO_PI)
-    return psi
+        rows = np.empty((m.size, n), dtype=complex)
+        for row, k in zip(rows, m.tolist()):
+            if k < 0:
+                np.conjugate(phase_rows(n, -k), out=row)
+            else:
+                row[...] = phase_rows(n, k) if k else 1.0
+    np.multiply(c[:, None], rows, out=rows)  # c-first at every size: a broadcast never elides
+    rows /= np.sqrt(TWO_PI)
+    return rows
 
 
 def quad_inner(f, g, grid):
-    """(f, g) = sum w conj(f) g over the grid; on the sphere, for phi rows
-    as ``sample`` gives them, h_phi sum conj(f) (G g) with G = theta_gram."""
+    """(f, g) = h sum conj(f) g over the nodes of a Grid1D, or of the phi
+    grid for rows as ``sample`` gives them on the sphere, whose theta
+    factor already holds the Gauss-Legendre weights."""
     f = np.asarray(f)
     g = np.asarray(g)
-    if f.shape != g.shape:
-        raise ValueError("quad_inner: sample arrays must share the grid shape")
-    if isinstance(grid, Grid1D):
-        if f.shape != grid.points.shape:
-            raise ValueError("quad_inner: sample length does not match the grid")
-        return complex(grid.spacing * np.vdot(f, g))
-    if f.ndim != 2 or f.shape[0] % 2 == 0 or f.shape[1] != grid.phi_grid.points.size:
-        raise ValueError("quad_inner: sphere samples must be 2l + 1 rows over the phi grid")
-    gram = theta_gram(f.shape[0] // 2, grid.theta_rule.nodes.size)
-    if g.dtype == complex:  # the real Gram on the float view: no complex cast of G
-        g = (gram @ np.ascontiguousarray(g).view(float)).view(complex)
-    else:
-        g = gram @ g
-    return complex(grid.phi_grid.spacing * np.vdot(f, g))
+    line, rows = (grid, ()) if isinstance(grid, Grid1D) else (grid.phi_grid, f.shape[:1])
+    if f.shape != g.shape or f.shape != rows + line.points.shape:
+        raise ValueError("quad_inner: samples must share the grid's shape, in rows on the sphere")
+    return complex(line.spacing * np.vdot(f, g))
 
 
 _FD_INTERIOR = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0

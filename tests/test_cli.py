@@ -94,6 +94,17 @@ class TestScenario:
         doc = json.loads(proc.stdout)
         assert doc["reports"][0]["rhs"] == pytest.approx(0.5, abs=1e-12)
 
+    def test_custom_report_shows_state_hbar(self, tmp_path):
+        """A custom report's params carry the state file's hbar, from the
+        command line and from a config alike."""
+        path, cfg = tmp_path / "st.json", tmp_path / "cfg.json"
+        path.write_text(PERIODIC_PARAMS % '{"hbar": 2.0}')
+        cfg.write_text(json.dumps({"family": "custom", "parameters": {"coeffs": str(path)}}))
+        for args in (("scenario", "custom", "--coeffs", str(path)), ("scenario", "--config", str(cfg))):
+            doc = json.loads(run_cli(*args, "--relations", "csf").stdout)
+            assert doc["params"] == {"coeffs": str(path), "hbar": 2.0}, args
+            assert doc["state"]["params"]["hbar"] == 2.0, args
+
     def test_unknown_relation_is_config_error(self):
         proc = run_cli("scenario", "scr", "--relations", "nope", check=False)
         assert proc.returncode == 1

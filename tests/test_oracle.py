@@ -86,7 +86,7 @@ class TestPhaseRows:
         rows = oracle.phase_rows
         rows.cache_clear()
         sample(random_periodic(np.random.default_rng(0), band=8), circle_grid())
-        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(8))
+        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(16))
         assert rows.nbytes == rows.budget
 
     def test_bytes_stay_within_budget(self):
@@ -107,7 +107,7 @@ class TestPhaseRows:
         rows = oracle.phase_rows
         rows.cache_clear()
         sample(random_periodic(np.random.default_rng(0), band=8), circle_grid())
-        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(8))
+        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(16))
         assert rows.nbytes == rows.budget
         state = random_periodic(np.random.default_rng(1), band=8)
         first = sample(state, circle_grid(16384))
@@ -142,34 +142,37 @@ class TestQuadInner:
             quad_inner(np.ones(3), np.ones(3), g)
 
     @pytest.mark.parametrize(
-        "shape", [(64,), (2, 64), (4, 64), (3, 32), (3, 65)], ids=lambda s: "x".join(map(str, s))
+        "shape, accepted",
+        [
+            pytest.param((64,), False, id="64"),
+            pytest.param((2, 64), True, id="2x64"),
+            pytest.param((4, 64), True, id="4x64"),
+            pytest.param((3, 32), False, id="3x32"),
+            pytest.param((3, 65), False, id="3x65"),
+        ],
     )
-    def test_sphere_shape_mismatch(self, shape):
+    def test_sphere_shape_mismatch(self, shape, accepted):
+        """A sphere sample is any number of rows over the phi grid: a flat
+        array or rows of another length are rejected."""
         g = sphere_grid(16, 64)
+        if accepted:
+            assert quad_inner(np.ones(shape), np.ones(shape), g) == pytest.approx(np.prod(shape) * TWO_PI / 64)
+            return
         with pytest.raises(ValueError):
             quad_inner(np.ones(shape), np.ones(shape), g)
 
     @pytest.mark.parametrize("n_phi", [1024, 4096, 8192])
     @pytest.mark.parametrize("l", [0, 1, 2, 3, 5, 8, 12])
     def test_sphere_gram_on_float_view_is_bit_identical(self, l, n_phi):
-        """The real theta Gram applied to the float view of complex samples
-        gives the bytes of the complex product ``G @ g``, so the sphere
-        ``quad_inner`` gives those of its plain expression; a real g takes
-        the plain product."""
-        grid = sphere_grid(64, n_phi)
-        gram = oracle.theta_gram(l, 64)
+        """The real theta factor applied to the float view of complex rows
+        gives the bytes of the complex product ``F^T @ rows``, so the fold in
+        ``sample`` gives those of its plain expression."""
+        factor = oracle.theta_factor(l, 64)
         rng = np.random.default_rng(1000 * l + n_phi)
-        f, g = (
-            rng.standard_normal((2 * l + 1, n_phi)) + 1j * rng.standard_normal((2 * l + 1, n_phi))
-            for _ in range(2)
-        )
-        product = (gram @ g.view(float)).view(complex)
-        assert np.array_equal(product.view(np.uint8), (gram @ g).view(np.uint8))
-        h = grid.phi_grid.spacing
-        for a, b in ((f, g), (f, g.real.copy()), (g.real.copy(), f)):
-            want = np.array([complex(h * np.vdot(a, gram @ b))])
-            got = np.array([quad_inner(a, b, grid)])
-            assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
+        rows = rng.standard_normal((2 * l + 1, n_phi)) + 1j * rng.standard_normal((2 * l + 1, n_phi))
+        product = (factor.T @ rows.view(float)).view(complex)
+        assert product.shape == (l + 1, n_phi)
+        assert np.array_equal(product.view(np.uint8), (factor.T @ rows).view(np.uint8))
 
 
 def _four_term_derivative(samples, grid):
@@ -301,16 +304,14 @@ class TestInPlaceKernels:
 
     @pytest.mark.parametrize("family", ["circle", "line", "sphere"])
     def test_quad_inner_matches_direct_sum(self, family):
+        """On the sphere the folded rows of ``sample`` carry the theta
+        weights, so every grid sums h conj(f) g over its samples."""
         s = self._sampled(family)
         arrays = [s.psi] + [s.acted(t) for t in ("Lz", "Phi", "SinPhi", "CosPhi")]
-        if family == "sphere":
-            gram = oracle.theta_gram(s.state.l, s.grid.theta_rule.nodes.size)
-            h, metric = s.grid.phi_grid.spacing, lambda g: gram @ g
-        else:
-            h, metric = s.grid.spacing, lambda g: g
+        h = s.grid.phi_grid.spacing if family == "sphere" else s.grid.spacing
         for f in arrays:
             for g in arrays:
-                terms = np.conj(f) * metric(g)
+                terms = np.conj(f) * g
                 want = complex(h * np.sum(terms))
                 # relative to the summed moduli: entries that vanish analytically sit at round-off
                 scale = h * np.sum(np.abs(terms))
@@ -537,10 +538,11 @@ class TestOracleReports:
 
 
 class TestFactoredSphere:
-    """The sphere oracle keeps a state's phi factor, one row per m, and
-    integrates theta through ``theta_gram``: by linearity that is the dense
-    tensor-grid oracle summed in another order, so every registry value
-    agrees with the dense reference up to rounding."""
+    """The sphere oracle keeps a state's phi factor, one row per m, folded
+    onto l + 1 rows through ``theta_factor``, whose product with its
+    transpose is ``theta_gram``: by linearity that is the dense tensor-grid
+    oracle summed in another order, so every registry value agrees with the
+    dense reference up to rounding."""
 
     @pytest.mark.parametrize("l", range(5))
     def test_matches_dense_reference(self, monkeypatch, l):
@@ -567,8 +569,26 @@ class TestFactoredSphere:
 
     @pytest.mark.parametrize("l", [0, 3])
     def test_phi_rows(self, l):
+        """The 2l + 1 phi rows fold onto l + 1 through the theta factor."""
         s = oracle.Sampled(random_sphere(np.random.default_rng(l), l))
-        assert s.psi.shape == (2 * l + 1, oracle.DEFAULT_SPHERE_PHI)
+        assert s.psi.shape == (l + 1, oracle.DEFAULT_SPHERE_PHI)
+
+    def test_theta_factor(self):
+        """F is (2l + 1) x (l + 1), and F F^T is the theta Gram to round-off,
+        at every l the default phi grid takes."""
+        for l in range(65):
+            factor = oracle.theta_factor(l, oracle.DEFAULT_SPHERE_THETA)
+            gram = oracle.theta_gram(l, oracle.DEFAULT_SPHERE_THETA)
+            assert factor.shape == (2 * l + 1, l + 1)
+            assert not factor.flags.writeable
+            assert np.max(np.abs(factor @ factor.T - gram)) <= 1e-14 * np.max(np.abs(gram)), l
+
+    def test_too_few_theta_nodes_rejected(self):
+        """l + 1 folded rows need l + 1 theta nodes for a positive definite Gram."""
+        state = random_sphere(np.random.default_rng(9), 9)
+        assert sample(state, sphere_grid(10, 64)).shape == (10, 64)
+        with pytest.raises(ValueError, match="at least l \\+ 1 theta nodes"):
+            sample(state, sphere_grid(9, 64))
 
     @pytest.mark.parametrize("l", [0, 1, 4])
     def test_theta_gram(self, l):

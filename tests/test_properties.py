@@ -510,16 +510,67 @@ def test_circle_sample_equals_evaluate(modes, seed, n):
 @PROPERTY
 @given(st.integers(0, 12).flatmap(lambda l: st.tuples(st.just(l), mode_sets(l))), SEEDS, RESOLUTIONS)
 def test_sphere_rows_equal_direct_phases(l_modes, seed, n):
-    """Sphere phi rows equal c_m e^{i m phi} / sqrt(2 pi) from np.exp.  l
-    stops at 12 because every array holds 2l + 1 rows of n nodes."""
+    """Sphere phi rows equal c_m e^{i m phi} / sqrt(2 pi) from np.exp, and
+    ``sample`` is the theta factor's transpose times them.  l stops at 12
+    because every array holds 2l + 1 rows of n nodes, and the factor takes
+    at least l + 1 theta nodes."""
     l, modes = l_modes
     state = states.sphere_state(l, _amplitudes(modes, seed))
-    grid = oracle.sphere_grid(8, n)
+    grid = oracle.sphere_grid(16, n)
     m = np.arange(-l, l + 1)
     c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
     want = c[:, None] * np.exp(1j * m[:, None] * grid.phi_grid.points) / np.sqrt(2.0 * np.pi)
-    cold, warm = _cold_and_warm(lambda: oracle.sample(state, grid))
+    cold, warm = _cold_and_warm(lambda: oracle.sphere_rows(state, grid.phi_grid))
     assert np.array_equal(cold, want) and np.array_equal(warm, want)
+    # the real gemm on the float view; the complex product may flip the sign of a zero
+    factor = oracle.theta_factor(l, 16)
+    folded = (factor.T @ want.view(float)).view(complex)
+    assert np.array_equal(oracle.sample(state, grid).view(np.uint8), folded.view(np.uint8))
+    assert np.array_equal(folded, factor.T @ want)
+
+
+@st.composite
+def sphere_states(draw):
+    """A seeded sphere state at l = 0..12 with hbar drawn: random, or peaked
+    on one drawn m (amplitudes scaled by 0.01 there, 1 added at m)."""
+    rng = np.random.default_rng(draw(SEEDS))
+    l, hbar = draw(st.integers(0, 12)), draw(HBARS)
+    if not draw(st.booleans()):
+        return states.random_sphere(rng, l, hbar=hbar)
+    amps = 0.01 * (rng.standard_normal(2 * l + 1) + 1j * rng.standard_normal(2 * l + 1))
+    amps[draw(st.integers(0, 2 * l))] += 1.0
+    return states.sphere_state(l, dict(zip(range(-l, l + 1), amps)), hbar=hbar)
+
+
+def _gram_quad_inner(f, g, grid):
+    """Reference: the sphere inner product on the 2l + 1 phi rows, theta
+    integrated through the Gram matrix, h sum conj(f) (G g)."""
+    gram = oracle.theta_gram(f.shape[0] // 2, grid.theta_rule.nodes.size)
+    return complex(grid.phi_grid.spacing * np.vdot(f, gram @ g))
+
+
+@PROPERTY
+@given(sphere_states())
+def test_folded_sphere_oracle_matches_gram_form(state):
+    """Every number of every registry relation from the l + 1 folded rows
+    equals the one from the 2l + 1 phi rows through the theta Gram, within
+    1e-12 of the larger of 1, the value and hbar^2 l^2, the size of the
+    (L_z, L_z) terms a mismatch entry cancels.  boundary and the commutator
+    read 1D grids only."""
+    names = [name for name in oracle.RELATION_VALUES if name not in ("boundary", "commutator")]
+    grid = oracle.default_grid(state)
+    folded = {name: oracle.relation_values(oracle.Sampled(state, grid), name) for name in names}
+    with (
+        mock.patch.object(oracle, "sample", lambda state, grid: oracle.sphere_rows(state, grid.phi_grid)),
+        mock.patch.object(oracle, "quad_inner", _gram_quad_inner),
+    ):
+        gram_form = {name: oracle.relation_values(oracle.Sampled(state, grid), name) for name in names}
+    for name in names:
+        assert list(folded[name]) == list(gram_form[name]), name
+        for key, want in gram_form[name].items():
+            got, want = np.asarray(folded[name][key]), np.asarray(want)
+            bound = 1e-12 * np.maximum(np.maximum(1.0, np.abs(want)), state.hbar**2 * state.l**2)
+            assert np.all(np.abs(got - want) <= bound), (name, key, got, want)
 
 
 @PROPERTY
