@@ -312,8 +312,8 @@ def _run_diags(run, state=None):
     ``relations`` (None: the defaults), ``oracle``, ``resolution`` (from 8 to
     MAX_RESOLUTION), ``seed`` (an integer >= 0, which numpy's ``default_rng``
     takes) and ``format``.  Under the oracle a sphere ``state`` is held to
-    MAX_RESOLUTION values per array: the oracle builds 2l + 1 phi rows of
-    ``resolution`` nodes each before it folds them onto l + 1."""
+    MAX_RESOLUTION values per array: the oracle samples it through a phase
+    table of 2l + 1 columns of ``resolution`` nodes each."""
     diags = []
     names = run.get("relations")
     if names is None:

@@ -12,32 +12,31 @@ azimuthal direction), the plain uniform rule on a truncated line where
 the integrands have Gaussian tails, and Gauss-Legendre in cos(theta).
 Every observable acts along phi alone, so a sphere state
 sum_m theta_lm(theta) c_m e^{i m phi} / sqrt(2 pi) is kept as its phi
-factor, one row c_m e^{i m phi} / sqrt(2 pi) per m, and theta is
-integrated through the Gram matrix G of the sampled theta_lm under the
-oracle's own Gauss-Legendre rule (``theta_gram``).  Row -m of the theta
-table is (-1)^m times row m, so G has rank l + 1 and a real factor F,
-(2l + 1) x (l + 1), with F F^T = G (``theta_factor``).  ``sample`` folds
-the 2l + 1 rows to the l + 1 rows F^T psi, and from there every action,
-deviation and inner product runs on those: (f, G g) = (F^T f, F^T g).
+factor, and theta is integrated through the Gram matrix G of the sampled
+theta_lm under the oracle's own Gauss-Legendre rule (``theta_gram``).
+Row -m of the theta table is (-1)^m times row m, so G has rank l + 1 and a
+real factor F, (2l + 1) x (l + 1), with F F^T = G (``theta_factor``).
+``sample`` gives the l + 1 rows F^T psi of the phi rows
+psi_m = c_m e^{i m phi} / sqrt(2 pi), each a combination of 1, cos m phi
+and sin m phi, so the 2l + 1 rows are never formed; every action,
+deviation and inner product runs on them: (f, G g) = (F^T f, F^T g).
 
-On a ``circle_grid`` the phases e^{i m phi} come from ``phase_rows``: one
-cache per process of read-only rows, keyed on (node count, m >= 1) and
-bounded by bytes, least recently used rows out first.  A negative m
-takes the conjugate of its positive row, which equals the direct
-exponential bit for bit, and m = 0 adds its coefficient as a scalar.
-Circle states sum their modes in coefficient order.  Each product
+On a ``circle_grid`` the phases come from byte-bounded caches of
+read-only arrays, least recently used out first: ``phase_rows`` keeps
+the rows e^{i m phi} per (node count, m >= 1), ``phase_tables`` the
+sphere's (n, 2l + 1) tables per (node count, l), copied from those rows.
+A negative m takes the conjugate of its positive row, which equals the
+direct exponential bit for bit, and m = 0 adds its coefficient as a
+scalar.  Circle states sum their modes in coefficient order.  Each product
 a e^{i m phi} is formed in one scratch array, straight from the cached
 row, in the operand order numpy gives ``a * np.exp(...)``: numpy
 multiplies into a temporary in place once it holds ``ELIDE_BYTES``
 (256 KiB, 16384 complex values), so the product runs array-first from
 that size on (the default 32768 nodes) and scalar-first below it.  L_z
-scales its differences by -i hbar by the same rule, and the sphere's
-rows are scaled c-first at every size, as the broadcast
-``c[:, None] * rows`` is.  The two orders differ in the last bit, so the
-samples, the sphere's phi rows before the fold and the actions all equal
-the plain expressions exactly.  ``states.evaluate`` stays the pointwise
-reference; it still samples line states and any grid that is not a
-``circle_grid``.
+scales its differences by -i hbar by the same rule.  The two orders
+differ in the last bit, so circle samples and the actions equal the
+plain expressions exactly.  ``states.evaluate`` stays the pointwise
+reference for line states and circle grids that are not ``circle_grid``.
 
 The kernels write in place: ``act`` and ``numeric_derivative`` fill an
 ``out`` array and overwrite a ``scratch`` one when given them.
@@ -46,11 +45,12 @@ plain expression and scales by 1 / h.  numpy divides a complex x + i y by
 a real h as ((x + 0 y) (1 / h), (y - 0 x) (1 / h)), so multiplying both
 parts by 1 / h gives the same bits in a fraction of the time, except that
 an exact zero may keep a sign the division flips.  ``quad_inner`` is one
-BLAS dot (``np.vdot``) per inner product on every grid.  The fold
-multiplies the float view of the complex rows by the real F^T, one real
-gemm over both parts, with the values of ``F.T @ rows``, where numpy would
-cast F to complex and run a complex gemm at about three times the cost.
-A deviation ket A psi - <A> psi is built in the buffer of <A> psi.
+BLAS dot (``np.vdot``) per inner product on every grid.  A sphere
+sample is one real gemm of the table by the float view of the complex
+coefficients (a complex gemm would cast the table and cost about three
+times as much), into the (n, l + 1) transpose that one copy lays out as
+rows (l + 1 two-column gemms into the rows' float view took 1.5 times as
+long).  A deviation ket A psi - <A> psi is built in the buffer of <A> psi.
 ``circle_grid`` is memoized per n with read-only points, so a grid from
 ``default_grid`` is recognized as a midpoint grid by identity.  Only the
 inner products' round-off differs from sum conj(f) g: OpenBLAS splits a
@@ -82,7 +82,7 @@ coefficients of the trigonometric multipliers; nothing comes from
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -181,11 +181,25 @@ def _phase_row(n, m):
     return row
 
 
-# Rows per (n, m) within a byte budget, least recently used out first; a row
-# larger than the budget is computed for the call and dropped, so a wide band
-# or a fine grid cannot grow the cache.  No grid array is kept, only the rows.
-# |m| = 1..8 at the default 32768 circle nodes (4 MiB) and 4096 sphere phi nodes (0.5 MiB)
+def _phase_table(n, l, row):
+    """The read-only (n, 2l + 1) table 1, cos phi, sin phi, ..., cos l phi,
+    sin l phi on n nodes, each pair the parts of the row e^{i m phi} ``row(m)``."""
+    table = np.empty((n, 2 * l + 1))
+    table[:, 0] = 1.0
+    if l:  # whole complex columns: pair by pair the copy took 2-3 times as long
+        table[:, 1:] = np.stack([row(m) for m in range(1, l + 1)], axis=1).view(float)
+    table.flags.writeable = False
+    return table
+
+
+# Rows per (n, m) and sphere tables per (n, l) within byte budgets, least
+# recently used out first; a value larger than its budget is computed for the
+# call and dropped.  No grid array is kept.  Rows: |m| = 1..8 at 32768 nodes
+# (4 MiB) and at 4096 (0.5 MiB); tables: l = 1..3 at 4096 sphere phi nodes.
 phase_rows = specfun.BytesLRU(_phase_row, budget=9 * 2**19)
+phase_tables = specfun.BytesLRU(
+    lambda n, l: _phase_table(n, l, partial(phase_rows, n)), budget=2**19
+)
 
 
 def _midpoint_count(grid):
@@ -227,11 +241,10 @@ def _series(terms, phi, n, out, scratch):
 
 
 def sample(state, grid):
-    """Wave-function samples on the grid.  On the sphere, the phi factor
-    folded through the theta factor: ``theta_factor(l, n_theta)^T`` times
-    the rows of ``sphere_rows``, a (l + 1, n_phi) array.  Circle states on a
-    ``circle_grid`` sum cached rows; any other grid falls back to
-    ``states.evaluate``."""
+    """Wave-function samples on the grid.  On the sphere, the (l + 1, n_phi)
+    rows F^T psi, F = ``theta_factor(l, n_theta)``: the phase table of the
+    phi nodes times each column's coefficient.  Circle states on a
+    ``circle_grid`` sum cached rows; other 1D grids use ``states.evaluate``."""
     if isinstance(grid, Grid1D):
         n = _midpoint_count(grid) if isinstance(state, states.PeriodicState) else None
         if n is None:
@@ -240,30 +253,17 @@ def sample(state, grid):
         _series(state.coefficients.items(), grid.points, n, psi, np.empty_like(psi))
         psi /= np.sqrt(TWO_PI)
         return psi
-    factor = theta_factor(state.l, grid.theta_rule.nodes.size)
-    # the real factor on the float view: one real gemm over both parts
-    return (factor.T @ sphere_rows(state, grid.phi_grid).view(float)).view(complex)
-
-
-def sphere_rows(state, phi_grid):
-    """The phi factor of a sphere state, a (2l + 1, n_phi) array with row
-    m = -l..l holding c_m e^{i m phi} / sqrt(2 pi)."""
-    phi = phi_grid.points
-    n = _midpoint_count(phi_grid)
-    m = np.arange(-state.l, state.l + 1)
-    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
-    if n is None:
-        rows = np.exp(1j * m[:, None] * phi)
-    else:
-        rows = np.empty((m.size, n), dtype=complex)
-        for row, k in zip(rows, m.tolist()):
-            if k < 0:
-                np.conjugate(phase_rows(n, -k), out=row)
-            else:
-                row[...] = phase_rows(n, k) if k else 1.0
-    np.multiply(c[:, None], rows, out=rows)  # c-first at every size: a broadcast never elides
-    rows /= np.sqrt(TWO_PI)
-    return rows
+    l, phi, n = state.l, grid.phi_grid.points, _midpoint_count(grid.phi_grid)
+    table = phase_tables(n, l) if n else _phase_table(phi.size, l, lambda m: np.exp(1j * m * phi))
+    c = np.array([state.coefficients.get(m, 0.0) for m in range(-l, l + 1)], dtype=complex)
+    # row m of a: the coefficients of e^{i m phi} in the l + 1 rows; a pair
+    # a e^{i m phi} + b e^{-i m phi} is (a + b) cos m phi + i (a - b) sin m phi
+    a = theta_factor(l, grid.theta_rule.nodes.size) * c[:, None] / np.sqrt(TWO_PI)
+    pos, neg = a[l + 1 :], a[:l][::-1]
+    coeffs = np.empty((2 * l + 1, l + 1), dtype=complex)
+    coeffs[0], coeffs[1::2], coeffs[2::2] = a[l], pos + neg, 1j * (pos - neg)
+    # the real table times the coefficients' float view: one gemm over both parts
+    return np.ascontiguousarray((table @ coeffs.view(float)).view(complex).T)
 
 
 def quad_inner(f, g, grid):

@@ -73,8 +73,9 @@ class TestGrids:
 
 
 class TestPhaseRows:
-    """The row cache behind circle and sphere sampling: read-only rows,
-    bounded by bytes whatever band or resolution is sampled."""
+    """The row cache behind circle sampling, trigonometric multipliers and
+    the sphere's phase tables: read-only rows, bounded by bytes whatever
+    band or resolution is sampled."""
 
     def test_rows_are_read_only(self):
         row = oracle.phase_rows(64, 3)
@@ -82,11 +83,11 @@ class TestPhaseRows:
             row[0] = 0.0
 
     def test_default_rows_fill_the_budget(self):
-        """|m| = 1..8 at the default circle and sphere node counts fit exactly."""
+        """|m| = 1..8 at the default circle node count and at 4096 nodes fit exactly."""
         rows = oracle.phase_rows
         rows.cache_clear()
         sample(random_periodic(np.random.default_rng(0), band=8), circle_grid())
-        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(16))
+        sample(random_periodic(np.random.default_rng(0), band=8), circle_grid(4096))
         assert rows.nbytes == rows.budget
 
     def test_bytes_stay_within_budget(self):
@@ -107,7 +108,7 @@ class TestPhaseRows:
         rows = oracle.phase_rows
         rows.cache_clear()
         sample(random_periodic(np.random.default_rng(0), band=8), circle_grid())
-        sample(random_sphere(np.random.default_rng(0), 8), sphere_grid(16))
+        sample(random_periodic(np.random.default_rng(0), band=8), circle_grid(4096))
         assert rows.nbytes == rows.budget
         state = random_periodic(np.random.default_rng(1), band=8)
         first = sample(state, circle_grid(16384))
@@ -117,6 +118,50 @@ class TestPhaseRows:
             again = sample(state, circle_grid(16384))
         assert make.call_count == 0
         assert np.array_equal(again, first)
+
+
+class TestPhaseTables:
+    """The sphere's (n, 2l + 1) phase tables: read-only, kept per (n, l)
+    within a byte budget, and an over-budget table built for the call only."""
+
+    def test_tables_are_read_only(self):
+        table = oracle.phase_tables(64, 3)
+        assert table.shape == (64, 7)
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+
+    def test_bytes_stay_within_budget(self):
+        tables = oracle.phase_tables
+        tables.cache_clear()
+        for n_phi in (4096, 512, 8192):
+            for l in range(0, 9):
+                psi = sample(random_sphere(np.random.default_rng(l), l), sphere_grid(16, n_phi))
+                assert psi.shape == (l + 1, n_phi)
+                assert 0 < tables.nbytes <= tables.budget
+
+    def test_default_tables_fit(self):
+        """l = 1..3 at the default 4096 phi nodes stay cached together."""
+        tables = oracle.phase_tables
+        tables.cache_clear()
+        for l in (1, 2, 3, 1, 2, 3):
+            sample(random_sphere(np.random.default_rng(l), l), sphere_grid())
+        assert tables.cache_info().misses == 3
+        assert set(tables.keys()) == {(4096, 1), (4096, 2), (4096, 3)}
+
+    def test_over_budget_table_is_not_kept(self):
+        """l = 64 at 8192 nodes is an 8.4 MB table: computed for the call and dropped."""
+        tables = oracle.phase_tables
+        tables.cache_clear()
+        state = random_sphere(np.random.default_rng(0), 64)
+        with mock.patch.object(oracle, "_phase_table", wraps=oracle._phase_table) as make:
+            psi = sample(state, sphere_grid(n_phi=8192))
+            again = sample(state, sphere_grid(n_phi=8192))
+        assert make.call_count == 2
+        assert psi.shape == (65, 8192) and np.array_equal(psi, again)
+        assert tables.nbytes == 0 and not tables.keys()
+        table = tables(8192, 64)
+        assert table.nbytes == 129 * 8192 * 8 > tables.budget
+        assert not table.flags.writeable and not tables.keys()
 
 
 class TestQuadInner:

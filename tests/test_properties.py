@@ -485,8 +485,9 @@ def _trig_reference(obs, psi, phi):
 
 
 def _cold_and_warm(fn):
-    """``fn()`` with the row cache emptied first, then again with it filled."""
+    """``fn()`` with the row and table caches emptied first, then again with them filled."""
     oracle.phase_rows.cache_clear()
+    oracle.phase_tables.cache_clear()
     return fn(), fn()
 
 
@@ -507,26 +508,64 @@ def test_circle_sample_equals_evaluate(modes, seed, n):
         assert np.array_equal(cold, want) and np.array_equal(warm, want)
 
 
+def _sphere_phi_rows(state, grid):
+    """Reference: the (2l + 1, n_phi) phi rows c_m e^{i m phi} / sqrt(2 pi),
+    m = -l..l, each phase from np.exp."""
+    m = np.arange(-state.l, state.l + 1)
+    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
+    return c[:, None] * np.exp(1j * m[:, None] * grid.phi_grid.points) / np.sqrt(2.0 * np.pi)
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).view(np.uint8)
+
+
 @PROPERTY
 @given(st.integers(0, 12).flatmap(lambda l: st.tuples(st.just(l), mode_sets(l))), SEEDS, RESOLUTIONS)
-def test_sphere_rows_equal_direct_phases(l_modes, seed, n):
-    """Sphere phi rows equal c_m e^{i m phi} / sqrt(2 pi) from np.exp, and
-    ``sample`` is the theta factor's transpose times them.  l stops at 12
-    because every array holds 2l + 1 rows of n nodes, and the factor takes
-    at least l + 1 theta nodes."""
+def test_sphere_table_equals_direct_phases(l_modes, seed, n):
+    """The phase table's columns are 1 and the real and imaginary parts of
+    np.exp(1j m phi), m = 1..l, bit for bit, on a circle_grid (cached or not)
+    and on a hand-built phi grid; ``sample`` is the theta factor's
+    transpose times the phi rows from np.exp, to round-off.  Each of the
+    l + 1 sums of 2l + 1 terms is off by at most (2l + 4) eps times the sum
+    of the terms' moduli on either side, three roundings before the sum, so
+    the bound is twice that.  l stops at 12 because the factor takes at
+    least l + 1 theta nodes."""
     l, modes = l_modes
     state = states.sphere_state(l, _amplitudes(modes, seed))
     grid = oracle.sphere_grid(16, n)
-    m = np.arange(-l, l + 1)
-    c = np.array([state.coefficients.get(k, 0.0) for k in m.tolist()], dtype=complex)
-    want = c[:, None] * np.exp(1j * m[:, None] * grid.phi_grid.points) / np.sqrt(2.0 * np.pi)
-    cold, warm = _cold_and_warm(lambda: oracle.sphere_rows(state, grid.phi_grid))
-    assert np.array_equal(cold, want) and np.array_equal(warm, want)
-    # the real gemm on the float view; the complex product may flip the sign of a zero
+    h = grid.phi_grid.spacing
+    shifted = oracle.Grid2D(grid.theta_rule, oracle.Grid1D(grid.phi_grid.points - 0.25 * h, h, "circle"))
     factor = oracle.theta_factor(l, 16)
-    folded = (factor.T @ want.view(float)).view(complex)
-    assert np.array_equal(oracle.sample(state, grid).view(np.uint8), folded.view(np.uint8))
-    assert np.array_equal(folded, factor.T @ want)
+    c = np.array([state.coefficients.get(k, 0.0) for k in range(-l, l + 1)], dtype=complex)
+    scale = (np.abs(factor).T @ np.abs(c))[:, None] / np.sqrt(2.0 * np.pi)
+    for g in (grid, shifted):
+        phi = g.phi_grid.points
+        want = np.empty((n, 2 * l + 1))
+        want[:, 0] = 1.0
+        for m in range(1, l + 1):
+            wave = np.exp(1j * m * phi)
+            want[:, 2 * m - 1], want[:, 2 * m] = wave.real, wave.imag
+        tables = []
+
+        def keep(*args, make=oracle._phase_table):
+            tables.append(make(*args))
+            return tables[-1]
+
+        with mock.patch.object(oracle, "_phase_table", keep):
+            cold, warm = _cold_and_warm(lambda: oracle.sample(state, g))
+        if g is grid:  # built cold, then read from the cache unless over its budget
+            tables.append(oracle.phase_tables(n, l))
+        else:  # built on each call, never kept
+            assert len(tables) == 2 and not oracle.phase_tables.keys()
+        for table in tables:
+            assert not table.flags.writeable
+            assert np.array_equal(_bits(table), _bits(want))
+        assert np.array_equal(cold, warm)
+        folded = factor.T @ _sphere_phi_rows(state, g)
+        bound = 2.0 * (2 * l + 4) * np.finfo(float).eps * scale
+        assert cold.shape == (l + 1, n) and cold.flags.c_contiguous
+        assert np.all(np.abs(cold - folded) <= bound)
 
 
 @st.composite
@@ -561,7 +600,7 @@ def test_folded_sphere_oracle_matches_gram_form(state):
     grid = oracle.default_grid(state)
     folded = {name: oracle.relation_values(oracle.Sampled(state, grid), name) for name in names}
     with (
-        mock.patch.object(oracle, "sample", lambda state, grid: oracle.sphere_rows(state, grid.phi_grid)),
+        mock.patch.object(oracle, "sample", _sphere_phi_rows),
         mock.patch.object(oracle, "quad_inner", _gram_quad_inner),
     ):
         gram_form = {name: oracle.relation_values(oracle.Sampled(state, grid), name) for name in names}
