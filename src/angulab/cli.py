@@ -501,7 +501,14 @@ def _add_common(sub, verb):
 class _Parser(argparse.ArgumentParser):
     """A usage error raises ConfigError, so it exits 1 with one ``error:``
     line like any other input outside the contract; exit 2 stays with
-    non-finite reports.  Subparsers are built of this class too."""
+    non-finite reports.  Subparsers are built of this class too.  A range
+    that starts below zero, like ``-3..3``, reads as a value, as argparse
+    reads ``-3``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        number = self._negative_number_matcher.pattern
+        self._negative_number_matcher = re.compile(rf"{number}|^-\d+\.\.-?\d+$")
 
     def error(self, message):
         raise ConfigError(message)

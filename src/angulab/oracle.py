@@ -27,16 +27,13 @@ the rows e^{i m phi} per (node count, m >= 1), ``phase_tables`` the
 sphere's (n, 2l + 1) tables per (node count, l), copied from those rows.
 A negative m takes the conjugate of its positive row, which equals the
 direct exponential bit for bit, and m = 0 adds its coefficient as a
-scalar.  Circle states sum their modes in coefficient order.  Each product
-a e^{i m phi} is formed in one scratch array, straight from the cached
-row, in the operand order numpy gives ``a * np.exp(...)``: numpy
-multiplies into a temporary in place once it holds ``ELIDE_BYTES``
-(256 KiB, 16384 complex values), so the product runs array-first from
-that size on (the default 32768 nodes) and scalar-first below it.  L_z
-scales its differences by -i hbar by the same rule.  The two orders
-differ in the last bit, so circle samples and the actions equal the
-plain expressions exactly.  ``states.evaluate`` stays the pointwise
-reference for line states and circle grids that are not ``circle_grid``.
+scalar.  Circle states sum their modes in coefficient order.  Every
+product of a scalar and a grid array runs array-first, the order numpy
+gives ``arr * a`` at every size, so circle samples equal
+``states.evaluate`` exactly.  sin phi and cos phi are the imaginary and
+real parts of the row e^{i phi}, not sums of the ket algebra's Fourier
+coefficients.  ``states.evaluate`` stays the pointwise reference for
+line states and circle grids that are not ``circle_grid``.
 
 The kernels write in place: ``act`` and ``numeric_derivative`` fill an
 ``out`` array and overwrite a ``scratch`` one when given them.
@@ -76,9 +73,8 @@ mapped, and a warm op takes no fault.
 ``RELATION_VALUES``, from a ``Sampled``: one state sampled once, keeping
 the samples, the work block and scalars only; every registry
 relation has an entry.  Observable tags resolve through
-``operators.resolve_observable``, which also gives the Fourier
-coefficients of the trigonometric multipliers; nothing comes from
-``relations``.
+``operators.resolve_observable``, and each action is chosen by tag;
+nothing comes from ``relations``.
 """
 
 from dataclasses import dataclass
@@ -93,10 +89,6 @@ DEFAULT_CIRCLE_N = 32768
 DEFAULT_LINE_N = 4096
 DEFAULT_SPHERE_THETA = 128
 DEFAULT_SPHERE_PHI = 4096
-
-# numpy multiplies into a temporary operand in place (elides it) from this
-# size on, which sets the operand order of ``a * <temporary>``
-ELIDE_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -211,32 +203,18 @@ def _midpoint_count(grid):
     return n if grid.points is nodes or np.array_equal(grid.points, nodes) else None
 
 
-def _scale(a, arr, out):
-    """a * arr into ``out`` in the operand order numpy gives ``a * <fresh arr>``:
-    array-first once it elides the temporary, scalar-first below that."""
-    if arr.nbytes >= ELIDE_BYTES:
-        return np.multiply(arr, a, out=out)
-    return np.multiply(a, arr, out=out)
-
-
-def _series(terms, phi, n, out, scratch):
-    """sum a e^{i m phi} over (m, a) in ``terms`` into ``out``, added in that
-    order as ``states.evaluate`` adds a circle state's modes: each phase a
-    cached row (its conjugate for m < 0) when ``phi`` are the nodes of
-    ``circle_grid(n)``, ``np.exp`` when n is None.  Each product is formed
-    in ``scratch``, in the operand order numpy gives ``a * np.exp(...)``."""
+def _series(terms, n, out, scratch):
+    """sum a e^{i m phi} over (m, a) in ``terms`` into ``out``, on the nodes
+    of ``circle_grid(n)``, added in that order as ``states.evaluate`` adds a
+    circle state's modes: each phase a cached row (its conjugate for
+    m < 0), each product ``row * a`` formed in ``scratch``."""
     out.fill(0.0)
     for m, a in terms:
         if m == 0:
             out += a
             continue
-        if n is None:
-            wave = np.exp(np.multiply(1j * m, phi, out=scratch), out=scratch)
-        elif m > 0:
-            wave = phase_rows(n, m)
-        else:
-            wave = np.conjugate(phase_rows(n, -m), out=scratch)
-        out += _scale(a, wave, scratch)
+        wave = phase_rows(n, m) if m > 0 else np.conjugate(phase_rows(n, -m), out=scratch)
+        out += np.multiply(wave, a, out=scratch)
     return out
 
 
@@ -250,7 +228,7 @@ def sample(state, grid):
         if n is None:
             return states.evaluate(state, grid.points)
         psi = np.empty(n, dtype=complex)
-        _series(state.coefficients.items(), grid.points, n, psi, np.empty_like(psi))
+        _series(state.coefficients.items(), n, psi, np.empty_like(psi))
         psi /= np.sqrt(TWO_PI)
         return psi
     l, phi, n = state.l, grid.phi_grid.points, _midpoint_count(grid.phi_grid)
@@ -332,26 +310,20 @@ def boundary_density(samples, grid):
 def act(obs, psi, state, grid, out=None, scratch=None):
     """Apply an observable (or its tag) to samples: derivatives by
     differencing, multiplications pointwise.  The result is written to
-    ``out`` and ``scratch`` is overwritten, each a contiguous array of the
+    ``out`` and L_z overwrites ``scratch``, each a contiguous array of the
     samples' shape, allocated when not given."""
     obs = operators.resolve_observable(obs)
     line = grid if isinstance(grid, Grid1D) else grid.phi_grid  # the sphere's phi axis is last
     if out is None:
         out = np.empty(np.shape(psi), dtype=complex)
     if obs.tag == "Lz":
-        return _scale(-1j * state.hbar, numeric_derivative(psi, line, out, scratch), out)
+        return np.multiply(numeric_derivative(psi, line, out, scratch), -1j * state.hbar, out=out)
     phi = line.points
-    if obs.fourier is None:  # phi
+    if obs.tag == "Phi":
         return np.multiply(phi, psi, out=out)
-    # the multiplier goes to the scratch, its products through the result
-    f = np.empty(phi.shape, dtype=complex) if scratch is None else _first_line(scratch)
-    _series(obs.fourier, phi, _midpoint_count(line), f, _first_line(out))
-    return np.multiply(f, psi, out=out)
-
-
-def _first_line(arr):
-    """The view of ``arr``'s first line along its last axis."""
-    return arr[(0,) * (arr.ndim - 1)]
+    n = _midpoint_count(line)
+    wave = phase_rows(n, 1) if n else np.exp(1j * phi)  # e^{i phi} = cos phi + i sin phi
+    return np.multiply(wave.imag if obs.tag == "SinPhi" else wave.real, psi, out=out)
 
 
 def default_grid(state, resolution=None):

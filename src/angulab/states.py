@@ -219,7 +219,7 @@ def evaluate(state, point):
             raise ValueError("evaluate: circle states live on phi in [0, 2 pi)")
         out = np.zeros(phi.shape, dtype=complex)
         for m, a in state.coefficients.items():
-            out = out + a * np.exp(1j * m * phi)
+            out = out + np.exp(1j * m * phi) * a
         out = out / np.sqrt(TWO_PI)
         return complex(out) if out.ndim == 0 else out
     if isinstance(state, OscillatorState):

@@ -138,6 +138,19 @@ class TestSweep:
         args = ("sweep", "scr", "--random", "4", "--seed", "3", "--relations", "csf")
         assert run_cli(*args).stdout == run_cli(*args).stdout
 
+    @pytest.mark.parametrize(
+        "family, values",
+        [(("scr",), "-3..3"), (("scr",), "-3..-1"), (("sphere", "--l", "2"), "-2..2")],
+        ids=["scr", "scr-negative", "sphere"],
+    )
+    def test_range_starting_below_zero_is_a_value(self, family, values):
+        """``--m -3..3`` reads as the range, the same bytes as ``--m=-3..3``."""
+        args = ("sweep", *family, "--relations", "csf,commutator")
+        spaced = run_cli(*args, "--m", values).stdout
+        assert spaced == run_cli(*args, f"--m={values}").stdout
+        lo, hi = map(int, values.split(".."))
+        assert [item["params"]["m"] for item in json.loads(spaced)["items"]] == list(range(lo, hi + 1))
+
 
 class TestValidate:
     def test_well_formed(self, tmp_path):
@@ -433,6 +446,7 @@ class TestInputContract:
             *((("scenario", "--config", config), message) for config, message in MALFORMED_CONFIGS.values()),
             (CUSTOM + (File("[" * 100000),), "cannot load state from"),
             (SPHERE_COEFFS + (File("[" * 100000),), "cannot read coefficients"),
+            (("sweep", "scr", "--m", "-x"), "argument --m: expected one argument"),
         ],
     )
     def test_rejected(self, args, message, tmp_path):

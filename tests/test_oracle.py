@@ -164,6 +164,37 @@ class TestPhaseTables:
         assert not table.flags.writeable and not tables.keys()
 
 
+class TestTrigMultipliers:
+    """sin phi and cos phi, the parts of the e^{i phi} row, against np.sin and
+    np.cos of the nodes: acting on ones gives each multiplier itself."""
+
+    @staticmethod
+    def _grids(n):
+        grid = circle_grid(n)
+        return {
+            "circle_grid": grid,
+            "hand-built": Grid1D(grid.points - 0.25 * grid.spacing, grid.spacing, "circle"),
+            "sphere": sphere_grid(8, n),
+            "line": line_grid(12.0, n),
+        }
+
+    @pytest.mark.parametrize("n", [8, 1001, 4096, 32768])
+    @pytest.mark.parametrize("kind", ["circle_grid", "hand-built", "sphere", "line"])
+    def test_multipliers_match_sin_and_cos(self, n, kind):
+        """Within 4 ulp of 1 (4 eps) at every node: both sides are at most 1
+        in modulus and each is within an ulp of the exact value."""
+        grid = self._grids(n)[kind]
+        phi = grid.phi_grid.points if kind == "sphere" else grid.points
+        ones = np.ones((3, n) if kind == "sphere" else n, dtype=complex)
+        oracle.phase_rows.cache_clear()
+        for tag, fn in (("SinPhi", np.sin), ("CosPhi", np.cos)):
+            got = oracle.act(tag, ones, scr_eigenstate(1), grid)
+            assert np.all(got.imag == 0.0), tag
+            assert np.all(np.abs(got.real - fn(phi)) <= 4 * np.finfo(float).eps), tag
+        # the cached e^{i phi} row serves exactly the nodes of a circle_grid
+        assert list(oracle.phase_rows.keys()) == ([(n, 1)] if kind in ("circle_grid", "sphere") else [])
+
+
 class TestQuadInner:
     def test_normalization(self):
         g = circle_grid(512)
@@ -289,8 +320,9 @@ class TestInPlaceKernels:
         assert got is out
         assert np.array_equal(got.view(np.uint8), want.view(np.uint8))
 
-    # complex rows of 8192, 16384 and 32768 nodes, 3, 5 and 7 rows of 4096 (192,
-    # 320 and 448 KiB) and 4096 line nodes: both sides of oracle.ELIDE_BYTES
+    # complex rows of 8192, 16384 and 32768 nodes, 2, 3 and 4 rows of 4096 (128,
+    # 192 and 256 KiB) and 4096 line nodes: both sides of 256 KiB, where numpy
+    # starts eliding temporaries, which the one array-first order must not notice
     KERNEL_CASES = [("circle", 8192), ("circle", 16384), ("circle", 32768)]
     KERNEL_CASES += [("sphere", 1), ("sphere", 2), ("sphere", 3), ("line", 8)]
 

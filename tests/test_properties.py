@@ -451,9 +451,9 @@ def test_band_maps_hold_no_hbar(hbars, seed):
 # -- the oracle's cached phase rows ---------------------------------------------
 #
 # Sampling from cached rows must give exactly the numbers of the direct
-# formulas, bit for bit, on every grid size: numpy forms a complex product
-# array-first when it can elide a large temporary and scalar-first below
-# that, and the two orders differ in the last bit.
+# formulas, bit for bit, on every grid size: the oracle forms each product
+# of a scalar and a row array-first, the order numpy gives ``arr * a`` at
+# every size.
 
 RESOLUTIONS = st.sampled_from((8, 1001, 4096, 16384, 32768))
 
