@@ -9,7 +9,8 @@ failures) or stdout was closed early, as by ``| head``; 1 a configuration
 or usage error, named on one ``error:`` line; 2 the report holds a
 non-finite number anywhere, ``details`` included, whatever the
 ``--format``; nothing then goes to stdout, and stderr names the number's
-path.
+path.  Every number is checked where the report is built, as it is
+converted (``relations.finite`` and ``json_values``), so CSV needs no walk.
 
 ``main`` can run many times in one process; it reuses one argument parser
 per process.
@@ -206,8 +207,7 @@ def _not_applicable(name, reason):
 
 def _record(name, details):
     """A report that only carries numbers: no sides, always satisfied."""
-    entry = dict(relation=name, lhs=0.0, rhs=0.0, slack=0.0, satisfied=True, tolerance=0.0)
-    return {**entry, "details": details}
+    return relations.RelationReport(name, 0.0, 0.0, 0.0, True, 0.0, details).to_json()
 
 
 def _condition19(ket):
@@ -225,7 +225,7 @@ def _decomposition(ket):
     }
     if not res.applicable:
         entry = _not_applicable("decomposition", "adjointness mismatch above threshold")
-        return {**entry, "details": details}
+        return {**entry, "details": relations.json_values(details, "details")}
     return identity_report("decomposition", res.residual, TOL_IDENTITY, details).to_json()
 
 
@@ -245,8 +245,8 @@ def _eq24(ket):
     return _record(
         "eq24",
         {
-            "direct_mismatch": relations._cnum(info["direct_mismatch"]),
-            "bracket_formula": relations._cnum(info["bracket_formula"]),
+            "direct_mismatch": info["direct_mismatch"],
+            "bracket_formula": info["bracket_formula"],
             "discrepancy": info["discrepancy"],
         },
     )
@@ -365,14 +365,16 @@ def evaluate_relation(name, state):
     return evaluate(ket)
 
 
-def _jsonable(value):
-    if isinstance(value, complex):
-        return relations._cnum(value)
-    if isinstance(value, np.ndarray):
-        return [[relations._cnum(z) for z in row] for row in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return float(value)
-    return value
+def _oracle_delta(entry, ovals, name):
+    """The largest |spectral - oracle| over the relation's compared keys."""
+    delta = 0.0
+    for key in RELATIONS[name].compared:
+        if key in ovals:
+            spectral = entry[key] if key in entry else entry["details"][key]
+            if isinstance(spectral, dict):
+                spectral = complex(spectral["re"], spectral["im"])
+            delta = max(delta, abs(spectral - ovals[key]))
+    return delta
 
 
 def _oracle_annotate(entry, sampled, name):
@@ -380,35 +382,36 @@ def _oracle_annotate(entry, sampled, name):
     if entry.get("status") == "not-applicable":
         return entry
     ovals = oracle.relation_values(sampled, name)
-    delta = 0.0
-    for key in RELATIONS[name][1]:
-        if key in ovals:
-            spectral = entry[key] if key in entry else entry["details"][key]
-            if isinstance(spectral, dict):
-                spectral = complex(spectral["re"], spectral["im"])
-            delta = max(delta, abs(spectral - ovals[key]))
-    entry["oracle"] = {k: _jsonable(v) for k, v in ovals.items()}
-    entry["oracle_delta"] = float(delta)
+    entry["oracle"] = relations.json_values(ovals, "oracle")
+    entry["oracle_delta"] = relations.finite(_oracle_delta(entry, ovals, name), "oracle_delta")
     return entry
 
 
 def _evaluate_state(state, names, with_oracle, resolution):
     """The named relations' reports on one state or its lifted ket, and the
     (Lz, Phi) mismatch matrix if condition19 is among them; all read one
-    lifted ket and, under --oracle, one ``oracle.Sampled``."""
+    lifted ket and, under --oracle, one ``oracle.Sampled``.  A non-finite
+    number raises ``relations.NonFinite`` at its path within the item, such
+    as ``reports[1].lhs``."""
     ket = operators.lift(state)
     sampled = None
     if with_oracle:
         sampled = oracle.Sampled(ket.state, oracle.default_grid(ket.state, resolution))
     reports = []
     for name in names:
-        entry = evaluate_relation(name, ket)
-        if sampled is not None:
-            entry = _oracle_annotate(entry, sampled, name)
+        try:
+            entry = evaluate_relation(name, ket)
+            if sampled is not None:
+                entry = _oracle_annotate(entry, sampled, name)
+        except relations.NonFinite as exc:
+            raise exc.within(f"reports[{len(reports)}]") from None
         reports.append(entry)
     if "condition19" not in names:
         return reports, None
-    return reports, relations.adjointness_mismatch(LZ, PHI, ket).to_json()
+    try:
+        return reports, relations.adjointness_mismatch(LZ, PHI, ket).to_json()
+    except relations.NonFinite as exc:
+        raise exc.within("mismatch") from None
 
 
 def _evaluate_states(states, names, with_oracle, resolution):
@@ -431,7 +434,10 @@ def run_scenario(config):
     names = config.get("relations")
     names = DEFAULT_RELATIONS if names is None else names
     with_oracle, resolution = config.get("oracle", False), config.get("resolution")
-    reports, mismatch = _evaluate_state(state, names, with_oracle, resolution)
+    try:
+        reports, mismatch = _evaluate_state(state, names, with_oracle, resolution)
+    except relations.NonFinite as exc:
+        raise exc.within("report") from None
     shown = {k: v for k, v in params.items() if k != "coefficients"}
     if family == "custom":  # the state file carries its own hbar
         shown["hbar"] = state.hbar
@@ -450,9 +456,10 @@ def run_scenario(config):
 
 
 def _parse_range(text):
-    lo, _, hi = text.partition("..")
+    """a or a..b; an empty end, as in ``3..``, is a bad range."""
+    lo, sep, hi = text.partition("..")
     try:
-        values = list(range(int(lo), int(hi or lo) + 1))
+        values = list(range(int(lo), int(hi if sep else lo) + 1))
     except ValueError:
         raise ConfigError(f"bad range {text!r}, expected a or a..b") from None
     if not values:
@@ -502,13 +509,13 @@ class _Parser(argparse.ArgumentParser):
     """A usage error raises ConfigError, so it exits 1 with one ``error:``
     line like any other input outside the contract; exit 2 stays with
     non-finite reports.  Subparsers are built of this class too.  A range
-    that starts below zero, like ``-3..3``, reads as a value, as argparse
-    reads ``-3``."""
+    that starts below zero, like ``-3..3`` or the bad range ``-3..``, reads
+    as a value, as argparse reads ``-3``."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         number = self._negative_number_matcher.pattern
-        self._negative_number_matcher = re.compile(rf"{number}|^-\d+\.\.-?\d+$")
+        self._negative_number_matcher = re.compile(rf"{number}|^-\d+\.\.(-?\d+)?$")
 
     def error(self, message):
         raise ConfigError(message)
@@ -758,10 +765,14 @@ def run_sweep(args):
     # a sweep's states share their family and sphere l, so the first stands for all
     _raise_diags(_run_diags({"oracle": args.oracle, "resolution": args.resolution}, items[0][1]))
     results = _evaluate_states([state for _, state in items], names, args.oracle, args.resolution)
-    entries = [
-        {"index": index, "params": params, "reports": reports, "mismatch": mismatch}
-        for index, ((params, _), (reports, mismatch)) in enumerate(zip(items, results))
-    ]
+    entries = []
+    try:
+        for (params, _), (reports, mismatch) in zip(items, results):
+            entries.append(
+                {"index": len(entries), "params": params, "reports": reports, "mismatch": mismatch}
+            )
+    except relations.NonFinite as exc:  # raised by the item after the last one listed
+        raise exc.within(f"report.items[{len(entries)}]") from None
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "sweep",
@@ -791,20 +802,6 @@ def _sweep_csv(doc, oracle_enabled):
                 row.append(repr(entry["oracle_delta"]) if "oracle_delta" in entry else "")
             writer.writerow(row)
     return buf.getvalue()
-
-
-def _check_finite(obj):
-    """Raise ArithmeticError naming the first non-finite float in ``obj``;
-    the walk builds no path until a value fails."""
-    stack = [obj]
-    while stack:
-        val = stack.pop()
-        if isinstance(val, dict):
-            stack.extend(val.values())
-        elif isinstance(val, (list, tuple)):
-            stack.extend(val)
-        elif isinstance(val, float) and not math.isfinite(val):
-            _name_non_finite(obj, "report")
 
 
 def _name_non_finite(obj, path):
@@ -840,8 +837,6 @@ def main(argv=None):
         if args.command == "sweep":
             doc = run_sweep(args)
             if args.format == "csv":
-                # CSV leaves out details, but the whole report is held to the check
-                _check_finite(doc)
                 sys.stdout.write(_sweep_csv(doc, args.oracle))
             else:
                 print(_dumps(doc))

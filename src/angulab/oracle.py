@@ -24,7 +24,8 @@ deviation and inner product runs on them: (f, G g) = (F^T f, F^T g).
 On a ``circle_grid`` the phases come from byte-bounded caches of
 read-only arrays, least recently used out first: ``phase_rows`` keeps
 the rows e^{i m phi} per (node count, m >= 1), ``phase_tables`` the
-sphere's (n, 2l + 1) tables per (node count, l), copied from those rows.
+sphere's (n, 2l + 1) tables per (node count, l), copied from those rows,
+and ``line_waves`` the row e^{i x} of a ``line_grid`` per (half width, n).
 A negative m takes the conjugate of its positive row, which equals the
 direct exponential bit for bit, and m = 0 adds its coefficient as a
 scalar.  Circle states sum their modes in coefficient order.  Every
@@ -48,8 +49,8 @@ coefficients (a complex gemm would cast the table and cost about three
 times as much), into the (n, l + 1) transpose that one copy lays out as
 rows (l + 1 two-column gemms into the rows' float view took 1.5 times as
 long).  A deviation ket A psi - <A> psi is built in the buffer of <A> psi.
-``circle_grid`` is memoized per n with read-only points, so a grid from
-``default_grid`` is recognized as a midpoint grid by identity.  Only the
+``circle_grid`` and ``line_grid`` are memoized with read-only points, so a
+grid from ``default_grid`` is recognized by identity.  Only the
 inner products' round-off differs from sum conj(f) g: OpenBLAS splits a
 long dot across its threads, so the last bits of an oracle value follow
 the BLAS thread count (about 1e-14 relative between 1 and 2 threads at
@@ -116,10 +117,14 @@ def circle_grid(n=DEFAULT_CIRCLE_N):
     return Grid1D(points=points, spacing=h, domain="circle")
 
 
+@lru_cache(maxsize=4)
 def line_grid(half_width, n=DEFAULT_LINE_N):
+    """n uniform nodes on [-half_width, half_width], both ends included; the
+    last four are memoized and shared, so the points are read-only."""
     if n < 8:
         raise ValueError("line_grid: need n >= 8")
     pts, h = np.linspace(-half_width, half_width, n, retstep=True)
+    pts.flags.writeable = False
     return Grid1D(points=pts, spacing=float(h), domain="line")
 
 
@@ -131,7 +136,7 @@ def line_grid_for(state, n=DEFAULT_LINE_N, half_width_floor=12.0, margin=8.0):
     """
     nmax = max(state.coefficients)
     half = max(half_width_floor, np.sqrt(2.0 * nmax + 1.0) + margin) / state.scale
-    return line_grid(half, n=n)
+    return line_grid(float(half), n)
 
 
 def sphere_grid(n_theta=DEFAULT_SPHERE_THETA, n_phi=DEFAULT_SPHERE_PHI):
@@ -173,6 +178,13 @@ def _phase_row(n, m):
     return row
 
 
+def _line_wave(half_width, n):
+    """The read-only row e^{i x_j} over the nodes of ``line_grid(half_width, n)``."""
+    row = np.exp(1j * line_grid(half_width, n).points)
+    row.flags.writeable = False
+    return row
+
+
 def _phase_table(n, l, row):
     """The read-only (n, 2l + 1) table 1, cos phi, sin phi, ..., cos l phi,
     sin l phi on n nodes, each pair the parts of the row e^{i m phi} ``row(m)``."""
@@ -187,11 +199,13 @@ def _phase_table(n, l, row):
 # Rows per (n, m) and sphere tables per (n, l) within byte budgets, least
 # recently used out first; a value larger than its budget is computed for the
 # call and dropped.  No grid array is kept.  Rows: |m| = 1..8 at 32768 nodes
-# (4 MiB) and at 4096 (0.5 MiB); tables: l = 1..3 at 4096 sphere phi nodes.
+# (4 MiB) and at 4096 (0.5 MiB); tables: l = 1..3 at 4096 sphere phi nodes;
+# line rows e^{i x} per (half width, n): eight at 4096 nodes.
 phase_rows = specfun.BytesLRU(_phase_row, budget=9 * 2**19)
 phase_tables = specfun.BytesLRU(
     lambda n, l: _phase_table(n, l, partial(phase_rows, n)), budget=2**19
 )
+line_waves = specfun.BytesLRU(_line_wave, budget=2**19)
 
 
 def _midpoint_count(grid):
@@ -201,6 +215,18 @@ def _midpoint_count(grid):
         return None
     nodes = circle_grid(n).points
     return n if grid.points is nodes or np.array_equal(grid.points, nodes) else None
+
+
+def _wave(grid):
+    """The row e^{i x} over the nodes of the Grid1D ``grid``: cached on a
+    memoized circle or line grid, computed for the call on any other."""
+    n, pts = _midpoint_count(grid), grid.points
+    if n:
+        return phase_rows(n, 1)
+    key = (float(pts[-1]), pts.size)  # a line_grid ends at its half width
+    if grid.domain == "line" and pts.size >= 8 and line_grid(*key).points is pts:
+        return line_waves(*key)
+    return np.exp(1j * pts)
 
 
 def _series(terms, n, out, scratch):
@@ -318,11 +344,9 @@ def act(obs, psi, state, grid, out=None, scratch=None):
         out = np.empty(np.shape(psi), dtype=complex)
     if obs.tag == "Lz":
         return np.multiply(numeric_derivative(psi, line, out, scratch), -1j * state.hbar, out=out)
-    phi = line.points
     if obs.tag == "Phi":
-        return np.multiply(phi, psi, out=out)
-    n = _midpoint_count(line)
-    wave = phase_rows(n, 1) if n else np.exp(1j * phi)  # e^{i phi} = cos phi + i sin phi
+        return np.multiply(line.points, psi, out=out)
+    wave = _wave(line)  # e^{i phi} = cos phi + i sin phi
     return np.multiply(wave.imag if obs.tag == "SinPhi" else wave.real, psi, out=out)
 
 

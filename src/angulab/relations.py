@@ -25,6 +25,7 @@ Central objects:
 """
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -46,8 +47,60 @@ TOL_GRAM = 1e-9
 TOL_COMMUTATOR = 1e-6
 
 
-def _cnum(z):
-    return {"re": float(z.real), "im": float(z.imag)}
+class NonFinite(ArithmeticError):
+    """A report number that is inf or nan, at ``path`` in its report; each
+    caller that places the part prefixes its own position (``within``)."""
+
+    def __init__(self, path):
+        super().__init__(f"non-finite value at {path}")
+        self.path = path
+
+    def within(self, prefix):
+        return NonFinite(f"{prefix}.{self.path}")
+
+
+def finite(x, key):
+    """``float(x)``, or NonFinite at ``key`` when that is inf or nan."""
+    x = float(x)
+    if not isfinite(x):
+        raise NonFinite(key)
+    return x
+
+
+def _cnum(z, key):
+    """``z`` as {"re", "im"}, or NonFinite at the part of ``key`` that is inf or nan."""
+    re, im = float(z.real), float(z.imag)
+    if not isfinite(re):
+        raise NonFinite(f"{key}.re")
+    if not isfinite(im):
+        raise NonFinite(f"{key}.im")
+    return {"re": re, "im": im}
+
+
+def _crows(rows, key):
+    return [[_cnum(z, f"{key}[{j}][{k}]") for k, z in enumerate(row)] for j, row in enumerate(rows)]
+
+
+def json_values(values, at):
+    """The dict ``values`` as JSON values: complex numbers as {"re", "im"},
+    complex arrays as rows of them, booleans, strings and ints as they are,
+    any other number as a float; NonFinite at ``at.key`` for a number that
+    is inf or nan.  Every number of a report passes through here or
+    ``finite``, so a report is finite by construction."""
+    out = {}
+    try:
+        for key, val in values.items():
+            if isinstance(val, complex):
+                out[key] = _cnum(val, key)
+            elif isinstance(val, (bool, str, int)):
+                out[key] = val
+            elif isinstance(val, np.ndarray):
+                out[key] = _crows(val, key)
+            else:
+                out[key] = finite(val, key)
+    except NonFinite as exc:
+        raise exc.within(at) from None
+    return out
 
 
 @dataclass
@@ -61,22 +114,14 @@ class RelationReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self):
-        det = {}
-        for key, val in self.details.items():
-            if isinstance(val, complex):
-                det[key] = _cnum(val)
-            elif isinstance(val, (bool, str, int)):
-                det[key] = val
-            else:
-                det[key] = float(val)
         return {
             "relation": self.relation,
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "slack": float(self.slack),
+            "lhs": finite(self.lhs, "lhs"),
+            "rhs": finite(self.rhs, "rhs"),
+            "slack": finite(self.slack, "slack"),
             "satisfied": bool(self.satisfied),
-            "tolerance": float(self.tolerance),
-            "details": det,
+            "tolerance": finite(self.tolerance, "tolerance"),
+            "details": json_values(self.details, "details"),
         }
 
 
@@ -116,8 +161,8 @@ class MismatchMatrix:
     def to_json(self):
         return {
             "observables": [o.tag for o in self.observables],
-            "entries": [[_cnum(z) for z in row] for row in self.entries],
-            "max_modulus": self.max_modulus,
+            "entries": _crows(self.entries, "entries"),
+            "max_modulus": finite(self.max_modulus, "max_modulus"),
         }
 
 

@@ -151,6 +151,21 @@ class TestSweep:
         lo, hi = map(int, values.split(".."))
         assert [item["params"]["m"] for item in json.loads(spaced)["items"]] == list(range(lo, hi + 1))
 
+    @pytest.mark.parametrize(
+        "flags, text",
+        [(("--m=-3..",), "-3.."), (("--m", "-3.."), "-3.."), (("--m", "3.."), "3.."), (("--m=..3",), "..3")],
+        ids=["equals-negative", "spaced-negative", "spaced", "no-start"],
+    )
+    def test_range_with_an_empty_end_is_bad(self, capsys, flags, text):
+        """A range needs both ends: ``a..`` and ``..b`` exit 1 with one
+        ``error:`` line, whichever way the flag is spelled."""
+        from angulab import cli
+
+        assert cli.main(["sweep", "scr", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad range {text!r}, expected a or a..b\n"
+
 
 class TestValidate:
     def test_well_formed(self, tmp_path):
@@ -1048,14 +1063,19 @@ class TestExitCodes:
         proc.stderr.close()
         assert "Traceback" not in err and err == ""
 
-    def test_non_finite_guard(self):
-        from angulab.cli import _check_finite
+    def test_dumps_names_non_finite_value(self):
+        """A non-finite float that reaches the writer is named by its path in
+        the report, the way the report's converters name one."""
+        from angulab.cli import _dumps
 
-        _check_finite({"ok": [1.0, {"x": 2.0}]})
-        with pytest.raises(ArithmeticError):
-            _check_finite({"bad": [float("nan")]})
-        with pytest.raises(ArithmeticError):
-            _check_finite({"bad": {"deep": float("inf")}})
+        assert _dumps({"ok": [1.0, {"x": 2.0}]}) == '{"ok":[1.0,{"x":2.0}]}'
+        for doc, path in (
+            ({"bad": [1.0, math.nan]}, "report.bad[1]"),
+            ({"ok": 1.0, "bad": {"deep": -math.inf}}, "report.bad.deep"),
+        ):
+            with pytest.raises(ArithmeticError) as exc:
+                _dumps(doc)
+            assert str(exc.value) == f"non-finite value at {path}"
 
     @pytest.mark.parametrize(
         "argv, at",
@@ -1070,24 +1090,109 @@ class TestExitCodes:
     def test_non_finite_exits_2(self, monkeypatch, capsys, argv, at, key):
         """A NaN anywhere in the report, in a printed field or in a details key
         that CSV leaves out, exits 2 with nothing on stdout and one line
-        naming its path."""
-        from angulab import cli
+        naming its path.  The NaN is planted in the relation's report, before
+        it is converted for output."""
+        from angulab import cli, relations
 
-        gram = cli.RELATIONS["gram"]
+        gram_det = relations.gram_det
 
-        def planted(ket):
-            entry = gram.evaluate(ket)
+        def planted(observables, state):
+            report = gram_det(observables, state)
             if key == "lhs":
-                entry["lhs"] = float("nan")
+                report.lhs = float("nan")
             else:
-                entry["details"]["min_eigenvalue"] = float("nan")
-            return entry
+                report.details["min_eigenvalue"] = float("nan")
+            return report
 
-        monkeypatch.setitem(cli.RELATIONS, "gram", gram._replace(evaluate=planted))
+        monkeypatch.setattr(relations, "gram_det", planted)
         assert cli.main([*argv, "--relations", "csf,gram"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"numerical failure: non-finite value at {at}.{key}\n"
+
+    @staticmethod
+    def _plant(monkeypatch, where, value):
+        """Make ``where``, one number that a report converter takes, ``value``
+        on the gram relation (report position 1) or in the mismatch matrix."""
+        import dataclasses
+
+        from angulab import cli, oracle, relations
+
+        gram_det, mismatch, values, delta = (
+            relations.gram_det, relations.adjointness_mismatch, oracle.relation_values, cli._oracle_delta
+        )
+
+        def report(observables, state):
+            rep = gram_det(observables, state)
+            if where == "details-float":
+                rep.details["min_eigenvalue"] = value
+            elif where == "details-complex":
+                rep.details["gram_01"] = complex(0.5, value)
+            else:
+                setattr(rep, where, value)
+            return rep
+
+        def matrix(obs_a, obs_b, state):
+            mm = mismatch(obs_a, obs_b, state)
+            if where == "max_modulus":
+                return dataclasses.replace(mm, max_modulus=value)
+            entries = mm.entries.copy()
+            entries[0, 1] = complex(value, 0.0)
+            return dataclasses.replace(mm, entries=entries)
+
+        def oracle_values(sampled, relation):
+            vals = values(sampled, relation)
+            return {**vals, "min_eigenvalue": value} if relation == "gram" else vals
+
+        def oracle_delta(entry, ovals, name):
+            return value if name == "gram" else delta(entry, ovals, name)
+
+        if where in ("lhs", "rhs", "slack", "tolerance", "details-float", "details-complex"):
+            monkeypatch.setattr(relations, "gram_det", report)
+        elif where in ("mismatch-entry", "max_modulus"):
+            monkeypatch.setattr(relations, "adjointness_mismatch", matrix)
+        elif where == "oracle-value":
+            monkeypatch.setattr(oracle, "relation_values", oracle_values)
+        else:
+            monkeypatch.setattr(cli, "_oracle_delta", oracle_delta)
+
+    @pytest.mark.parametrize(
+        "argv, at",
+        [
+            (("sweep", "scr", "--random", "2"), "report.items[0]"),
+            (("sweep", "scr", "--random", "2", "--format", "csv"), "report.items[0]"),
+            (("scenario", "sphere", "--l", "1"), "report"),
+        ],
+        ids=["sweep-json", "sweep-csv", "scenario"],
+    )
+    @pytest.mark.parametrize(
+        "where, path",
+        [
+            ("lhs", "reports[1].lhs"),
+            ("rhs", "reports[1].rhs"),
+            ("slack", "reports[1].slack"),
+            ("tolerance", "reports[1].tolerance"),
+            ("details-float", "reports[1].details.min_eigenvalue"),
+            ("details-complex", "reports[1].details.gram_01.im"),
+            ("mismatch-entry", "mismatch.entries[0][1].re"),
+            ("max_modulus", "mismatch.max_modulus"),
+            ("oracle-value", "reports[1].oracle.min_eigenvalue"),
+            ("oracle_delta", "reports[1].oracle_delta"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_at_each_converter(self, monkeypatch, capsys, argv, at, where, path, value):
+        """Each converter of a report number stops a nan, +inf or -inf where
+        the number is converted: exit 2, nothing on stdout, and one line
+        naming its path in the report, CSV included."""
+        from angulab import cli
+
+        self._plant(monkeypatch, where, value)
+        argv = [*argv, "--relations", "csf,gram,condition19", "--oracle"]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"numerical failure: non-finite value at {at}.{path}\n"
 
     def test_parser_built_once(self):
         from angulab import cli

@@ -194,6 +194,25 @@ class TestTrigMultipliers:
         # the cached e^{i phi} row serves exactly the nodes of a circle_grid
         assert list(oracle.phase_rows.keys()) == ([(n, 1)] if kind in ("circle_grid", "sphere") else [])
 
+    def test_second_line_action_reads_the_cached_row(self, monkeypatch):
+        """A memoized line grid's e^{i x} row is computed once: after the first
+        trig action, sin and cos actions on the grid call no np.exp and give
+        the bits of the direct formula."""
+        state = random_oscillator(np.random.default_rng(3), nmax=8)
+        grid = line_grid_for(state)
+        assert line_grid_for(state) is grid and not grid.points.flags.writeable
+        psi = sample(state, grid)
+        wave = np.exp(1j * grid.points)
+        want = {tag: np.multiply(part, psi) for tag, part in (("SinPhi", wave.imag), ("CosPhi", wave.real))}
+        oracle.line_waves.cache_clear()
+        exp, calls = np.exp, []
+        monkeypatch.setattr(np, "exp", lambda *args, **kwargs: calls.append(1) or exp(*args, **kwargs))
+        for count, tag in zip((1, 1, 1), ("SinPhi", "CosPhi", "SinPhi")):
+            got = oracle.act(tag, psi, state, grid)
+            assert got.tobytes() == want[tag].tobytes(), tag
+            assert len(calls) == count, tag
+        assert list(oracle.line_waves.keys()) == [(float(grid.points[-1]), grid.points.size)]
+
 
 class TestQuadInner:
     def test_normalization(self):
