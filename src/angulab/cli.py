@@ -640,18 +640,14 @@ def _config_diags(config):
 
 
 def validate_config(path):
-    """Diagnostics for a config file; an empty list means well-formed."""
+    """Human-readable diagnostics for a scenario config file, as ``scenario
+    --config`` gives them: those of reading it, of its family and parameter
+    keys, of the state it builds, and of its run fields; an empty list
+    means well-formed."""
     try:
         config = _read_config(path)
     except ConfigError as exc:
         return [str(exc)]
-    return validate_config_doc(config)
-
-
-def validate_config_doc(config):
-    """Human-readable diagnostics for a scenario config document: those of
-    its family and parameter keys, of the state it builds, and of its run
-    fields, as ``scenario --config`` gives them."""
     diags = _config_diags(config)
     if not isinstance(config, dict):
         return diags

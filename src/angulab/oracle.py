@@ -21,20 +21,18 @@ psi_m = c_m e^{i m phi} / sqrt(2 pi), each a combination of 1, cos m phi
 and sin m phi, so the 2l + 1 rows are never formed; every action,
 deviation and inner product runs on them: (f, G g) = (F^T f, F^T g).
 
-On a ``circle_grid`` the phases come from byte-bounded caches of
-read-only arrays, least recently used out first: ``phase_rows`` keeps
-the rows e^{i m phi} per (node count, m >= 1), ``phase_tables`` the
-sphere's (n, 2l + 1) tables per (node count, l), copied from those rows,
-and ``line_waves`` the row e^{i x} of a ``line_grid`` per (half width, n).
-A negative m takes the conjugate of its positive row, which equals the
-direct exponential bit for bit, and m = 0 adds its coefficient as a
-scalar.  Circle states sum their modes in coefficient order.  Every
-product of a scalar and a grid array runs array-first, the order numpy
-gives ``arr * a`` at every size, so circle samples equal
-``states.evaluate`` exactly.  sin phi and cos phi are the imaginary and
-real parts of the row e^{i phi}, not sums of the ket algebra's Fourier
-coefficients.  ``states.evaluate`` stays the pointwise reference for
-line states and circle grids that are not ``circle_grid``.
+The phases come from two byte-bounded caches of read-only arrays, keyed
+on the grid object (a ``Grid1D`` hashes by identity) and least recently
+used out first: ``phase_rows`` keeps the row e^{i m x} per (grid, m >= 1)
+of any ``Grid1D``, and ``phase_tables`` the sphere's (n, 2l + 1) table per
+(phi grid, l), copied from those rows.  A negative m takes the conjugate
+of its positive row, which equals the direct exponential bit for bit,
+and m = 0 adds its coefficient as a scalar.  Circle states sum their
+modes in coefficient order, each product of a scalar and a grid array
+array-first as numpy orders ``arr * a`` at every size, so they equal
+``states.evaluate`` exactly; line states are still sampled by it.  sin
+phi and cos phi are the imaginary and real parts of the row e^{i phi},
+not sums of the ket algebra's Fourier coefficients.
 
 The kernels write in place: ``act`` and ``numeric_derivative`` fill an
 ``out`` array and overwrite a ``scratch`` one when given them.
@@ -50,7 +48,7 @@ times as much), into the (n, l + 1) transpose that one copy lays out as
 rows (l + 1 two-column gemms into the rows' float view took 1.5 times as
 long).  A deviation ket A psi - <A> psi is built in the buffer of <A> psi.
 ``circle_grid`` and ``line_grid`` are memoized with read-only points, so a
-grid from ``default_grid`` is recognized by identity.  Only the
+grid from ``default_grid`` finds its cached rows.  Only the
 inner products' round-off differs from sum conj(f) g: OpenBLAS splits a
 long dot across its threads, so the last bits of an oracle value follow
 the BLAS thread count (about 1e-14 relative between 1 and 2 threads at
@@ -79,7 +77,7 @@ nothing comes from ``relations``.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -92,8 +90,10 @@ DEFAULT_SPHERE_THETA = 128
 DEFAULT_SPHERE_PHI = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid1D:
+    """Nodes of a 1D grid; it hashes by identity, the key of its phase rows."""
+
     points: np.ndarray  # strictly increasing; excludes 2 pi on the circle
     spacing: float
     domain: str  # "circle" | "line"
@@ -171,75 +171,42 @@ def theta_factor(l, n_theta):
     return factor
 
 
-def _phase_row(n, m):
-    """The read-only row e^{i m phi_j}, m >= 1, over the nodes of ``circle_grid(n)``."""
-    row = np.exp(1j * m * circle_grid(n).points)
+def _phase_row(grid, m):
+    """The read-only row e^{i m x_j}, m >= 1, over the nodes of the Grid1D ``grid``."""
+    row = np.exp(1j * m * grid.points)
     row.flags.writeable = False
     return row
 
 
-def _line_wave(half_width, n):
-    """The read-only row e^{i x_j} over the nodes of ``line_grid(half_width, n)``."""
-    row = np.exp(1j * line_grid(half_width, n).points)
-    row.flags.writeable = False
-    return row
-
-
-def _phase_table(n, l, row):
+def _phase_table(grid, l):
     """The read-only (n, 2l + 1) table 1, cos phi, sin phi, ..., cos l phi,
-    sin l phi on n nodes, each pair the parts of the row e^{i m phi} ``row(m)``."""
-    table = np.empty((n, 2 * l + 1))
+    sin l phi on the n nodes of ``grid``, each pair the parts of a cached row."""
+    table = np.empty((grid.points.size, 2 * l + 1))
     table[:, 0] = 1.0
     if l:  # whole complex columns: pair by pair the copy took 2-3 times as long
-        table[:, 1:] = np.stack([row(m) for m in range(1, l + 1)], axis=1).view(float)
+        table[:, 1:] = np.stack([phase_rows(grid, m) for m in range(1, l + 1)], axis=1).view(float)
     table.flags.writeable = False
     return table
 
 
-# Rows per (n, m) and sphere tables per (n, l) within byte budgets, least
-# recently used out first; a value larger than its budget is computed for the
-# call and dropped.  No grid array is kept.  Rows: |m| = 1..8 at 32768 nodes
-# (4 MiB) and at 4096 (0.5 MiB); tables: l = 1..3 at 4096 sphere phi nodes;
-# line rows e^{i x} per (half width, n): eight at 4096 nodes.
+# Rows per (grid, m) and sphere tables per (phi grid, l) within byte budgets,
+# least recently used out first; a value over its budget is computed for the
+# call and dropped, and a key's grid is not counted.  Rows: |m| = 1..8 at 32768
+# nodes (4 MiB) and at 4096 (0.5 MiB); tables: l = 1..3 at 4096 phi nodes.
 phase_rows = specfun.BytesLRU(_phase_row, budget=9 * 2**19)
-phase_tables = specfun.BytesLRU(
-    lambda n, l: _phase_table(n, l, partial(phase_rows, n)), budget=2**19
-)
-line_waves = specfun.BytesLRU(_line_wave, budget=2**19)
+phase_tables = specfun.BytesLRU(_phase_table, budget=2**19)
 
 
-def _midpoint_count(grid):
-    """n when the Grid1D ``grid`` holds exactly the nodes of ``circle_grid(n)``, else None."""
-    n = grid.points.size
-    if grid.domain != "circle" or n < 8:
-        return None
-    nodes = circle_grid(n).points
-    return n if grid.points is nodes or np.array_equal(grid.points, nodes) else None
-
-
-def _wave(grid):
-    """The row e^{i x} over the nodes of the Grid1D ``grid``: cached on a
-    memoized circle or line grid, computed for the call on any other."""
-    n, pts = _midpoint_count(grid), grid.points
-    if n:
-        return phase_rows(n, 1)
-    key = (float(pts[-1]), pts.size)  # a line_grid ends at its half width
-    if grid.domain == "line" and pts.size >= 8 and line_grid(*key).points is pts:
-        return line_waves(*key)
-    return np.exp(1j * pts)
-
-
-def _series(terms, n, out, scratch):
-    """sum a e^{i m phi} over (m, a) in ``terms`` into ``out``, on the nodes
-    of ``circle_grid(n)``, added in that order as ``states.evaluate`` adds a
-    circle state's modes: each phase a cached row (its conjugate for
-    m < 0), each product ``row * a`` formed in ``scratch``."""
+def _series(terms, grid, out, scratch):
+    """sum a e^{i m phi} over (m, a) in ``terms`` into ``out`` on ``grid``, in
+    the order ``states.evaluate`` adds a circle state's modes: each phase a
+    cached row (its conjugate for m < 0), each ``row * a`` formed in ``scratch``."""
     out.fill(0.0)
     for m, a in terms:
         if m == 0:
             out += a
             continue
-        wave = phase_rows(n, m) if m > 0 else np.conjugate(phase_rows(n, -m), out=scratch)
+        wave = phase_rows(grid, m) if m > 0 else np.conjugate(phase_rows(grid, -m), out=scratch)
         out += np.multiply(wave, a, out=scratch)
     return out
 
@@ -247,18 +214,19 @@ def _series(terms, n, out, scratch):
 def sample(state, grid):
     """Wave-function samples on the grid.  On the sphere, the (l + 1, n_phi)
     rows F^T psi, F = ``theta_factor(l, n_theta)``: the phase table of the
-    phi nodes times each column's coefficient.  Circle states on a
-    ``circle_grid`` sum cached rows; other 1D grids use ``states.evaluate``."""
+    phi nodes times each column's coefficient.  Circle states on a circle
+    grid sum cached rows; every other 1D case uses ``states.evaluate``."""
     if isinstance(grid, Grid1D):
-        n = _midpoint_count(grid) if isinstance(state, states.PeriodicState) else None
-        if n is None:
+        if not (isinstance(state, states.PeriodicState) and grid.domain == "circle"):
             return states.evaluate(state, grid.points)
-        psi = np.empty(n, dtype=complex)
-        _series(state.coefficients.items(), n, psi, np.empty_like(psi))
+        pts = grid.points
+        if pts.size and (pts[0] < 0.0 or pts[-1] >= TWO_PI):  # nodes increase: ends suffice
+            raise ValueError("sample: circle states live on phi in [0, 2 pi)")
+        psi = np.empty(pts.size, dtype=complex)
+        _series(state.coefficients.items(), grid, psi, np.empty_like(psi))
         psi /= np.sqrt(TWO_PI)
         return psi
-    l, phi, n = state.l, grid.phi_grid.points, _midpoint_count(grid.phi_grid)
-    table = phase_tables(n, l) if n else _phase_table(phi.size, l, lambda m: np.exp(1j * m * phi))
+    l, table = state.l, phase_tables(grid.phi_grid, state.l)
     c = np.array([state.coefficients.get(m, 0.0) for m in range(-l, l + 1)], dtype=complex)
     # row m of a: the coefficients of e^{i m phi} in the l + 1 rows; a pair
     # a e^{i m phi} + b e^{-i m phi} is (a + b) cos m phi + i (a - b) sin m phi
@@ -346,7 +314,7 @@ def act(obs, psi, state, grid, out=None, scratch=None):
         return np.multiply(numeric_derivative(psi, line, out, scratch), -1j * state.hbar, out=out)
     if obs.tag == "Phi":
         return np.multiply(line.points, psi, out=out)
-    wave = _wave(line)  # e^{i phi} = cos phi + i sin phi
+    wave = phase_rows(line, 1)  # e^{i phi} = cos phi + i sin phi
     return np.multiply(wave.imag if obs.tag == "SinPhi" else wave.real, psi, out=out)
 
 

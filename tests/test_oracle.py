@@ -74,11 +74,11 @@ class TestGrids:
 
 class TestPhaseRows:
     """The row cache behind circle sampling, trigonometric multipliers and
-    the sphere's phase tables: read-only rows, bounded by bytes whatever
-    band or resolution is sampled."""
+    the sphere's phase tables: read-only rows per (grid, m), bounded by
+    bytes whatever band or resolution is sampled."""
 
     def test_rows_are_read_only(self):
-        row = oracle.phase_rows(64, 3)
+        row = oracle.phase_rows(circle_grid(64), 3)
         with pytest.raises(ValueError):
             row[0] = 0.0
 
@@ -112,7 +112,7 @@ class TestPhaseRows:
         assert rows.nbytes == rows.budget
         state = random_periodic(np.random.default_rng(1), band=8)
         first = sample(state, circle_grid(16384))
-        assert {(16384, m) for m in range(1, 9)} <= set(rows.keys())
+        assert {(circle_grid(16384), m) for m in range(1, 9)} <= set(rows.keys())
         assert rows.nbytes <= rows.budget
         with mock.patch.object(rows, "make", wraps=rows.make) as make:
             again = sample(state, circle_grid(16384))
@@ -121,11 +121,11 @@ class TestPhaseRows:
 
 
 class TestPhaseTables:
-    """The sphere's (n, 2l + 1) phase tables: read-only, kept per (n, l)
-    within a byte budget, and an over-budget table built for the call only."""
+    """The sphere's (n, 2l + 1) phase tables: read-only, kept per (phi grid,
+    l) within a byte budget, and an over-budget table built for the call only."""
 
     def test_tables_are_read_only(self):
-        table = oracle.phase_tables(64, 3)
+        table = oracle.phase_tables(circle_grid(64), 3)
         assert table.shape == (64, 7)
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
@@ -146,20 +146,20 @@ class TestPhaseTables:
         for l in (1, 2, 3, 1, 2, 3):
             sample(random_sphere(np.random.default_rng(l), l), sphere_grid())
         assert tables.cache_info().misses == 3
-        assert set(tables.keys()) == {(4096, 1), (4096, 2), (4096, 3)}
+        assert set(tables.keys()) == {(circle_grid(4096), l) for l in (1, 2, 3)}
 
     def test_over_budget_table_is_not_kept(self):
         """l = 64 at 8192 nodes is an 8.4 MB table: computed for the call and dropped."""
         tables = oracle.phase_tables
         tables.cache_clear()
         state = random_sphere(np.random.default_rng(0), 64)
-        with mock.patch.object(oracle, "_phase_table", wraps=oracle._phase_table) as make:
+        with mock.patch.object(tables, "make", wraps=tables.make) as make:
             psi = sample(state, sphere_grid(n_phi=8192))
             again = sample(state, sphere_grid(n_phi=8192))
         assert make.call_count == 2
         assert psi.shape == (65, 8192) and np.array_equal(psi, again)
         assert tables.nbytes == 0 and not tables.keys()
-        table = tables(8192, 64)
+        table = tables(circle_grid(8192), 64)
         assert table.nbytes == 129 * 8192 * 8 > tables.budget
         assert not table.flags.writeable and not tables.keys()
 
@@ -191,8 +191,17 @@ class TestTrigMultipliers:
             got = oracle.act(tag, ones, scr_eigenstate(1), grid)
             assert np.all(got.imag == 0.0), tag
             assert np.all(np.abs(got.real - fn(phi)) <= 4 * np.finfo(float).eps), tag
-        # the cached e^{i phi} row serves exactly the nodes of a circle_grid
-        assert list(oracle.phase_rows.keys()) == ([(n, 1)] if kind in ("circle_grid", "sphere") else [])
+        # one cached e^{i phi} row per grid, hand-built or memoized
+        assert list(oracle.phase_rows.keys()) == [(grid.phi_grid if kind == "sphere" else grid, 1)]
+
+    def test_hand_built_line_grid_builds_no_line_grid(self):
+        """A trig action on a hand-built line grid reads that grid's own row
+        and leaves the memoized line grids as they were."""
+        grid = Grid1D(np.linspace(-12.0, 12.0, 4096), 24.0 / 4095, "line")
+        before = line_grid.cache_info()
+        got = oracle.act("SinPhi", np.ones(4096, dtype=complex), qtp_eigenstate(1), grid)
+        assert line_grid.cache_info() == before
+        assert np.array_equal(got.real, np.exp(1j * grid.points).imag)
 
     def test_second_line_action_reads_the_cached_row(self, monkeypatch):
         """A memoized line grid's e^{i x} row is computed once: after the first
@@ -204,14 +213,14 @@ class TestTrigMultipliers:
         psi = sample(state, grid)
         wave = np.exp(1j * grid.points)
         want = {tag: np.multiply(part, psi) for tag, part in (("SinPhi", wave.imag), ("CosPhi", wave.real))}
-        oracle.line_waves.cache_clear()
+        oracle.phase_rows.cache_clear()
         exp, calls = np.exp, []
         monkeypatch.setattr(np, "exp", lambda *args, **kwargs: calls.append(1) or exp(*args, **kwargs))
         for count, tag in zip((1, 1, 1), ("SinPhi", "CosPhi", "SinPhi")):
             got = oracle.act(tag, psi, state, grid)
             assert got.tobytes() == want[tag].tobytes(), tag
             assert len(calls) == count, tag
-        assert list(oracle.line_waves.keys()) == [(float(grid.points[-1]), grid.points.size)]
+        assert list(oracle.phase_rows.keys()) == [(grid, 1)]
 
 
 class TestQuadInner:

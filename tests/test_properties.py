@@ -494,18 +494,24 @@ def _cold_and_warm(fn):
 @PROPERTY
 @given(mode_sets(40), SEEDS, RESOLUTIONS)
 def test_circle_sample_equals_evaluate(modes, seed, n):
-    """On a circle_grid the oracle sums cached rows and never calls
-    states.evaluate; on a hand-built circle grid with other nodes it falls
-    back to states.evaluate.  Both equal states.evaluate exactly."""
+    """On a circle_grid and on a hand-built circle grid with other nodes the
+    oracle sums cached rows and never calls states.evaluate; both equal
+    states.evaluate exactly.  A grid with a node outside [0, 2 pi) is
+    rejected, as states.evaluate rejects it."""
     state = states.periodic_superposition(_amplitudes(modes, seed))
     grid = oracle.circle_grid(n)
-    shifted = oracle.Grid1D(grid.points - 0.25 * grid.spacing, grid.spacing, "circle")
-    for g, calls in ((grid, 0), (shifted, 2)):
+    h = grid.spacing
+    shifted = oracle.Grid1D(grid.points - 0.25 * h, h, "circle")
+    for g in (grid, shifted):
         want = states.evaluate(state, g.points)
         with mock.patch.object(oracle.states, "evaluate", wraps=states.evaluate) as spy:
             cold, warm = _cold_and_warm(lambda: oracle.sample(state, g))
-        assert spy.call_count == calls
+        assert spy.call_count == 0
         assert np.array_equal(cold, want) and np.array_equal(warm, want)
+    for offset in (-h, h):  # the first node below 0, or the last past 2 pi
+        outside = oracle.Grid1D(grid.points + offset, h, "circle")
+        with pytest.raises(ValueError, match=r"live on phi in \[0, 2 pi\)"):
+            oracle.sample(state, outside)
 
 
 def _sphere_phi_rows(state, grid):
@@ -524,8 +530,8 @@ def _bits(arr):
 @given(st.integers(0, 12).flatmap(lambda l: st.tuples(st.just(l), mode_sets(l))), SEEDS, RESOLUTIONS)
 def test_sphere_table_equals_direct_phases(l_modes, seed, n):
     """The phase table's columns are 1 and the real and imaginary parts of
-    np.exp(1j m phi), m = 1..l, bit for bit, on a circle_grid (cached or not)
-    and on a hand-built phi grid; ``sample`` is the theta factor's
+    np.exp(1j m phi), m = 1..l, bit for bit, on a circle_grid and on a
+    hand-built phi grid, each cached per grid; ``sample`` is the theta factor's
     transpose times the phi rows from np.exp, to round-off.  Each of the
     l + 1 sums of 2l + 1 terms is off by at most (2l + 4) eps times the sum
     of the terms' moduli on either side, three roundings before the sum, so
@@ -548,16 +554,14 @@ def test_sphere_table_equals_direct_phases(l_modes, seed, n):
             want[:, 2 * m - 1], want[:, 2 * m] = wave.real, wave.imag
         tables = []
 
-        def keep(*args, make=oracle._phase_table):
+        def keep(*args, make=oracle.phase_tables.make):
             tables.append(make(*args))
             return tables[-1]
 
-        with mock.patch.object(oracle, "_phase_table", keep):
+        with mock.patch.object(oracle.phase_tables, "make", keep):
             cold, warm = _cold_and_warm(lambda: oracle.sample(state, g))
-        if g is grid:  # built cold, then read from the cache unless over its budget
-            tables.append(oracle.phase_tables(n, l))
-        else:  # built on each call, never kept
-            assert len(tables) == 2 and not oracle.phase_tables.keys()
+        # built cold, then read from the cache unless over its budget
+        tables.append(oracle.phase_tables(g.phi_grid, l))
         for table in tables:
             assert not table.flags.writeable
             assert np.array_equal(_bits(table), _bits(want))
