@@ -9,7 +9,6 @@ from .operators import (
     Observable,
     UnsupportedObservable,
     apply,
-    commutator_residual,
     deviation_vector,
     lift,
     lift_all,
@@ -18,6 +17,7 @@ from .operators import (
     sphere_variances,
     std_dev,
 )
+from .oracle import commutator_residual
 from .relations import (
     EQ8_COS,
     EQ8_SIN,

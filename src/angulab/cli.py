@@ -241,15 +241,7 @@ def _eq23(ket):
 
 
 def _eq24(ket):
-    info = relations.sphere_anomaly(ket)
-    return _record(
-        "eq24",
-        {
-            "direct_mismatch": info["direct_mismatch"],
-            "bracket_formula": info["bracket_formula"],
-            "discrepancy": info["discrepancy"],
-        },
-    )
+    return _record("eq24", relations.sphere_anomaly(ket))
 
 
 def _moments(ket):

@@ -45,11 +45,11 @@ difference j - i, never on an absolute mode.
 
 Kets may carry leading axes that stack several kets on one band; every
 operator acts on each alike.  ``lift`` records the state a ket came from in
-its ``state`` slot, and the ket answers every relation's reads from its row
-of one stacked block, kept in its ``row`` slot.  The block holds the paper's
-four observables, L_z, phi, sin phi and cos phi (``_PAPER``), in fixed
-slots, and ``resolve_observable`` refuses any other, so every value depends
-on the ket and the observables read only.  One block class serves both ket
+its ``state`` slot, and the ket answers every relation's reads from its
+position in one stacked block.  The block holds the paper's four
+observables, L_z, phi, sin phi and cos phi (``_PAPER``), in fixed slots,
+and ``resolve_observable`` refuses any other, so every value depends on
+the ket and the observables read only.  One block class serves both ket
 classes.  Its stack holds psi and A psi on their common band, from one
 matmul through a band map, the images of the band's basis kets under the
 four, cached per ket class and band: built by ``apply`` on a Fourier band,
@@ -61,9 +61,9 @@ metric times the transposed map of the second images (a view of the
 block's own map on the line), and contracted with the stack of B psi.
 Maps and forms hold L_z at hbar = 1, and hbar scales its slot and row after
 each product, so no hbar enters a key.  A relation reads its entries in one
-lookup: a pair read kept on the ket holds the means, standard deviations
-and cross term, and apart from them the mismatches, their largest modulus
-and the second-order products.  The same block gives the pendulum energy.
+lookup: a pair read gives the means, standard deviations and cross
+term, and apart from them the mismatches, their largest modulus and the
+second-order products.  The same block gives the pendulum energy.
 Ket coefficients are read-only.
 
 A block serves a batch of kets.  ``lift_all`` stacks the kets of a sweep
@@ -77,9 +77,9 @@ same code.  Each contraction is a stacked ``np.matmul`` (or a stacked
 keeps the gemm shape of a ket alone and sums over no state, so a ket's
 entries are the same bits in any batch; ``einsum`` and contractions across
 states are not used, as they reorder sums.  The means a block computes are
-checked per ket, when that ket reads an entry that depends on them.  Kets,
-rows and blocks form no reference cycle, so a block is freed with the last
-ket that reads it.
+checked per ket, when that ket reads an entry that depends on them.  Kets
+and blocks form no reference cycle, so a block is freed with the last ket
+that reads it.
 """
 
 import math
@@ -98,7 +98,7 @@ _MEAN_IMAG_TOL = 1e-10
 class _lazy:
     """An attribute computed on first read and kept in the instance dict:
     ``functools.cached_property`` without the lock it takes on every first
-    read before Python 3.12, about 1 us, which every block and row pays per
+    read before Python 3.12, about 1 us, which every block and ket pays per
     state."""
 
     def __init__(self, func):
@@ -236,24 +236,22 @@ def _theta_overlap_root(l):
 class Ket:
     """The reads shared by both ket classes.
 
-    Every read goes through this ket's row of its block, kept in ``row`` on
-    first read; the coefficients are read-only, so the row cannot go stale.
-    The block holds the paper's four observables, so no value depends on
-    what was read before.  ``pair`` gives a relation all its entries at
-    once; the other reads give one entry each.  ``state`` is the state
-    ``lift`` made the ket from, or None on a ket an operation returned.
-    ``batch`` is the ``_Batch`` the ket is stacked in and its position
-    there: ``lift_all`` sets it, and the first read of a ket without one
-    makes it a batch of one, with no state axis.
+    A ket reads its entries at its position in its batch's block, as nested
+    lists kept on first read (``_lazy``); the coefficients are read-only,
+    so no entry can go stale.  The block holds the paper's four observables,
+    so no value depends on what was read before.  ``pair`` gives a relation
+    all its entries at once; the other reads give one entry each.  Every
+    deviation entry waits for this ket's means, which are checked here.
+    ``state`` is the state ``lift`` made the ket from, or None on a ket an
+    operation returned.  ``batch`` is the ``_Batch`` the ket is stacked in
+    and its position there: ``lift_all`` sets it, and the first read of a
+    ket without one makes it a batch of one, with no state axis.  Only the
+    subclasses have slots, their parameters (``_batch_key``).
     """
-
-    __slots__ = ("coeffs", "row", "pairs", "state", "batch")
 
     def __init__(self, coeffs):
         coeffs.setflags(write=False)
         self.coeffs = coeffs
-        self.row = None
-        self.pairs = {}  # (i, j) -> _Pair, kept apart from the row so no cycle forms
         self.state = None
         self.batch = None
 
@@ -265,57 +263,99 @@ class Ket:
     def scaled(self, z):
         return self._like(z * self.coeffs)
 
-    def acted(self, a):
-        """A psi, a row of the block's stack."""
-        row, (i,) = self._block(a)
-        return row.acted(i)
-
     def _block(self, *obs):
-        """This ket's row of its block and the slot of each of ``obs`` in it;
-        any other observable raises before the block is built."""
+        """The slot of each of ``obs`` in this ket's block; any other
+        observable raises before the block is built."""
         index = _slots(obs)
-        row = self.row
-        if row is None:
-            if self.batch is None:  # alone: a batch of one, with no state axis
-                self.batch = _Batch(self.coeffs, self._like(self.coeffs)), ()
-            batch, k = self.batch
-            row = self.row = _Row(batch.block, k)
-        return row, index
+        if self.batch is None:  # alone: a batch of one, with no state axis
+            self.batch = _Batch(self.coeffs, self._like(self.coeffs)), ()
+        return index
 
-    def pair(self, a, b):
-        """The ``_Pair`` read of observables a and b, built once per row."""
-        row, key = self._block(a, b)
-        return self.pairs.get(key) or self.pairs.setdefault(key, _Pair(row, *key))
+    def _at(self):
+        """This ket's block and its position ``k`` (a tuple) on the batch's axes."""
+        batch, k = self.batch
+        return batch.block, k
 
-    def mean(self, a):
-        """<A> = (psi, A psi)."""
-        row, (i,) = self._block(a)
-        return row.means[i]
+    def _checked(self):
+        """``_at``, once this ket's means pass their checks: every deviation
+        entry depends on them."""
+        self.means
+        return self._at()
+
+    @_lazy
+    def means(self):
+        """<A> = (psi, A psi) per observable."""
+        block, k = self._at()
+        vals = block.p[k][0, 1:].tolist()
+        return [_real_mean(a.tag, val) for a, val in zip(_PAPER, vals)]
+
+    @_lazy
+    def gram(self):
+        """(dA psi, dB psi) per pair of observables, as nested lists."""
+        block, k = self._checked()
+        return block.gram[k].tolist()
+
+    @_lazy
+    def stds(self):
+        """The norm of each deviation ket."""
+        return [math.sqrt(max(row[i].real, 0.0)) for i, row in enumerate(self.gram)]
+
+    @_lazy
+    def second(self):
+        """(psi, A B psi), the mismatches and their largest 2 x 2 moduli."""
+        block, k = self._at()
+        products, entries, top = block.second
+        return products[k].tolist(), entries[k].tolist(), top[k].tolist()
+
+    def acted(self, a):
+        """A psi, a row of the block's stack, as a ket."""
+        (i,) = self._block(a)
+        block, k = self._at()
+        return block.ket(block.stack[k][i + 1])
 
     def deviation(self, a):
         """The deviation ket dA psi = A psi - <A> psi."""
-        row, (i,) = self._block(a)
-        return row.deviation(i)
+        (i,) = self._block(a)
+        block, k = self._checked()
+        return block.ket(block.deviations[k][i])
+
+    def gram_linalg(self, observables):
+        """The Gram matrix of ``observables``, its determinant and least
+        eigenvalue: this ket's part of ``_Block.gram_linalg``."""
+        index = self._block(*observables)
+        block, k = self._checked()
+        gram, det, min_eig = block.gram_linalg(index)
+        return gram[k], det[k], min_eig[k]
+
+    def pair(self, a, b):
+        """The ``_Pair`` read of observables a and b."""
+        i, j = self._block(a, b)
+        return _Pair(self, i, j)
+
+    def mean(self, a):
+        """<A> = (psi, A psi)."""
+        (i,) = self._block(a)
+        return self.means[i]
 
     def std(self, a):
         """Standard deviation, the norm of the deviation ket."""
-        row, (i,) = self._block(a)
-        return row.stds[i]
+        (i,) = self._block(a)
+        return self.stds[i]
 
     def cross(self, a, b):
         """(dA psi, dB psi)."""
-        row, (i, j) = self._block(a, b)
-        return row.gram[i][j]
+        i, j = self._block(a, b)
+        return self.gram[i][j]
 
     def expect2(self, a, b):
         """(psi, A B psi)."""
-        row, (i, j) = self._block(a, b)
-        return row.second[0][i][j]
+        i, j = self._block(a, b)
+        return self.second[0][i][j]
 
     def mismatch(self, a, b):
         """(A psi, B psi) - (psi, A B psi): one adjointness mismatch entry."""
-        row, (i, j) = self._block(a, b)
-        return row.second[1][i][j]
+        i, j = self._block(a, b)
+        return self.second[1][i][j]
 
 
 class FourierKet(Ket):
@@ -720,9 +760,10 @@ class _Block:
     the second-order products (psi, A B psi) with the mismatches.  Each
     contraction is a stacked ``np.matmul`` or linalg call that keeps the
     gemm shape of a ket alone and sums over no state, so a state's entries
-    are the bits it gives alone.  A ket reads its own row through a ``_Row``, which checks
-    its means.  The ket class supplies its ``band``, the ``images`` of the
-    band's basis kets, its ``metric`` and a row as a ket (``from_row``).
+    are the bits it gives alone.  A ket reads its own entries at its
+    position and checks its means.  The ket class supplies its ``band``, the
+    ``images`` of the band's basis kets, its ``metric`` and coefficients on
+    the common band as a ket (``from_row``).
     """
 
     def __init__(self, coeffs, like):
@@ -791,60 +832,6 @@ class _Block:
         return out
 
 
-class _Row:
-    """One ket's entries of a block, at position ``k`` (a tuple) of the
-    batch's axes, read on first use as nested lists.  Every deviation entry
-    waits for this ket's means, which are checked here, so a mean that fails
-    its check raises only when this ket reads an entry that depends on it."""
-
-    def __init__(self, block, k):
-        self.block, self.k = block, k
-
-    @_lazy
-    def means(self):
-        """<A> = (psi, A psi) per observable."""
-        vals = self.block.p[self.k][0, 1:].tolist()
-        return [_real_mean(a.tag, val) for a, val in zip(_PAPER, vals)]
-
-    def _checked(self):
-        """The block, once this ket's means pass their checks: every
-        deviation entry depends on them."""
-        self.means
-        return self.block
-
-    @_lazy
-    def gram(self):
-        """(dA psi, dB psi) per pair of observables."""
-        return self._checked().gram[self.k].tolist()
-
-    @_lazy
-    def stds(self):
-        """The norm of each deviation ket."""
-        return [math.sqrt(max(row[i].real, 0.0)) for i, row in enumerate(self.gram)]
-
-    @_lazy
-    def second(self):
-        """(psi, A B psi), the mismatches and their largest 2 x 2 moduli."""
-        products, entries, top = self.block.second
-        k = self.k
-        return products[k].tolist(), entries[k].tolist(), top[k].tolist()
-
-    def acted(self, i):
-        """A psi for observable i, as a ket."""
-        return self.block.ket(self.block.stack[self.k][i + 1])
-
-    def deviation(self, i):
-        """dA psi for observable i, as a ket."""
-        block = self._checked()
-        return block.ket(block.deviations[self.k][i])
-
-    def gram_linalg(self, index):
-        """This ket's part of ``_Block.gram_linalg``."""
-        gram, det, min_eig = self._checked().gram_linalg(index)
-        k = self.k
-        return gram[k], det[k], min_eig[k]
-
-
 def _real_mean(tag, val):
     """The real part of the mean ``val`` of ``tag``; ArithmeticError when its
     imaginary residue exceeds _MEAN_IMAG_TOL relative to it."""
@@ -856,31 +843,28 @@ def _real_mean(tag, val):
 
 
 class _Pair:
-    """A relation's entries for the observables in slots i and j of a ket's
-    row, each part read on first use; the mismatch part never reads the
+    """A relation's entries for the observables in slots i and j of a ket,
+    read from the ket on each access; the mismatch part never reads the
     means."""
 
-    __slots__ = ("row", "i", "j", "_moments", "_mismatch")
+    __slots__ = ("ket", "i", "j")
 
-    def __init__(self, row, i, j):
-        self.row, self.i, self.j, self._moments, self._mismatch = row, i, j, None, None
+    def __init__(self, ket, i, j):
+        self.ket, self.i, self.j = ket, i, j
 
     @property
     def moments(self):
         """(<A>, <B>, Delta A, Delta B, (dA psi, dB psi))."""
-        if self._moments is None:
-            r, i, j = self.row, self.i, self.j
-            self._moments = r.means[i], r.means[j], r.stds[i], r.stds[j], r.gram[i][j]
-        return self._moments
+        ket, i, j = self.ket, self.i, self.j
+        means, stds = ket.means, ket.stds
+        return means[i], means[j], stds[i], stds[j], ket.gram[i][j]
 
     @property
     def mismatch(self):
         """(the 2 x 2 mismatches over (A, B), their largest modulus, (psi, A B
         psi), (psi, B A psi))."""
-        if self._mismatch is None:
-            (s, e, top), i, j = self.row.second, self.i, self.j
-            self._mismatch = [[e[i][i], e[i][j]], [e[j][i], e[j][j]]], top[i][j], s[i][j], s[j][i]
-        return self._mismatch
+        (s, e, top), i, j = self.ket.second, self.i, self.j
+        return [[e[i][i], e[i][j]], [e[j][i], e[j][j]]], top[i][j], s[i][j], s[j][i]
 
 
 def mean(obs, state):
@@ -928,23 +912,8 @@ def qtp_energy_mean(state):
     ket = lift(state)
     if not isinstance(ket, LineKet):
         raise TypeError("qtp_energy_mean: need an oscillator state")
-    block, (i, j) = ket._block(LZ, PHI)
-    s = block.second[0]  # (psi, A B psi)
+    i, j = ket._block(LZ, PHI)
+    s = ket.second[0]  # (psi, A B psi)
     energy = s[i][i] / (2.0 * ket.inertia) + 0.5 * ket.inertia * ket.frequency**2 * s[j][j]
     return _real_mean("Hamiltonian", energy)
 
-
-def commutator_residual(state, resolution=1024):
-    """max interior |[L_z, phi] psi + i hbar psi| on a grid of ``resolution``
-    nodes: the grid oracle's commutator value, differenced with one-sided
-    stencils at the extremities and never wrapped, so an independent check
-    of the canonical commutator on the half-open range."""
-    from . import oracle  # local import keeps module dependencies one-way
-
-    if isinstance(state, PeriodicState):
-        grid = oracle.circle_grid(resolution)
-    elif isinstance(state, OscillatorState):
-        grid = oracle.line_grid_for(state, n=resolution, half_width_floor=9.0, margin=5.0)
-    else:
-        raise TypeError("commutator_residual: circle or line families only")
-    return oracle.relation_values(oracle.Sampled(state, grid), "commutator")["residual"]

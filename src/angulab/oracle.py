@@ -425,21 +425,6 @@ class Sampled:
         return self.dev_inners([(a, a), (b, b), (a, b)])[2] / self.norm2
 
 
-def moment_table(state, tags, grid=None):
-    """(mean, std) per observable tag, sampling the state only once."""
-    s = Sampled(state, grid)
-    return {tag: (float(s.mean(tag).real), s.std(tag)) for tag in tags}
-
-
-def mismatch_entries(state, obs_a, obs_b, grid=None):
-    """The 2x2 adjointness mismatch, purely from samples."""
-    return _mismatch_matrix(Sampled(state, grid), (obs_a, obs_b))
-
-
-def _mismatch_matrix(s, tags):
-    return np.array([[s.mismatch(a, b) for b in tags] for a in tags])
-
-
 # -- registry relations ----------------------------------------------------------
 
 
@@ -497,7 +482,7 @@ def _quadratic(s):
 
 
 def _condition19(s):
-    mm = _mismatch_matrix(s, ("Lz", "Phi"))
+    mm = np.array([[s.mismatch(a, b) for b in ("Lz", "Phi")] for a in ("Lz", "Phi")])
     ab = complex(mm[0, 1])
     return {"entries": mm, "max_modulus": float(np.max(np.abs(mm))), "mismatch_ab": ab}
 
@@ -553,3 +538,17 @@ def relation_values(sampled, relation):
     except KeyError:
         raise ValueError(f"relation_values: no grid oracle for relation {relation!r}") from None
     return values(sampled)
+
+
+def commutator_residual(state, resolution=1024):
+    """max interior |[L_z, phi] psi + i hbar psi| on a grid of ``resolution``
+    nodes: the commutator value of ``relation_values``, differenced with
+    one-sided stencils at the extremities and never wrapped, so an
+    independent check of the canonical commutator on the half-open range."""
+    if isinstance(state, states.PeriodicState):
+        grid = circle_grid(resolution)
+    elif isinstance(state, states.OscillatorState):
+        grid = line_grid_for(state, n=resolution, half_width_floor=9.0, margin=5.0)
+    else:
+        raise TypeError("commutator_residual: circle or line families only")
+    return relation_values(Sampled(state, grid), "commutator")["residual"]

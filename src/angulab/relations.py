@@ -325,9 +325,8 @@ def gram_det(observables, state):
     from one stacked determinant and eigenvalue call over the ket's batch."""
     if len(observables) < 2:
         raise ValueError("gram_det: need at least two observables")
-    row, index = lift(state)._block(*observables)
     r = len(observables)
-    gram, det, min_eig = row.gram_linalg(index)
+    gram, det, min_eig = lift(state).gram_linalg(observables)
     if abs(det.imag) > 1e-10 * max(1.0, abs(det.real)):
         raise ArithmeticError(f"gram_det: determinant imaginary residue {det.imag:.3e}")
     details = {"min_eigenvalue": float(min_eig), "order": r}

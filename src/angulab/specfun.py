@@ -213,20 +213,13 @@ def _theta_rows(l, x, sx):
 
 
 def theta_lm(l, m, theta):
-    """Polar factor of Y_lm, unit-normalized against sin(theta) d(theta)."""
-    if l < 0 or l > _THETA_MAX_L:
-        raise ValueError(f"theta_lm: l={l} outside supported range [0, {_THETA_MAX_L}]")
+    """Polar factor of Y_lm, unit-normalized against sin(theta) d(theta):
+    row m + l of ``theta_lm_table``."""
     if abs(m) > l:
         raise ValueError(f"theta_lm: |m|={abs(m)} exceeds l={l}")
     theta = np.asarray(theta, dtype=float)
-    scalar = theta.ndim == 0
-    theta = np.atleast_1d(theta)
-    x, sx = np.cos(theta), np.sin(theta)
-    rows = _theta_rows(l, x, sx)
-    val = rows[abs(m)]
-    if m < 0 and abs(m) % 2 == 1:
-        val = -val
-    return float(val[0]) if scalar else val
+    val = theta_lm_table(l, theta)[m + l]
+    return float(val[0]) if theta.ndim == 0 else val
 
 
 def theta_lm_table(l, theta):

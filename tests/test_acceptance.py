@@ -20,13 +20,13 @@ from angulab.operators import (
     LZ,
     PHI,
     SIN_PHI,
-    commutator_residual,
     lift,
     lift_all,
     qtp_energy_mean,
     sphere_variances,
     std_dev,
 )
+from angulab.oracle import commutator_residual
 from angulab.relations import (
     adjointness_mismatch,
     adjusted_relation,
@@ -57,9 +57,9 @@ def test_c01_scr_moments():
         s = scr_eigenstate(m)
         assert std_dev(LZ, s) == 0.0
         assert abs(std_dev(PHI, s) - PI / np.sqrt(3)) < 1e-10
-        table = oracle.moment_table(s, ("Lz", "Phi"))
-        assert abs(table["Lz"][1]) < 1e-6
-        assert abs(table["Phi"][1] - PI / np.sqrt(3)) < 1e-6
+        sampled = oracle.Sampled(s)
+        assert abs(sampled.std("Lz")) < 1e-6
+        assert abs(sampled.std("Phi") - PI / np.sqrt(3)) < 1e-6
     assert time.perf_counter() - started < 1.0
 
 
@@ -84,7 +84,7 @@ def test_c03_anomaly_constant():
         # oracle cross-check on a subset keeps the loop quick
         for m in (-20, -7, 0, 13, 20):
             s = scr_eigenstate(m, hbar=hbar)
-            got = oracle.mismatch_entries(s, "Lz", "Phi")[0, 1]
+            got = oracle.Sampled(s).mismatch("Lz", "Phi")
             assert abs(got - 1j * hbar) <= 1e-6 * hbar
 
 
@@ -97,9 +97,9 @@ def test_c04_qtp_closed_forms():
             want_phi = np.sqrt((n + 0.5) / (inertia * omega))
             assert abs(std_dev(LZ, q) - want_lz) < 1e-8
             assert abs(std_dev(PHI, q) - want_phi) < 1e-8
-            table = oracle.moment_table(q, ("Lz", "Phi"))
-            assert abs(table["Lz"][1] - want_lz) < 1e-6
-            assert abs(table["Phi"][1] - want_phi) < 1e-6
+            sampled = oracle.Sampled(q)
+            assert abs(sampled.std("Lz") - want_lz) < 1e-6
+            assert abs(sampled.std("Phi") - want_phi) < 1e-6
             product = std_dev(LZ, q) * std_dev(PHI, q)
             assert product == pytest.approx(n + 0.5, abs=1e-8)
             assert product >= 0.5 - 1e-12
@@ -132,8 +132,7 @@ def test_c07_sphere_variances():
         s = random_sphere(rng, l)
         v = sphere_variances(s)
         assert abs(v["var_Lz"] - std_dev(LZ, s) ** 2) < 1e-10
-        table = oracle.moment_table(s, ("Phi",))
-        assert abs(v["var_phi"] - table["Phi"][1] ** 2) < 1e-6
+        assert abs(v["var_phi"] - oracle.Sampled(s).std("Phi") ** 2) < 1e-6
     for l, m in ((1, 0), (2, -2), (3, 1)):
         v = sphere_variances(sphere_state(l, {m: 1.0}))
         assert abs(v["var_phi"] - PI**2 / 3) < 1e-8

@@ -16,7 +16,6 @@ from angulab.operators import (
     _theta_overlap,
     _theta_overlap_root,
     apply,
-    commutator_residual,
     deviation_vector,
     lift,
     mean,
@@ -24,6 +23,7 @@ from angulab.operators import (
     sphere_variances,
     std_dev,
 )
+from angulab.oracle import commutator_residual
 from angulab.states import (
     oscillator_superposition,
     periodic_superposition,
@@ -349,9 +349,9 @@ class TestSpectralVsOracle:
             else:
                 state = random_sphere(rng, 1 + i % 3)
                 grid = oracle.sphere_grid(n_phi=2048)
-            table = oracle.moment_table(state, ("Lz", "Phi", "SinPhi", "CosPhi"), grid)
+            sampled = oracle.Sampled(state, grid)
             for obs in ALL_OBS:
-                mu, sd = table[obs.tag]
+                mu, sd = float(sampled.mean(obs.tag).real), sampled.std(obs.tag)
                 scale = max(1.0, abs(mu))
                 assert abs(mean(obs, state) - mu) < 2e-6 * scale
                 assert abs(std_dev(obs, state) - sd) < 2e-6 * max(1.0, sd)
@@ -510,3 +510,37 @@ class TestBatch:
                 read(kets[1])
             assert str(got.value) == str(want.value)
         assert kets[2].cross(LZ, PHI) == alone[2].cross(LZ, PHI)
+
+    def test_block_freed_with_its_last_ket(self):
+        """Kets and blocks form no reference cycle: with the cyclic collector
+        off, a block is freed once the last ket that read it is dropped, for
+        a ket alone and for a ``lift_all`` batch of each family."""
+        import gc
+        import weakref
+
+        from angulab.operators import lift_all
+        from angulab.relations import gram_det
+
+        rng = np.random.default_rng(12)
+        draws = {
+            "periodic": lambda: periodic_superposition(dict(zip((-2, 0, 1), rng.normal(size=3)))),
+            "oscillator": lambda: random_oscillator(rng),
+            "sphere": lambda: random_sphere(rng, 2),
+        }
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for family, draw in draws.items():
+                for size in (1, 3):  # alone, and in a batch
+                    kets = lift_all([draw() for _ in range(size)])
+                    for ket in kets:
+                        pair = ket.pair(LZ, PHI)
+                        pair.moments, pair.mismatch, ket.deviation(SIN_PHI), ket.acted(COS_PHI)
+                        gram_det(ALL_OBS, ket)
+                    assert len({id(ket.batch[0]) for ket in kets}) == 1, family
+                    block = weakref.ref(kets[0].batch[0].block)
+                    del ket, pair, kets
+                    assert block() is None, family
+        finally:
+            if enabled:
+                gc.enable()

@@ -573,8 +573,7 @@ class TestGridRefinement:
         reached = False
         n = 256
         while n <= 65536:
-            table = oracle.moment_table(s, ("Phi",), circle_grid(n))
-            err = abs(table["Phi"][1] - target)
+            err = abs(oracle.Sampled(s, circle_grid(n)).std("Phi") - target)
             if err <= 1e-9:
                 reached = True
                 break
@@ -597,18 +596,19 @@ class TestGridRefinement:
 
 class TestOracleReports:
     def test_scr_moments(self):
-        table = oracle.moment_table(scr_eigenstate(2), ("Lz", "Phi"))
-        assert abs(table["Lz"][1]) < 1e-7
-        assert table["Phi"][1] == pytest.approx(PI / np.sqrt(3), abs=1e-6)
+        sampled = oracle.Sampled(scr_eigenstate(2))
+        assert abs(sampled.std("Lz")) < 1e-7
+        assert sampled.std("Phi") == pytest.approx(PI / np.sqrt(3), abs=1e-6)
 
     def test_qtp_moments(self):
         q = qtp_eigenstate(1)
-        table = oracle.moment_table(q, ("Lz", "Phi"), line_grid(12.0, 4096))
-        assert table["Lz"][1] == pytest.approx(np.sqrt(1.5), abs=1e-6)
-        assert table["Phi"][1] == pytest.approx(np.sqrt(1.5), abs=1e-6)
+        sampled = oracle.Sampled(q, line_grid(12.0, 4096))
+        assert sampled.std("Lz") == pytest.approx(np.sqrt(1.5), abs=1e-6)
+        assert sampled.std("Phi") == pytest.approx(np.sqrt(1.5), abs=1e-6)
 
     def test_scr_condition19(self):
-        mm = oracle.mismatch_entries(scr_eigenstate(0, hbar=1.0), "Lz", "Phi")
+        sampled = oracle.Sampled(scr_eigenstate(0, hbar=1.0))
+        mm = oracle.relation_values(sampled, "condition19")["entries"]
         assert mm[0, 1] == pytest.approx(1j, abs=1e-6)
 
     def test_descriptor_api(self):

@@ -277,7 +277,7 @@ class TestSphereAnomaly:
         from angulab import oracle
 
         s = sphere_state(1, {-1: 1, 0: 1j, 1: 0.5})
-        got = oracle.mismatch_entries(s, "Lz", "Phi")[0, 1]
+        got = oracle.Sampled(s).mismatch("Lz", "Phi")
         assert got == pytest.approx(sphere_mismatch(s), abs=2e-6)
 
 
@@ -412,4 +412,4 @@ class TestPairRead:
                 for read in reads:
                     with pytest.raises(UnsupportedObservable):
                         read()
-            assert ket.row is None, state.family
+            assert ket.batch is None, state.family
